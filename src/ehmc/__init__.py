@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .precond import Preconditioner, make_preconditioner, from_dense_factor, n_params
+from .precond import Preconditioner, make_preconditioner, n_params
 from .targets import TargetModel
 from .integrator import Trajectory, DivergenceError
 from .sampler import run_experiment, SamplerSettings
@@ -10,7 +10,6 @@ from .sampler import run_experiment, SamplerSettings
 __all__ = [
     "Preconditioner",
     "make_preconditioner",
-    "from_dense_factor",
     "n_params",
     "TargetModel",
     "Trajectory",

@@ -6,20 +6,21 @@ Three kinds are supported:
 * ``dense``     -- C is a lower-triangular Cholesky factor with
   exp-transformed diagonal, d(d+1)/2 parameters (log-diagonal first,
   then the strict lower triangle packed row by row).
-* ``banded``    -- C = B^{-1} for an upper-triangular tridiagonal B,
+* ``banded``    -- C = B^{-1} for an upper bidiagonal B,
   2d-1 parameters (log of B's diagonal, then its superdiagonal).
   All maps run in O(d).
 
 Diagonal entries of C (or of B) are stored as unconstrained reals and
 mapped through exp, which keeps C C^T positive definite for every theta.
-Parameter vectors are treated as immutable snapshots by the sampler; the
+The factor is built once per write of ``theta`` (the constructor and
+``adam_update`` are the writers), and ``theta`` is stored as a read-only
+copy, so the built factor cannot go stale; the maps only apply it.  The
 gradient helpers accumulate into caller-owned arrays.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_banded, solve_triangular
+from scipy.linalg import LinAlgError, solve_triangular
+from scipy.linalg.lapack import dgbsv
 
 KINDS = ("diagonal", "dense", "banded")
 
@@ -35,58 +36,70 @@ def n_params(kind, dim):
     raise ValueError(f"unknown preconditioner kind {kind!r}")
 
 
-@dataclass
+def _band_solve(kl, ku, ab, w):
+    """Solve with a bidiagonal band matrix as scipy's ``solve_banded`` does:
+    a 1x1 system is a division, anything larger one LAPACK ``gbsv`` call
+    (``ab`` already in its (2 kl + ku + 1, d) layout)."""
+    if w.size == 1:
+        return w / ab[kl + ku, 0]
+    _, _, x, info = dgbsv(kl, ku, ab, w)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    return x
+
+
 class Preconditioner:
     """Learnable factor C exposing matvec, adjoint, solve and logdet maps."""
 
-    kind: str
-    dim: int
-    theta: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown preconditioner kind {self.kind!r}")
-        if self.dim < 1:
+    def __init__(self, kind, dim, theta):
+        if kind not in KINDS:
+            raise ValueError(f"unknown preconditioner kind {kind!r}")
+        if dim < 1:
             raise ValueError("dim must be a positive integer")
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != (n_params(self.kind, self.dim),):
+        self.kind = kind
+        self.dim = dim
+        if kind == "dense":
+            self._rows, self._cols = np.tril_indices(dim, k=-1)
+        self.theta = theta
+
+    @property
+    def theta(self):
+        return self._theta
+
+    @theta.setter
+    def theta(self, value):
+        theta = np.array(value, dtype=float)
+        if theta.shape != (n_params(self.kind, self.dim),):
             raise ValueError(
-                f"theta has length {self.theta.size}, expected "
+                f"theta has length {theta.size}, expected "
                 f"{n_params(self.kind, self.dim)} for kind {self.kind!r}"
             )
-
-    # -- internal views -------------------------------------------------
-
-    def _dense_factor(self):
-        """Materialize C as a dense lower-triangular matrix (dense kind)."""
+        theta.flags.writeable = False
+        self._theta = theta
         d = self.dim
-        C = np.zeros((d, d))
-        C[np.diag_indices(d)] = np.exp(self.theta[:d])
-        rows, cols = np.tril_indices(d, k=-1)
-        C[rows, cols] = self.theta[d:]
-        return C
-
-    def _band_diag(self):
-        return np.exp(self.theta[: self.dim])
-
-    def _band_super(self):
-        return self.theta[self.dim :]
-
-    def _band_ab_upper(self):
-        # ab layout for solve_banded((0, 1), ...): row 0 superdiag, row 1 diag
-        d = self.dim
-        ab = np.zeros((2, d))
-        ab[0, 1:] = self._band_super()
-        ab[1] = self._band_diag()
-        return ab
-
-    def _band_ab_lower(self):
-        # B^T is lower bidiagonal: row 0 diag, row 1 subdiag
-        d = self.dim
-        ab = np.zeros((2, d))
-        ab[0] = self._band_diag()
-        ab[1, : d - 1] = self._band_super()
-        return ab
+        if self.kind == "diagonal":
+            self._exp = np.exp(theta)
+            self._exp_neg = np.exp(-theta)
+        elif self.kind == "dense":
+            self._exp = np.exp(theta[:d])
+            C = np.zeros((d, d))
+            C[np.diag_indices(d)] = self._exp
+            C[self._rows, self._cols] = theta[d:]
+            self._C = C
+        else:
+            # B's diagonal and superdiagonal, and the gbsv layouts of B
+            # (kl, ku) = (0, 1) and of B^T (1, 0): row 0 of the latter is
+            # gbsv's fill-in workspace
+            self._exp = np.exp(theta[:d])
+            self._sup = theta[d:]
+            self._ab_upper = np.zeros((2, d))
+            self._ab_upper[0, 1:] = self._sup
+            self._ab_upper[1] = self._exp
+            self._ab_lower = np.zeros((3, d))
+            self._ab_lower[1] = self._exp
+            self._ab_lower[2, : d - 1] = self._sup
 
     def _check_vec(self, w):
         w = np.asarray(w, dtype=float)
@@ -100,43 +113,41 @@ class Preconditioner:
         """C w.  For the banded kind this solves B x = w by back-substitution."""
         w = self._check_vec(w)
         if self.kind == "diagonal":
-            return np.exp(self.theta) * w
+            return self._exp * w
         if self.kind == "dense":
-            return self._dense_factor() @ w
-        return solve_banded((0, 1), self._band_ab_upper(), w)
+            return self._C @ w
+        return _band_solve(0, 1, self._ab_upper, w)
 
     def rmatvec(self, w):
         """C^T w."""
         w = self._check_vec(w)
         if self.kind == "diagonal":
-            return np.exp(self.theta) * w
+            return self._exp * w
         if self.kind == "dense":
-            return self._dense_factor().T @ w
-        return solve_banded((1, 0), self._band_ab_lower(), w)
+            return self._C.T @ w
+        return _band_solve(1, 0, self._ab_lower, w)
 
     def solve(self, w):
         """C^{-1} w."""
         w = self._check_vec(w)
         if self.kind == "diagonal":
-            return np.exp(-self.theta) * w
+            return self._exp_neg * w
         if self.kind == "dense":
-            return solve_triangular(self._dense_factor(), w, lower=True)
+            return solve_triangular(self._C, w, lower=True)
         # C^{-1} = B: multiply by the bidiagonal matrix directly
-        diag, sup = self._band_diag(), self._band_super()
-        out = diag * w
-        out[:-1] += sup * w[1:]
+        out = self._exp * w
+        out[:-1] += self._sup * w[1:]
         return out
 
     def solve_t(self, w):
         """C^{-T} w."""
         w = self._check_vec(w)
         if self.kind == "diagonal":
-            return np.exp(-self.theta) * w
+            return self._exp_neg * w
         if self.kind == "dense":
-            return solve_triangular(self._dense_factor(), w, lower=True, trans="T")
-        diag, sup = self._band_diag(), self._band_super()
-        out = diag * w
-        out[1:] += sup * w[:-1]
+            return solve_triangular(self._C, w, lower=True, trans="T")
+        out = self._exp * w
+        out[1:] += self._sup * w[:-1]
         return out
 
     def logdet(self):
@@ -162,16 +173,15 @@ class Preconditioner:
         w = self._check_vec(w)
         d = self.dim
         if self.kind == "diagonal":
-            out += scale * (u * w * np.exp(self.theta))
+            out += scale * (u * w * self._exp)
             return
         if self.kind == "dense":
-            out[:d] += scale * (u * w * np.exp(self.theta[:d]))
-            rows, cols = np.tril_indices(d, k=-1)
-            out[d:] += scale * (u[rows] * w[cols])
+            out[:d] += scale * (u * w * self._exp)
+            out[d:] += scale * (u[self._rows] * w[self._cols])
             return
         a = self.rmatvec(u)  # B^{-T} u
         b = self.matvec(w)  # B^{-1} w
-        out[:d] += scale * (-a * b * np.exp(self.theta[:d]))
+        out[:d] += scale * (-a * b * self._exp)
         out[d:] += scale * (-a[: d - 1] * b[1:])
 
     def accumulate_logdet_grad(self, out, scale=1.0):
@@ -194,24 +204,3 @@ def make_preconditioner(kind, dim, init_scale=1.0):
     # banded stores B's diagonal; C = B^{-1} = init_scale * I needs B = I / init_scale
     theta[:dim] = -log_s if kind == "banded" else log_s
     return Preconditioner(kind, int(dim), theta)
-
-
-def from_dense_factor(C):
-    """Wrap an explicit lower-triangular factor as dense-kind parameters.
-
-    Used by fixed-metric baseline kernels where C is given, not learned.
-    """
-    C = np.asarray(C, dtype=float)
-    d = C.shape[0]
-    if C.shape != (d, d):
-        raise ValueError("C must be square")
-    if np.any(np.triu(C, k=1) != 0):
-        raise ValueError("factor must be lower triangular")
-    diag = np.diag(C)
-    if np.any(diag <= 0):
-        raise ValueError("factor diagonal must be strictly positive")
-    theta = np.empty(n_params("dense", d))
-    theta[:d] = np.log(diag)
-    rows, cols = np.tril_indices(d, k=-1)
-    theta[d:] = C[rows, cols]
-    return Preconditioner("dense", d, theta)

@@ -194,25 +194,36 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
     return chains, state
 
 
-def dual_averaging_step_size(target_rate, history, h0=1.0, gamma=0.05,
-                             t0=10.0, kappa=0.75, final=False):
-    """Replay the dual-averaging recursion over an acceptance history.
+class DualAveraging:
+    """Running dual-averaging step size (Hoffman & Gelman 2014, Alg. 5).
 
-    The shrink target is log h0, so a history sitting exactly on
-    target_rate leaves the step size at its initial value.  Returns the
-    current iterate, or the averaged iterate when final is set.
+    Carries (g_bar, log_h, log_h_bar, t) from step to step, so an update
+    costs O(1).  The shrink target is log h0, so acceptance sitting
+    exactly on target_rate leaves the step size at its initial value.
     """
-    mu = np.log(h0)
-    g_bar = 0.0
-    log_h = mu
-    log_h_bar = mu
-    for t, a in enumerate(history, start=1):
-        eta = 1.0 / (t + t0)
-        g_bar = (1.0 - eta) * g_bar + eta * (target_rate - a)
-        log_h = mu - np.sqrt(t) / gamma * g_bar
-        w = t ** (-kappa)
-        log_h_bar = w * log_h + (1.0 - w) * log_h_bar
-    return float(np.exp(log_h_bar if final else log_h))
+
+    def __init__(self, target_rate, h0=1.0, gamma=0.05, t0=10.0, kappa=0.75):
+        self.target_rate = target_rate
+        self.gamma, self.t0, self.kappa = gamma, t0, kappa
+        self.mu = np.log(h0)
+        self.g_bar = 0.0
+        self.log_h = self.mu
+        self.log_h_bar = self.mu
+        self.t = 0
+
+    def update(self, accept):
+        """Fold in one step's mean acceptance probability."""
+        self.t += 1
+        t = self.t
+        eta = 1.0 / (t + self.t0)
+        self.g_bar = (1.0 - eta) * self.g_bar + eta * (self.target_rate - accept)
+        self.log_h = self.mu - np.sqrt(t) / self.gamma * self.g_bar
+        w = t ** (-self.kappa)
+        self.log_h_bar = w * self.log_h + (1.0 - w) * self.log_h_bar
+
+    def step_size(self, final=False):
+        """The current iterate, or the averaged one when final is set."""
+        return float(np.exp(self.log_h_bar if final else self.log_h))
 
 
 @dataclass
@@ -277,20 +288,18 @@ def run_experiment(settings):
                          settings.init, settings.init_scale)
     h = settings.h
     mu_trace = []
-    accept_hist = []
+    dual_avg = DualAveraging(settings.target_accept, settings.h)
     for _ in range(settings.adapt_steps):
         if settings.step_size_adapt:
-            h = dual_averaging_step_size(settings.target_accept, accept_hist,
-                                         settings.h)
+            h = dual_avg.step_size()
         rec = {}
         chains, state = adaptive_step(chains, state, model, h, settings.L,
                                       settings.objective, rec)
-        accept_hist.append(rec["accept"])
+        dual_avg.update(rec["accept"])
         if settings.objective == "gsm":
             mu_trace.append(rec["mu"])
     if settings.step_size_adapt and settings.adapt_steps > 0:
-        h = dual_averaging_step_size(settings.target_accept, accept_hist,
-                                     settings.h, final=True)
+        h = dual_avg.step_size(final=True)
     adapt_accepts = sum(c.accept_count for c in chains)
     adapt_trans = sum(c.transition_count for c in chains)
     adapt_divs = sum(c.divergence_count for c in chains)
@@ -391,7 +400,7 @@ def load_checkpoint(path):
     for key in ("beta_bounds", "gamma_bounds"):
         config_d[key] = tuple(config_d[key])
     config = AdaptConfig(**config_d)
-    precond = Preconditioner(kind=kind, dim=dim, theta=theta.copy())
+    precond = Preconditioner(kind=kind, dim=dim, theta=theta)
     lam = None if np.isnan(scalars[3]) else float(scalars[3])
     state = AdaptState(precond=precond, config=config, beta=float(scalars[0]),
                        gamma=float(scalars[1]), adam_m=adam_m.copy(),

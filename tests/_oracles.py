@@ -44,6 +44,17 @@ def banded_upper_bidiagonal(precond):
     return B
 
 
+def dense_lower_factor(precond):
+    """Dense C for a dense-kind preconditioner, filled row by row."""
+    d = precond.dim
+    C = np.diag(np.exp(precond.theta[:d]))
+    k = d
+    for i in range(1, d):
+        C[i, :i] = precond.theta[k : k + i]
+        k += i
+    return C
+
+
 def mala_log_accept(q, q_new, v, h, C, grad, potential):
     """Independent preconditioned-MALA acceptance, dense-matrix route.
 
@@ -65,3 +76,22 @@ def mala_log_accept(q, q_new, v, h, C, grad, potential):
         - log_kernel(q_new, q)
     )
     return min(0.0, log_ratio)
+
+
+def dual_averaging_replay(target_rate, history, h0=1.0, gamma=0.05, t0=10.0,
+                          kappa=0.75, final=False):
+    """Replay the dual-averaging recursion over a whole acceptance history.
+
+    Returns the current iterate, or the averaged iterate when final is set.
+    """
+    mu = np.log(h0)
+    g_bar = 0.0
+    log_h = mu
+    log_h_bar = mu
+    for t, a in enumerate(history, start=1):
+        eta = 1.0 / (t + t0)
+        g_bar = (1.0 - eta) * g_bar + eta * (target_rate - a)
+        log_h = mu - np.sqrt(t) / gamma * g_bar
+        w = t ** (-kappa)
+        log_h_bar = w * log_h + (1.0 - w) * log_h_bar
+    return float(np.exp(log_h_bar if final else log_h))

@@ -1,5 +1,9 @@
 """Configuration parsing, preset registry, output emission, exit codes."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -318,3 +322,27 @@ def test_out_colliding_with_file_rejected(tmp_path):
         parse_config(None, {"target": "gaussian_iso", "out": str(blocker / "sub")})
     with pytest.raises(ConfigError, match="out"):
         parse_config(None, {"target": "gaussian_iso", "out": str(blocker)})
+
+
+# ------------------------------------------------------------ README examples
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_command_line_example_runs(tmp_path):
+    block = re.search(r"```sh\n(ehmc --target .*?)```", README, re.S).group(1)
+    argv = shlex.split(block.replace("\\\n", " "))
+    assert argv[0] == "ehmc"
+    argv = argv[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "demo")
+    assert main(argv) == 0
+    assert (tmp_path / "demo" / "summary.csv").exists()
+
+
+def test_readme_config_example_parses(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
+    cfg = parse_config(write_config(tmp_path, block))
+    assert cfg.target == "anisotropic"
+    assert cfg.target_params == {"d": 20, "c": 4.0}
+    assert cfg.sweep_L == tuple(range(1, 33))

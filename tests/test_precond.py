@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from ehmc.precond import (
-    KINDS,
-    Preconditioner,
-    from_dense_factor,
-    make_preconditioner,
-    n_params,
+from ehmc.objective import adam_update, make_adapt_state
+from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
+from ehmc.sampler import load_checkpoint, make_chains, save_checkpoint
+from ehmc.targets import gaussian_target
+
+from _oracles import (
+    banded_upper_bidiagonal,
+    dense_lower_factor,
+    fd_theta_gradient,
+    with_theta,
 )
-
-from _oracles import banded_upper_bidiagonal, fd_theta_gradient, with_theta
 
 
 def random_precond(kind, dim, rng, scale=0.3):
@@ -160,25 +163,87 @@ def test_grad_accumulation_and_scale():
     assert np.allclose(once, twice)
 
 
-def test_from_dense_factor():
-    rng = np.random.default_rng(11)
-    C = np.tril(rng.standard_normal((4, 4)))
-    C[np.diag_indices(4)] = np.abs(np.diag(C)) + 0.5
-    p = from_dense_factor(C)
-    assert p.kind == "dense"
-    w = rng.standard_normal(4)
-    assert np.allclose(p.matvec(w), C @ w, atol=1e-12)
-    assert np.isclose(p.logdet(), np.linalg.slogdet(C)[1])
-    with pytest.raises(ValueError):
-        from_dense_factor(np.triu(np.ones((3, 3))) + np.eye(3))
-    bad = np.eye(3)
-    bad[1, 1] = -1.0
-    with pytest.raises(ValueError):
-        from_dense_factor(bad)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_vector_shape_errors(kind):
     p = make_preconditioner(kind, 4)
     with pytest.raises(ValueError):
         p.matvec(np.zeros(5))
+
+
+# --------------------------------------------- bit identity of the built factor
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64])
+def test_banded_maps_equal_solve_banded(dim):
+    rng = np.random.default_rng(200 + dim)
+    for _ in range(5):
+        p = random_precond("banded", dim, rng, scale=0.5)
+        diag, sup = np.exp(p.theta[:dim]), p.theta[dim:]
+        ab_upper = np.zeros((2, dim))
+        ab_upper[0, 1:] = sup
+        ab_upper[1] = diag
+        ab_lower = np.zeros((2, dim))
+        ab_lower[0] = diag
+        ab_lower[1, : dim - 1] = sup
+        for _ in range(5):
+            w = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+            assert np.array_equal(p.matvec(w), solve_banded((0, 1), ab_upper, w))
+            assert np.array_equal(p.rmatvec(w), solve_banded((1, 0), ab_lower, w))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64])
+def test_dense_maps_equal_explicit_factor(dim):
+    rng = np.random.default_rng(300 + dim)
+    for _ in range(5):
+        p = random_precond("dense", dim, rng, scale=0.5)
+        C = dense_lower_factor(p)
+        for _ in range(5):
+            w = rng.standard_normal(dim)
+            assert np.array_equal(p.matvec(w), C @ w)
+            assert np.array_equal(p.rmatvec(w), C.T @ w)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_theta_is_read_only(kind):
+    theta = np.zeros(n_params(kind, 4))
+    p = Preconditioner(kind, 4, theta)
+    with pytest.raises(ValueError):
+        p.theta[0] = 1.0
+    theta[0] = 1.0  # the caller's array is copied, not aliased
+    assert p.theta[0] == 0.0
+    with pytest.raises(ValueError):
+        p.theta = np.zeros(n_params(kind, 4) + 1)
+
+
+def assert_maps_equal_fresh(p, rng):
+    fresh = with_theta(p, p.theta)
+    for _ in range(3):
+        u = rng.standard_normal(p.dim)
+        w = rng.standard_normal(p.dim)
+        for name in ("matvec", "rmatvec", "solve", "solve_t"):
+            assert np.array_equal(getattr(p, name)(w), getattr(fresh, name)(w))
+        got = np.zeros(p.theta.size)
+        want = np.zeros(p.theta.size)
+        p.accumulate_bilinear_grad(u, w, got, scale=0.7)
+        fresh.accumulate_bilinear_grad(u, w, want, scale=0.7)
+        assert np.array_equal(got, want)
+    assert p.logdet() == fresh.logdet()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_factor_follows_theta_writes(kind, tmp_path):
+    rng = np.random.default_rng(41)
+    dim = 5
+    p = make_preconditioner(kind, dim)
+    state = make_adapt_state(p)
+    before = p.matvec(np.ones(dim))
+    adam_update(state, rng.standard_normal(p.theta.size))
+    assert not np.array_equal(p.matvec(np.ones(dim)), before)
+    assert_maps_equal_fresh(p, rng)
+    adam_update(state, rng.standard_normal(p.theta.size))
+    path = tmp_path / "ckpt.npz"
+    chains = make_chains(gaussian_target(precision=np.eye(dim)), 2, seed=3)
+    save_checkpoint(path, chains, state, 0.1)
+    _, loaded, _, _ = load_checkpoint(path)
+    assert np.array_equal(loaded.precond.theta, p.theta)
+    assert_maps_equal_fresh(loaded.precond, rng)

@@ -10,9 +10,9 @@ from ehmc.objective import AdaptConfig, make_adapt_state
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import (
     DIVERGENCE_DELTA,
+    DualAveraging,
     SamplerSettings,
     adaptive_step,
-    dual_averaging_step_size,
     hmc_transition,
     load_checkpoint,
     make_chains,
@@ -21,7 +21,7 @@ from ehmc.sampler import (
 )
 from ehmc.targets import TargetModel, gaussian_target
 
-from _oracles import mala_log_accept
+from _oracles import dual_averaging_replay, mala_log_accept
 
 
 def flat_model(d):
@@ -239,15 +239,32 @@ def test_invariance_5d_ks():
 
 
 def test_dual_averaging_constant_at_target():
-    h = dual_averaging_step_size(0.65, [0.65] * 200, h0=0.37)
-    assert np.isclose(h, 0.37, rtol=1e-12)
-    h = dual_averaging_step_size(0.65, [0.65] * 200, h0=0.37, final=True)
-    assert np.isclose(h, 0.37, rtol=1e-12)
+    da = DualAveraging(0.65, h0=0.37)
+    for _ in range(200):
+        da.update(0.65)
+    assert np.isclose(da.step_size(), 0.37, rtol=1e-12)
+    assert np.isclose(da.step_size(final=True), 0.37, rtol=1e-12)
 
 
 def test_dual_averaging_grows_under_full_acceptance():
-    hs = [dual_averaging_step_size(0.65, [1.0] * t, h0=0.1) for t in range(1, 60)]
+    da = DualAveraging(0.65, h0=0.1)
+    hs = []
+    for _ in range(1, 60):
+        da.update(1.0)
+        hs.append(da.step_size())
     assert np.all(np.diff(hs) > 0)
+
+
+def test_dual_averaging_matches_history_replay():
+    rng = np.random.default_rng(29)
+    history = list(rng.uniform(0.0, 1.0, 300))
+    da = DualAveraging(0.8, h0=0.23)
+    assert da.step_size() == dual_averaging_replay(0.8, [], h0=0.23)
+    for t in range(1, len(history) + 1):
+        da.update(history[t - 1])
+        assert da.step_size() == dual_averaging_replay(0.8, history[:t], h0=0.23)
+        assert da.step_size(final=True) == dual_averaging_replay(
+            0.8, history[:t], h0=0.23, final=True)
 
 
 def test_dual_averaging_closed_loop():
