@@ -11,16 +11,14 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__, targets
-from .objective import AdaptConfig
+from .objective import AdaptConfig, default_adapt_config
 from .precond import KINDS
-from .sampler import SamplerSettings, run_experiment, save_checkpoint
-
-OBJECTIVES = ("gsm", "esjd", "l2hmc")
+from .sampler import OBJECTIVES, SamplerSettings, run_experiment, save_checkpoint
 
 
 class ConfigError(ValueError):
@@ -29,31 +27,35 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Flat, fully-validated run description; round-trips through INI."""
+    """Flat, fully-validated run description; round-trips through INI.
+
+    Defaults are those of SamplerSettings and AdaptConfig; rho_theta None
+    means the per-kind default of objective.default_adapt_config.
+    """
 
     target: str
     target_params: dict = field(default_factory=dict)
-    objective: str = "gsm"
-    precond: str = "diagonal"
-    h: float = 0.1
-    L: int = 5
-    adapt_steps: int = 1000
-    sample_steps: int = 1000
-    chains: int = 10
-    seed: int = 0
-    thin: int = 1
-    init_scale: float = 1.0
+    objective: str = SamplerSettings.objective
+    precond: str = SamplerSettings.kind
+    h: float = SamplerSettings.h
+    L: int = SamplerSettings.L
+    adapt_steps: int = SamplerSettings.adapt_steps
+    sample_steps: int = SamplerSettings.sample_steps
+    chains: int = SamplerSettings.chains
+    seed: int = SamplerSettings.seed
+    thin: int = SamplerSettings.thin
+    init_scale: float = SamplerSettings.init_scale
     out: str = "results"
     adapt_budget: int = 0
     sample_budget: int = 0
     rho_theta: float = None
-    rho_beta: float = 0.02
-    rho_gamma: float = 1e2
-    alpha_star: float = 0.67
-    penalty_delta: float = 0.75
-    delta_prime: float = 0.99
-    n_min: int = 3
-    lambda_rate: float = 0.05
+    rho_beta: float = AdaptConfig.rho_beta
+    rho_gamma: float = AdaptConfig.rho_gamma
+    alpha_star: float = AdaptConfig.alpha_star
+    penalty_delta: float = AdaptConfig.penalty_delta
+    delta_prime: float = AdaptConfig.delta_prime
+    n_min: int = AdaptConfig.n_min
+    lambda_rate: float = AdaptConfig.lambda_rate
     sweep_L: tuple = ()
 
     def effective_steps(self, L=None):
@@ -101,50 +103,56 @@ def _parse_l_values(raw, name):
     return tuple(_parse_int(tok, name) for tok in raw.split(",") if tok.strip())
 
 
-# keys accepted in [run] and [adapt], with their parser and RunConfig field
-_RUN_KEYS = {
-    "target": ("target", str),
-    "objective": ("objective", str),
-    "precond": ("precond", str),
-    "h": ("h", _parse_float),
-    "l": ("L", _parse_int),
-    "adapt_steps": ("adapt_steps", _parse_int),
-    "sample_steps": ("sample_steps", _parse_int),
-    "chains": ("chains", _parse_int),
-    "seed": ("seed", _parse_int),
-    "thin": ("thin", _parse_int),
-    "init_scale": ("init_scale", _parse_float),
-    "out": ("out", str),
-    "adapt_budget": ("adapt_budget", _parse_int),
-    "sample_budget": ("sample_budget", _parse_int),
-}
+# value parsers by type, for every INI key
+_PARSERS = {str: lambda raw, name: raw.strip(), int: _parse_int, float: _parse_float,
+            bool: _parse_bool}
 
-_ADAPT_KEYS = {
-    "rho_theta": ("rho_theta", _parse_float),
-    "rho_beta": ("rho_beta", _parse_float),
-    "rho_gamma": ("rho_gamma", _parse_float),
-    "alpha_star": ("alpha_star", _parse_float),
-    "penalty_delta": ("penalty_delta", _parse_float),
-    "delta_prime": ("delta_prime", _parse_float),
-    "n_min": ("n_min", _parse_int),
-    "lambda_rate": ("lambda_rate", _parse_float),
-}
+# every [run] and [adapt] setting: (section, INI key, RunConfig field, type);
+# the INI parser, the command-line flags and render_config all read this
+_FIELDS = (
+    ("run", "target", "target", str),
+    ("run", "objective", "objective", str),
+    ("run", "precond", "precond", str),
+    ("run", "h", "h", float),
+    ("run", "l", "L", int),
+    ("run", "adapt_steps", "adapt_steps", int),
+    ("run", "sample_steps", "sample_steps", int),
+    ("run", "chains", "chains", int),
+    ("run", "seed", "seed", int),
+    ("run", "thin", "thin", int),
+    ("run", "init_scale", "init_scale", float),
+    ("run", "out", "out", str),
+    ("run", "adapt_budget", "adapt_budget", int),
+    ("run", "sample_budget", "sample_budget", int),
+    ("adapt", "rho_theta", "rho_theta", float),
+    ("adapt", "rho_beta", "rho_beta", float),
+    ("adapt", "rho_gamma", "rho_gamma", float),
+    ("adapt", "alpha_star", "alpha_star", float),
+    ("adapt", "penalty_delta", "penalty_delta", float),
+    ("adapt", "delta_prime", "delta_prime", float),
+    ("adapt", "n_min", "n_min", int),
+    ("adapt", "lambda_rate", "lambda_rate", float),
+)
+_KEYS = {(section, key): (name, typ) for section, key, name, typ in _FIELDS}
+_CHOICES = {"objective": OBJECTIVES, "precond": KINDS}
+_HELP = {"target": "target preset name", "out": "output directory",
+         "adapt_budget": "gradient-evaluation budget; adapt steps = budget // L"}
 
-# per-preset target parameters: name -> (parser, default)
+# per-preset target parameters: name -> (type, default)
 PRESET_PARAMS = {
-    "gaussian_iso": {"d": (_parse_int, 10), "scale": (_parse_float, 1.0)},
-    "anisotropic": {"d": (_parse_int, 100), "c": (_parse_float, 6.0)},
-    "correlated": {"grid_points": (_parse_int, 51)},
+    "gaussian_iso": {"d": (int, 10), "scale": (float, 1.0)},
+    "anisotropic": {"d": (int, 100), "c": (float, 6.0)},
+    "correlated": {"grid_points": (int, 51)},
     "logistic": {
         "csv": (str, ""),
-        "n": (_parse_int, 100),
-        "d": (_parse_int, 10),
-        "data_seed": (_parse_int, 0),
-        "intercept": (_parse_bool, True),
-        "standardize": (_parse_bool, True),
+        "n": (int, 100),
+        "d": (int, 10),
+        "data_seed": (int, 0),
+        "intercept": (bool, True),
+        "standardize": (bool, True),
     },
-    "cox": {"n": (_parse_int, 16), "data_seed": (_parse_int, 0)},
-    "sv": {"csv": (str, ""), "t": (_parse_int, 100), "data_seed": (_parse_int, 0)},
+    "cox": {"n": (int, 16), "data_seed": (int, 0)},
+    "sv": {"csv": (str, ""), "t": (int, 100), "data_seed": (int, 0)},
 }
 
 _SECTIONS = ("run", "target", "adapt", "sweep", "meta")
@@ -171,18 +179,14 @@ def parse_config(file=None, overrides=None, target_overrides=None):
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]")
-        if parser.has_section("run"):
-            for key, raw in parser.items("run"):
-                if key not in _RUN_KEYS:
-                    raise ConfigError(f"unknown key run.{key}")
-                name, conv = _RUN_KEYS[key]
-                values[name] = conv(raw, f"run.{key}") if conv is not str else raw.strip()
-        if parser.has_section("adapt"):
-            for key, raw in parser.items("adapt"):
-                if key not in _ADAPT_KEYS:
-                    raise ConfigError(f"unknown key adapt.{key}")
-                name, conv = _ADAPT_KEYS[key]
-                values[name] = conv(raw, f"adapt.{key}")
+        for section in ("run", "adapt"):
+            if not parser.has_section(section):
+                continue
+            for key, raw in parser.items(section):
+                if (section, key) not in _KEYS:
+                    raise ConfigError(f"unknown key {section}.{key}")
+                name, typ = _KEYS[section, key]
+                values[name] = _PARSERS[typ](raw, f"{section}.{key}")
         if parser.has_section("target"):
             target_params = dict(parser.items("target"))
         if parser.has_section("sweep"):
@@ -207,13 +211,10 @@ def parse_config(file=None, overrides=None, target_overrides=None):
         key = key.lower()
         if key not in schema:
             raise ConfigError(f"unknown key target.{key} for preset {name!r}")
-        conv, _ = schema[key]
-        if isinstance(raw, str) and conv is not str:
-            parsed_params[key] = conv(raw, f"target.{key}")
-        elif conv is str:
-            parsed_params[key] = str(raw).strip()
-        else:
-            parsed_params[key] = raw
+        typ, _ = schema[key]
+        if isinstance(raw, str) or typ is str:
+            raw = _PARSERS[typ](str(raw), f"target.{key}")
+        parsed_params[key] = raw
     for key, (_, default) in schema.items():
         parsed_params.setdefault(key, default)
     if sweep and "sweep_L" not in values:
@@ -226,14 +227,10 @@ def parse_config(file=None, overrides=None, target_overrides=None):
 
 
 def _validate(config):
-    if config.objective not in OBJECTIVES:
-        raise ConfigError(
-            f"objective: must be one of {', '.join(OBJECTIVES)}, got {config.objective!r}"
-        )
-    if config.precond not in KINDS:
-        raise ConfigError(
-            f"precond: must be one of {', '.join(KINDS)}, got {config.precond!r}"
-        )
+    for name, choices in _CHOICES.items():
+        if getattr(config, name) not in choices:
+            raise ConfigError(f"{name}: must be one of {', '.join(choices)}, "
+                              f"got {getattr(config, name)!r}")
     if config.h <= 0:
         raise ConfigError(f"h: must be positive, got {config.h}")
     if config.L < 1:
@@ -289,11 +286,7 @@ def build_model(config):
                                              standardize=p["standardize"])
         else:
             X, y = targets.simulate_logistic_data(p["n"], p["d"], seed=p["data_seed"])
-            if p["standardize"]:
-                std = X.std(axis=0)
-                X = np.where(std > 0, (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0), 0.0)
-            if p["intercept"]:
-                X = np.column_stack([X, np.ones(len(X))])
+            X = targets.prepare_design(X, p["intercept"], p["standardize"])
         return targets.logistic_target(X, y)
     if name == "cox":
         _, y = targets.simulate_cox_data(p["n"], seed=p["data_seed"])
@@ -313,19 +306,10 @@ def to_settings(config, model=None, L=None):
         model = build_model(config)
     L = config.L if L is None else L
     adapt_steps, sample_steps = config.effective_steps(L)
-    rho = config.rho_theta
-    if rho is None:
-        rho = 1e-2 if config.precond == "diagonal" else 1e-3
-    adapt_cfg = AdaptConfig(
-        rho_theta=rho,
-        rho_beta=config.rho_beta,
-        rho_gamma=config.rho_gamma,
-        alpha_star=config.alpha_star,
-        penalty_delta=config.penalty_delta,
-        delta_prime=config.delta_prime,
-        n_min=config.n_min,
-        lambda_rate=config.lambda_rate,
-    )
+    adapt_cfg = replace(default_adapt_config(config.precond), **{
+        name: getattr(config, name) for section, _, name, _ in _FIELDS
+        if section == "adapt" and getattr(config, name) is not None
+    })
     init = None
     if config.target == "cox":
         init = np.full(model.dim, model.extras["mu"])
@@ -454,41 +438,19 @@ def emit_report(report, out_dir, config, sweep_rows=None):
 
 def render_config(config):
     """Serialize a RunConfig as INI text that parse_config accepts back."""
-    lines = ["[run]"]
-    lines.append(f"target = {config.target}")
-    lines.append(f"objective = {config.objective}")
-    lines.append(f"precond = {config.precond}")
-    lines.append(f"h = {_fmt(config.h)}")
-    lines.append(f"l = {config.L}")
-    lines.append(f"adapt_steps = {config.adapt_steps}")
-    lines.append(f"sample_steps = {config.sample_steps}")
-    lines.append(f"chains = {config.chains}")
-    lines.append(f"seed = {config.seed}")
-    lines.append(f"thin = {config.thin}")
-    lines.append(f"init_scale = {_fmt(config.init_scale)}")
-    lines.append(f"out = {config.out}")
-    lines.append(f"adapt_budget = {config.adapt_budget}")
-    lines.append(f"sample_budget = {config.sample_budget}")
-    lines.append("")
-    lines.append("[target]")
+    blocks = {"run": ["[run]"], "adapt": ["[adapt]"]}
+    for section, key, name, _ in _FIELDS:
+        val = getattr(config, name)
+        if val is not None:
+            blocks[section].append(f"{key} = {_fmt(val)}")
+    lines = blocks["run"] + ["", "[target]"]
     for key, val in sorted(config.target_params.items()):
         if isinstance(val, bool):
             val = "true" if val else "false"
         elif isinstance(val, float):
             val = _fmt(val)
         lines.append(f"{key} = {val}")
-    lines.append("")
-    lines.append("[adapt]")
-    if config.rho_theta is not None:
-        lines.append(f"rho_theta = {_fmt(config.rho_theta)}")
-    lines.append(f"rho_beta = {_fmt(config.rho_beta)}")
-    lines.append(f"rho_gamma = {_fmt(config.rho_gamma)}")
-    lines.append(f"alpha_star = {_fmt(config.alpha_star)}")
-    lines.append(f"penalty_delta = {_fmt(config.penalty_delta)}")
-    lines.append(f"delta_prime = {_fmt(config.delta_prime)}")
-    lines.append(f"n_min = {config.n_min}")
-    lines.append(f"lambda_rate = {_fmt(config.lambda_rate)}")
-    lines.append("")
+    lines += [""] + blocks["adapt"] + [""]
     if config.sweep_L:
         lines.append("[sweep]")
         lines.append("l_values = " + ",".join(str(l) for l in config.sweep_L))
@@ -504,42 +466,14 @@ def render_config(config):
 
 def _add_flags(parser):
     parser.add_argument("--config", help="INI configuration file")
-    parser.add_argument("--target", help="target preset name")
-    parser.add_argument("--objective", choices=OBJECTIVES)
-    parser.add_argument("--precond", choices=KINDS)
-    parser.add_argument("--h", type=float, dest="h")
-    parser.add_argument("--L", type=int, dest="L")
-    parser.add_argument("--adapt-steps", type=int, dest="adapt_steps")
-    parser.add_argument("--sample-steps", type=int, dest="sample_steps")
-    parser.add_argument("--chains", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--thin", type=int)
-    parser.add_argument("--init-scale", type=float, dest="init_scale")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--adapt-budget", type=int, dest="adapt_budget",
-                        help="gradient-evaluation budget; adapt steps = budget // L")
-    parser.add_argument("--sample-budget", type=int, dest="sample_budget")
-    parser.add_argument("--rho-theta", type=float, dest="rho_theta")
-    parser.add_argument("--rho-beta", type=float, dest="rho_beta")
-    parser.add_argument("--rho-gamma", type=float, dest="rho_gamma")
-    parser.add_argument("--alpha-star", type=float, dest="alpha_star")
-    parser.add_argument("--penalty-delta", type=float, dest="penalty_delta")
-    parser.add_argument("--delta-prime", type=float, dest="delta_prime")
-    parser.add_argument("--n-min", type=int, dest="n_min")
-    parser.add_argument("--lambda-rate", type=float, dest="lambda_rate")
+    for _, _, name, typ in _FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=typ,
+                            choices=_CHOICES.get(name), help=_HELP.get(name))
     parser.add_argument("--sweep-L", dest="sweep_L",
                         help="comma list or lo..hi range of L values")
     parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE", help="target parameter override")
     parser.add_argument("--list-presets", action="store_true")
-
-
-_OVERRIDE_FIELDS = (
-    "target", "objective", "precond", "h", "L", "adapt_steps", "sample_steps",
-    "chains", "seed", "thin", "init_scale", "out", "adapt_budget",
-    "sample_budget", "rho_theta", "rho_beta", "rho_gamma", "alpha_star",
-    "penalty_delta", "delta_prime", "n_min", "lambda_rate",
-)
 
 
 def main(argv=None):
@@ -554,32 +488,20 @@ def main(argv=None):
             keys = ", ".join(sorted(PRESET_PARAMS[name]))
             print(f"{name}: {keys}")
         return 0
-    overrides = {}
-    for name in _OVERRIDE_FIELDS:
-        val = getattr(args, name)
-        if val is not None:
-            overrides[name] = val
-    if args.sweep_L is not None:
-        try:
-            overrides["sweep_L"] = _parse_l_values(args.sweep_L, "sweep_L")
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    overrides = {name: getattr(args, name) for _, _, name, _ in _FIELDS
+                 if getattr(args, name) is not None}
     target_overrides = {}
-    for item in args.param:
-        key, sep, val = item.partition("=")
-        if not sep:
-            print(f"error: --param expects KEY=VALUE, got {item!r}", file=sys.stderr)
-            return 1
-        target_overrides[key.strip().lower()] = val.strip()
     try:
+        if args.sweep_L is not None:
+            overrides["sweep_L"] = _parse_l_values(args.sweep_L, "sweep_L")
+        for item in args.param:
+            key, sep, val = item.partition("=")
+            if not sep:
+                raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
+            target_overrides[key.strip().lower()] = val.strip()
         config = parse_config(args.config, overrides, target_overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         model = build_model(config)
-    except (targets.IngestionError, ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, targets.IngestionError, bad model input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

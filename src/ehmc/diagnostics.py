@@ -124,12 +124,9 @@ def build_report(draws, acceptance_rate, divergences, mu_trace, wall_seconds,
             per_chain = [ess(draws[c, :, j]) for c in range(n_chains)]
             ess_pd[j] = sum(per_chain)
             degen[j] = all(v == 0.0 for v in per_chain)
-        if n >= 4:
-            rhat_pd = np.array(
-                [split_rhat([draws[c, :, j] for c in range(n_chains)]) for j in range(d)]
-            )
-        else:
-            rhat_pd = np.full(d, np.nan)
+        rhat_pd = np.array(
+            [split_rhat([draws[c, :, j] for c in range(n_chains)]) for j in range(d)]
+        )
         min_ess = float(np.min(ess_pd))
         mean_ess = float(np.mean(ess_pd))
         median_ess = float(np.median(ess_pd))

@@ -1,4 +1,4 @@
-"""Leapfrog integration, energy error and the exact residual-Jacobian recursion.
+"""Leapfrog integration and the energy error of its proposals.
 
 Trajectories are integrated in velocity coordinates u = C^T p so the banded
 preconditioner never needs a solve on the hot path.  All gradient
@@ -51,10 +51,6 @@ class Trajectory:
         return self.q[self.L // 2]
 
     @property
-    def endpoint(self):
-        return self.q[self.L]
-
-    @property
     def accept_prob(self):
         if not np.isfinite(self.delta):
             return 0.0
@@ -68,29 +64,10 @@ def _checked_grad(model, q, step, positions):
     return g
 
 
-def leapfrog_direct(q0, p0, h, L, precond, model):
-    """Velocity-Verlet endpoint in raw (q, p) coordinates.
-
-    Kinetic energy is 0.5 p^T C C^T p, so the drift is q += h C C^T p.
-    """
-    if h <= 0 or L < 1:
-        raise ValueError("need h > 0 and L >= 1")
-    q = np.array(q0, dtype=float)
-    g = _checked_grad(model, q, 0, q[None, :].copy())
-    p = np.asarray(p0, dtype=float) - 0.5 * h * g
-    done = [q.copy()]
-    for step in range(1, L + 1):
-        q = q + h * precond.matvec(precond.rmatvec(p))
-        g = _checked_grad(model, q, step, np.array(done))
-        done.append(q.copy())
-        p = p - (h if step < L else 0.5 * h) * g
-    return q, p
-
-
 def trajectory_reparam(q0, v, h, L, precond, model):
     """Full trajectory from velocity v, with p0 = C^{-T} v.
 
-    Integrates the same leapfrog recursion as leapfrog_direct but in
+    Integrates velocity Verlet for kinetic energy 0.5 p^T C C^T p in
     u = C^T p coordinates (u0 = v), caching every gradient and the xi
     accumulator so the endpoint identity and the adaptation objective can
     be evaluated without re-running the model.
@@ -118,31 +95,9 @@ def trajectory_reparam(q0, v, h, L, precond, model):
     return traj
 
 
-def energy_error(traj, precond, model):
-    """Energy change of the proposal, from cached gradients.
-
-    The final velocity is w = v - (h/2) C^T (g_0 + g_L) - h C^T sum of
-    interior gradients, and the error is
-    U(q_L) - U(q_0) + 0.5 ||w||^2 - 0.5 ||v||^2.  Returns +inf when any
-    piece is non-finite; the sampler treats that as a rejection.
-    """
-    h, L = traj.h, traj.L
-    gsum = traj.grads[0] + traj.grads[L]
-    if L > 1:
-        interior = traj.grads[1:L].sum(axis=0)
-    else:
-        interior = np.zeros_like(traj.v)
-    w = traj.v - 0.5 * h * precond.rmatvec(gsum) - h * precond.rmatvec(interior)
-    u0 = model.potential(traj.q[0])
-    u_end = model.potential(traj.q[L])
-    delta = u_end - u0 + 0.5 * float(w @ w) - 0.5 * float(traj.v @ traj.v)
-    if not np.isfinite(delta):
-        return np.inf
-    return float(delta)
-
-
 def final_velocity(traj, precond):
-    """w = C^T p_L for a completed trajectory, from cached gradients."""
+    """w = C^T p_L for a completed trajectory, from cached gradients:
+    w = v - (h/2) C^T (g_0 + g_L) - h C^T (sum of interior gradients)."""
     h, L = traj.h, traj.L
     gsum = traj.grads[0] + traj.grads[L]
     if L > 1:
@@ -152,63 +107,17 @@ def final_velocity(traj, precond):
     return traj.v - 0.5 * h * precond.rmatvec(gsum) - h * precond.rmatvec(interior)
 
 
-def reparam_endpoint(traj, precond):
-    """Closed-form endpoint from the cached accumulators.
+def energy_error(traj, precond, model):
+    """Energy change of the proposal, from cached gradients.
 
-    q_L = q_0 + Lh C v - h^2 C C^T xi - (L h^2 / 2) C C^T g_0, which must
-    agree with the integrated q[L] up to floating point.
+    With w the final velocity, the error is
+    U(q_L) - U(q_0) + 0.5 ||w||^2 - 0.5 ||v||^2.  Returns +inf when any
+    piece is non-finite; the sampler treats that as a rejection.
     """
-    h, L = traj.h, traj.L
-    ct_terms = h * h * traj.xi + 0.5 * L * h * h * traj.grads[0]
-    return traj.q[0] + L * h * precond.matvec(traj.v) - precond.matvec(
-        precond.rmatvec(ct_terms)
-    )
-
-
-def residual_map(traj, precond):
-    """S_L(v) = (1/(Lh)) C^{-1} q_L - v, the drift-free residual of the endpoint."""
-    h, L = traj.h, traj.L
-    return precond.solve(traj.q[L]) / (L * h) - traj.v
-
-
-def ds_recursion(traj, precond, model, upto=None):
-    """Exact Jacobian of the residual map by the leapfrog recursion.
-
-    DS_1 = 0 and
-    DS_l = -h^2 sum_{i=1}^{l-1} (l-i)(i/l) C^T H(q_i) C (I + DS_i),
-    with H the potential Hessian at the cached trajectory points.  Each
-    level is symmetrized, matching the symmetry of the underlying
-    Jacobian; the raw products pick up harmless O(h^5) asymmetry when the
-    Hessians along the path differ.  Dense cost: one hvp per basis vector
-    per interior point, so this is a small-d test oracle only.
-    """
-    L = traj.L
-    if upto is None:
-        upto = L
-    if not 1 <= upto <= L:
-        raise ValueError(f"upto must lie in [1, {L}]")
-    d = traj.q.shape[1]
-    h2 = traj.h * traj.h
-    eye = np.eye(d)
-    ds = [None, np.zeros((d, d))]
-    a_mats = {}
-    for ell in range(2, upto + 1):
-        i = ell - 1
-        if i not in a_mats:
-            a_mats[i] = _ct_hessian_c(traj.q[i], precond, model)
-        total = np.zeros((d, d))
-        for j in range(1, ell):
-            total += (ell - j) * (j / ell) * (a_mats[j] @ (eye + ds[j]))
-        mat = -h2 * total
-        ds.append(0.5 * (mat + mat.T))
-    return ds[upto]
-
-
-def _ct_hessian_c(q, precond, model):
-    # dense C^T H(q) C, one hvp per column
-    d = q.size
-    out = np.empty((d, d))
-    basis = np.eye(d)
-    for j in range(d):
-        out[:, j] = precond.rmatvec(model.hvp(q, precond.matvec(basis[j])))
-    return 0.5 * (out + out.T)
+    w = final_velocity(traj, precond)
+    u0 = model.potential(traj.q[0])
+    u_end = model.potential(traj.q[traj.L])
+    delta = u_end - u0 + 0.5 * float(w @ w) - 0.5 * float(traj.v @ traj.v)
+    if not np.isfinite(delta):
+        return np.inf
+    return float(delta)

@@ -4,13 +4,13 @@ preconditioner parameters.
 All gradients use frozen-value semantics: the cached trajectory gradients,
 the roulette accumulator y, the power vector b and the Hessian midpoint
 are constants; theta enters only through the explicit C / C^T products.
-Each objective therefore has a surrogate (re-evaluatable at any parameter
-point from the frozen pieces) and an analytic gradient assembled from the
-two preconditioner adjoint primitives, with finite differences of the
-surrogate as the independent check.
+Each gradient is assembled from the two preconditioner adjoint primitives.
+The matching surrogate losses, re-evaluatable at any parameter point from
+the frozen pieces, live in the test suite, whose finite differences of
+them are the independent check.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,6 @@ from .entropy import (
     N_MIN,
     PENALTY_DELTA,
     dl_coeff,
-    penalty_h,
     penalty_h_grad,
 )
 
@@ -48,12 +47,6 @@ class AdaptConfig:
     n_min: int = N_MIN
     lambda_rate: float = 0.05
     l2hmc_floor: float = 1e-8
-
-    def penalty_args(self):
-        d2 = self.penalty_delta2
-        if d2 is None:
-            d2 = 1.0 + self.penalty_delta
-        return self.penalty_delta, d2
 
 
 def default_adapt_config(kind):
@@ -100,18 +93,9 @@ def make_adapt_state(precond, config=None):
 # -- frozen endpoint pieces ----------------------------------------------
 
 
-def surrogate_endpoint(traj, precond):
-    """Endpoint as an explicit function of the preconditioner, with the
-    trajectory's gradient accumulators frozen."""
-    h, L = traj.h, traj.L
-    ct_terms = h * h * traj.xi + 0.5 * L * h * h * traj.grads[0]
-    return traj.q[0] + L * h * precond.matvec(traj.v) - precond.matvec(
-        precond.rmatvec(ct_terms)
-    )
-
-
 def surrogate_velocity(traj, precond):
     """Final velocity C^T p_L as a function of the preconditioner."""
+    # integrator.final_velocity rounds this w differently; merging them changes theta and draws
     h, L = traj.h, traj.L
     m = 0.5 * h * (traj.grads[0] + traj.grads[L])
     if L > 1:
@@ -119,18 +103,9 @@ def surrogate_velocity(traj, precond):
     return traj.v - precond.rmatvec(m), m
 
 
-def surrogate_delta(traj, precond, model):
-    """Energy error re-evaluated at an arbitrary parameter point."""
-    w, _ = surrogate_velocity(traj, precond)
-    q_end = surrogate_endpoint(traj, precond)
-    u0 = model.potential(traj.q[0])
-    u_end = model.potential(q_end)
-    delta = u_end - u0 + 0.5 * float(w @ w) - 0.5 * float(traj.v @ traj.v)
-    return delta
-
-
 def _endpoint_adjoint(traj, precond, u, out, scale=1.0):
-    # accumulate scale * d(u^T q_L(theta)) / dtheta for frozen u
+    # accumulate scale * d(u^T q_L(theta)) / dtheta for frozen u, with
+    # q_L = q_0 + Lh C v - C C^T (h^2 xi + (L h^2 / 2) g_0)
     h, L = traj.h, traj.L
     precond.accumulate_bilinear_grad(u, traj.v, out, scale * L * h)
     ct_terms = h * h * traj.xi + 0.5 * L * h * h * traj.grads[0]
@@ -148,47 +123,12 @@ def _delta_grad(traj, precond, out, scale=1.0):
 # -- penalised generalized-speed-measure objective -----------------------
 
 
-def _entropy_bilinear(traj, draw, precond, model, u, w):
-    # u^T D_L(theta) w with the midpoint frozen; one hvp
-    if traj.L == 1:
-        return 0.0, None
-    hw = model.hvp(traj.midpoint, precond.matvec(w))
-    val = dl_coeff(traj.h, traj.L) * float(precond.matvec(u) @ hw)
-    return val, hw
-
-
-def gsm_surrogate_loss(traj, draw, state, precond, model):
-    """Penalised loss at an arbitrary parameter point, frozen pieces fixed.
-
-    Returns the scalar and a breakdown record with the energy, log-det,
-    entropy-surrogate and penalty parts (the last three scaled by beta
-    and beta * gamma inside the total).
-    """
-    cfg = state.config
-    d = traj.q.shape[1]
-    delta = surrogate_delta(traj, precond, model)
-    energy = max(0.0, delta)
-    logdet = d * np.log(traj.h) + precond.logdet()
-    ent, _ = _entropy_bilinear(traj, draw, precond, model, draw.y, draw.epsilon)
-    mu, _ = _entropy_bilinear(traj, draw, precond, model, draw.b, draw.b)
-    pd, pd2 = cfg.penalty_args()
-    pen = penalty_h(abs(mu), pd, pd2)
-    loss = energy - state.beta * (logdet + ent - state.gamma * pen)
-    parts = {
-        "delta": delta,
-        "energy": energy,
-        "logdet": logdet,
-        "entropy": ent,
-        "mu": mu,
-        "penalty": pen,
-    }
-    return loss, parts
-
-
 def gsm_gradient(traj, draw, state, precond, model):
     """Analytic gradient of the penalised loss under frozen-value semantics.
 
-    The energy part enters only when the trajectory's energy error is
+    The loss is max(0, Delta) - beta (d log h + log|det C| + y^T D eps
+    - gamma pen(|b^T D b|)), with D the midpoint surrogate operator.  The
+    energy part enters only when the trajectory's energy error is
     positive; the entropy part back-propagates through both C factors of
     the surrogate operator; the penalty differentiates through the
     operator only, with b frozen.  Costs up to three hvp calls.
@@ -207,8 +147,7 @@ def gsm_gradient(traj, draw, state, precond, model):
         precond.accumulate_bilinear_grad(h_cy, draw.epsilon, out, -state.beta * c)
         h_cb = model.hvp(traj.midpoint, precond.matvec(draw.b))
         mu = c * float(precond.matvec(draw.b) @ h_cb)
-        pd, pd2 = cfg.penalty_args()
-        slope = penalty_h_grad(abs(mu), pd, pd2)
+        slope = penalty_h_grad(abs(mu), cfg.penalty_delta, cfg.penalty_delta2)
         if slope != 0.0 and mu != 0.0:
             coeff = state.beta * state.gamma * slope * np.sign(mu) * c * 2.0
             precond.accumulate_bilinear_grad(h_cb, draw.b, out, coeff)
@@ -218,75 +157,45 @@ def gsm_gradient(traj, draw, state, precond, model):
 # -- competing objectives ------------------------------------------------
 
 
-def esjd_loss(traj):
-    """Negative acceptance-weighted squared jump of the trajectory."""
+def jump_value(traj):
+    """Acceptance-weighted squared jump J = a ||q_L - q_0||^2."""
     jump = traj.q[traj.L] - traj.q[0]
-    return -traj.accept_prob * float(jump @ jump)
+    return traj.accept_prob * float(jump @ jump)
 
 
-def esjd_surrogate_loss(traj, precond, model):
-    """ESJD loss re-evaluated at an arbitrary parameter point."""
-    delta = surrogate_delta(traj, precond, model)
-    a = min(1.0, float(np.exp(-max(delta, -700.0)))) if np.isfinite(delta) else 0.0
-    jump = surrogate_endpoint(traj, precond) - traj.q[0]
-    return -a * float(jump @ jump)
-
-
-def _jump_value_and_grad(traj, precond, out_scale_pairs):
-    # shared piece of the esjd/l2hmc gradients: J = a * r and
-    # dJ/dtheta = a dr + r da, accumulated into each (out, scale)
+def _jump_grad(traj, precond, out, scale):
+    # accumulate scale * dJ/dtheta, with dJ = a dr + r da for r the
+    # squared jump
     a = traj.accept_prob
     jump = traj.q[traj.L] - traj.q[0]
     r = float(jump @ jump)
-    j = a * r
-    for out, scale in out_scale_pairs:
-        if a > 0.0:
-            _endpoint_adjoint(traj, precond, jump, out, scale * a * 2.0)
-        if np.isfinite(traj.delta) and traj.delta > 0.0 and a > 0.0:
-            # da = -a dDelta on the branch where the exponential binds
-            tmp = np.zeros_like(out)
-            _delta_grad(traj, precond, tmp, 1.0)
-            out += scale * r * (-a) * tmp
-    return j
+    if a > 0.0:
+        _endpoint_adjoint(traj, precond, jump, out, scale * a * 2.0)
+    if np.isfinite(traj.delta) and traj.delta > 0.0 and a > 0.0:
+        # da = -a dDelta on the branch where the exponential binds
+        tmp = np.zeros_like(out)
+        _delta_grad(traj, precond, tmp, 1.0)
+        out += scale * r * (-a) * tmp
 
 
 def esjd_gradient(traj, precond):
+    """Gradient of the ESJD loss -J."""
     out = np.zeros_like(precond.theta)
-    _jump_value_and_grad(traj, precond, [(out, -1.0)])
+    _jump_grad(traj, precond, out, -1.0)
     return out
 
 
-def l2hmc_loss(traj, state):
-    """Jump-over-average ratio loss with a reciprocal barrier.
-
-    loss = -(J / lambda - lambda / max(J, floor)) where J is the
-    acceptance-weighted squared jump and lambda its moving average.
-    """
-    jump = traj.q[traj.L] - traj.q[0]
-    j = traj.accept_prob * float(jump @ jump)
-    lam = state.lambda_ma if state.lambda_ma is not None else max(j, state.config.l2hmc_floor)
-    return -(j / lam - lam / max(j, state.config.l2hmc_floor))
-
-
-def l2hmc_surrogate_loss(traj, state, precond, model):
-    delta = surrogate_delta(traj, precond, model)
-    a = min(1.0, float(np.exp(-max(delta, -700.0)))) if np.isfinite(delta) else 0.0
-    jump = surrogate_endpoint(traj, precond) - traj.q[0]
-    j = a * float(jump @ jump)
-    lam = state.lambda_ma if state.lambda_ma is not None else max(j, state.config.l2hmc_floor)
-    return -(j / lam - lam / max(j, state.config.l2hmc_floor))
-
-
 def l2hmc_gradient(traj, state, precond):
+    """Gradient of the L2HMC loss -(J / lambda - lambda / max(J, floor)),
+    with lambda the moving average of J (J itself before the first one)."""
     floor = state.config.l2hmc_floor
-    jump = traj.q[traj.L] - traj.q[0]
-    j = traj.accept_prob * float(jump @ jump)
+    j = jump_value(traj)
     lam = state.lambda_ma if state.lambda_ma is not None else max(j, floor)
     dloss_dj = -1.0 / lam
     if j > floor:
         dloss_dj -= lam / (j * j)
     out = np.zeros_like(precond.theta)
-    _jump_value_and_grad(traj, precond, [(out, dloss_dj)])
+    _jump_grad(traj, precond, out, dloss_dj)
     return out
 
 

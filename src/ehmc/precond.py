@@ -19,8 +19,6 @@ gradient helpers accumulate into caller-owned arrays.
 """
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_triangular
-from scipy.linalg.lapack import dgbsv
 
 KINDS = ("diagonal", "dense", "banded")
 
@@ -36,15 +34,15 @@ def n_params(kind, dim):
     raise ValueError(f"unknown preconditioner kind {kind!r}")
 
 
-def _band_solve(kl, ku, ab, w):
+def _band_solve(gbsv, kl, ku, ab, w):
     """Solve with a bidiagonal band matrix as scipy's ``solve_banded`` does:
     a 1x1 system is a division, anything larger one LAPACK ``gbsv`` call
     (``ab`` already in its (2 kl + ku + 1, d) layout)."""
     if w.size == 1:
         return w / ab[kl + ku, 0]
-    _, _, x, info = dgbsv(kl, ku, ab, w)
+    _, _, x, info = gbsv(kl, ku, ab, w)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
     return x
@@ -62,6 +60,11 @@ class Preconditioner:
         self.dim = dim
         if kind == "dense":
             self._rows, self._cols = np.tril_indices(dim, k=-1)
+        elif kind == "banded":
+            # imported here so that the other kinds never load scipy
+            from scipy.linalg.lapack import dgbsv
+
+            self._gbsv = dgbsv
         self.theta = theta
 
     @property
@@ -116,7 +119,7 @@ class Preconditioner:
             return self._exp * w
         if self.kind == "dense":
             return self._C @ w
-        return _band_solve(0, 1, self._ab_upper, w)
+        return _band_solve(self._gbsv, 0, 1, self._ab_upper, w)
 
     def rmatvec(self, w):
         """C^T w."""
@@ -125,7 +128,7 @@ class Preconditioner:
             return self._exp * w
         if self.kind == "dense":
             return self._C.T @ w
-        return _band_solve(1, 0, self._ab_lower, w)
+        return _band_solve(self._gbsv, 1, 0, self._ab_lower, w)
 
     def solve(self, w):
         """C^{-1} w."""
@@ -133,6 +136,8 @@ class Preconditioner:
         if self.kind == "diagonal":
             return self._exp_neg * w
         if self.kind == "dense":
+            from scipy.linalg import solve_triangular
+
             return solve_triangular(self._C, w, lower=True)
         # C^{-1} = B: multiply by the bidiagonal matrix directly
         out = self._exp * w
@@ -145,6 +150,8 @@ class Preconditioner:
         if self.kind == "diagonal":
             return self._exp_neg * w
         if self.kind == "dense":
+            from scipy.linalg import solve_triangular
+
             return solve_triangular(self._C, w, lower=True, trans="T")
         out = self._exp * w
         out[1:] += self._sup * w[:-1]

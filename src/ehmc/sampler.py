@@ -22,9 +22,9 @@ from .objective import (
     AdaptConfig,
     AdaptState,
     adam_update,
-    default_adapt_config,
     esjd_gradient,
     gsm_gradient,
+    jump_value,
     l2hmc_gradient,
     make_adapt_state,
     update_beta,
@@ -93,7 +93,7 @@ def hmc_transition(chain, precond, model, h, L):
     except DivergenceError:
         delta = np.inf
     divergent = not np.isfinite(delta) or delta > DIVERGENCE_DELTA
-    a = 0.0 if divergent else min(1.0, float(np.exp(-max(delta, -700.0))))
+    a = 0.0 if divergent else traj.accept_prob
     u = chain.rng_accept.uniform()
     chain.transition_count += 1
     chain.last_delta = delta
@@ -130,65 +130,40 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
     mean_a = float(np.mean(a_vals))
     stats = {"accept": mean_a, "divergences": step_divergences,
              "mu": np.nan, "pen": np.nan}
-    if objective == "none":
-        if record is not None:
-            record.update(stats)
-        return chains, state
     live = [(c, t) for c, t in zip(chains, trajs) if t is not None]
-    grads = []
+    grads, pens, mus = [], [], []
     if objective == "gsm":
-        pd, pd2 = cfg.penalty_args()
-        pens = []
-        mus = []
         for chain, traj in live:
             dl = dl_operator(traj.midpoint, precond, model, h, L)
             try:
                 draw = roulette_pass(dl, model.dim, chain.rng_roulette,
                                      cfg.delta_prime, cfg.n_min)
-                g = gsm_gradient(traj, draw, state, precond, model)
+                grads.append(gsm_gradient(traj, draw, state, precond, model))
             except FloatingPointError:
                 state.skip_count += 1
                 continue
-            if np.all(np.isfinite(g)):
-                grads.append(g)
-            else:
-                state.skip_count += 1
-            pens.append(penalty_h(abs(draw.mu), pd, pd2))
+            pens.append(penalty_h(abs(draw.mu), cfg.penalty_delta, cfg.penalty_delta2))
             mus.append(abs(draw.mu))
-        if grads:
-            adam_update(state, np.mean(grads, axis=0))
+    elif objective == "esjd":
+        grads = [esjd_gradient(traj, precond) for _, traj in live]
+    elif objective == "l2hmc":
+        jumps = [jump_value(traj) for _, traj in live]
+        fresh_lambda = state.lambda_ma is None
+        if fresh_lambda and jumps:
+            update_lambda(state, float(np.mean(jumps)))
+        grads = [l2hmc_gradient(traj, state, precond) for _, traj in live]
+    finite = [g for g in grads if np.all(np.isfinite(g))]
+    state.skip_count += len(grads) - len(finite)
+    if finite:
+        adam_update(state, np.mean(finite, axis=0))
+    if objective == "gsm":
         update_beta(state, mean_a)
         if pens:
             stats["pen"] = float(np.mean(pens))
             stats["mu"] = float(np.mean(mus))
             update_gamma(state, stats["pen"])
-    elif objective == "esjd":
-        for chain, traj in live:
-            g = esjd_gradient(traj, precond)
-            if np.all(np.isfinite(g)):
-                grads.append(g)
-            else:
-                state.skip_count += 1
-        if grads:
-            adam_update(state, np.mean(grads, axis=0))
-    else:
-        jumps = []
-        for chain, traj in live:
-            jump = traj.q[traj.L] - traj.q[0]
-            jumps.append(traj.accept_prob * float(jump @ jump))
-        fresh_lambda = state.lambda_ma is None
-        if fresh_lambda and jumps:
-            update_lambda(state, float(np.mean(jumps)))
-        for chain, traj in live:
-            g = l2hmc_gradient(traj, state, precond)
-            if np.all(np.isfinite(g)):
-                grads.append(g)
-            else:
-                state.skip_count += 1
-        if grads:
-            adam_update(state, np.mean(grads, axis=0))
-        if jumps and not fresh_lambda:
-            update_lambda(state, float(np.mean(jumps)))
+    elif objective == "l2hmc" and jumps and not fresh_lambda:
+        update_lambda(state, float(np.mean(jumps)))
     if record is not None:
         record.update(stats)
     return chains, state
@@ -282,8 +257,7 @@ def run_experiment(settings):
     else:
         precond = make_preconditioner(settings.kind, model.dim,
                                       settings.precond_init_scale)
-    config = settings.adapt_config or default_adapt_config(precond.kind)
-    state = make_adapt_state(precond, config)
+    state = make_adapt_state(precond, settings.adapt_config)
     chains = make_chains(model, settings.chains, settings.seed,
                          settings.init, settings.init_scale)
     h = settings.h

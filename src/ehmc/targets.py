@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class IngestionError(ValueError):
@@ -42,6 +41,16 @@ def default_hvp(model, q, w):
         return np.zeros_like(w)
     eps = 1e-5 * (1.0 + np.max(np.abs(q))) / max(wmax, 1e-12)
     return (model.grad(q + eps * w) - model.grad(q - eps * w)) / (2.0 * eps)
+
+
+def _spd_inverse(cov):
+    """Symmetrized inverse of a dense SPD matrix from one Cholesky
+    factorization; raises np.linalg.LinAlgError when it is not SPD."""
+    # imported here so that targets without a dense matrix never load scipy
+    from scipy.linalg import cho_factor, cho_solve
+
+    P = cho_solve(cho_factor(cov), np.eye(cov.shape[0]))
+    return 0.5 * (P + P.T)
 
 
 def _as_precision(prec, dim=None):
@@ -82,12 +91,12 @@ def gaussian_target(precision=None, covariance=None, cov_factor=None, mean=None,
             P = np.diag(1.0 / cov)
         else:
             try:
-                cf = cho_factor(cov)
+                P = _spd_inverse(cov)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("covariance is not positive definite") from exc
-            P = cho_solve(cf, np.eye(cov.shape[0]))
-            P = 0.5 * (P + P.T)
     else:
+        from scipy.linalg import cho_factor
+
         P = _as_precision(precision)
         try:
             cho_factor(P)
@@ -173,9 +182,7 @@ def logistic_target(X, y, prior_cov=1.0):
     elif cov.ndim == 1:
         P0 = np.diag(1.0 / cov)
     else:
-        cf = cho_factor(cov)
-        P0 = cho_solve(cf, np.eye(d))
-        P0 = 0.5 * (P0 + P0.T)
+        P0 = _spd_inverse(cov)
 
     def potential(q):
         t = X @ q
@@ -205,9 +212,8 @@ def _sigmoid(t):
 def load_logistic_csv(path, intercept=True, standardize=True):
     """Read a numeric CSV with the binary label in the last column.
 
-    Covariate columns are optionally z-scored (constant columns map to
-    all zeros); a constant-1 column is appended when ``intercept`` is set.
-    Errors name the offending row and column.
+    The covariates go through ``prepare_design``.  Errors name the
+    offending row and column.
     """
     rows = []
     try:
@@ -237,13 +243,18 @@ def load_logistic_csv(path, intercept=True, standardize=True):
     bad = np.where(~np.isin(y, (0.0, 1.0)))[0]
     if bad.size:
         raise IngestionError(f"{path}: label outside {{0,1}} at row {bad[0] + 1}")
+    return prepare_design(X, intercept, standardize), y
+
+
+def prepare_design(X, intercept=True, standardize=True):
+    """Optionally z-score the covariate columns (a constant column maps to
+    all zeros), then optionally append a constant-1 intercept column."""
     if standardize:
-        mean = X.mean(axis=0)
         std = X.std(axis=0)
-        X = np.where(std > 0, (X - mean) / np.where(std > 0, std, 1.0), 0.0)
+        X = np.where(std > 0, (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0), 0.0)
     if intercept:
         X = np.column_stack([X, np.ones(len(X))])
-    return X, y
+    return X
 
 
 def _is_float(s):
@@ -302,11 +313,9 @@ def cox_target(n, y, mu=None, sigma2=COX_SIGMA2, beta=COX_BETA):
     m = 1.0 / d
     cov = _cox_prior_cov(n, sigma2, beta)
     try:
-        cf = cho_factor(cov)
+        P = _spd_inverse(cov)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("Cox prior covariance is not positive definite") from exc
-    P = cho_solve(cf, np.eye(d))
-    P = 0.5 * (P + P.T)
     mu_vec = np.full(d, float(mu))
 
     def potential(x):
@@ -341,10 +350,6 @@ def simulate_cox_data(n, mu=None, sigma2=COX_SIGMA2, beta=COX_BETA, seed=0):
 # -- stochastic volatility model -----------------------------------------
 
 
-def _softplus(t):
-    return np.logaddexp(0.0, t)
-
-
 def sv_target(returns):
     """Stochastic volatility posterior in unconstrained coordinates.
 
@@ -371,7 +376,7 @@ def sv_target(returns):
         h, mu, a, b = unpack(q)
         z = _sigmoid(np.asarray(a))
         phi = 2.0 * z - 1.0
-        sigma = _softplus(b)
+        sigma = _log1pexp(b)
         s2 = sigma * sigma
         # observations
         u = np.sum(0.5 * (mu + h) + 0.5 * y**2 * np.exp(-(mu + h)))
@@ -393,7 +398,7 @@ def sv_target(returns):
         z = float(_sigmoid(np.asarray(a)))
         phi = 2.0 * z - 1.0
         sb = float(_sigmoid(np.asarray(b)))
-        sigma = float(_softplus(b))
+        sigma = float(_log1pexp(b))
         s2 = sigma * sigma
         g = np.zeros(d)
         e = 0.5 - 0.5 * y**2 * np.exp(-(mu + h))

@@ -1,13 +1,26 @@
-"""Shared independent oracles and helpers for the test suite.
+"""Shared oracles and helpers for the test suite.
 
-Everything here is deliberately written against dense numpy arrays and
-textbook formulas, not against the package's own fast paths, so the two
-routes stay independent.
+The oracles follow textbook formulas rather than the package's fast
+paths, so the two routes stay independent: the leapfrog in raw (q, p)
+coordinates, the exact residual-Jacobian recursion, dense factors, and
+the adaptation losses re-evaluated at any parameter point with the
+trajectory's gradients frozen, whose finite differences check the
+package's analytic gradients.
 """
 
 import numpy as np
 
+from ehmc.entropy import dl_coeff, penalty_h
+from ehmc.integrator import trajectory_reparam
+from ehmc.objective import jump_value, surrogate_velocity
 from ehmc.precond import Preconditioner
+from ehmc.targets import TargetModel
+
+
+def flat_model(d):
+    """Zero potential in d dimensions: free-particle trajectories."""
+    return TargetModel(dim=d, potential=lambda q: 0.0, grad=lambda q: np.zeros(d),
+                       hvp=lambda q, w: np.zeros(d))
 
 
 def with_theta(precond, theta):
@@ -95,3 +108,176 @@ def dual_averaging_replay(target_rate, history, h0=1.0, gamma=0.05, t0=10.0,
         w = t ** (-kappa)
         log_h_bar = w * log_h + (1.0 - w) * log_h_bar
     return float(np.exp(log_h_bar if final else log_h))
+
+
+# -- leapfrog and the residual-Jacobian recursion ------------------------
+
+
+def leapfrog_direct(q0, p0, h, L, precond, model):
+    """Velocity-Verlet endpoint in raw (q, p) coordinates.
+
+    Kinetic energy is 0.5 p^T C C^T p, so the drift is q += h C C^T p.
+    """
+    if h <= 0 or L < 1:
+        raise ValueError("need h > 0 and L >= 1")
+    q = np.array(q0, dtype=float)
+    p = np.asarray(p0, dtype=float) - 0.5 * h * model.grad(q)
+    for step in range(1, L + 1):
+        q = q + h * precond.matvec(precond.rmatvec(p))
+        p = p - (h if step < L else 0.5 * h) * model.grad(q)
+    return q, p
+
+
+def residual_map(traj, precond):
+    """S_L(v) = (1/(Lh)) C^{-1} q_L - v, the drift-free residual of the endpoint."""
+    return precond.solve(traj.q[traj.L]) / (traj.L * traj.h) - traj.v
+
+
+def residual_jacobian_fd(q0, v, h, L, precond, model, eps=1e-6):
+    """Central differences in v of the residual map of fresh trajectories."""
+    d = v.size
+    jac = np.zeros((d, d))
+    for j in range(d):
+        vp, vm = v.copy(), v.copy()
+        vp[j] += eps
+        vm[j] -= eps
+        sp = residual_map(trajectory_reparam(q0, vp, h, L, precond, model), precond)
+        sm = residual_map(trajectory_reparam(q0, vm, h, L, precond, model), precond)
+        jac[:, j] = (sp - sm) / (2.0 * eps)
+    return jac
+
+
+def ds_recursion(traj, precond, model, upto=None):
+    """Exact Jacobian of the residual map by the leapfrog recursion.
+
+    DS_1 = 0 and
+    DS_l = -h^2 sum_{i=1}^{l-1} (l-i)(i/l) C^T H(q_i) C (I + DS_i),
+    with H the potential Hessian at the cached trajectory points.  Each
+    level is symmetrized, matching the symmetry of the underlying
+    Jacobian; the raw products pick up harmless O(h^5) asymmetry when the
+    Hessians along the path differ.  One hvp per basis vector per interior
+    point, so small d only.
+    """
+    L = traj.L
+    if upto is None:
+        upto = L
+    if not 1 <= upto <= L:
+        raise ValueError(f"upto must lie in [1, {L}]")
+    d = traj.q.shape[1]
+    h2 = traj.h * traj.h
+    eye = np.eye(d)
+    ds = [None, np.zeros((d, d))]
+    a_mats = {}
+    for ell in range(2, upto + 1):
+        i = ell - 1
+        if i not in a_mats:
+            a_mats[i] = _ct_hessian_c(traj.q[i], precond, model)
+        total = np.zeros((d, d))
+        for j in range(1, ell):
+            total += (ell - j) * (j / ell) * (a_mats[j] @ (eye + ds[j]))
+        mat = -h2 * total
+        ds.append(0.5 * (mat + mat.T))
+    return ds[upto]
+
+
+def _ct_hessian_c(q, precond, model):
+    # dense C^T H(q) C, one hvp per column
+    d = q.size
+    out = np.empty((d, d))
+    basis = np.eye(d)
+    for j in range(d):
+        out[:, j] = precond.rmatvec(model.hvp(q, precond.matvec(basis[j])))
+    return 0.5 * (out + out.T)
+
+
+# -- adaptation losses at any parameter point, pieces frozen -------------
+
+
+def surrogate_endpoint(traj, precond):
+    """q_L = q_0 + Lh C v - h^2 C C^T xi - (L h^2 / 2) C C^T g_0 from the
+    cached accumulators, as an explicit function of the preconditioner."""
+    h, L = traj.h, traj.L
+    ct_terms = h * h * traj.xi + 0.5 * L * h * h * traj.grads[0]
+    return traj.q[0] + L * h * precond.matvec(traj.v) - precond.matvec(
+        precond.rmatvec(ct_terms)
+    )
+
+
+def surrogate_delta(traj, precond, model):
+    """Energy error re-evaluated at an arbitrary parameter point."""
+    w, _ = surrogate_velocity(traj, precond)
+    u0 = model.potential(traj.q[0])
+    u_end = model.potential(surrogate_endpoint(traj, precond))
+    return u_end - u0 + 0.5 * float(w @ w) - 0.5 * float(traj.v @ traj.v)
+
+
+def _entropy_bilinear(traj, precond, model, u, w):
+    # u^T D_L(theta) w with the midpoint frozen; one hvp
+    if traj.L == 1:
+        return 0.0
+    hw = model.hvp(traj.midpoint, precond.matvec(w))
+    return dl_coeff(traj.h, traj.L) * float(precond.matvec(u) @ hw)
+
+
+def gsm_surrogate_loss(traj, draw, state, precond, model):
+    """Penalised loss at an arbitrary parameter point, frozen pieces fixed.
+
+    Returns the scalar and a breakdown record with the energy, log-det,
+    entropy-surrogate and penalty parts (the last three scaled by beta
+    and beta * gamma inside the total).
+    """
+    d = traj.q.shape[1]
+    delta = surrogate_delta(traj, precond, model)
+    energy = max(0.0, delta)
+    logdet = d * np.log(traj.h) + precond.logdet()
+    ent = _entropy_bilinear(traj, precond, model, draw.y, draw.epsilon)
+    mu = _entropy_bilinear(traj, precond, model, draw.b, draw.b)
+    pen = penalty_h(abs(mu), state.config.penalty_delta, state.config.penalty_delta2)
+    loss = energy - state.beta * (logdet + ent - state.gamma * pen)
+    parts = {
+        "delta": delta,
+        "energy": energy,
+        "logdet": logdet,
+        "entropy": ent,
+        "mu": mu,
+        "penalty": pen,
+    }
+    return loss, parts
+
+
+def _l2hmc(j, state):
+    floor = state.config.l2hmc_floor
+    lam = state.lambda_ma if state.lambda_ma is not None else max(j, floor)
+    return -(j / lam - lam / max(j, floor))
+
+
+def _surrogate_jump(traj, precond, model):
+    # J = a ||q_L - q_0||^2 with a and q_L re-evaluated at precond
+    delta = surrogate_delta(traj, precond, model)
+    a = min(1.0, float(np.exp(-max(delta, -700.0)))) if np.isfinite(delta) else 0.0
+    jump = surrogate_endpoint(traj, precond) - traj.q[0]
+    return a * float(jump @ jump)
+
+
+def esjd_loss(traj):
+    """Negative acceptance-weighted squared jump of the trajectory."""
+    return -jump_value(traj)
+
+
+def esjd_surrogate_loss(traj, precond, model):
+    """ESJD loss re-evaluated at an arbitrary parameter point."""
+    return -_surrogate_jump(traj, precond, model)
+
+
+def l2hmc_loss(traj, state):
+    """Jump-over-average ratio loss with a reciprocal barrier.
+
+    loss = -(J / lambda - lambda / max(J, floor)) where J is the
+    acceptance-weighted squared jump and lambda its moving average.
+    """
+    return _l2hmc(jump_value(traj), state)
+
+
+def l2hmc_surrogate_loss(traj, state, precond, model):
+    """L2HMC loss re-evaluated at an arbitrary parameter point."""
+    return _l2hmc(_surrogate_jump(traj, precond, model), state)

@@ -8,20 +8,11 @@ without revisiting the derivations they freeze.
 import time
 
 import numpy as np
-import pytest
 
 from ehmc.diagnostics import ess, split_rhat
 from ehmc.entropy import dl_coeff, dl_operator, roulette_logdet_estimate, roulette_pass
-from ehmc.integrator import ds_recursion, leapfrog_direct, residual_map, trajectory_reparam
-from ehmc.objective import (
-    esjd_gradient,
-    esjd_surrogate_loss,
-    gsm_gradient,
-    gsm_surrogate_loss,
-    l2hmc_gradient,
-    l2hmc_surrogate_loss,
-    make_adapt_state,
-)
+from ehmc.integrator import trajectory_reparam
+from ehmc.objective import esjd_gradient, gsm_gradient, l2hmc_gradient, make_adapt_state
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import SamplerSettings, hmc_transition, make_chains, run_experiment
 from ehmc.targets import (
@@ -31,7 +22,18 @@ from ehmc.targets import (
     simulate_logistic_data,
 )
 
-from _oracles import fd_theta_gradient, mala_log_accept, relative_error, with_theta
+from _oracles import (
+    ds_recursion,
+    esjd_surrogate_loss,
+    fd_theta_gradient,
+    gsm_surrogate_loss,
+    l2hmc_surrogate_loss,
+    leapfrog_direct,
+    mala_log_accept,
+    relative_error,
+    residual_jacobian_fd,
+    with_theta,
+)
 
 KINDS = ("diagonal", "dense", "banded")
 
@@ -86,15 +88,7 @@ def test_criterion_02_residual_jacobian_oracle():
         traj = trajectory_reparam(q0, v, h, L, p, model)
         ds = ds_recursion(traj, p, model)
         worst_sym = max(worst_sym, float(np.max(np.abs(ds - ds.T))))
-        eps = 1e-6
-        jac = np.zeros((d, d))
-        for j in range(d):
-            vp, vm = v.copy(), v.copy()
-            vp[j] += eps
-            vm[j] -= eps
-            sp = residual_map(trajectory_reparam(q0, vp, h, L, p, model), p)
-            sm = residual_map(trajectory_reparam(q0, vm, h, L, p, model), p)
-            jac[:, j] = (sp - sm) / (2.0 * eps)
+        jac = residual_jacobian_fd(q0, v, h, L, p, model)
         denom = max(float(np.max(np.abs(jac))), 1e-8)
         worst_fd = max(worst_fd, float(np.max(np.abs(ds - jac))) / denom)
     assert worst_fd <= 1e-4, f"max FD mismatch {worst_fd:.3e}"

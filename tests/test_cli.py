@@ -1,7 +1,12 @@
 """Configuration parsing, preset registry, output emission, exit codes."""
 
+import importlib.util
+import os
 import re
 import shlex
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +16,6 @@ from ehmc import __version__
 from ehmc.cli import (
     ConfigError,
     PRESET_PARAMS,
-    RunConfig,
     _fmt,
     build_model,
     main,
@@ -19,6 +23,7 @@ from ehmc.cli import (
     render_config,
     to_settings,
 )
+from ehmc.precond import make_preconditioner
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -274,6 +279,28 @@ def test_main_sweep_mode(tmp_path):
         assert (out / f"L{L}" / "summary.csv").exists()
 
 
+def test_main_objective_none_keeps_theta(tmp_path):
+    code, out = run_main(tmp_path, ["--objective", "none", "--precond", "dense"])
+    assert code == 0
+    with np.load(out / "checkpoint.npz") as ck:
+        assert np.array_equal(ck["theta"], make_preconditioner("dense", 2).theta)
+    assert (out / "mu_trace.csv").read_text().splitlines()[2:] == []
+
+
+def test_diagonal_logistic_run_never_loads_scipy(tmp_path):
+    # parses, builds the model, runs and writes every output
+    argv = ["--target", "logistic", "--param", "n=30", "--param", "d=2", "--L", "2",
+            "--chains", "1", "--adapt-steps", "3", "--sample-steps", "8", "--out", str(tmp_path)]
+    script = ("import sys\nfrom ehmc import cli\nassert cli.main(sys.argv[1:]) == 0\n"
+              "assert 'scipy' not in sys.modules, [m for m in sys.modules if 'scipy' in m]\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script] + argv, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "checkpoint.npz").exists()
+
+
 def test_main_validation_exit_code(tmp_path, capsys):
     code, _ = run_main(tmp_path, ["--L", "0"])
     assert code == 1
@@ -346,3 +373,30 @@ def test_readme_config_example_parses(tmp_path, monkeypatch):
     assert cfg.target == "anisotropic"
     assert cfg.target_params == {"d": 20, "c": 4.0}
     assert cfg.sweep_L == tuple(range(1, 33))
+
+
+# ------------------------------------------------------------ benchmark hooks
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@pytest.mark.parametrize("objective", ["gsm", "esjd", "l2hmc"])
+def test_benchmark_trace_hooks_fire(tmp_path, monkeypatch, objective):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    cfg = parse_config(None, {"target": "gaussian_iso", "objective": objective, "h": 0.3,
+                              "L": 3, "adapt_steps": 6, "sample_steps": 8, "chains": 2,
+                              "out": str(tmp_path)}, {"d": "3"})
+    out = str(tmp_path / "out")
+    result = run.spawn(write_config(tmp_path, render_config(cfg)), 0, out, "trace",
+                       time.monotonic() + 120)
+    result["summary"] = run.checks.load_outputs(out)["summary"]
+    # raises BenchError naming each span run.py expects that never fired
+    metrics = run.layer_metrics(result, result, {"objective": objective,
+                                                 "target": "gaussian_iso"})
+    assert metrics["integrator.trajectory.calls"]["value"] == 2 * (6 + 8)
+    assert metrics["objective.gradient.calls"]["value"] == 2 * 6

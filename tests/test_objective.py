@@ -11,27 +11,27 @@ from ehmc.objective import (
     adam_update,
     default_adapt_config,
     esjd_gradient,
-    esjd_loss,
-    esjd_surrogate_loss,
     gsm_gradient,
-    gsm_surrogate_loss,
     l2hmc_gradient,
-    l2hmc_loss,
-    l2hmc_surrogate_loss,
     make_adapt_state,
     update_beta,
     update_gamma,
     update_lambda,
 )
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
-from ehmc.targets import TargetModel, gaussian_target
+from ehmc.targets import gaussian_target
 
-from _oracles import fd_theta_gradient, relative_error, with_theta
-
-
-def flat_model(d):
-    return TargetModel(dim=d, potential=lambda q: 0.0, grad=lambda q: np.zeros(d),
-                       hvp=lambda q, w: np.zeros(d))
+from _oracles import (
+    esjd_loss,
+    esjd_surrogate_loss,
+    fd_theta_gradient,
+    flat_model,
+    gsm_surrogate_loss,
+    l2hmc_loss,
+    l2hmc_surrogate_loss,
+    relative_error,
+    with_theta,
+)
 
 
 def make_case(kind, d, L, h, seed, sign=None, cov_spread=0.5):

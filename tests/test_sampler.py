@@ -21,12 +21,7 @@ from ehmc.sampler import (
 )
 from ehmc.targets import TargetModel, gaussian_target
 
-from _oracles import dual_averaging_replay, mala_log_accept
-
-
-def flat_model(d):
-    return TargetModel(dim=d, potential=lambda q: 0.0, grad=lambda q: np.zeros(d),
-                       hvp=lambda q, w: np.zeros(d))
+from _oracles import dual_averaging_replay, flat_model, mala_log_accept
 
 
 def counting_model(base):
