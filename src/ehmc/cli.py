@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__, targets
 from .objective import AdaptConfig, default_adapt_config
 from .precond import KINDS
-from .sampler import OBJECTIVES, SamplerSettings, run_experiment, save_checkpoint
+from .sampler import (OBJECTIVES, SamplerSettings, check_run_fields, run_experiment,
+                      save_checkpoint)
 
 
 class ConfigError(ValueError):
@@ -227,21 +228,16 @@ def parse_config(file=None, overrides=None, target_overrides=None):
 
 
 def _validate(config):
-    for name, choices in _CHOICES.items():
-        if getattr(config, name) not in choices:
-            raise ConfigError(f"{name}: must be one of {', '.join(choices)}, "
-                              f"got {getattr(config, name)!r}")
-    if config.h <= 0:
-        raise ConfigError(f"h: must be positive, got {config.h}")
-    if config.L < 1:
-        raise ConfigError(f"L: must be a positive integer, got {config.L}")
-    for fieldname in ("adapt_steps", "sample_steps", "adapt_budget", "sample_budget"):
+    try:
+        check_run_fields(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if config.precond not in KINDS:
+        raise ConfigError(f"precond: must be one of {', '.join(KINDS)}, "
+                          f"got {config.precond!r}")
+    for fieldname in ("adapt_budget", "sample_budget"):
         if getattr(config, fieldname) < 0:
             raise ConfigError(f"{fieldname}: must be nonnegative")
-    if config.chains < 1:
-        raise ConfigError(f"chains: must be at least 1, got {config.chains}")
-    if config.thin < 1:
-        raise ConfigError(f"thin: must be at least 1, got {config.thin}")
     if not 0 < config.alpha_star < 1:
         raise ConfigError(f"alpha_star: must lie in (0, 1), got {config.alpha_star}")
     if not 0 < config.delta_prime < 1:

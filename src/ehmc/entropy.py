@@ -5,10 +5,12 @@ penalty.
 The operator D(w) = -h^2 (L^2 - 1)/6 * C^T H(q_mid) C w costs one
 Hessian-vector product per application.  One roulette pass per adaptation
 step serves both the entropy surrogate and the penalty's power-iteration
-eigenvalue estimate.
+eigenvalue estimate, and hands its raw products H C eps and H C b on to
+the gradient.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +33,10 @@ class RouletteDraw:
     eps_eta: epsilon^T eta_k for k = 1..N (for the log-det estimate)
     clamp_count: how many iterations the spectral clamp fired
     degenerate: an iterate hit exactly zero, so b and mu are zeroed
+    hvp_eps: the raw product H C epsilon of the first term
+    hvp_b: the raw product H C b of the mu probe
+    (the last two are None when the operator does not expose its raw
+    products, and hvp_b also for a degenerate draw)
     """
 
     epsilon: np.ndarray
@@ -43,6 +49,8 @@ class RouletteDraw:
     eps_eta: np.ndarray
     clamp_count: int
     degenerate: bool
+    hvp_eps: Optional[np.ndarray] = None
+    hvp_b: Optional[np.ndarray] = None
 
 
 def dl_coeff(h, L):
@@ -50,24 +58,33 @@ def dl_coeff(h, L):
     return -h * h * (L * L - 1) / 6.0
 
 
-def dl_matvec(q_mid, precond, model, h, L, w):
-    """Apply the midpoint-Hessian surrogate operator to w.
+class MidpointOperator:
+    """w -> D w at a frozen midpoint, one hvp call per application.
 
-    One hvp call; exactly zero for L = 1.  Raises on non-finite output so
-    the adaptation step can skip the update.
+    Exactly zero for L = 1.  Raises on non-finite output so the adaptation
+    step can skip the update.  ``last_hvp`` is the raw product H(q_mid) C w
+    of the latest application (None before the first and for L = 1).
     """
-    if L == 1:
-        return np.zeros_like(np.asarray(w, dtype=float))
-    z = precond.rmatvec(model.hvp(q_mid, precond.matvec(w)))
-    out = dl_coeff(h, L) * z
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite Hessian-vector product")
-    return out
+
+    def __init__(self, q_mid, precond, model, h, L):
+        self.q_mid, self.precond, self.model = q_mid, precond, model
+        self.L = L
+        self.coeff = dl_coeff(h, L)
+        self.last_hvp = None
+
+    def __call__(self, w):
+        if self.L == 1:
+            return np.zeros_like(np.asarray(w, dtype=float))
+        self.last_hvp = self.model.hvp(self.q_mid, self.precond.matvec(w))
+        out = self.coeff * self.precond.rmatvec(self.last_hvp)
+        if not np.isfinite(out).all():
+            raise FloatingPointError("non-finite Hessian-vector product")
+        return out
 
 
 def dl_operator(q_mid, precond, model, h, L):
     """Close over the frozen midpoint, returning w -> D w."""
-    return lambda w: dl_matvec(q_mid, precond, model, h, L, w)
+    return MidpointOperator(q_mid, precond, model, h, L)
 
 
 def sample_truncation(rng, n_min=N_MIN):
@@ -86,7 +103,9 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     Iterates eta_k = (D eta_{k-1}) * min{1, delta' ||eta_{k-1}|| / ||D eta_{k-1}||},
     so iterates contract whenever the clamp fires and can never overflow.
     Accumulates y and the probe inner products, then spends one extra
-    operator application on mu = b^T D b.
+    operator application on mu = b^T D b.  When dl exposes ``last_hvp``
+    (as MidpointOperator does), the raw products of the first term and of
+    the mu probe are kept on the draw.
     """
     epsilon = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
     n, survival = sample_truncation(rng, n_min)
@@ -95,8 +114,11 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     eps_eta = np.zeros(n)
     clamps = 0
     degenerate = False
+    hvp_eps = hvp_b = None
     for k in range(1, n + 1):
         z = dl(eta)
+        if k == 1:
+            hvp_eps = getattr(dl, "last_hvp", None)
         zn = float(np.linalg.norm(z))
         en = float(np.linalg.norm(eta))
         if zn == 0.0:
@@ -116,6 +138,7 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     else:
         b = eta / float(np.linalg.norm(eta))
         mu = float(b @ dl(b))
+        hvp_b = getattr(dl, "last_hvp", None)
     return RouletteDraw(
         epsilon=epsilon,
         n_terms=n,
@@ -127,6 +150,8 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         eps_eta=eps_eta,
         clamp_count=clamps,
         degenerate=degenerate,
+        hvp_eps=hvp_eps,
+        hvp_b=hvp_b,
     )
 
 

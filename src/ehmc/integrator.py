@@ -3,10 +3,13 @@
 Trajectories are integrated in velocity coordinates u = C^T p so the banded
 preconditioner never needs a solve on the hot path.  All gradient
 evaluations along the trajectory are cached; the adaptation objective
-reuses them as frozen constants.
+reuses them as frozen constants.  A caller that already holds the
+gradient and potential at the start point passes them in, so a transition
+costs L gradients and one potential.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +34,8 @@ class Trajectory:
     q has shape (L+1, d) with q[0] the starting position; grads[i] is the
     potential gradient at q[i]; xi is the gradient accumulator
     sum_{i=1}^{L-1} (L-i) grads[i]; delta is the energy error of the
-    proposal (+inf when a potential evaluation was non-finite).
+    proposal (+inf when a potential evaluation was non-finite); u0 and
+    u_end are the potentials at q[0] and q[L] once evaluated.
     """
 
     q: np.ndarray
@@ -41,6 +45,8 @@ class Trajectory:
     h: float
     L: int
     delta: float = field(default=np.nan)
+    u0: Optional[float] = None
+    u_end: Optional[float] = None
 
     @property
     def q_mid_index(self):
@@ -57,20 +63,22 @@ class Trajectory:
         return min(1.0, float(np.exp(-max(self.delta, -700.0))))
 
 
-def _checked_grad(model, q, step, positions):
-    g = model.grad(q)
-    if not np.all(np.isfinite(g)):
-        raise DivergenceError(step, positions)
+def _checked_grad(model, q, step):
+    # q is the (L+1, d) position array; the prefix is copied only on failure
+    g = model.grad(q[step])
+    if not np.isfinite(g).all():
+        raise DivergenceError(step, q[: step + 1].copy())
     return g
 
 
-def trajectory_reparam(q0, v, h, L, precond, model):
+def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     """Full trajectory from velocity v, with p0 = C^{-T} v.
 
     Integrates velocity Verlet for kinetic energy 0.5 p^T C C^T p in
     u = C^T p coordinates (u0 = v), caching every gradient and the xi
     accumulator so the endpoint identity and the adaptation objective can
-    be evaluated without re-running the model.
+    be evaluated without re-running the model.  g0 and u0, when given, are
+    the gradient and potential at q0, which are then not evaluated again.
     """
     if h <= 0 or L < 1:
         raise ValueError("need h > 0 and L >= 1")
@@ -80,17 +88,17 @@ def trajectory_reparam(q0, v, h, L, precond, model):
     q = np.empty((L + 1, d))
     grads = np.empty((L + 1, d))
     q[0] = q0
-    grads[0] = _checked_grad(model, q0, 0, q[:1].copy())
+    grads[0] = _checked_grad(model, q, 0) if g0 is None else g0
     u = v - 0.5 * h * precond.rmatvec(grads[0])
     for step in range(1, L + 1):
         q[step] = q[step - 1] + h * precond.matvec(u)
-        grads[step] = _checked_grad(model, q[step], step, q[: step + 1].copy())
+        grads[step] = _checked_grad(model, q, step)
         if step < L:
             u = u - h * precond.rmatvec(grads[step])
     xi = np.zeros(d)
     for i in range(1, L):
         xi += (L - i) * grads[i]
-    traj = Trajectory(q=q, grads=grads, v=v.copy(), xi=xi, h=h, L=L)
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), xi=xi, h=h, L=L, u0=u0)
     traj.delta = energy_error(traj, precond, model)
     return traj
 
@@ -111,13 +119,17 @@ def energy_error(traj, precond, model):
     """Energy change of the proposal, from cached gradients.
 
     With w the final velocity, the error is
-    U(q_L) - U(q_0) + 0.5 ||w||^2 - 0.5 ||v||^2.  Returns +inf when any
-    piece is non-finite; the sampler treats that as a rejection.
+    U(q_L) - U(q_0) + 0.5 ||w||^2 - 0.5 ||v||^2.  The end potentials the
+    trajectory does not carry yet are evaluated and stored on it.  Returns
+    +inf when any piece is non-finite; the sampler treats that as a
+    rejection.
     """
     w = final_velocity(traj, precond)
-    u0 = model.potential(traj.q[0])
-    u_end = model.potential(traj.q[traj.L])
-    delta = u_end - u0 + 0.5 * float(w @ w) - 0.5 * float(traj.v @ traj.v)
+    if traj.u0 is None:
+        traj.u0 = model.potential(traj.q[0])
+    if traj.u_end is None:
+        traj.u_end = model.potential(traj.q[traj.L])
+    delta = traj.u_end - traj.u0 + 0.5 * float(w @ w) - 0.5 * float(traj.v @ traj.v)
     if not np.isfinite(delta):
         return np.inf
     return float(delta)

@@ -131,7 +131,9 @@ def gsm_gradient(traj, draw, state, precond, model):
     energy part enters only when the trajectory's energy error is
     positive; the entropy part back-propagates through both C factors of
     the surrogate operator; the penalty differentiates through the
-    operator only, with b frozen.  Costs up to three hvp calls.
+    operator only, with b frozen.  Takes H C eps and H C b from the draw
+    when its roulette pass kept them, so it costs one hvp call (H C y),
+    and up to three otherwise.
     """
     cfg = state.config
     out = np.zeros_like(precond.theta)
@@ -141,11 +143,15 @@ def gsm_gradient(traj, draw, state, precond, model):
     precond.accumulate_logdet_grad(out, -state.beta)
     if traj.L > 1:
         c = dl_coeff(traj.h, traj.L)
-        h_ce = model.hvp(traj.midpoint, precond.matvec(draw.epsilon))
+        h_ce = draw.hvp_eps
+        if h_ce is None:
+            h_ce = model.hvp(traj.midpoint, precond.matvec(draw.epsilon))
         h_cy = model.hvp(traj.midpoint, precond.matvec(draw.y))
         precond.accumulate_bilinear_grad(h_ce, draw.y, out, -state.beta * c)
         precond.accumulate_bilinear_grad(h_cy, draw.epsilon, out, -state.beta * c)
-        h_cb = model.hvp(traj.midpoint, precond.matvec(draw.b))
+        h_cb = draw.hvp_b
+        if h_cb is None:
+            h_cb = model.hvp(traj.midpoint, precond.matvec(draw.b))
         mu = c * float(precond.matvec(draw.b) @ h_cb)
         slope = penalty_h_grad(abs(mu), cfg.penalty_delta, cfg.penalty_delta2)
         if slope != 0.0 and mu != 0.0:
@@ -206,7 +212,7 @@ def adam_update(state, grad):
     """One bias-corrected Adam step on theta; non-finite gradients are a
     counted no-op so a single bad draw cannot derail the run."""
     grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         state.skip_count += 1
         return state
     cfg = state.config

@@ -5,12 +5,14 @@ Every chain owns three RNG substreams (velocity, acceptance uniform,
 roulette) spawned from one master seed, so switching the objective on or
 off never perturbs the chain path itself.  Updates to the shared
 adaptation state happen once per step after all chains have moved, which
-makes single-machine runs bit-reproducible.
+makes single-machine runs bit-reproducible.  A chain carries the gradient
+and potential at its position, so each transition evaluates the target
+only along the new trajectory.
 """
 
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from typing import Optional
 
 import numpy as np
@@ -39,7 +41,13 @@ OBJECTIVES = ("gsm", "esjd", "l2hmc", "none")
 
 @dataclass
 class ChainState:
-    """One chain's position, RNG streams and counters."""
+    """One chain's position, RNG streams and counters.
+
+    ``start`` is (position array, gradient, potential) at the position:
+    hmc_transition fills it and makes the array read-only, and uses it only
+    while ``q`` is still that same array, so assigning a new position
+    forces a fresh evaluation.
+    """
 
     q: np.ndarray
     rng_velocity: np.random.Generator
@@ -49,6 +57,7 @@ class ChainState:
     transition_count: int = 0
     divergence_count: int = 0
     last_delta: float = 0.0
+    start: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def make_chains(model, n_chains, seed, init=None, init_scale=1.0):
@@ -84,14 +93,24 @@ def hmc_transition(chain, precond, model, h, L):
     an error above DIVERGENCE_DELTA) are rejected and counted; rejection
     leaves the position array untouched.  Exactly one velocity draw and
     one acceptance uniform are consumed per call regardless of outcome.
+    The gradient and potential at the start come from chain.start when it
+    belongs to chain.q; an accept replaces them with the endpoint's.
     """
     v = chain.rng_velocity.standard_normal(model.dim)
+    if chain.start is None or chain.start[0] is not chain.q:
+        # a private read-only copy, so the values cannot go stale in place
+        chain.q = np.array(chain.q, dtype=float)
+        chain.q.flags.writeable = False
+        chain.start = (chain.q, None, None)
+    _, g0, u0 = chain.start
     traj = None
     try:
-        traj = trajectory_reparam(chain.q, v, h, L, precond, model)
+        traj = trajectory_reparam(chain.q, v, h, L, precond, model, g0, u0)
         delta = traj.delta
     except DivergenceError:
         delta = np.inf
+    if traj is not None and g0 is None:
+        chain.start = (chain.q, traj.grads[0].copy(), traj.u0)
     divergent = not np.isfinite(delta) or delta > DIVERGENCE_DELTA
     a = 0.0 if divergent else traj.accept_prob
     u = chain.rng_accept.uniform()
@@ -101,6 +120,8 @@ def hmc_transition(chain, precond, model, h, L):
         chain.divergence_count += 1
     elif u <= a:
         chain.q = traj.q[L].copy()
+        chain.q.flags.writeable = False
+        chain.start = (chain.q, traj.grads[L].copy(), traj.u_end)
         chain.accept_count += 1
     return chain, traj, a
 
@@ -152,7 +173,7 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
         if fresh_lambda and jumps:
             update_lambda(state, float(np.mean(jumps)))
         grads = [l2hmc_gradient(traj, state, precond) for _, traj in live]
-    finite = [g for g in grads if np.all(np.isfinite(g))]
+    finite = [g for g in grads if np.isfinite(g).all()]
     state.skip_count += len(grads) - len(finite)
     if finite:
         adam_update(state, np.mean(finite, axis=0))
@@ -224,18 +245,27 @@ class SamplerSettings:
     target_accept: float = 0.65
 
     def validate(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.L < 1:
-            raise ValueError("L must be a positive integer")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.adapt_steps < 0 or self.sample_steps < 0:
-            raise ValueError("step counts must be nonnegative")
-        if self.chains < 1:
-            raise ValueError("need at least one chain")
-        if self.thin < 1:
-            raise ValueError("thin must be a positive integer")
+        check_run_fields(self)
+
+
+def check_run_fields(run):
+    """Range checks of the run fields that SamplerSettings and the CLI's
+    RunConfig share (h, L, objective, step counts, chains, thin); each
+    ValueError message starts with the field it names."""
+    if run.objective not in OBJECTIVES:
+        raise ValueError(f"objective: must be one of {', '.join(OBJECTIVES)}, "
+                         f"got {run.objective!r}")
+    if run.h <= 0:
+        raise ValueError(f"h: must be positive, got {run.h}")
+    if run.L < 1:
+        raise ValueError(f"L: must be a positive integer, got {run.L}")
+    for name in ("adapt_steps", "sample_steps"):
+        if getattr(run, name) < 0:
+            raise ValueError(f"{name}: must be nonnegative")
+    if run.chains < 1:
+        raise ValueError(f"chains: must be at least 1, got {run.chains}")
+    if run.thin < 1:
+        raise ValueError(f"thin: must be at least 1, got {run.thin}")
 
 
 def run_experiment(settings):
@@ -324,7 +354,8 @@ def run_experiment(settings):
 def save_checkpoint(path, chains, state, h, meta=None):
     """Snapshot chains plus adaptation state to one npz file.
 
-    RNG bit-generator states are JSON-encoded; target models are not
+    RNG bit-generator states are JSON-encoded into a fixed-width ASCII
+    string array, so the file loads without pickle; target models are not
     stored (the caller recreates them from its own configuration).
     """
     rng_states = [
@@ -342,7 +373,7 @@ def save_checkpoint(path, chains, state, h, meta=None):
         positions=np.stack([c.q for c in chains]),
         last_delta=np.array([c.last_delta for c in chains]),
         counters=counters,
-        rng_states=np.array(rng_states, dtype=object),
+        rng_states=np.array(rng_states, dtype=np.bytes_),
         theta=state.precond.theta,
         precond_kind=np.array(state.precond.kind),
         precond_dim=np.array(state.precond.dim),
@@ -358,7 +389,7 @@ def save_checkpoint(path, chains, state, h, meta=None):
 
 def load_checkpoint(path):
     """Rebuild (chains, state, h, meta) from a checkpoint file."""
-    with np.load(path, allow_pickle=True) as data:
+    with np.load(path, allow_pickle=False) as data:
         positions = data["positions"]
         last_delta = data["last_delta"]
         counters = data["counters"]

@@ -1,8 +1,11 @@
 """Target models: potential energy, gradient and Hessian-vector products.
 
-Every model is immutable after construction and safe to evaluate from
+Every model's target is fixed at construction and safe to evaluate from
 multiple chains.  Dense prior precisions (correlated Gaussian, Cox) are
-factored once at construction and cached.
+factored once at construction and cached.  The one piece of mutable state
+is the logistic ``hvp``'s one-entry memo: the curvature weights
+s (1 - s) at the last position it was given, reused while the position
+stays equal.
 """
 
 from dataclasses import dataclass, field
@@ -192,21 +195,29 @@ def logistic_target(X, y, prior_cov=1.0):
         s = _sigmoid(X @ q)
         return X.T @ (s - y) + P0 @ q
 
+    # (copy of q, s (1 - s) at q): the sampler applies several Hessian-vector
+    # products at one frozen midpoint; equal positions give equal weights.
+    # The pair is replaced as one tuple, so a concurrent caller never reads
+    # weights that belong to another position.
+    memo = None
+
     def hvp(q, w):
-        s = _sigmoid(X @ q)
-        return X.T @ (s * (1.0 - s) * (X @ w)) + P0 @ w
+        nonlocal memo
+        cached = memo
+        if cached is None or not np.array_equal(q, cached[0]):
+            s = _sigmoid(X @ q)
+            cached = memo = (np.array(q, dtype=float), s * (1.0 - s))
+        return X.T @ (cached[1] * (X @ w)) + P0 @ w
 
     return TargetModel(d, potential, grad, hvp, name=f"logistic(n={n},d={d})",
                        extras={"prior_precision": P0})
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    # one exp of -|t| serves both branches: 1 / (1 + e^-t) for t >= 0 and
+    # e^t / (1 + e^t) below, so neither can overflow
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def load_logistic_csv(path, intercept=True, standardize=True):

@@ -17,6 +17,17 @@ from ehmc.precond import Preconditioner
 from ehmc.targets import TargetModel
 
 
+def masked_sigmoid(t):
+    """Logistic function through a boolean-mask gather and scatter: the
+    package's former form, against which the one-pass form is bit-checked."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
 def flat_model(d):
     """Zero potential in d dimensions: free-particle trajectories."""
     return TargetModel(dim=d, potential=lambda q: 0.0, grad=lambda q: np.zeros(d),

@@ -6,7 +6,6 @@ import pytest
 from ehmc.entropy import (
     N_MIN,
     dl_coeff,
-    dl_matvec,
     dl_operator,
     penalty_h,
     penalty_h_grad,
@@ -24,7 +23,7 @@ from ehmc.targets import TargetModel, gaussian_target, logistic_target, simulate
 def test_dl_zero_at_l1():
     m = gaussian_target(precision=np.array([4.0]))
     p = make_preconditioner("diagonal", 1)
-    out = dl_matvec(np.array([1.7]), p, m, 0.5, 1, np.array([3.0]))
+    out = dl_operator(np.array([1.7]), p, m, 0.5, 1)(np.array([3.0]))
     assert np.array_equal(out, np.zeros(1))
 
 
@@ -32,7 +31,7 @@ def test_dl_hand_example():
     # 1-d standard Gaussian, identity factor, h=0.5, L=3: -0.25*(8/6) = -1/3
     m = gaussian_target(precision=np.array([1.0]))
     p = make_preconditioner("diagonal", 1)
-    out = dl_matvec(np.zeros(1), p, m, 0.5, 3, np.ones(1))
+    out = dl_operator(np.zeros(1), p, m, 0.5, 3)(np.ones(1))
     assert np.isclose(out[0], -1.0 / 3.0, rtol=0, atol=1e-14)
     assert np.isclose(dl_coeff(0.5, 3), -1.0 / 3.0)
 
@@ -74,7 +73,7 @@ def test_dl_nonfinite_raises():
                     hvp=lambda q, w: np.full(1, np.nan))
     p = make_preconditioner("diagonal", 1)
     with pytest.raises(FloatingPointError):
-        dl_matvec(np.zeros(1), p, m, 0.5, 3, np.ones(1))
+        dl_operator(np.zeros(1), p, m, 0.5, 3)(np.ones(1))
 
 
 # ---------------------------------------------------------------- truncation law

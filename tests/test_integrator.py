@@ -129,10 +129,21 @@ def test_divergence_error_carries_step():
     m = TargetModel(dim=d, potential=lambda q: 0.5 * float(q @ q), grad=bad_grad,
                     hvp=lambda q, w: w)
     p = make_preconditioner("diagonal", 2)
+    q0, v, h = np.array([1.4, 0.0]), np.array([8.0, 0.0]), 0.5
     with pytest.raises(DivergenceError) as err:
-        trajectory_reparam(np.array([1.4, 0.0]), np.array([8.0, 0.0]), 0.5, 5, p, m)
+        trajectory_reparam(q0, v, h, 5, p, m)
     assert err.value.step >= 1
     assert err.value.positions.shape[1] == 2
+    # the positions are exactly the computed prefix, as an array of its own
+    step, positions = err.value.step, err.value.positions
+    q = [q0]
+    g = bad_grad(q0)
+    u = v - 0.5 * h * p.rmatvec(g)
+    for _ in range(step):
+        q.append(q[-1] + h * p.matvec(u))
+        u = u - h * p.rmatvec(bad_grad(q[-1]))
+    assert np.array_equal(positions, np.stack(q))
+    assert positions.base is None and positions.flags.owndata
 
 
 def test_energy_error_nonfinite_potential():

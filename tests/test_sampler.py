@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ehmc import sampler
 from ehmc.objective import AdaptConfig, make_adapt_state
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import (
@@ -25,15 +26,18 @@ from _oracles import dual_averaging_replay, flat_model, mala_log_accept
 
 
 def counting_model(base):
-    """Same target with an hvp call counter attached."""
-    calls = {"hvp": 0}
+    """Same target with grad, potential and hvp call counters attached."""
+    calls = {"grad": 0, "potential": 0, "hvp": 0}
 
-    def hvp(q, w):
-        calls["hvp"] += 1
-        return base.hvp(q, w)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    model = TargetModel(dim=base.dim, potential=base.potential, grad=base.grad,
-                        hvp=hvp, precision=base.precision)
+    model = TargetModel(dim=base.dim, potential=counted("potential", base.potential),
+                        grad=counted("grad", base.grad), hvp=counted("hvp", base.hvp),
+                        precision=base.precision)
     return model, calls
 
 
@@ -139,6 +143,82 @@ def test_l1_matches_mala_oracle():
     assert max(mismatches) < 1e-10
 
 
+def test_transition_reuses_start_point_evaluations():
+    # the first transition evaluates the start point; every later one
+    # costs L gradients and one potential, accepted or not
+    base = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))
+    m, calls = counting_model(base)
+    p = make_preconditioner("diagonal", 3)
+    chain = make_chains(m, 1, seed=11)[0]
+    L = 4
+    hmc_transition(chain, p, m, 1.2, L)
+    assert (calls["grad"], calls["potential"]) == (L + 1, 2)
+    for _ in range(30):
+        before = dict(calls)
+        hmc_transition(chain, p, m, 1.2, L)
+        assert calls["grad"] - before["grad"] == L
+        assert calls["potential"] - before["potential"] == 1
+    assert 0 < chain.accept_count < chain.transition_count
+
+
+def test_start_cache_follows_accepts_and_survives_rejects():
+    m = gaussian_target(precision=np.array([1.0]))
+    p = make_preconditioner("diagonal", 1)
+    chain = make_chains(m, 1, seed=7)[0]
+    hmc_transition(chain, p, m, 1.9, 3)
+    accepted = rejected = 0
+    for _ in range(200):
+        start, accepts = chain.start, chain.accept_count
+        hmc_transition(chain, p, m, 1.9, 3)
+        if chain.accept_count == accepts:
+            rejected += 1
+            assert chain.start is start
+        else:
+            accepted += 1
+            assert chain.start[0] is chain.q
+            assert np.array_equal(chain.start[1], m.grad(chain.q))
+            assert chain.start[2] == m.potential(chain.q)
+    assert accepted > 5 and rejected > 5
+
+
+def test_start_cache_survives_divergence():
+    d = 2
+
+    def grad(q):
+        return np.full(d, np.nan) if np.max(np.abs(q)) > 5.0 else q.copy()
+
+    base = TargetModel(dim=d, potential=lambda q: 0.5 * float(q @ q), grad=grad,
+                       hvp=lambda q, w: w)
+    m, calls = counting_model(base)
+    p = make_preconditioner("diagonal", d)
+    chain = make_chains(m, 1, seed=2, init=np.array([0.5, -0.5]))[0]
+    hmc_transition(chain, p, m, 0.1, 3)
+    start, q = chain.start, chain.q
+    hmc_transition(chain, p, m, 40.0, 3)
+    assert chain.divergence_count == 1
+    assert chain.start is start and chain.q is q
+    before = dict(calls)
+    hmc_transition(chain, p, m, 0.1, 3)
+    assert (calls["grad"] - before["grad"], calls["potential"] - before["potential"]) == (3, 1)
+
+
+def test_reassigned_position_is_evaluated_afresh():
+    base = gaussian_target(covariance=np.array([1.0, 3.0]))
+    m, calls = counting_model(base)
+    p = make_preconditioner("diagonal", 2)
+    chain = make_chains(m, 1, seed=4)[0]
+    for _ in range(3):
+        hmc_transition(chain, p, m, 0.5, 3)
+    with pytest.raises(ValueError):
+        chain.q[0] = 1.0  # the cached position is read-only
+    chain.q = np.array([2.0, -1.0])
+    before = dict(calls)
+    hmc_transition(chain, p, m, 0.5, 3)
+    assert (calls["grad"] - before["grad"], calls["potential"] - before["potential"]) == (4, 2)
+    assert chain.start[0] is chain.q
+    assert np.array_equal(chain.start[1], m.grad(chain.q))
+
+
 # ------------------------------------------------------------ adaptive step
 
 
@@ -174,6 +254,29 @@ def test_esjd_performs_no_hvp_calls():
     for _ in range(2):
         adaptive_step(chains, state, m, 0.4, 4, objective="gsm")
     assert calls["hvp"] > 0
+
+
+def test_gsm_step_hvp_count(monkeypatch):
+    # per live chain: the pass's n_terms products plus its mu probe, and
+    # one more (H C y) in the gradient
+    base = gaussian_target(covariance=np.array([1.0, 2.0, 0.7]))
+    m, calls = counting_model(base)
+    draws = []
+    real_pass = sampler.roulette_pass
+
+    def recording_pass(*args, **kwargs):
+        draws.append(real_pass(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(sampler, "roulette_pass", recording_pass)
+    state = make_adapt_state(make_preconditioner("dense", 3))
+    chains = make_chains(m, 4, seed=12)
+    for _ in range(10):
+        draws.clear()
+        before = calls["hvp"]
+        adaptive_step(chains, state, m, 0.3, 5, objective="gsm")
+        assert len(draws) == 4 and not any(d.degenerate for d in draws)
+        assert calls["hvp"] - before == sum(d.n_terms + 2 for d in draws)
 
 
 def test_unknown_objective_rejected():
@@ -408,3 +511,17 @@ def test_checkpoint_preserves_lambda(tmp_path):
     save_checkpoint(path, chains, state, 0.5)
     _, state2, _, _ = load_checkpoint(path)
     assert state2.lambda_ma == state.lambda_ma
+
+
+def test_checkpoint_loads_without_pickle(tmp_path):
+    m = gaussian_target(precision=np.eye(2))
+    state = make_adapt_state(make_preconditioner("banded", 2))
+    chains = make_chains(m, 2, seed=23)
+    for _ in range(3):
+        adaptive_step(chains, state, m, 0.5, 3, objective="gsm")
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, chains, state, 0.5)
+    with np.load(path, allow_pickle=False) as data:
+        for key in data.files:
+            assert data[key].dtype != object
+        assert data["rng_states"].shape == (2, 3)

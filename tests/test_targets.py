@@ -19,6 +19,8 @@ from ehmc.targets import (
     sv_target,
 )
 
+from _oracles import masked_sigmoid
+
 
 def fd_grad(model, q, eps=1e-6):
     out = np.zeros_like(q)
@@ -273,3 +275,33 @@ def test_gaussian_family_fd(factory):
     model = factory()
     check_model(model, rng)
     check_hvp_symmetry(model, rng)
+
+
+def test_sigmoid_bits_match_masked_form():
+    rng = np.random.default_rng(31)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-300, -1e-300])
+    for t in (3.0 * rng.standard_normal(5000), 40.0 * rng.standard_normal(500), special):
+        assert np.array_equal(targets._sigmoid(t), masked_sigmoid(t))
+    for x in (-2.5, -0.0, 0.0, 0.7, 900.0):
+        t0 = np.asarray(x)
+        s = targets._sigmoid(t0)
+        assert s.shape == ()
+        assert np.array_equal(s, masked_sigmoid(t0))
+    assert np.isnan(targets._sigmoid(np.array([np.nan]))[0])
+
+
+def test_logistic_hvp_memo_matches_fresh_model():
+    X, y = simulate_logistic_data(200, 4, seed=3)
+    m = logistic_target(X, y)
+    rng = np.random.default_rng(8)
+    q1, q2 = rng.standard_normal(4), rng.standard_normal(4)
+    w = rng.standard_normal(4)
+    # interleaved points: each call equals a fresh model's first call
+    for q in (q1, q2, q1, q1):
+        assert np.array_equal(m.hvp(q, w), logistic_target(X, y).hvp(q, w))
+    # the caller mutating its position in place must not reuse stale weights
+    q = q1 + q2
+    m.hvp(q, w)
+    q[2] += 0.5
+    assert np.array_equal(m.hvp(q, w), logistic_target(X, y).hvp(q, w))
+    assert not np.array_equal(m.hvp(q, w), m.hvp(q1, w))
