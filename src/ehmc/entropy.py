@@ -35,8 +35,8 @@ class RouletteDraw:
     degenerate: an iterate hit exactly zero, so b and mu are zeroed
     hvp_eps: the raw product H C epsilon of the first term
     hvp_b: the raw product H C b of the mu probe
-    (the last two are None when the operator does not expose its raw
-    products, and hvp_b also for a degenerate draw)
+    (the last two are kept only from a MidpointOperator, and hvp_b not
+    for a degenerate draw; they are None otherwise)
     """
 
     epsilon: np.ndarray
@@ -80,11 +80,6 @@ class MidpointOperator:
         if not np.isfinite(out).all():
             raise FloatingPointError("non-finite Hessian-vector product")
         return out
-
-
-def dl_operator(q_mid, precond, model, h, L):
-    """Close over the frozen midpoint, returning w -> D w."""
-    return MidpointOperator(q_mid, precond, model, h, L)
 
 
 def sample_truncation(rng, n_min=N_MIN):

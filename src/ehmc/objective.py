@@ -131,9 +131,9 @@ def gsm_gradient(traj, draw, state, precond, model):
     energy part enters only when the trajectory's energy error is
     positive; the entropy part back-propagates through both C factors of
     the surrogate operator; the penalty differentiates through the
-    operator only, with b frozen.  Takes H C eps and H C b from the draw
-    when its roulette pass kept them, so it costs one hvp call (H C y),
-    and up to three otherwise.
+    operator only, with b frozen.  The draw must come from a roulette pass
+    over a MidpointOperator, which keeps H C eps and H C b, so this costs
+    one hvp call (H C y).
     """
     cfg = state.config
     out = np.zeros_like(precond.theta)
@@ -143,20 +143,16 @@ def gsm_gradient(traj, draw, state, precond, model):
     precond.accumulate_logdet_grad(out, -state.beta)
     if traj.L > 1:
         c = dl_coeff(traj.h, traj.L)
-        h_ce = draw.hvp_eps
-        if h_ce is None:
-            h_ce = model.hvp(traj.midpoint, precond.matvec(draw.epsilon))
         h_cy = model.hvp(traj.midpoint, precond.matvec(draw.y))
-        precond.accumulate_bilinear_grad(h_ce, draw.y, out, -state.beta * c)
+        precond.accumulate_bilinear_grad(draw.hvp_eps, draw.y, out, -state.beta * c)
         precond.accumulate_bilinear_grad(h_cy, draw.epsilon, out, -state.beta * c)
-        h_cb = draw.hvp_b
-        if h_cb is None:
-            h_cb = model.hvp(traj.midpoint, precond.matvec(draw.b))
-        mu = c * float(precond.matvec(draw.b) @ h_cb)
-        slope = penalty_h_grad(abs(mu), cfg.penalty_delta, cfg.penalty_delta2)
-        if slope != 0.0 and mu != 0.0:
-            coeff = state.beta * state.gamma * slope * np.sign(mu) * c * 2.0
-            precond.accumulate_bilinear_grad(h_cb, draw.b, out, coeff)
+        # a degenerate draw keeps no H C b: there b = 0, so mu = 0
+        if draw.hvp_b is not None:
+            mu = c * float(precond.matvec(draw.b) @ draw.hvp_b)
+            slope = penalty_h_grad(abs(mu), cfg.penalty_delta, cfg.penalty_delta2)
+            if slope != 0.0 and mu != 0.0:
+                coeff = state.beta * state.gamma * slope * np.sign(mu) * c * 2.0
+                precond.accumulate_bilinear_grad(draw.hvp_b, draw.b, out, coeff)
     return out
 
 

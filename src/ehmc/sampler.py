@@ -19,7 +19,7 @@ import numpy as np
 
 from .precond import Preconditioner, make_preconditioner
 from .integrator import trajectory_reparam, DivergenceError
-from .entropy import dl_operator, roulette_pass, penalty_h
+from .entropy import MidpointOperator, roulette_pass, penalty_h
 from .objective import (
     AdaptConfig,
     AdaptState,
@@ -43,9 +43,10 @@ OBJECTIVES = ("gsm", "esjd", "l2hmc", "none")
 class ChainState:
     """One chain's position, RNG streams and counters.
 
-    ``start`` is (position array, gradient, potential) at the position:
-    hmc_transition fills it and makes the array read-only, and uses it only
-    while ``q`` is still that same array, so assigning a new position
+    ``start`` is (position array, model, gradient, potential) at the
+    position: hmc_transition fills it and makes the array read-only, and
+    uses it only while ``q`` is still that same array and the call passes
+    that same model, so assigning a new position or passing another model
     forces a fresh evaluation.
     """
 
@@ -94,15 +95,17 @@ def hmc_transition(chain, precond, model, h, L):
     leaves the position array untouched.  Exactly one velocity draw and
     one acceptance uniform are consumed per call regardless of outcome.
     The gradient and potential at the start come from chain.start when it
-    belongs to chain.q; an accept replaces them with the endpoint's.
+    belongs to chain.q and model; an accept replaces them with the
+    endpoint's.  After the call chain.q is a read-only array: move a chain
+    by assigning a new array to chain.q, not by writing into it.
     """
     v = chain.rng_velocity.standard_normal(model.dim)
-    if chain.start is None or chain.start[0] is not chain.q:
+    if chain.start is None or chain.start[0] is not chain.q or chain.start[1] is not model:
         # a private read-only copy, so the values cannot go stale in place
         chain.q = np.array(chain.q, dtype=float)
         chain.q.flags.writeable = False
-        chain.start = (chain.q, None, None)
-    _, g0, u0 = chain.start
+        chain.start = (chain.q, model, None, None)
+    _, _, g0, u0 = chain.start
     traj = None
     try:
         traj = trajectory_reparam(chain.q, v, h, L, precond, model, g0, u0)
@@ -110,7 +113,7 @@ def hmc_transition(chain, precond, model, h, L):
     except DivergenceError:
         delta = np.inf
     if traj is not None and g0 is None:
-        chain.start = (chain.q, traj.grads[0].copy(), traj.u0)
+        chain.start = (chain.q, model, traj.grads[0].copy(), traj.u0)
     divergent = not np.isfinite(delta) or delta > DIVERGENCE_DELTA
     a = 0.0 if divergent else traj.accept_prob
     u = chain.rng_accept.uniform()
@@ -121,7 +124,7 @@ def hmc_transition(chain, precond, model, h, L):
     elif u <= a:
         chain.q = traj.q[L].copy()
         chain.q.flags.writeable = False
-        chain.start = (chain.q, traj.grads[L].copy(), traj.u_end)
+        chain.start = (chain.q, model, traj.grads[L].copy(), traj.u_end)
         chain.accept_count += 1
     return chain, traj, a
 
@@ -155,7 +158,7 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
     grads, pens, mus = [], [], []
     if objective == "gsm":
         for chain, traj in live:
-            dl = dl_operator(traj.midpoint, precond, model, h, L)
+            dl = MidpointOperator(traj.midpoint, precond, model, h, L)
             try:
                 draw = roulette_pass(dl, model.dim, chain.rng_roulette,
                                      cfg.delta_prime, cfg.n_min)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from ehmc.diagnostics import ess, split_rhat
-from ehmc.entropy import dl_coeff, dl_operator, roulette_logdet_estimate, roulette_pass
+from ehmc.entropy import dl_coeff, MidpointOperator, roulette_logdet_estimate, roulette_pass
 from ehmc.integrator import trajectory_reparam
 from ehmc.objective import esjd_gradient, gsm_gradient, l2hmc_gradient, make_adapt_state
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
@@ -105,10 +105,10 @@ def test_criterion_03_gaussian_surrogate_exactness():
         p = random_precond(rng, KINDS[trial % 3], d)
         C = p.dense()
         expected = dl_coeff(h, L) * C.T @ model.precision @ C
-        dl = dl_operator(rng.standard_normal(d), p, model, h, L)
+        dl = MidpointOperator(rng.standard_normal(d), p, model, h, L)
         mat = np.column_stack([dl(e) for e in np.eye(d)])
         assert np.max(np.abs(mat - expected)) <= 1e-12
-        dl1 = dl_operator(rng.standard_normal(d), p, model, h, 1)
+        dl1 = MidpointOperator(rng.standard_normal(d), p, model, h, 1)
         w = rng.standard_normal(d)
         assert np.array_equal(dl1(w), np.zeros(d))
 
@@ -161,7 +161,7 @@ def test_criterion_06_gradient_engine():
             chains = make_chains(model, 1, seed=seed)
             chain = chains[0]
             _, traj, _ = hmc_transition(chain, p, model, 0.35, 4)
-            draw = roulette_pass(dl_operator(traj.midpoint, p, model, 0.35, 4),
+            draw = roulette_pass(MidpointOperator(traj.midpoint, p, model, 0.35, 4),
                                  d, chain.rng_roulette)
             checks = (
                 (gsm_gradient(traj, draw, state, p, model),

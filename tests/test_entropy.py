@@ -6,7 +6,7 @@ import pytest
 from ehmc.entropy import (
     N_MIN,
     dl_coeff,
-    dl_operator,
+    MidpointOperator,
     penalty_h,
     penalty_h_grad,
     roulette_logdet_estimate,
@@ -23,7 +23,7 @@ from ehmc.targets import TargetModel, gaussian_target, logistic_target, simulate
 def test_dl_zero_at_l1():
     m = gaussian_target(precision=np.array([4.0]))
     p = make_preconditioner("diagonal", 1)
-    out = dl_operator(np.array([1.7]), p, m, 0.5, 1)(np.array([3.0]))
+    out = MidpointOperator(np.array([1.7]), p, m, 0.5, 1)(np.array([3.0]))
     assert np.array_equal(out, np.zeros(1))
 
 
@@ -31,7 +31,7 @@ def test_dl_hand_example():
     # 1-d standard Gaussian, identity factor, h=0.5, L=3: -0.25*(8/6) = -1/3
     m = gaussian_target(precision=np.array([1.0]))
     p = make_preconditioner("diagonal", 1)
-    out = dl_operator(np.zeros(1), p, m, 0.5, 3)(np.ones(1))
+    out = MidpointOperator(np.zeros(1), p, m, 0.5, 3)(np.ones(1))
     assert np.isclose(out[0], -1.0 / 3.0, rtol=0, atol=1e-14)
     assert np.isclose(dl_coeff(0.5, 3), -1.0 / 3.0)
 
@@ -45,11 +45,11 @@ def test_dl_dense_materialization_gaussian():
     h, L = 0.3, 5
     C = p.dense()
     expected = dl_coeff(h, L) * C.T @ m.precision @ C
-    dl = dl_operator(rng.standard_normal(d), p, m, h, L)
+    dl = MidpointOperator(rng.standard_normal(d), p, m, h, L)
     mat = np.column_stack([dl(e) for e in np.eye(d)])
     assert np.max(np.abs(mat - expected)) < 1e-12
     # position-independence for Gaussian targets
-    dl2 = dl_operator(rng.standard_normal(d) * 10, p, m, h, L)
+    dl2 = MidpointOperator(rng.standard_normal(d) * 10, p, m, h, L)
     mat2 = np.column_stack([dl2(e) for e in np.eye(d)])
     assert np.max(np.abs(mat - mat2)) < 1e-12
 
@@ -59,7 +59,7 @@ def test_dl_symmetry_logistic():
     X, y = simulate_logistic_data(40, 3, seed=2)
     m = logistic_target(X, y)
     p = Preconditioner("banded", 3, rng.normal(0, 0.2, n_params("banded", 3)))
-    dl = dl_operator(rng.standard_normal(3), p, m, 0.2, 4)
+    dl = MidpointOperator(rng.standard_normal(3), p, m, 0.2, 4)
     for _ in range(5):
         u = rng.standard_normal(3)
         w = rng.standard_normal(3)
@@ -73,7 +73,7 @@ def test_dl_nonfinite_raises():
                     hvp=lambda q, w: np.full(1, np.nan))
     p = make_preconditioner("diagonal", 1)
     with pytest.raises(FloatingPointError):
-        dl_operator(np.zeros(1), p, m, 0.5, 3)(np.ones(1))
+        MidpointOperator(np.zeros(1), p, m, 0.5, 3)(np.ones(1))
 
 
 # ---------------------------------------------------------------- truncation law

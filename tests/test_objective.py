@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ehmc.entropy import dl_operator, roulette_logdet_estimate, roulette_pass
+from ehmc.entropy import MidpointOperator, roulette_logdet_estimate, roulette_pass
 from ehmc.integrator import Trajectory, trajectory_reparam
 from ehmc.objective import (
     AdaptConfig,
@@ -19,7 +19,7 @@ from ehmc.objective import (
     update_lambda,
 )
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
-from ehmc.targets import gaussian_target
+from ehmc.targets import TargetModel, gaussian_target
 
 from _oracles import (
     esjd_loss,
@@ -48,7 +48,7 @@ def make_case(kind, d, L, h, seed, sign=None, cov_spread=0.5):
             sign == "-" and traj.delta < -1e-6
         ):
             break
-    dl = dl_operator(traj.midpoint, p, m, h, L)
+    dl = MidpointOperator(traj.midpoint, p, m, h, L)
     draw = roulette_pass(dl, d, rng)
     return m, p, traj, draw
 
@@ -75,7 +75,7 @@ def test_gsm_loss_flat_case():
     p = make_preconditioner("diagonal", d)
     rng = np.random.default_rng(0)
     traj = trajectory_reparam(rng.standard_normal(d), rng.standard_normal(d), h, L, p, m)
-    draw = roulette_pass(dl_operator(traj.midpoint, p, m, h, L), d, rng)
+    draw = roulette_pass(MidpointOperator(traj.midpoint, p, m, h, L), d, rng)
     state = make_adapt_state(p)
     state.beta = 1.7
     loss, parts = gsm_surrogate_loss(traj, draw, state, p, m)
@@ -102,7 +102,7 @@ def test_gsm_entropy_loss_term_closed_form():
     p = make_preconditioner("diagonal", 1)
     rng = np.random.default_rng(4)
     traj = trajectory_reparam(np.array([0.3]), np.array([0.2]), 0.5, 3, p, m)
-    draw = roulette_pass(dl_operator(traj.midpoint, p, m, 0.5, 3), 1, rng)
+    draw = roulette_pass(MidpointOperator(traj.midpoint, p, m, 0.5, 3), 1, rng)
     state = make_adapt_state(p)
     _, parts = gsm_surrogate_loss(traj, draw, state, p, m)
     c = -1.0 / 3.0
@@ -117,12 +117,37 @@ def test_gsm_entropy_reported_value_large_n():
     m = gaussian_target(precision=np.array([1.0]))
     p = make_preconditioner("diagonal", 1)
     rng = np.random.default_rng(5)
-    dl = dl_operator(np.zeros(1), p, m, 0.5, 3)
+    dl = MidpointOperator(np.zeros(1), p, m, 0.5, 3)
     draw = roulette_pass(dl, 1, rng, n_min=200)
     assert np.isclose(roulette_logdet_estimate(draw), np.log(2.0 / 3.0), atol=1e-10)
 
 
 # ----------------------------------------------------- GSM gradient checks
+
+
+def test_gsm_gradient_degenerate_draw():
+    # a zero Hessian zeroes the first series term: the draw keeps H C eps
+    # but has no mu probe, so the gradient makes one hvp call (H C y) and
+    # only the log-det part is left
+    calls = []
+    base = flat_model(3)
+    m = TargetModel(dim=3, potential=base.potential, grad=base.grad,
+                    hvp=lambda q, w: calls.append(1) or base.hvp(q, w))
+    p = make_preconditioner("dense", 3)
+    traj = trajectory_reparam(np.array([0.3, -0.1, 0.2]), np.array([0.2, 0.5, -1.0]),
+                              0.4, 3, p, m)
+    draw = roulette_pass(MidpointOperator(traj.midpoint, p, m, 0.4, 3), 3,
+                         np.random.default_rng(6))
+    assert draw.degenerate and draw.hvp_eps is not None and draw.hvp_b is None
+    assert traj.delta <= 0.0
+    state = make_adapt_state(p)
+    state.gamma = 2e3
+    calls.clear()
+    out = gsm_gradient(traj, draw, state, p, m)
+    assert len(calls) == 1
+    expected = np.zeros_like(p.theta)
+    p.accumulate_logdet_grad(expected, -state.beta)
+    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("kind,d", [("diagonal", 5), ("dense", 6), ("banded", 6)])
@@ -225,7 +250,7 @@ def test_l2hmc_gradient_matches_fd(kind, d):
 def test_multi_chain_gradient_linearity():
     m1, p, t1, d1 = make_case("diagonal", 4, 3, 0.3, seed=31, sign="+")
     t2 = trajectory_reparam(np.ones(4) * 0.4, np.ones(4) * -0.6, 0.3, 3, p, m1)
-    d2 = roulette_pass(dl_operator(t2.midpoint, p, m1, 0.3, 3), 4,
+    d2 = roulette_pass(MidpointOperator(t2.midpoint, p, m1, 0.3, 3), 4,
                        np.random.default_rng(32))
     state = make_adapt_state(p)
     g_avg = 0.5 * (gsm_gradient(t1, d1, state, p, m1) + gsm_gradient(t2, d2, state, p, m1))

@@ -175,9 +175,9 @@ def test_start_cache_follows_accepts_and_survives_rejects():
             assert chain.start is start
         else:
             accepted += 1
-            assert chain.start[0] is chain.q
-            assert np.array_equal(chain.start[1], m.grad(chain.q))
-            assert chain.start[2] == m.potential(chain.q)
+            assert chain.start[0] is chain.q and chain.start[1] is m
+            assert np.array_equal(chain.start[2], m.grad(chain.q))
+            assert chain.start[3] == m.potential(chain.q)
     assert accepted > 5 and rejected > 5
 
 
@@ -216,7 +216,23 @@ def test_reassigned_position_is_evaluated_afresh():
     hmc_transition(chain, p, m, 0.5, 3)
     assert (calls["grad"] - before["grad"], calls["potential"] - before["potential"]) == (4, 2)
     assert chain.start[0] is chain.q
-    assert np.array_equal(chain.start[1], m.grad(chain.q))
+    assert np.array_equal(chain.start[2], m.grad(chain.q))
+
+
+def test_another_model_is_evaluated_afresh():
+    m1, _ = counting_model(gaussian_target(covariance=np.array([1.0, 3.0])))
+    m2, calls = counting_model(gaussian_target(covariance=np.array([2.0, 0.5])))
+    p = make_preconditioner("diagonal", 2)
+    chain = make_chains(m1, 1, seed=4)[0]
+    for _ in range(3):
+        hmc_transition(chain, p, m1, 0.5, 3)
+    q = chain.q
+    _, traj, _ = hmc_transition(chain, p, m2, 0.5, 3)
+    assert (calls["grad"], calls["potential"]) == (4, 2)
+    assert np.array_equal(traj.q[0], q)
+    assert np.array_equal(traj.grads[0], m2.grad(q))
+    assert traj.u0 == m2.potential(q)
+    assert chain.start[1] is m2
 
 
 # ------------------------------------------------------------ adaptive step
