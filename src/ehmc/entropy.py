@@ -72,10 +72,14 @@ class MidpointOperator:
         self.coeff = dl_coeff(h, L)
         self.last_hvp = None
 
+    def product(self, w):
+        """The raw product H(q_mid) C w, one hvp call, not checked."""
+        return self.model.hvp(self.q_mid, self.precond.matvec(w))
+
     def __call__(self, w):
         if self.L == 1:
             return np.zeros_like(np.asarray(w, dtype=float))
-        self.last_hvp = self.model.hvp(self.q_mid, self.precond.matvec(w))
+        self.last_hvp = self.product(w)
         out = self.coeff * self.precond.rmatvec(self.last_hvp)
         if not np.isfinite(out).all():
             raise FloatingPointError("non-finite Hessian-vector product")

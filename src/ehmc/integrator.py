@@ -6,6 +6,13 @@ evaluations along the trajectory are cached; the adaptation objective
 reuses them as frozen constants.  A caller that already holds the
 gradient and potential at the start point passes them in, so a transition
 costs L gradients and one potential.
+
+A trajectory runs one chain on (d,) arrays or k chains in lockstep on a
+(k, d) block, with a chain axis after the step axis: q and grads are then
+(L+1, k, d).  The block arithmetic gives every row the bits of its own
+one-chain trajectory, while the target is still called once per row on a
+(d,) array.  A block row whose gradient turns non-finite stops there: it
+makes no further target call, is marked in ``live`` and gets delta = +inf.
 """
 
 from dataclasses import dataclass, field
@@ -29,13 +36,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """One L-step leapfrog trajectory with cached gradients.
+    """One L-step leapfrog trajectory with cached gradients, or a block of k.
 
     q has shape (L+1, d) with q[0] the starting position; grads[i] is the
     potential gradient at q[i]; xi is the gradient accumulator
     sum_{i=1}^{L-1} (L-i) grads[i]; delta is the energy error of the
     proposal (+inf when a potential evaluation was non-finite); u0 and
-    u_end are the potentials at q[0] and q[L] once evaluated.
+    u_end are the potentials at q[0] and q[L] once evaluated.  A block
+    has q and grads of shape (L+1, k, d), v and xi (k, d), delta (k,), u0
+    and u_end lists of k entries, and ``live`` (k,), False for rows whose
+    integration failed; ``live`` is None for one chain.
     """
 
     q: np.ndarray
@@ -47,6 +57,7 @@ class Trajectory:
     delta: float = field(default=np.nan)
     u0: Optional[float] = None
     u_end: Optional[float] = None
+    live: Optional[np.ndarray] = None
 
     @property
     def q_mid_index(self):
@@ -58,9 +69,48 @@ class Trajectory:
 
     @property
     def accept_prob(self):
-        if not np.isfinite(self.delta):
-            return 0.0
-        return min(1.0, float(np.exp(-max(self.delta, -700.0))))
+        if self.live is None:
+            return _accept_prob(self.delta)
+        return np.array([_accept_prob(delta) for delta in self.delta])
+
+    def row(self, i):
+        """Row i of a block as a one-chain trajectory (views, no copies)."""
+        return Trajectory(q=self.q[:, i], grads=self.grads[:, i], v=self.v[i],
+                          xi=self.xi[i], h=self.h, L=self.L, delta=float(self.delta[i]),
+                          u0=self.u0[i], u_end=self.u_end[i])
+
+    def rows(self, index):
+        """The block of the rows listed, in increasing order, in index (all
+        of them: the block itself)."""
+        index = np.asarray(index, dtype=int)
+        if index.size == self.live.size:
+            return self
+        return Trajectory(q=self.q[:, index], grads=self.grads[:, index], v=self.v[index],
+                          xi=self.xi[index], h=self.h, L=self.L, delta=self.delta[index],
+                          u0=[self.u0[i] for i in index],
+                          u_end=[self.u_end[i] for i in index], live=self.live[index])
+
+    def as_block(self):
+        """A one-chain trajectory as a block of one row; a block as it is."""
+        if self.live is not None:
+            return self
+        return Trajectory(q=self.q[:, None], grads=self.grads[:, None], v=self.v[None],
+                          xi=self.xi[None], h=self.h, L=self.L,
+                          delta=np.array([self.delta]), u0=[self.u0],
+                          u_end=[self.u_end], live=np.ones(1, dtype=bool))
+
+
+def _accept_prob(delta):
+    if not np.isfinite(delta):
+        return 0.0
+    return min(1.0, float(np.exp(-max(delta, -700.0))))
+
+
+def row_dot(x, y):
+    """Per-row inner products of two (k, d) blocks, with the bits of the
+    per-row ``x[i] @ y[i]`` (one dot per row; ``(x * y).sum(1)`` and
+    ``norm(axis=1)`` round differently)."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
 def _checked_grad(model, q, step):
@@ -71,6 +121,21 @@ def _checked_grad(model, q, step):
     return g
 
 
+def _row_grads(model, q, grads, step, live, given=None):
+    # one model.grad call per live row of block step `step` (none for rows
+    # whose gradient is given); a row whose gradient is non-finite leaves
+    # `live` and keeps a zero gradient, so the lockstep arithmetic on it
+    # stays finite
+    for i in range(live.size):
+        if live[i]:
+            g = None if given is None else given[i]
+            grads[step, i] = model.grad(q[step, i]) if g is None else g
+    bad = ~np.isfinite(grads[step]).all(axis=1)
+    if bad.any():
+        live[bad] = False
+        grads[step, bad] = 0.0
+
+
 def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     """Full trajectory from velocity v, with p0 = C^{-T} v.
 
@@ -79,26 +144,41 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     accumulator so the endpoint identity and the adaptation objective can
     be evaluated without re-running the model.  g0 and u0, when given, are
     the gradient and potential at q0, which are then not evaluated again.
+
+    q0 and v are (d,) for one chain, where a non-finite gradient raises
+    DivergenceError, or (k, d) for k chains in lockstep, where g0 and u0
+    are sequences of k entries (None where not known) and a non-finite
+    gradient stops only its own row.
     """
     if h <= 0 or L < 1:
         raise ValueError("need h > 0 and L >= 1")
     q0 = np.asarray(q0, dtype=float)
     v = np.asarray(v, dtype=float)
-    d = q0.size
-    q = np.empty((L + 1, d))
-    grads = np.empty((L + 1, d))
+    q = np.empty((L + 1,) + q0.shape)
     q[0] = q0
-    grads[0] = _checked_grad(model, q, 0) if g0 is None else g0
+    if q0.ndim == 1:
+        live = None
+        grads = np.empty_like(q)
+        grads[0] = _checked_grad(model, q, 0) if g0 is None else g0
+    else:
+        live = np.ones(len(q0), dtype=bool)
+        grads = np.zeros_like(q)
+        _row_grads(model, q, grads, 0, live, g0)
     u = v - 0.5 * h * precond.rmatvec(grads[0])
     for step in range(1, L + 1):
         q[step] = q[step - 1] + h * precond.matvec(u)
-        grads[step] = _checked_grad(model, q, step)
+        if live is None:
+            grads[step] = _checked_grad(model, q, step)
+        else:
+            _row_grads(model, q, grads, step, live)
         if step < L:
             u = u - h * precond.rmatvec(grads[step])
-    xi = np.zeros(d)
+    xi = np.zeros_like(v)
     for i in range(1, L):
         xi += (L - i) * grads[i]
-    traj = Trajectory(q=q, grads=grads, v=v.copy(), xi=xi, h=h, L=L, u0=u0)
+    if live is not None:
+        u0 = list(u0) if u0 is not None else [None] * len(live)
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), xi=xi, h=h, L=L, u0=u0, live=live)
     traj.delta = energy_error(traj, precond, model)
     return traj
 
@@ -122,14 +202,31 @@ def energy_error(traj, precond, model):
     U(q_L) - U(q_0) + 0.5 ||w||^2 - 0.5 ||v||^2.  The end potentials the
     trajectory does not carry yet are evaluated and stored on it.  Returns
     +inf when any piece is non-finite; the sampler treats that as a
-    rejection.
+    rejection.  For a block it returns one error per row, +inf (with no
+    potential evaluated) for rows that are not live.
     """
     w = final_velocity(traj, precond)
-    if traj.u0 is None:
-        traj.u0 = model.potential(traj.q[0])
+    if traj.live is None:
+        if traj.u0 is None:
+            traj.u0 = model.potential(traj.q[0])
+        if traj.u_end is None:
+            traj.u_end = model.potential(traj.q[traj.L])
+        return _energy_delta(traj.u0, traj.u_end, float(w @ w), float(traj.v @ traj.v))
+    ww, vv = row_dot(w, w), row_dot(traj.v, traj.v)
+    delta = np.full(traj.live.size, np.inf)
     if traj.u_end is None:
-        traj.u_end = model.potential(traj.q[traj.L])
-    delta = traj.u_end - traj.u0 + 0.5 * float(w @ w) - 0.5 * float(traj.v @ traj.v)
+        traj.u_end = [None] * traj.live.size
+    for i in np.flatnonzero(traj.live):
+        if traj.u0[i] is None:
+            traj.u0[i] = model.potential(traj.q[0, i])
+        if traj.u_end[i] is None:
+            traj.u_end[i] = model.potential(traj.q[traj.L, i])
+        delta[i] = _energy_delta(traj.u0[i], traj.u_end[i], ww[i], vv[i])
+    return delta
+
+
+def _energy_delta(u0, u_end, ww, vv):
+    delta = u_end - u0 + 0.5 * ww - 0.5 * vv
     if not np.isfinite(delta):
         return np.inf
     return float(delta)

@@ -5,6 +5,10 @@ All gradients use frozen-value semantics: the cached trajectory gradients,
 the roulette accumulator y, the power vector b and the Hessian midpoint
 are constants; theta enters only through the explicit C / C^T products.
 Each gradient is assembled from the two preconditioner adjoint primitives.
+The gradients take one trajectory or a block of k chains (see
+``integrator``) and return one gradient per row of a block, with the bits
+of the one-chain call: per-row branches (positive energy error, nonzero
+acceptance, an active penalty) act on the rows they hold for.
 The matching surrogate losses, re-evaluatable at any parameter point from
 the frozen pieces, live in the test suite, whose finite differences of
 them are the independent check.
@@ -15,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .integrator import row_dot
 from .entropy import (
     DELTA_PRIME,
     N_MIN,
@@ -120,10 +125,22 @@ def _delta_grad(traj, precond, out, scale=1.0):
     precond.accumulate_bilinear_grad(m, w, out, -scale)
 
 
+def _on_rows(mask, out, fn):
+    # call fn(index, rows) on the rows of the block out where mask holds:
+    # out itself when all do, else a copy that is written back
+    index = np.flatnonzero(mask)
+    if index.size == mask.size:
+        fn(index, out)
+    elif index.size:
+        rows = out[index]
+        fn(index, rows)
+        out[index] = rows
+
+
 # -- penalised generalized-speed-measure objective -----------------------
 
 
-def gsm_gradient(traj, draw, state, precond, model):
+def gsm_gradient(traj, draw, state, precond, model, h_cy=None):
     """Analytic gradient of the penalised loss under frozen-value semantics.
 
     The loss is max(0, Delta) - beta (d log h + log|det C| + y^T D eps
@@ -133,72 +150,101 @@ def gsm_gradient(traj, draw, state, precond, model):
     the surrogate operator; the penalty differentiates through the
     operator only, with b frozen.  The draw must come from a roulette pass
     over a MidpointOperator, which keeps H C eps and H C b, so this costs
-    one hvp call (H C y).
+    one hvp call (H C y).  For a block, draw is a list of one draw per
+    row and the result is (k, n_params); a caller that already applied H C
+    y to each row passes the products as h_cy, and no hvp call is made.
     """
     cfg = state.config
-    out = np.zeros_like(precond.theta)
-    if np.isfinite(traj.delta) and traj.delta > 0.0:
-        _delta_grad(traj, precond, out, 1.0)
+    blk = traj.as_block()
+    draws = draw if blk is traj else [draw]
+    out = np.zeros((len(draws), precond.theta.size))
+    positive = np.isfinite(blk.delta) & (blk.delta > 0.0)
+    _on_rows(positive, out, lambda index, rows: _delta_grad(blk.rows(index), precond, rows))
     # log-det part: d log h is theta-free
     precond.accumulate_logdet_grad(out, -state.beta)
-    if traj.L > 1:
-        c = dl_coeff(traj.h, traj.L)
-        h_cy = model.hvp(traj.midpoint, precond.matvec(draw.y))
-        precond.accumulate_bilinear_grad(draw.hvp_eps, draw.y, out, -state.beta * c)
-        precond.accumulate_bilinear_grad(h_cy, draw.epsilon, out, -state.beta * c)
-        # a degenerate draw keeps no H C b: there b = 0, so mu = 0
-        if draw.hvp_b is not None:
-            mu = c * float(precond.matvec(draw.b) @ draw.hvp_b)
+    if blk.L > 1:
+        c = dl_coeff(blk.h, blk.L)
+        if h_cy is None:
+            h_cy = [model.hvp(blk.midpoint[i], precond.matvec(dr.y))
+                    for i, dr in enumerate(draws)]
+        eps = np.stack([dr.epsilon for dr in draws])
+        y = np.stack([dr.y for dr in draws])
+        precond.accumulate_bilinear_grad(np.stack([dr.hvp_eps for dr in draws]), y, out,
+                                         -state.beta * c)
+        precond.accumulate_bilinear_grad(np.stack(h_cy), eps, out, -state.beta * c)
+        # a degenerate draw keeps no H C b: there b = 0, so mu = 0 and the
+        # penalty is inactive
+        b = np.stack([dr.b for dr in draws])
+        hvp_b = np.stack([np.zeros_like(dr.b) if dr.hvp_b is None else dr.hvp_b
+                          for dr in draws])
+        coeff = np.zeros(len(draws))
+        for i, mu in enumerate(c * row_dot(precond.matvec(b), hvp_b)):
             slope = penalty_h_grad(abs(mu), cfg.penalty_delta, cfg.penalty_delta2)
             if slope != 0.0 and mu != 0.0:
-                coeff = state.beta * state.gamma * slope * np.sign(mu) * c * 2.0
-                precond.accumulate_bilinear_grad(draw.hvp_b, draw.b, out, coeff)
-    return out
+                coeff[i] = state.beta * state.gamma * slope * np.sign(mu) * c * 2.0
+        _on_rows(coeff != 0.0, out, lambda index, rows: precond.accumulate_bilinear_grad(
+            hvp_b[index], b[index], rows, coeff[index]))
+    return out if blk is traj else out[0]
 
 
 # -- competing objectives ------------------------------------------------
 
 
 def jump_value(traj):
-    """Acceptance-weighted squared jump J = a ||q_L - q_0||^2."""
-    jump = traj.q[traj.L] - traj.q[0]
-    return traj.accept_prob * float(jump @ jump)
+    """Acceptance-weighted squared jump J = a ||q_L - q_0||^2 (one per row
+    for a block)."""
+    blk = traj.as_block()
+    jump = blk.q[blk.L] - blk.q[0]
+    j = blk.accept_prob * row_dot(jump, jump)
+    return j if blk is traj else float(j[0])
 
 
 def _jump_grad(traj, precond, out, scale):
-    # accumulate scale * dJ/dtheta, with dJ = a dr + r da for r the
-    # squared jump
+    # accumulate scale * dJ/dtheta into the rows of out for the block traj,
+    # with dJ = a dr + r da for r the squared jump; scale is a number or
+    # one per row
     a = traj.accept_prob
     jump = traj.q[traj.L] - traj.q[0]
-    r = float(jump @ jump)
-    if a > 0.0:
-        _endpoint_adjoint(traj, precond, jump, out, scale * a * 2.0)
-    if np.isfinite(traj.delta) and traj.delta > 0.0 and a > 0.0:
-        # da = -a dDelta on the branch where the exponential binds
-        tmp = np.zeros_like(out)
-        _delta_grad(traj, precond, tmp, 1.0)
-        out += scale * r * (-a) * tmp
+    r = row_dot(jump, jump)
+    moved = scale * a * 2.0
+    _on_rows(a > 0.0, out, lambda index, rows: _endpoint_adjoint(
+        traj.rows(index), precond, jump[index], rows, moved[index]))
+    # da = -a dDelta on the branch where the exponential binds
+    binds = np.isfinite(traj.delta) & (traj.delta > 0.0) & (a > 0.0)
+    energy = scale * r * (-a)
+
+    def energy_part(index, rows):
+        tmp = np.zeros_like(rows)
+        _delta_grad(traj.rows(index), precond, tmp, 1.0)
+        rows += energy[index][:, None] * tmp
+
+    _on_rows(binds, out, energy_part)
 
 
 def esjd_gradient(traj, precond):
-    """Gradient of the ESJD loss -J."""
-    out = np.zeros_like(precond.theta)
-    _jump_grad(traj, precond, out, -1.0)
-    return out
+    """Gradient of the ESJD loss -J (one row per chain for a block)."""
+    blk = traj.as_block()
+    out = np.zeros((blk.live.size, precond.theta.size))
+    _jump_grad(blk, precond, out, -1.0)
+    return out if blk is traj else out[0]
 
 
 def l2hmc_gradient(traj, state, precond):
     """Gradient of the L2HMC loss -(J / lambda - lambda / max(J, floor)),
-    with lambda the moving average of J (J itself before the first one)."""
+    with lambda the moving average of J (J itself before the first one);
+    one row per chain for a block."""
     floor = state.config.l2hmc_floor
-    j = jump_value(traj)
-    lam = state.lambda_ma if state.lambda_ma is not None else max(j, floor)
-    dloss_dj = -1.0 / lam
-    if j > floor:
-        dloss_dj -= lam / (j * j)
-    out = np.zeros_like(precond.theta)
-    _jump_grad(traj, precond, out, dloss_dj)
-    return out
+    blk = traj.as_block()
+    jumps = jump_value(blk)
+    dloss_dj = np.empty(jumps.size)
+    for i, j in enumerate(jumps):
+        lam = state.lambda_ma if state.lambda_ma is not None else max(j, floor)
+        dloss_dj[i] = -1.0 / lam
+        if j > floor:
+            dloss_dj[i] -= lam / (j * j)
+    out = np.zeros((jumps.size, precond.theta.size))
+    _jump_grad(blk, precond, out, dloss_dj)
+    return out if blk is traj else out[0]
 
 
 # -- parameter and controller updates ------------------------------------

@@ -16,6 +16,13 @@ The factor is built once per write of ``theta`` (the constructor and
 ``adam_update`` are the writers), and ``theta`` is stored as a read-only
 copy, so the built factor cannot go stale; the maps only apply it.  The
 gradient helpers accumulate into caller-owned arrays.
+
+Every map and ``accumulate_bilinear_grad`` also take a (k, d) block of k
+vectors, one per row, and give each row the same bits as the (d,) call:
+the dense maps are stacked ``np.matmul`` (one gemv per row; a plain gemm
+rounds differently), the banded maps one LAPACK solve with k right-hand
+sides, and the dense triangular solves stay one call per row, because a
+multi-right-hand-side ``trsm`` rounds differently.
 """
 
 import numpy as np
@@ -34,18 +41,34 @@ def n_params(kind, dim):
     raise ValueError(f"unknown preconditioner kind {kind!r}")
 
 
-def _band_solve(gbsv, kl, ku, ab, w):
+def _band_factor(gbtrf, kl, ku, ab):
+    # LAPACK gbtrf factors of a band matrix in its (2 kl + ku + 1, d) layout
+    lu, piv, info = gbtrf(ab, kl, ku)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbtrf")
+    return kl, ku, lu, piv, info
+
+
+def _band_solve(gbtrs, factor, w):
     """Solve with a bidiagonal band matrix as scipy's ``solve_banded`` does:
-    a 1x1 system is a division, anything larger one LAPACK ``gbsv`` call
-    (``ab`` already in its (2 kl + ku + 1, d) layout)."""
-    if w.size == 1:
-        return w / ab[kl + ku, 0]
-    _, _, x, info = gbsv(kl, ku, ab, w)
+    a 1x1 system is a division, anything larger LAPACK ``gbsv``, which is
+    ``gbtrf`` then ``gbtrs``.  The ``gbtrf`` factors are computed once per
+    theta, so a solve is one ``gbtrs`` call, with the same bits.  The rows
+    of a (k, d) block are its k right-hand sides."""
+    kl, ku, lu, piv, info = factor
+    if w.shape[-1] == 1:
+        return w / lu[kl + ku, 0]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
+    x, info = gbtrs(lu, kl, ku, w if w.ndim == 1 else w.T, piv)
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
-    return x
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbtrs")
+    return x if w.ndim == 1 else np.ascontiguousarray(x.T)
+
+
+def _rows_matvec(A, W):
+    # A w for each row w of W, one gemv per row
+    return np.matmul(A, W[:, :, None])[:, :, 0]
 
 
 class Preconditioner:
@@ -62,9 +85,9 @@ class Preconditioner:
             self._rows, self._cols = np.tril_indices(dim, k=-1)
         elif kind == "banded":
             # imported here so that the other kinds never load scipy
-            from scipy.linalg.lapack import dgbsv
+            from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-            self._gbsv = dgbsv
+            self._gbtrf, self._gbtrs = dgbtrf, dgbtrs
         self.theta = theta
 
     @property
@@ -92,22 +115,25 @@ class Preconditioner:
             C[self._rows, self._cols] = theta[d:]
             self._C = C
         else:
-            # B's diagonal and superdiagonal, and the gbsv layouts of B
-            # (kl, ku) = (0, 1) and of B^T (1, 0): row 0 of the latter is
-            # gbsv's fill-in workspace
+            # B's diagonal and superdiagonal, and the gbtrf factors of B
+            # (kl, ku) = (0, 1) and of B^T (1, 0); row 0 of the latter's
+            # layout is gbtrf's fill-in workspace
             self._exp = np.exp(theta[:d])
             self._sup = theta[d:]
-            self._ab_upper = np.zeros((2, d))
-            self._ab_upper[0, 1:] = self._sup
-            self._ab_upper[1] = self._exp
-            self._ab_lower = np.zeros((3, d))
-            self._ab_lower[1] = self._exp
-            self._ab_lower[2, : d - 1] = self._sup
+            ab_upper = np.zeros((2, d))
+            ab_upper[0, 1:] = self._sup
+            ab_upper[1] = self._exp
+            ab_lower = np.zeros((3, d))
+            ab_lower[1] = self._exp
+            ab_lower[2, : d - 1] = self._sup
+            self._upper = _band_factor(self._gbtrf, 0, 1, ab_upper)
+            self._lower = _band_factor(self._gbtrf, 1, 0, ab_lower)
 
     def _check_vec(self, w):
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise ValueError(f"vector has shape {w.shape}, expected ({self.dim},)")
+        if w.shape != (self.dim,) and (w.ndim != 2 or w.shape[1] != self.dim):
+            raise ValueError(f"vector has shape {w.shape}, expected ({self.dim},) "
+                             f"or (k, {self.dim})")
         return w
 
     # -- linear maps ----------------------------------------------------
@@ -118,8 +144,8 @@ class Preconditioner:
         if self.kind == "diagonal":
             return self._exp * w
         if self.kind == "dense":
-            return self._C @ w
-        return _band_solve(self._gbsv, 0, 1, self._ab_upper, w)
+            return self._C @ w if w.ndim == 1 else _rows_matvec(self._C, w)
+        return _band_solve(self._gbtrs, self._upper, w)
 
     def rmatvec(self, w):
         """C^T w."""
@@ -127,8 +153,8 @@ class Preconditioner:
         if self.kind == "diagonal":
             return self._exp * w
         if self.kind == "dense":
-            return self._C.T @ w
-        return _band_solve(self._gbsv, 1, 0, self._ab_lower, w)
+            return self._C.T @ w if w.ndim == 1 else _rows_matvec(self._C.T, w)
+        return _band_solve(self._gbtrs, self._lower, w)
 
     def solve(self, w):
         """C^{-1} w."""
@@ -136,12 +162,10 @@ class Preconditioner:
         if self.kind == "diagonal":
             return self._exp_neg * w
         if self.kind == "dense":
-            from scipy.linalg import solve_triangular
-
-            return solve_triangular(self._C, w, lower=True)
+            return self._triangular_solve(w, "N")
         # C^{-1} = B: multiply by the bidiagonal matrix directly
         out = self._exp * w
-        out[:-1] += self._sup * w[1:]
+        out[..., :-1] += self._sup * w[..., 1:]
         return out
 
     def solve_t(self, w):
@@ -150,12 +174,18 @@ class Preconditioner:
         if self.kind == "diagonal":
             return self._exp_neg * w
         if self.kind == "dense":
-            from scipy.linalg import solve_triangular
-
-            return solve_triangular(self._C, w, lower=True, trans="T")
+            return self._triangular_solve(w, "T")
         out = self._exp * w
-        out[1:] += self._sup * w[:-1]
+        out[..., 1:] += self._sup * w[..., :-1]
         return out
+
+    def _triangular_solve(self, w, trans):
+        from scipy.linalg import solve_triangular
+
+        if w.ndim == 1:
+            return solve_triangular(self._C, w, lower=True, trans=trans)
+        return np.stack([solve_triangular(self._C, row, lower=True, trans=trans)
+                         for row in w])
 
     def logdet(self):
         """log |det C|; finite for every parameter vector."""
@@ -163,9 +193,9 @@ class Preconditioner:
         return -s if self.kind == "banded" else s
 
     def dense(self):
-        """Materialize C as a dense matrix (small d only)."""
-        eye = np.eye(self.dim)
-        return np.column_stack([self.matvec(eye[:, j]) for j in range(self.dim)])
+        """Materialize C as a dense matrix (small d only): row j of the
+        block map of the identity is C e_j, column j of C."""
+        return np.ascontiguousarray(self.matvec(np.eye(self.dim)).T)
 
     # -- parameter gradients --------------------------------------------
 
@@ -174,30 +204,36 @@ class Preconditioner:
 
         Respects the exp reparameterization of diagonal entries; for the
         banded kind uses d(u^T B^{-1} w)/dB = -(B^{-T} u)(B^{-1} w)^T
-        restricted to the band.
+        restricted to the band.  For (k, d) blocks u and w, ``out`` is
+        (k, n_params) and ``scale`` a number or one number per row.
         """
         u = self._check_vec(u)
         w = self._check_vec(w)
         d = self.dim
+        if np.ndim(scale) == 1:
+            scale = scale[:, None]
         if self.kind == "diagonal":
             out += scale * (u * w * self._exp)
             return
         if self.kind == "dense":
-            out[:d] += scale * (u * w * self._exp)
-            out[d:] += scale * (u[self._rows] * w[self._cols])
+            out[..., :d] += scale * (u * w * self._exp)
+            # np.take gives the bits of fancy indexing, at half its cost on a block
+            out[..., d:] += scale * (np.take(u, self._rows, axis=-1)
+                                     * np.take(w, self._cols, axis=-1))
             return
         a = self.rmatvec(u)  # B^{-T} u
         b = self.matvec(w)  # B^{-1} w
-        out[:d] += scale * (-a * b * self._exp)
-        out[d:] += scale * (-a[: d - 1] * b[1:])
+        out[..., :d] += scale * (-a * b * self._exp)
+        out[..., d:] += scale * (-a[..., : d - 1] * b[..., 1:])
 
     def accumulate_logdet_grad(self, out, scale=1.0):
-        """Add scale * d(log|det C|)/d(theta) into ``out``."""
+        """Add scale * d(log|det C|)/d(theta) into ``out`` (into every row of
+        a (k, n_params) block)."""
         d = self.dim
         if self.kind == "banded":
-            out[:d] -= scale
+            out[..., :d] -= scale
         else:
-            out[:d] += scale
+            out[..., :d] += scale
 
 
 def make_preconditioner(kind, dim, init_scale=1.0):

@@ -1,5 +1,5 @@
-"""Chain driver: single HMC transitions, the multi-chain adaptive step,
-run orchestration (adapt, freeze, sample) and checkpointing.
+"""Chain driver: HMC transitions, the multi-chain adaptive step, run
+orchestration (adapt, freeze, sample) and checkpointing.
 
 Every chain owns three RNG substreams (velocity, acceptance uniform,
 roulette) spawned from one master seed, so switching the objective on or
@@ -8,6 +8,14 @@ adaptation state happen once per step after all chains have moved, which
 makes single-machine runs bit-reproducible.  A chain carries the gradient
 and potential at its position, so each transition evaluates the target
 only along the new trajectory.
+
+The adaptive step moves its k chains in lockstep: one hmc_transition call
+on the list of chains integrates them as one (k, d) block, and the
+objective gradients are assembled on the block, with every row getting
+the bits of its one-chain computation.  Target calls stay one per chain
+on a (d,) array, and the roulette pass stays one per chain, each followed
+by that chain's H C y product, so a target that memoises per position
+sees one midpoint at a time.  Sampling moves each chain on its own.
 """
 
 import json
@@ -87,6 +95,39 @@ def make_chains(model, n_chains, seed, init=None, init_scale=1.0):
     return chains
 
 
+def _start_point(chain, model):
+    # (gradient, potential) at chain.q from chain.start, or (None, None)
+    # after making chain.q a private read-only copy, so the values stored
+    # for it later cannot go stale in place
+    if chain.start is None or chain.start[0] is not chain.q or chain.start[1] is not model:
+        chain.q = np.array(chain.q, dtype=float)
+        chain.q.flags.writeable = False
+        chain.start = (chain.q, model, None, None)
+    return chain.start[2], chain.start[3]
+
+
+def _settle(chain, model, traj, fresh_start):
+    # accept or reject one chain's trajectory (None when integration
+    # failed), update its counters and start point; returns the
+    # acceptance probability
+    if traj is not None and fresh_start:
+        chain.start = (chain.q, model, traj.grads[0].copy(), traj.u0)
+    delta = np.inf if traj is None else traj.delta
+    divergent = not np.isfinite(delta) or delta > DIVERGENCE_DELTA
+    a = 0.0 if divergent else traj.accept_prob
+    u = chain.rng_accept.uniform()
+    chain.transition_count += 1
+    chain.last_delta = delta
+    if divergent:
+        chain.divergence_count += 1
+    elif u <= a:
+        chain.q = traj.q[traj.L].copy()
+        chain.q.flags.writeable = False
+        chain.start = (chain.q, model, traj.grads[traj.L].copy(), traj.u_end)
+        chain.accept_count += 1
+    return a
+
+
 def hmc_transition(chain, precond, model, h, L):
     """One Metropolis-adjusted leapfrog proposal.
 
@@ -98,42 +139,37 @@ def hmc_transition(chain, precond, model, h, L):
     belongs to chain.q and model; an accept replaces them with the
     endpoint's.  After the call chain.q is a read-only array: move a chain
     by assigning a new array to chain.q, not by writing into it.
+
+    Returns (chain, trajectory or None on integration failure, acceptance
+    probability).  Given a list of chains, moves them in lockstep as one
+    (k, d) block, with per-chain draws, target calls and outcomes equal to
+    k separate calls, and returns (chains, block trajectory, list of
+    acceptance probabilities).
     """
-    v = chain.rng_velocity.standard_normal(model.dim)
-    if chain.start is None or chain.start[0] is not chain.q or chain.start[1] is not model:
-        # a private read-only copy, so the values cannot go stale in place
-        chain.q = np.array(chain.q, dtype=float)
-        chain.q.flags.writeable = False
-        chain.start = (chain.q, model, None, None)
-    _, _, g0, u0 = chain.start
-    traj = None
-    try:
-        traj = trajectory_reparam(chain.q, v, h, L, precond, model, g0, u0)
-        delta = traj.delta
-    except DivergenceError:
-        delta = np.inf
-    if traj is not None and g0 is None:
-        chain.start = (chain.q, model, traj.grads[0].copy(), traj.u0)
-    divergent = not np.isfinite(delta) or delta > DIVERGENCE_DELTA
-    a = 0.0 if divergent else traj.accept_prob
-    u = chain.rng_accept.uniform()
-    chain.transition_count += 1
-    chain.last_delta = delta
-    if divergent:
-        chain.divergence_count += 1
-    elif u <= a:
-        chain.q = traj.q[L].copy()
-        chain.q.flags.writeable = False
-        chain.start = (chain.q, model, traj.grads[L].copy(), traj.u_end)
-        chain.accept_count += 1
-    return chain, traj, a
+    if isinstance(chain, ChainState):
+        v = chain.rng_velocity.standard_normal(model.dim)
+        g0, u0 = _start_point(chain, model)
+        try:
+            traj = trajectory_reparam(chain.q, v, h, L, precond, model, g0, u0)
+        except DivergenceError:
+            traj = None
+        return chain, traj, _settle(chain, model, traj, g0 is None)
+    chains = chain
+    v = np.stack([c.rng_velocity.standard_normal(model.dim) for c in chains])
+    starts = [_start_point(c, model) for c in chains]
+    traj = trajectory_reparam(np.stack([c.q for c in chains]), v, h, L, precond, model,
+                              [g0 for g0, _ in starts], [u0 for _, u0 in starts])
+    a_vals = [_settle(c, model, traj.row(i) if traj.live[i] else None, g0 is None)
+              for i, (c, (g0, _)) in enumerate(zip(chains, starts))]
+    return chains, traj, a_vals
 
 
 def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
     """Advance every chain once, then apply one shared parameter update.
 
-    GSM runs one roulette pass per chain and updates theta, beta, gamma;
-    ESJD and L2HMC update theta (and lambda) only; "none" disables all
+    The chains move in lockstep as one block (see hmc_transition).  GSM
+    runs one roulette pass per chain and updates theta, beta, gamma; ESJD
+    and L2HMC update theta (and lambda) only; "none" disables all
     adaptation.  Chains whose trajectory failed outright are left out of
     the averages; if no chain produced a usable gradient the parameters
     stay untouched for this step.
@@ -142,51 +178,53 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
         raise ValueError(f"unknown objective {objective!r}")
     precond = state.precond
     cfg = state.config
-    trajs = []
-    a_vals = []
-    step_divergences = 0
-    for chain in chains:
-        before = chain.divergence_count
-        _, traj, a = hmc_transition(chain, precond, model, h, L)
-        step_divergences += chain.divergence_count - before
-        trajs.append(traj)
-        a_vals.append(a)
+    before = sum(c.divergence_count for c in chains)
+    _, traj, a_vals = hmc_transition(chains, precond, model, h, L)
     mean_a = float(np.mean(a_vals))
-    stats = {"accept": mean_a, "divergences": step_divergences,
+    stats = {"accept": mean_a,
+             "divergences": sum(c.divergence_count for c in chains) - before,
              "mu": np.nan, "pen": np.nan}
-    live = [(c, t) for c, t in zip(chains, trajs) if t is not None]
-    grads, pens, mus = [], [], []
+    live = np.flatnonzero(traj.live)
+    traj = traj.rows(live)
+    grads = np.zeros((0, precond.theta.size))
+    pens, mus = [], []
     if objective == "gsm":
-        for chain, traj in live:
-            dl = MidpointOperator(traj.midpoint, precond, model, h, L)
+        kept, draws, h_cy = [], [], []
+        for j, i in enumerate(live):
+            dl = MidpointOperator(traj.midpoint[j], precond, model, h, L)
             try:
-                draw = roulette_pass(dl, model.dim, chain.rng_roulette,
+                draw = roulette_pass(dl, model.dim, chains[i].rng_roulette,
                                      cfg.delta_prime, cfg.n_min)
-                grads.append(gsm_gradient(traj, draw, state, precond, model))
+                # H C y right after the pass's own products at this midpoint
+                h_cy.append(dl.product(draw.y) if L > 1 else None)
             except FloatingPointError:
                 state.skip_count += 1
                 continue
+            kept.append(j)
+            draws.append(draw)
             pens.append(penalty_h(abs(draw.mu), cfg.penalty_delta, cfg.penalty_delta2))
             mus.append(abs(draw.mu))
-    elif objective == "esjd":
-        grads = [esjd_gradient(traj, precond) for _, traj in live]
-    elif objective == "l2hmc":
-        jumps = [jump_value(traj) for _, traj in live]
+        if kept:
+            grads = gsm_gradient(traj.rows(kept), draws, state, precond, model, h_cy)
+    elif objective == "esjd" and live.size:
+        grads = esjd_gradient(traj, precond)
+    elif objective == "l2hmc" and live.size:
+        jumps = jump_value(traj)
         fresh_lambda = state.lambda_ma is None
-        if fresh_lambda and jumps:
+        if fresh_lambda:
             update_lambda(state, float(np.mean(jumps)))
-        grads = [l2hmc_gradient(traj, state, precond) for _, traj in live]
-    finite = [g for g in grads if np.isfinite(g).all()]
-    state.skip_count += len(grads) - len(finite)
-    if finite:
-        adam_update(state, np.mean(finite, axis=0))
+        grads = l2hmc_gradient(traj, state, precond)
+    finite = np.isfinite(grads).all(axis=1)
+    state.skip_count += int(finite.size - finite.sum())
+    if finite.any():
+        adam_update(state, np.mean(grads[finite], axis=0))
     if objective == "gsm":
         update_beta(state, mean_a)
         if pens:
             stats["pen"] = float(np.mean(pens))
             stats["mu"] = float(np.mean(mus))
             update_gamma(state, stats["pen"])
-    elif objective == "l2hmc" and jumps and not fresh_lambda:
+    elif objective == "l2hmc" and live.size and not fresh_lambda:
         update_lambda(state, float(np.mean(jumps)))
     if record is not None:
         record.update(stats)

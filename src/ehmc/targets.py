@@ -406,7 +406,10 @@ def sv_target(returns):
 
     def grad(q):
         h, mu, a, b = unpack(q)
-        z = float(_sigmoid(np.asarray(a)))
+        # numpy scalars: once phi rounds to +-1, 1 - phi^2 is 0 and the
+        # gradient turns non-finite (a divergence the sampler rejects)
+        # instead of raising ZeroDivisionError
+        z = _sigmoid(np.asarray(a))[()]
         phi = 2.0 * z - 1.0
         sb = float(_sigmoid(np.asarray(b)))
         sigma = float(_log1pexp(b))
@@ -422,8 +425,9 @@ def sv_target(returns):
         g[1:T] += r / s2
         g[: T - 1] += -phi * r / s2
         # phi chain (through h1 prior and transitions), then to a
-        du_dphi = phi / one_m_phi2 - phi * h[0] ** 2 / s2 - float(np.sum(r * h[:-1])) / s2
-        g[T + 1] += du_dphi * 2.0 * z * (1.0 - z) - 20.0 * (1.0 - z) + 1.5 * z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            du_dphi = phi / one_m_phi2 - phi * h[0] ** 2 / s2 - float(np.sum(r * h[:-1])) / s2
+            g[T + 1] += du_dphi * 2.0 * z * (1.0 - z) - 20.0 * (1.0 - z) + 1.5 * z
         # sigma chain, then to b
         du_dsigma = (
             1.0 / sigma

@@ -292,3 +292,109 @@ def l2hmc_loss(traj, state):
 def l2hmc_surrogate_loss(traj, state, precond, model):
     """L2HMC loss re-evaluated at an arbitrary parameter point."""
     return _l2hmc(_surrogate_jump(traj, precond, model), state)
+
+
+def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=None):
+    """The adaptive step one chain at a time: each chain's own transition,
+    roulette pass and gradient, then the shared update.  The package moves
+    the chains in lockstep as one block; this is the reference it must
+    match bit for bit.  Like the package, it looks its functions up as
+    ``sampler`` globals."""
+    from ehmc import sampler
+
+    precond = state.precond
+    cfg = state.config
+    trajs = []
+    a_vals = []
+    step_divergences = 0
+    for chain in chains:
+        before = chain.divergence_count
+        _, traj, a = sampler.hmc_transition(chain, precond, model, h, L)
+        step_divergences += chain.divergence_count - before
+        trajs.append(traj)
+        a_vals.append(a)
+    mean_a = float(np.mean(a_vals))
+    stats = {"accept": mean_a, "divergences": step_divergences,
+             "mu": np.nan, "pen": np.nan}
+    live = [(c, t) for c, t in zip(chains, trajs) if t is not None]
+    grads, pens, mus = [], [], []
+    if objective == "gsm":
+        for chain, traj in live:
+            dl = sampler.MidpointOperator(traj.midpoint, precond, model, h, L)
+            try:
+                draw = sampler.roulette_pass(dl, model.dim, chain.rng_roulette,
+                                             cfg.delta_prime, cfg.n_min)
+                grads.append(sampler.gsm_gradient(traj, draw, state, precond, model))
+            except FloatingPointError:
+                state.skip_count += 1
+                continue
+            pens.append(sampler.penalty_h(abs(draw.mu), cfg.penalty_delta, cfg.penalty_delta2))
+            mus.append(abs(draw.mu))
+    elif objective == "esjd":
+        grads = [sampler.esjd_gradient(traj, precond) for _, traj in live]
+    elif objective == "l2hmc":
+        jumps = [sampler.jump_value(traj) for _, traj in live]
+        fresh_lambda = state.lambda_ma is None
+        if fresh_lambda and jumps:
+            sampler.update_lambda(state, float(np.mean(jumps)))
+        grads = [sampler.l2hmc_gradient(traj, state, precond) for _, traj in live]
+    finite = [g for g in grads if np.isfinite(g).all()]
+    state.skip_count += len(grads) - len(finite)
+    if finite:
+        sampler.adam_update(state, np.mean(finite, axis=0))
+    if objective == "gsm":
+        sampler.update_beta(state, mean_a)
+        if pens:
+            stats["pen"] = float(np.mean(pens))
+            stats["mu"] = float(np.mean(mus))
+            sampler.update_gamma(state, stats["pen"])
+    elif objective == "l2hmc" and jumps and not fresh_lambda:
+        sampler.update_lambda(state, float(np.mean(jumps)))
+    if record is not None:
+        record.update(stats)
+    return chains, state
+
+
+def logged_model(base):
+    """The same target with every grad, potential and hvp evaluation point
+    logged (as bytes of the position), and each input checked to be one
+    (d,) vector."""
+    from ehmc.targets import TargetModel
+
+    log = {"grad": [], "potential": [], "hvp": []}
+
+    def logged(name, fn):
+        def wrapper(q, *rest):
+            q = np.asarray(q)
+            if q.shape != (base.dim,) or any(np.shape(w) != (base.dim,) for w in rest):
+                raise AssertionError(f"{name} called on shape {q.shape}")
+            log[name].append(q.tobytes())
+            return fn(q, *rest)
+        return wrapper
+
+    model = TargetModel(dim=base.dim, potential=logged("potential", base.potential),
+                        grad=logged("grad", base.grad), hvp=logged("hvp", base.hvp),
+                        precision=base.precision)
+    return model, log
+
+
+def hazard_model():
+    """A 3-d Gaussian whose gradient is non-finite past a cliff, and whose
+    Hessian-vector product is non-finite on one side of a plane and for
+    long vectors w.  Chains diverge mid-trajectory, roulette passes fail
+    now and then, and so does the gradient's H C y (y, the alternating
+    series, is the longest vector the roulette step applies H to)."""
+    from ehmc.targets import TargetModel, gaussian_target
+
+    base = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))
+
+    def grad(q):
+        return np.full(3, np.nan) if np.max(np.abs(q)) > 2.2 else base.grad(q)
+
+    def hvp(q, w):
+        if q[0] > 0.9 or np.max(np.abs(w)) > 8.0:
+            return np.full(3, np.inf)
+        return base.hvp(q, w)
+
+    return TargetModel(dim=3, potential=base.potential, grad=grad, hvp=hvp,
+                       precision=base.precision)

@@ -1,0 +1,109 @@
+"""What the benchmark's hooks (benchmarks/tracing.py, worker.py) rely on.
+
+The hooks replace ``sampler`` globals and a model's ``grad``, ``hvp`` and
+``potential`` with counting wrappers, so the package must keep calling
+them the way the hooks count: a change to the calling pattern fails here,
+not as a wrong figure in the benchmark.
+"""
+
+import numpy as np
+import pytest
+
+from ehmc import sampler
+from ehmc.objective import make_adapt_state
+from ehmc.precond import make_preconditioner
+from ehmc.sampler import ChainState, SamplerSettings, make_chains, run_experiment
+from ehmc.targets import gaussian_target
+
+from _oracles import adaptive_step_per_chain, hazard_model, logged_model
+
+ADAPT, SAMPLE, CHAINS = 5, 7, 3
+
+
+def settings(model, objective="gsm"):
+    return SamplerSettings(model=model, kind="dense", h=0.3, L=4, objective=objective,
+                           adapt_steps=ADAPT, sample_steps=SAMPLE, chains=CHAINS, seed=4)
+
+
+def test_transition_calls(monkeypatch):
+    # sampling: one hmc_transition call per chain per step, chains in turn
+    # (the probe times a sampling step as `chains` consecutive calls);
+    # adaptation: one call with the whole list per step, which the probe
+    # leaves out of the sampling phase
+    calls, in_adapt = [], []
+    real_transition, real_step = sampler.hmc_transition, sampler.adaptive_step
+
+    def transition(chain, *args):
+        calls.append((bool(in_adapt), chain))
+        return real_transition(chain, *args)
+
+    def step(*args, **kwargs):
+        in_adapt.append(1)
+        try:
+            return real_step(*args, **kwargs)
+        finally:
+            in_adapt.pop()
+
+    monkeypatch.setattr(sampler, "hmc_transition", transition)
+    monkeypatch.setattr(sampler, "adaptive_step", step)
+    report = run_experiment(settings(gaussian_target(covariance=np.array([1.0, 2.0]))))
+    chains = report.extras["chains"]
+    adapt = [c for inside, c in calls if inside]
+    sample = [c for inside, c in calls if not inside]
+    assert len(adapt) == ADAPT and all(c == chains for c in adapt)
+    assert len(sample) == SAMPLE * CHAINS
+    assert all(isinstance(c, ChainState) for c in sample)
+    assert sample == chains * SAMPLE
+
+
+def test_first_transition_precedes_every_target_call(monkeypatch):
+    # the benchmark's set-up mode stops a run at its first hmc_transition
+    # call, so no target evaluation may come before it
+    model, log = logged_model(gaussian_target(covariance=np.array([1.0, 2.0])))
+
+    class FirstTransition(Exception):
+        pass
+
+    def stop(*args):
+        raise FirstTransition
+
+    monkeypatch.setattr(sampler, "hmc_transition", stop)
+    with pytest.raises(FirstTransition):
+        run_experiment(settings(model))
+    assert not any(log.values())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("objective", ["gsm", "esjd", "l2hmc"])
+def test_target_calls_are_per_chain_vectors(objective, monkeypatch):
+    # every grad, potential and hvp call gets one (d,) vector, and an
+    # adaptation step makes as many of each as the one-chain-at-a-time step,
+    # also when chains diverge and roulette passes fail; a GSM step runs one
+    # roulette pass per live chain, with integer truncation and clamp counts
+    passes = []
+    real_pass = sampler.roulette_pass
+
+    def roulette(*args, **kwargs):
+        passes[-1] += 1
+        draw = real_pass(*args, **kwargs)
+        assert type(draw.n_terms) is int and type(draw.clamp_count) is int
+        return draw
+
+    monkeypatch.setattr(sampler, "roulette_pass", roulette)
+    sides = []
+    for step_fn in (sampler.adaptive_step, adaptive_step_per_chain):
+        model, log = logged_model(hazard_model())
+        state = make_adapt_state(make_preconditioner("diagonal", 3))
+        chains = make_chains(model, 4, seed=5)
+        counts = []
+        for _ in range(14):
+            before = {name: len(calls) for name, calls in log.items()}
+            passes.append(0)
+            step_fn(chains, state, model, 0.45, 5, objective, {})
+            counts.append(({name: len(calls) - before[name] for name, calls in log.items()},
+                           passes[-1]))
+        sides.append(counts)
+        # the logged model raises on any call that is not one (d,) vector
+    assert sides[0] == sides[1]
+    runs = [n for _, n in sides[0]]
+    assert sum(runs) > 0 if objective == "gsm" else sum(runs) == 0

@@ -7,15 +7,17 @@ from ehmc.integrator import (
     DivergenceError,
     energy_error,
     final_velocity,
+    row_dot,
     trajectory_reparam,
 )
-from ehmc.precond import Preconditioner, make_preconditioner, n_params
+from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.targets import TargetModel, gaussian_target, logistic_target, simulate_logistic_data
 
 from _oracles import (
     ds_recursion,
     flat_model,
     leapfrog_direct,
+    logged_model,
     residual_jacobian_fd,
     surrogate_endpoint,
 )
@@ -261,3 +263,85 @@ def test_invalid_step_arguments():
         leapfrog_direct(np.zeros(1), np.zeros(1), 0.0, 5, p, m)
     with pytest.raises(ValueError):
         trajectory_reparam(np.zeros(1), np.zeros(1), 0.1, 0, p, m)
+
+
+# ------------------------------------------------------- lockstep blocks
+
+
+def assert_row_equals(block, i, traj):
+    row = block.row(i)
+    for name in ("q", "grads", "v", "xi"):
+        assert np.array_equal(getattr(row, name), getattr(traj, name))
+    assert row.delta == traj.delta and row.u0 == traj.u0 and row.u_end == traj.u_end
+    assert row.accept_prob == traj.accept_prob
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("L", [1, 2, 7])
+def test_block_trajectory_equals_rows(kind, L):
+    rng = np.random.default_rng(60 + L)
+    d, k = 5, 4
+    m = gaussian_target(covariance=np.exp(rng.normal(0, 0.5, d)))
+    p = Preconditioner(kind, d, rng.normal(0, 0.3, n_params(kind, d)))
+    Q0 = rng.standard_normal((k, d))
+    V = rng.standard_normal((k, d))
+    block = trajectory_reparam(Q0, V, 0.3, L, p, m)
+    assert block.q.shape == (L + 1, k, d) and block.live.all()
+    rows = [trajectory_reparam(Q0[i], V[i], 0.3, L, p, m) for i in range(k)]
+    for i, traj in enumerate(rows):
+        assert_row_equals(block, i, traj)
+    assert np.array_equal(block.accept_prob, [t.accept_prob for t in rows])
+    # start-point values given for some rows are used, not evaluated again
+    g0 = [rows[0].grads[0], None, rows[2].grads[0], None]
+    u0 = [rows[0].u0, None, rows[2].u0, None]
+    logged, log = logged_model(m)
+    again = trajectory_reparam(Q0, V, 0.3, L, p, logged, g0, u0)
+    for i, traj in enumerate(rows):
+        assert_row_equals(again, i, traj)
+    assert len(log["grad"]) == 2 + k * L and len(log["potential"]) == 2 + k
+
+
+def test_block_divergent_row_stops():
+    # a row whose gradient turns non-finite makes no further target call
+    # and no potential call; the other rows finish as they would alone
+    d = 2
+
+    def cliff_grad(q):
+        return np.full(d, np.nan) if np.max(np.abs(q)) > 1.5 else q
+
+    base = TargetModel(dim=d, potential=lambda q: 0.5 * float(q @ q), grad=cliff_grad,
+                       hvp=lambda q, w: w)
+    p = make_preconditioner("diagonal", d)
+    Q0 = np.array([[0.1, 0.2], [1.4, 0.0], [-0.3, 0.1], [2.0, 0.0]])
+    V = np.array([[0.3, -0.2], [8.0, 0.0], [0.1, 0.4], [0.0, 0.0]])
+    h, L = 0.5, 5
+    block_model, block_log = logged_model(base)
+    block = trajectory_reparam(Q0, V, h, L, p, block_model)
+    assert block.live.tolist() == [True, False, True, False]
+    row_model, row_log = logged_model(base)
+    failed_at = {}
+    for i in range(4):
+        try:
+            traj = trajectory_reparam(Q0[i], V[i], h, L, p, row_model)
+        except DivergenceError as err:
+            failed_at[i] = err.step
+            assert not block.live[i] and block.delta[i] == np.inf
+            assert block.u0[i] is None and block.u_end[i] is None
+            continue
+        assert_row_equals(block, i, traj)
+    # row 3 starts past the cliff, row 1 crosses it mid-trajectory
+    assert failed_at[3] == 0 and 1 <= failed_at[1] < L
+    # the same evaluation points, not only as many: nothing after a failure
+    for name in ("grad", "potential"):
+        assert sorted(block_log[name]) == sorted(row_log[name])
+
+
+@pytest.mark.parametrize("d", [3, 21, 51, 100])
+def test_row_dot_equals_per_row_dot(d):
+    # (x * y).sum(1) and norm(axis=1) round differently from the per-row dot
+    rng = np.random.default_rng(d)
+    for k in (1, 4, 8):
+        X = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+        Y = rng.standard_normal((k, d))
+        assert np.array_equal(row_dot(X, Y), [x @ y for x, y in zip(X, Y)])
+        assert np.array_equal(row_dot(X, X), [x @ x for x in X])

@@ -247,3 +247,54 @@ def test_factor_follows_theta_writes(kind, tmp_path):
     _, loaded, _, _ = load_checkpoint(path)
     assert np.array_equal(loaded.precond.theta, p.theta)
     assert_maps_equal_fresh(loaded.precond, rng)
+
+
+# ------------------------------------------------------ (k, d) blocks
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [1, 2, 7, 51, 64])
+def test_block_maps_equal_rows(kind, dim):
+    # every map of a (k, d) block gives each row the bits of the (d,) call
+    rng = np.random.default_rng(400 + dim)
+    for k in (1, 3, 8):
+        p = random_precond(kind, dim, rng, scale=0.5)
+        W = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+        for name in ("matvec", "rmatvec", "solve", "solve_t"):
+            block = getattr(p, name)(W)
+            assert block.shape == (k, dim) and block.flags.c_contiguous
+            assert np.array_equal(block, np.stack([getattr(p, name)(w) for w in W]))
+        U = rng.standard_normal((k, dim))
+        for scale in (0.7, rng.normal(size=k)):
+            got = rng.standard_normal((k, p.theta.size))
+            want = got.copy()
+            p.accumulate_bilinear_grad(U, W, got, scale)
+            for i in range(k):
+                p.accumulate_bilinear_grad(U[i], W[i], want[i], np.broadcast_to(scale, k)[i])
+            assert np.array_equal(got, want)
+        got = rng.standard_normal((k, p.theta.size))
+        want = got.copy()
+        p.accumulate_logdet_grad(got, -0.3)
+        for i in range(k):
+            p.accumulate_logdet_grad(want[i], -0.3)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_shape_errors(kind):
+    p = make_preconditioner(kind, 4)
+    for bad in (np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros((4, 1))):
+        with pytest.raises(ValueError):
+            p.matvec(bad)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dense_equals_column_build(kind):
+    # one block map of the identity gives the bits of the column-by-column build
+    rng = np.random.default_rng(19)
+    for dim in (1, 2, 6, 51):
+        p = random_precond(kind, dim, rng, scale=0.5)
+        eye = np.eye(dim)
+        C = p.dense()
+        assert C.flags.c_contiguous
+        assert np.array_equal(C, np.column_stack([p.matvec(eye[:, j]) for j in range(dim)]))

@@ -471,6 +471,23 @@ def test_divergences_counted_and_finite_report():
     assert np.isfinite(report.acceptance_rate)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("objective", ["gsm", "none"])
+def test_sv_run_through_phi_at_one_completes(objective):
+    # step-size adaptation drives a chain to where phi rounds to 1; the
+    # non-finite gradient there is rejected and counted, the run goes on
+    from ehmc.targets import simulate_sv_data, sv_target
+
+    settings = SamplerSettings(model=sv_target(simulate_sv_data(12, seed=3)),
+                               kind="diagonal", h=0.05, L=4, objective=objective,
+                               adapt_steps=25, sample_steps=20, chains=2, seed=9,
+                               step_size_adapt=True)
+    report = run_experiment(settings)
+    assert report.divergences == sum(c.divergence_count for c in report.extras["chains"])
+    assert report.divergences > 0
+    assert np.all(np.isfinite(report.draws))
+
+
 def test_finite_but_huge_delta_is_divergence():
     # delta above the threshold counts as divergent even when finite
     m = gaussian_target(precision=np.array([1.0]))

@@ -237,6 +237,15 @@ def test_sv_model():
     check_hvp_symmetry(m, rng, tol=1e-4)
 
 
+def test_sv_grad_nonfinite_when_phi_rounds_to_one():
+    # at a = 40, phi = 2 sigmoid(a) - 1 rounds to 1 and 1 - phi^2 to 0: the
+    # gradient is non-finite (a divergence for the sampler), not an error
+    m = sv_target(simulate_sv_data(12, seed=1))
+    q = np.zeros(m.dim)
+    q[13] = 40.0
+    assert not np.isfinite(m.grad(q)).all()
+
+
 def test_sv_determinism_and_validation():
     a = simulate_sv_data(20, seed=7)
     b = simulate_sv_data(20, seed=7)
