@@ -2,10 +2,14 @@
 
 Trajectories are integrated in velocity coordinates u = C^T p so the banded
 preconditioner never needs a solve on the hot path.  All gradient
-evaluations along the trajectory are cached; the adaptation objective
-reuses them as frozen constants.  A caller that already holds the
-gradient and potential at the start point passes them in, so a transition
-costs L gradients and one potential.
+evaluations along the trajectory are kept; the adaptation objective reuses
+them as frozen constants, and the accumulator xi it also reads is computed
+from them on first read, so a sampling transition never builds it.  A
+caller that already holds the gradient and potential at the start point
+passes them in, so a transition costs L gradients and one potential.  A
+one-chain gradient is checked for finiteness through its sum, which is
+non-finite whenever an entry is; only a non-finite sum gets the entrywise
+test, so DivergenceError reports the same step as an entrywise check.
 
 A trajectory runs one chain on (d,) arrays or k chains in lockstep on a
 (k, d) block, with a chain axis after the step axis: q and grads are then
@@ -15,8 +19,7 @@ one-chain trajectory, while the target is still called once per row on a
 makes no further target call, is marked in ``live`` and gets delta = +inf.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
 
 import numpy as np
 
@@ -34,34 +37,34 @@ class DivergenceError(RuntimeError):
         self.positions = positions
 
 
-@dataclass
 class Trajectory:
     """One L-step leapfrog trajectory with cached gradients, or a block of k.
 
     q has shape (L+1, d) with q[0] the starting position; grads[i] is the
     potential gradient at q[i]; xi is the gradient accumulator
-    sum_{i=1}^{L-1} (L-i) grads[i]; delta is the energy error of the
-    proposal (+inf when a potential evaluation was non-finite); u0 and
-    u_end are the potentials at q[0] and q[L] once evaluated.  A block
-    has q and grads of shape (L+1, k, d), v and xi (k, d), delta (k,), u0
-    and u_end lists of k entries, and ``live`` (k,), False for rows whose
-    integration failed; ``live`` is None for one chain.
+    sum_{i=1}^{L-1} (L-i) grads[i], given or, when None, computed from
+    grads on first read; delta is the energy error of the proposal (+inf
+    when a potential evaluation was non-finite); u0 and u_end are the
+    potentials at q[0] and q[L] once evaluated.  A block has q and grads
+    of shape (L+1, k, d), v and xi (k, d), delta (k,), u0 and u_end lists
+    of k entries, and ``live`` (k,), False for rows whose integration
+    failed; ``live`` is None for one chain.
     """
 
-    q: np.ndarray
-    grads: np.ndarray
-    v: np.ndarray
-    xi: np.ndarray
-    h: float
-    L: int
-    delta: float = field(default=np.nan)
-    u0: Optional[float] = None
-    u_end: Optional[float] = None
-    live: Optional[np.ndarray] = None
+    def __init__(self, q, grads, v, xi, h, L, delta=np.nan, u0=None, u_end=None,
+                 live=None):
+        self.q, self.grads, self.v, self.h, self.L = q, grads, v, h, L
+        self._xi = xi
+        self.delta, self.u0, self.u_end, self.live = delta, u0, u_end, live
 
     @property
-    def q_mid_index(self):
-        return self.L // 2
+    def xi(self):
+        if self._xi is None:
+            xi = np.zeros_like(self.v)
+            for i in range(1, self.L):
+                xi += (self.L - i) * self.grads[i]
+            self._xi = xi
+        return self._xi
 
     @property
     def midpoint(self):
@@ -113,19 +116,27 @@ def row_dot(x, y):
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _checked_grad(model, q, step):
-    # q is the (L+1, d) position array; the prefix is copied only on failure
+def _checked_grad(model, q, grads, step, live=None, given=None):
+    # one chain: the gradient at q[step] into grads[step], unless given.
+    # q is the (L+1, d) position array; its prefix is copied only on
+    # failure.  A NaN or infinite entry makes the sum non-finite, so a
+    # finite sum clears the gradient with one reduction; only a non-finite
+    # sum (such an entry, or finite entries that overflow) needs the
+    # entrywise test
+    if given is not None:
+        grads[step] = given
+        return
     g = model.grad(q[step])
-    if not np.isfinite(g).all():
+    if not math.isfinite(g.sum()) and not np.isfinite(g).all():
         raise DivergenceError(step, q[: step + 1].copy())
-    return g
+    grads[step] = g
 
 
 def _row_grads(model, q, grads, step, live, given=None):
-    # one model.grad call per live row of block step `step` (none for rows
-    # whose gradient is given); a row whose gradient is non-finite leaves
-    # `live` and keeps a zero gradient, so the lockstep arithmetic on it
-    # stays finite
+    # a block: one model.grad call per live row of step `step` (none for
+    # rows whose gradient is given); a row whose gradient is non-finite
+    # leaves `live` and keeps a zero gradient, so the lockstep arithmetic
+    # on it stays finite
     for i in range(live.size):
         if live[i]:
             g = None if given is None else given[i]
@@ -140,10 +151,12 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     """Full trajectory from velocity v, with p0 = C^{-T} v.
 
     Integrates velocity Verlet for kinetic energy 0.5 p^T C C^T p in
-    u = C^T p coordinates (u0 = v), caching every gradient and the xi
-    accumulator so the endpoint identity and the adaptation objective can
-    be evaluated without re-running the model.  g0 and u0, when given, are
-    the gradient and potential at q0, which are then not evaluated again.
+    u = C^T p coordinates (u0 = v), keeping every gradient so the endpoint
+    identity and the adaptation objective can be evaluated without
+    re-running the model; the xi accumulator the objectives read is
+    computed from those gradients on first read.  g0 and u0, when given,
+    are the gradient and potential at q0, which are then not evaluated
+    again.
 
     q0 and v are (d,) for one chain, where a non-finite gradient raises
     DivergenceError, or (k, d) for k chains in lockstep, where g0 and u0
@@ -157,28 +170,18 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     q = np.empty((L + 1,) + q0.shape)
     q[0] = q0
     if q0.ndim == 1:
-        live = None
-        grads = np.empty_like(q)
-        grads[0] = _checked_grad(model, q, 0) if g0 is None else g0
+        live, fill, grads = None, _checked_grad, np.empty_like(q)
     else:
-        live = np.ones(len(q0), dtype=bool)
-        grads = np.zeros_like(q)
-        _row_grads(model, q, grads, 0, live, g0)
+        live, fill, grads = np.ones(len(q0), dtype=bool), _row_grads, np.zeros_like(q)
+        u0 = list(u0) if u0 is not None else [None] * len(live)
+    fill(model, q, grads, 0, live, g0)
     u = v - 0.5 * h * precond.rmatvec(grads[0])
     for step in range(1, L + 1):
         q[step] = q[step - 1] + h * precond.matvec(u)
-        if live is None:
-            grads[step] = _checked_grad(model, q, step)
-        else:
-            _row_grads(model, q, grads, step, live)
+        fill(model, q, grads, step, live)
         if step < L:
             u = u - h * precond.rmatvec(grads[step])
-    xi = np.zeros_like(v)
-    for i in range(1, L):
-        xi += (L - i) * grads[i]
-    if live is not None:
-        u0 = list(u0) if u0 is not None else [None] * len(live)
-    traj = Trajectory(q=q, grads=grads, v=v.copy(), xi=xi, h=h, L=L, u0=u0, live=live)
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), xi=None, h=h, L=L, u0=u0, live=live)
     traj.delta = energy_error(traj, precond, model)
     return traj
 

@@ -15,7 +15,10 @@ mapped through exp, which keeps C C^T positive definite for every theta.
 The factor is built once per write of ``theta`` (the constructor and
 ``adam_update`` are the writers), and ``theta`` is stored as a read-only
 copy, so the built factor cannot go stale; the maps only apply it.  The
-gradient helpers accumulate into caller-owned arrays.
+write also binds the kind's C w and C^T w for one (d,) vector, and a
+float64 (d,) ndarray goes to them with no conversion and no dispatch on
+the kind: the sampling leapfrog makes 2L + 2 such calls per transition.
+The gradient helpers accumulate into caller-owned arrays.
 
 Every map and ``accumulate_bilinear_grad`` also take a (k, d) block of k
 vectors, one per row, and give each row the same bits as the (d,) call:
@@ -25,9 +28,12 @@ sides, and the dense triangular solves stay one call per row, because a
 multi-right-hand-side ``trsm`` rounds differently.
 """
 
+from functools import partial
+
 import numpy as np
 
 KINDS = ("diagonal", "dense", "banded")
+_FLOAT64 = np.dtype(np.float64)
 
 
 def n_params(kind, dim):
@@ -81,6 +87,7 @@ class Preconditioner:
             raise ValueError("dim must be a positive integer")
         self.kind = kind
         self.dim = dim
+        self._vec_shape = (dim,)
         if kind == "dense":
             self._rows, self._cols = np.tril_indices(dim, k=-1)
         elif kind == "banded":
@@ -108,12 +115,15 @@ class Preconditioner:
         if self.kind == "diagonal":
             self._exp = np.exp(theta)
             self._exp_neg = np.exp(-theta)
+            self._matvec = self._rmatvec = partial(np.multiply, self._exp)
         elif self.kind == "dense":
             self._exp = np.exp(theta[:d])
             C = np.zeros((d, d))
             C[np.diag_indices(d)] = self._exp
             C[self._rows, self._cols] = theta[d:]
             self._C = C
+            self._matvec = partial(np.matmul, C)
+            self._rmatvec = partial(np.matmul, C.T)
         else:
             # B's diagonal and superdiagonal, and the gbtrf factors of B
             # (kl, ku) = (0, 1) and of B^T (1, 0); row 0 of the latter's
@@ -128,8 +138,13 @@ class Preconditioner:
             ab_lower[2, : d - 1] = self._sup
             self._upper = _band_factor(self._gbtrf, 0, 1, ab_upper)
             self._lower = _band_factor(self._gbtrf, 1, 0, ab_lower)
+            self._matvec = partial(_band_solve, self._gbtrs, self._upper)
+            self._rmatvec = partial(_band_solve, self._gbtrs, self._lower)
 
     def _check_vec(self, w):
+        # a float64 (d,) ndarray is what asarray would return unchanged
+        if type(w) is np.ndarray and w.shape == self._vec_shape and w.dtype is _FLOAT64:
+            return w
         w = np.asarray(w, dtype=float)
         if w.shape != (self.dim,) and (w.ndim != 2 or w.shape[1] != self.dim):
             raise ValueError(f"vector has shape {w.shape}, expected ({self.dim},) "
@@ -141,20 +156,16 @@ class Preconditioner:
     def matvec(self, w):
         """C w.  For the banded kind this solves B x = w by back-substitution."""
         w = self._check_vec(w)
-        if self.kind == "diagonal":
-            return self._exp * w
-        if self.kind == "dense":
-            return self._C @ w if w.ndim == 1 else _rows_matvec(self._C, w)
-        return _band_solve(self._gbtrs, self._upper, w)
+        if w.ndim == 2 and self.kind == "dense":
+            return _rows_matvec(self._C, w)
+        return self._matvec(w)
 
     def rmatvec(self, w):
         """C^T w."""
         w = self._check_vec(w)
-        if self.kind == "diagonal":
-            return self._exp * w
-        if self.kind == "dense":
-            return self._C.T @ w if w.ndim == 1 else _rows_matvec(self._C.T, w)
-        return _band_solve(self._gbtrs, self._lower, w)
+        if w.ndim == 2 and self.kind == "dense":
+            return _rows_matvec(self._C.T, w)
+        return self._rmatvec(w)
 
     def solve(self, w):
         """C^{-1} w."""

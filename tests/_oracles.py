@@ -11,7 +11,7 @@ package's analytic gradients.
 import numpy as np
 
 from ehmc.entropy import dl_coeff, penalty_h
-from ehmc.integrator import trajectory_reparam
+from ehmc.integrator import DivergenceError, Trajectory, energy_error, trajectory_reparam
 from ehmc.objective import jump_value, surrogate_velocity
 from ehmc.precond import Preconditioner
 from ehmc.targets import TargetModel
@@ -77,6 +77,82 @@ def dense_lower_factor(precond):
         C[i, :i] = precond.theta[k : k + i]
         k += i
     return C
+
+
+class TextbookFactor:
+    """C w and C^T w on (d,) vectors, built from a preconditioner's theta
+    alone: exp of the diagonal, the dense C filled row by row, scipy's
+    ``solve_banded`` with B for the banded kind.  Every input is converted
+    with ``np.asarray`` and shape-checked, as the package's maps did before
+    they bound a per-theta implementation."""
+
+    def __init__(self, precond):
+        from scipy.linalg import solve_banded
+
+        self.dim = d = precond.dim
+        if precond.kind == "diagonal":
+            e = np.exp(precond.theta)
+            self._matvec = self._rmatvec = lambda w: e * w
+        elif precond.kind == "dense":
+            C = dense_lower_factor(precond)
+            self._matvec, self._rmatvec = (lambda w: C @ w), (lambda w: C.T @ w)
+        else:
+            B = banded_upper_bidiagonal(precond)
+            ab_upper = np.zeros((2, d))
+            ab_upper[0, 1:] = np.diag(B, 1)
+            ab_upper[1] = np.diag(B)
+            ab_lower = np.zeros((2, d))
+            ab_lower[0] = np.diag(B)
+            ab_lower[1, : d - 1] = np.diag(B, 1)
+            self._matvec = lambda w: solve_banded((0, 1), ab_upper, w)
+            self._rmatvec = lambda w: solve_banded((1, 0), ab_lower, w)
+
+    def _check(self, w):
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.dim,):
+            raise ValueError(f"vector has shape {w.shape}, expected ({self.dim},)")
+        return w
+
+    def matvec(self, w):
+        return self._matvec(self._check(w))
+
+    def rmatvec(self, w):
+        return self._rmatvec(self._check(w))
+
+
+def trajectory_one_chain(q0, v, h, L, precond, model, g0=None, u0=None):
+    """The one-chain leapfrog as the package ran it before xi was computed
+    on first read: textbook factor maps with checked inputs, every
+    gradient tested entrywise with ``np.isfinite``, xi built up front.
+    The package's (d,) path must match it bit for bit, also in the step
+    and positions of a DivergenceError.  The energy error is the shared
+    ``integrator.energy_error``, applied with the same textbook maps."""
+    maps = TextbookFactor(precond)
+    q0 = np.asarray(q0, dtype=float)
+    v = np.asarray(v, dtype=float)
+    q = np.empty((L + 1,) + q0.shape)
+    q[0] = q0
+    grads = np.empty_like(q)
+
+    def checked_grad(step):
+        g = model.grad(q[step])
+        if not np.isfinite(g).all():
+            raise DivergenceError(step, q[: step + 1].copy())
+        return g
+
+    grads[0] = checked_grad(0) if g0 is None else g0
+    u = v - 0.5 * h * maps.rmatvec(grads[0])
+    for step in range(1, L + 1):
+        q[step] = q[step - 1] + h * maps.matvec(u)
+        grads[step] = checked_grad(step)
+        if step < L:
+            u = u - h * maps.rmatvec(grads[step])
+    xi = np.zeros_like(v)
+    for i in range(1, L):
+        xi += (L - i) * grads[i]
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), xi=xi, h=h, L=L, u0=u0)
+    traj.delta = energy_error(traj, maps, model)
+    return traj
 
 
 def mala_log_accept(q, q_new, v, h, C, grad, potential):

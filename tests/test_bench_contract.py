@@ -6,12 +6,14 @@ them the way the hooks count: a change to the calling pattern fails here,
 not as a wrong figure in the benchmark.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from ehmc import sampler
+from ehmc import integrator, sampler
 from ehmc.objective import make_adapt_state
-from ehmc.precond import make_preconditioner
+from ehmc.precond import Preconditioner, make_preconditioner
 from ehmc.sampler import ChainState, SamplerSettings, make_chains, run_experiment
 from ehmc.targets import gaussian_target
 
@@ -107,3 +109,38 @@ def test_target_calls_are_per_chain_vectors(objective, monkeypatch):
     assert sides[0] == sides[1]
     runs = [n for _, n in sides[0]]
     assert sum(runs) > 0 if objective == "gsm" else sum(runs) == 0
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "banded"])
+@pytest.mark.parametrize("L", [1, 4])
+def test_sampling_transition_calls(kind, L, monkeypatch):
+    # the tracer wraps Preconditioner.matvec/rmatvec on the class, so every
+    # factor map of a sampling transition must go through those attributes:
+    # 2L + 2 of them (C^T g_0, L leapfrog pairs less one, two for the final
+    # velocity), with L gradients, one potential and no xi once the start
+    # point is cached
+    maps = []
+    for attr in ("matvec", "rmatvec"):
+        real = getattr(Preconditioner, attr)
+
+        def counted(self, w, real=real):
+            maps.append(1)
+            return real(self, w)
+
+        monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
+    xi_reads = []
+    real_xi = integrator.Trajectory.xi
+    monkeypatch.setattr(integrator.Trajectory, "xi",
+                        property(lambda traj: xi_reads.append(1) or real_xi.fget(traj)))
+    model, log = logged_model(gaussian_target(covariance=np.array([1.0, 2.0, 0.5])))
+    precond = make_preconditioner(kind, 3, 0.8)
+    chain = make_chains(model, 1, seed=2)[0]
+    sampler.hmc_transition(chain, precond, model, 0.3, L)
+    for _ in range(3):
+        del maps[:]
+        before = {name: len(calls) for name, calls in log.items()}
+        _, traj, _ = sampler.hmc_transition(chain, precond, model, 0.3, L)
+        assert len(maps) == 2 * L + 2
+        assert len(log["grad"]) - before["grad"] == L
+        assert len(log["potential"]) - before["potential"] == 1
+        assert not xi_reads and traj._xi is None

@@ -116,7 +116,6 @@ def test_trajectory_caches():
         assert np.allclose(traj.grads[i], m.grad(traj.q[i]))
     xi = sum((7 - i) * traj.grads[i] for i in range(1, 7))
     assert np.allclose(traj.xi, xi)
-    assert traj.q_mid_index == 3
     assert np.allclose(traj.midpoint, traj.q[3])
 
 
