@@ -59,11 +59,10 @@ class RunConfig:
     lambda_rate: float = AdaptConfig.lambda_rate
     sweep_L: tuple = ()
 
-    def effective_steps(self, L=None):
+    def effective_steps(self):
         """(adapt, sample) step counts after applying any gradient budget."""
-        L = self.L if L is None else L
-        adapt = self.adapt_budget // L if self.adapt_budget > 0 else self.adapt_steps
-        sample = self.sample_budget // L if self.sample_budget > 0 else self.sample_steps
+        adapt = self.adapt_budget // self.L if self.adapt_budget > 0 else self.adapt_steps
+        sample = self.sample_budget // self.L if self.sample_budget > 0 else self.sample_steps
         return adapt, sample
 
 
@@ -230,6 +229,7 @@ def parse_config(file=None, overrides=None, target_overrides=None):
 def _validate(config):
     try:
         check_run_fields(config)
+        _adapt_config(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if config.precond not in KINDS:
@@ -238,14 +238,6 @@ def _validate(config):
     for fieldname in ("adapt_budget", "sample_budget"):
         if getattr(config, fieldname) < 0:
             raise ConfigError(f"{fieldname}: must be nonnegative")
-    if not 0 < config.alpha_star < 1:
-        raise ConfigError(f"alpha_star: must lie in (0, 1), got {config.alpha_star}")
-    if not 0 < config.delta_prime < 1:
-        raise ConfigError(f"delta_prime: must lie in (0, 1), got {config.delta_prime}")
-    if config.penalty_delta <= 0:
-        raise ConfigError(f"penalty_delta: must be positive, got {config.penalty_delta}")
-    if config.n_min < 1:
-        raise ConfigError(f"n_min: must be at least 1, got {config.n_min}")
     if any(l < 1 for l in config.sweep_L):
         raise ConfigError("sweep.l_values: entries must be positive integers")
     _check_writable(config.out)
@@ -296,16 +288,20 @@ def build_model(config):
     raise ConfigError(f"target: unknown preset {name!r}")
 
 
-def to_settings(config, model=None, L=None):
-    """Map a RunConfig onto SamplerSettings for one run."""
-    if model is None:
-        model = build_model(config)
-    L = config.L if L is None else L
-    adapt_steps, sample_steps = config.effective_steps(L)
-    adapt_cfg = replace(default_adapt_config(config.precond), **{
+def _adapt_config(config):
+    # the per-kind defaults, overridden by each [adapt] value the config
+    # sets; AdaptConfig range-checks the result
+    return replace(default_adapt_config(config.precond), **{
         name: getattr(config, name) for section, _, name, _ in _FIELDS
         if section == "adapt" and getattr(config, name) is not None
     })
+
+
+def to_settings(config, model=None):
+    """Map a RunConfig onto SamplerSettings for one run."""
+    if model is None:
+        model = build_model(config)
+    adapt_steps, sample_steps = config.effective_steps()
     init = None
     if config.target == "cox":
         init = np.full(model.dim, model.extras["mu"])
@@ -313,7 +309,7 @@ def to_settings(config, model=None, L=None):
         model=model,
         kind=config.precond,
         h=config.h,
-        L=L,
+        L=config.L,
         objective=config.objective,
         adapt_steps=adapt_steps,
         sample_steps=sample_steps,
@@ -322,7 +318,7 @@ def to_settings(config, model=None, L=None):
         thin=config.thin,
         init=init,
         init_scale=config.init_scale,
-        adapt_config=adapt_cfg,
+        adapt_config=_adapt_config(config),
     )
 
 
@@ -350,9 +346,8 @@ SUMMARY_COLUMNS = (
 )
 
 
-def summary_row(report, config, L=None):
-    L = config.L if L is None else L
-    adapt_steps, sample_steps = config.effective_steps(L)
+def summary_row(report, config):
+    adapt_steps, sample_steps = config.effective_steps()
     vals = {
         "version": __version__,
         "seed": config.seed,
@@ -360,7 +355,7 @@ def summary_row(report, config, L=None):
         "objective": config.objective,
         "precond": config.precond,
         "h": config.h,
-        "L": L,
+        "L": config.L,
         "adapt_steps": adapt_steps,
         "sample_steps": sample_steps,
         "chains": config.chains,
@@ -505,9 +500,10 @@ def main(argv=None):
             rows = []
             last = None
             for L in config.sweep_L:
-                report = run_experiment(to_settings(config, model, L=L))
-                rows.append(summary_row(report, config, L=L))
-                emit_report(report, os.path.join(config.out, f"L{L}"), config)
+                one = replace(config, L=L, sweep_L=())
+                report = run_experiment(to_settings(one, model))
+                rows.append(summary_row(report, one))
+                emit_report(report, os.path.join(config.out, f"L{L}"), one)
                 last = report
             emit_report(last, config.out, config, sweep_rows=rows)
         else:

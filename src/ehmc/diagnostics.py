@@ -105,10 +105,6 @@ class RunReport:
     degenerate_dims: np.ndarray = None
     extras: dict = field(default_factory=dict)
 
-    @property
-    def has_draws(self):
-        return self.draws.size > 0 and self.draws.shape[1] >= 8
-
 
 def build_report(draws, acceptance_rate, divergences, mu_trace, wall_seconds,
                  cond_number=None, extras=None):

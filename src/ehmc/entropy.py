@@ -165,14 +165,13 @@ def roulette_logdet_estimate(draw):
     return float(np.sum(signs / (k * draw.survival) * draw.eps_eta))
 
 
-def penalty_h(x, delta=PENALTY_DELTA, delta2=None):
+def penalty_h(x, delta=PENALTY_DELTA):
     """Hinge-like eigenvalue penalty: zero up to delta, quadratic on
-    (delta, delta2], linear beyond.  Continuous with continuous slope at
-    delta (slope 0) and a slope match at delta2."""
-    if delta2 is None:
-        delta2 = 1.0 + delta
+    (delta, delta2], linear beyond, with delta2 = 1 + delta.  Continuous
+    with continuous slope at delta (slope 0) and a slope match at delta2."""
+    delta2 = 1.0 + delta
     if not 0 < delta < delta2:
-        raise ValueError("need 0 < delta < delta2")
+        raise ValueError(f"delta: must be finite and positive, got {delta}")
     if x <= delta:
         return 0.0
     if x <= delta2:
@@ -181,12 +180,11 @@ def penalty_h(x, delta=PENALTY_DELTA, delta2=None):
     return w * w + w * w * (x - delta2)
 
 
-def penalty_h_grad(x, delta=PENALTY_DELTA, delta2=None):
+def penalty_h_grad(x, delta=PENALTY_DELTA):
     """Derivative of penalty_h away from the kink points."""
-    if delta2 is None:
-        delta2 = 1.0 + delta
+    delta2 = 1.0 + delta
     if not 0 < delta < delta2:
-        raise ValueError("need 0 < delta < delta2")
+        raise ValueError(f"delta: must be finite and positive, got {delta}")
     if x <= delta:
         return 0.0
     if x <= delta2:

@@ -31,27 +31,48 @@ from .entropy import (
 BETA_BOUNDS = (1e-2, 1e2)
 GAMMA_BOUNDS = (1e3, 1e5)
 ALPHA_STAR = 0.67
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+L2HMC_FLOOR = 1e-8
+# former AdaptConfig fields, now the constants above, as older checkpoints
+# store them; each with the only value such a checkpoint may hold
+RETIRED = {"beta_bounds": BETA_BOUNDS, "gamma_bounds": GAMMA_BOUNDS,
+           "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
+           "penalty_delta2": None, "l2hmc_floor": L2HMC_FLOOR}
 
 
 @dataclass
 class AdaptConfig:
-    """Learning rates and controller constants for one adaptation run."""
+    """Learning rates and controller constants for one adaptation run: the
+    [adapt] settings, range-checked on construction; each ValueError
+    message starts with the field it names."""
 
     rho_theta: float = 1e-2
     rho_beta: float = 0.02
     rho_gamma: float = 1e2
     alpha_star: float = ALPHA_STAR
-    beta_bounds: tuple = BETA_BOUNDS
-    gamma_bounds: tuple = GAMMA_BOUNDS
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     penalty_delta: float = PENALTY_DELTA
-    penalty_delta2: Optional[float] = None
     delta_prime: float = DELTA_PRIME
     n_min: int = N_MIN
     lambda_rate: float = 0.05
-    l2hmc_floor: float = 1e-8
+
+    def __post_init__(self):
+        # rates of 0 freeze their part of the adaptation
+        for name in ("rho_theta", "rho_beta", "rho_gamma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name}: must be finite and nonnegative, "
+                                 f"got {getattr(self, name)}")
+        for name in ("alpha_star", "delta_prime"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name}: must lie in (0, 1), got {getattr(self, name)}")
+        if not 0 < self.penalty_delta < np.inf:
+            raise ValueError(f"penalty_delta: must be finite and positive, "
+                             f"got {self.penalty_delta}")
+        if self.n_min < 1:
+            raise ValueError(f"n_min: must be at least 1, got {self.n_min}")
+        if not 0 < self.lambda_rate <= 1:
+            raise ValueError(f"lambda_rate: must lie in (0, 1], got {self.lambda_rate}")
 
 
 def default_adapt_config(kind):
@@ -81,10 +102,10 @@ class AdaptState:
             self.adam_m = np.zeros(n)
         if self.adam_v is None:
             self.adam_v = np.zeros(n)
-        lo, hi = self.config.beta_bounds
+        lo, hi = BETA_BOUNDS
         if not lo <= self.beta <= hi:
             raise ValueError("beta outside its projection interval")
-        lo, hi = self.config.gamma_bounds
+        lo, hi = GAMMA_BOUNDS
         if not lo <= self.gamma <= hi:
             raise ValueError("gamma outside its projection interval")
 
@@ -154,7 +175,6 @@ def gsm_gradient(traj, draw, state, precond, model, h_cy=None):
     row and the result is (k, n_params); a caller that already applied H C
     y to each row passes the products as h_cy, and no hvp call is made.
     """
-    cfg = state.config
     blk = traj.as_block()
     draws = draw if blk is traj else [draw]
     out = np.zeros((len(draws), precond.theta.size))
@@ -179,7 +199,7 @@ def gsm_gradient(traj, draw, state, precond, model, h_cy=None):
                           for dr in draws])
         coeff = np.zeros(len(draws))
         for i, mu in enumerate(c * row_dot(precond.matvec(b), hvp_b)):
-            slope = penalty_h_grad(abs(mu), cfg.penalty_delta, cfg.penalty_delta2)
+            slope = penalty_h_grad(abs(mu), state.config.penalty_delta)
             if slope != 0.0 and mu != 0.0:
                 coeff[i] = state.beta * state.gamma * slope * np.sign(mu) * c * 2.0
         _on_rows(coeff != 0.0, out, lambda index, rows: precond.accumulate_bilinear_grad(
@@ -230,17 +250,16 @@ def esjd_gradient(traj, precond):
 
 
 def l2hmc_gradient(traj, state, precond):
-    """Gradient of the L2HMC loss -(J / lambda - lambda / max(J, floor)),
+    """Gradient of the L2HMC loss -(J / lambda - lambda / max(J, L2HMC_FLOOR)),
     with lambda the moving average of J (J itself before the first one);
     one row per chain for a block."""
-    floor = state.config.l2hmc_floor
     blk = traj.as_block()
     jumps = jump_value(blk)
     dloss_dj = np.empty(jumps.size)
     for i, j in enumerate(jumps):
-        lam = state.lambda_ma if state.lambda_ma is not None else max(j, floor)
+        lam = state.lambda_ma if state.lambda_ma is not None else max(j, L2HMC_FLOOR)
         dloss_dj[i] = -1.0 / lam
-        if j > floor:
+        if j > L2HMC_FLOOR:
             dloss_dj[i] -= lam / (j * j)
     out = np.zeros((jumps.size, precond.theta.size))
     _jump_grad(blk, precond, out, dloss_dj)
@@ -257,15 +276,14 @@ def adam_update(state, grad):
     if not np.isfinite(grad).all():
         state.skip_count += 1
         return state
-    cfg = state.config
     state.step += 1
     t = state.step
-    state.adam_m = cfg.adam_beta1 * state.adam_m + (1 - cfg.adam_beta1) * grad
-    state.adam_v = cfg.adam_beta2 * state.adam_v + (1 - cfg.adam_beta2) * grad * grad
-    m_hat = state.adam_m / (1 - cfg.adam_beta1**t)
-    v_hat = state.adam_v / (1 - cfg.adam_beta2**t)
-    state.precond.theta = state.precond.theta - cfg.rho_theta * m_hat / (
-        np.sqrt(v_hat) + cfg.adam_eps
+    state.adam_m = ADAM_BETA1 * state.adam_m + (1 - ADAM_BETA1) * grad
+    state.adam_v = ADAM_BETA2 * state.adam_v + (1 - ADAM_BETA2) * grad * grad
+    m_hat = state.adam_m / (1 - ADAM_BETA1**t)
+    v_hat = state.adam_v / (1 - ADAM_BETA2**t)
+    state.precond.theta = state.precond.theta - state.config.rho_theta * m_hat / (
+        np.sqrt(v_hat) + ADAM_EPS
     )
     return state
 
@@ -273,7 +291,7 @@ def adam_update(state, grad):
 def update_beta(state, accept_prob):
     """Multiplicative drift of beta toward the target acceptance rate."""
     cfg = state.config
-    lo, hi = cfg.beta_bounds
+    lo, hi = BETA_BOUNDS
     state.beta = float(
         np.clip(state.beta * (1.0 + cfg.rho_beta * (accept_prob - cfg.alpha_star)), lo, hi)
     )
@@ -282,9 +300,8 @@ def update_beta(state, accept_prob):
 
 def update_gamma(state, pen):
     """Additive penalty-driven push of gamma, projected to its interval."""
-    cfg = state.config
-    lo, hi = cfg.gamma_bounds
-    state.gamma = float(np.clip(state.gamma + cfg.rho_gamma * pen, lo, hi))
+    lo, hi = GAMMA_BOUNDS
+    state.gamma = float(np.clip(state.gamma + state.config.rho_gamma * pen, lo, hi))
     return state
 
 
@@ -296,6 +313,6 @@ def update_lambda(state, jump_value):
     else:
         r = state.config.lambda_rate
         state.lambda_ma = float((1.0 - r) * state.lambda_ma + r * jump_value)
-    if state.lambda_ma < state.config.l2hmc_floor:
-        state.lambda_ma = state.config.l2hmc_floor
+    if state.lambda_ma < L2HMC_FLOOR:
+        state.lambda_ma = L2HMC_FLOOR
     return state

@@ -29,6 +29,7 @@ from .precond import Preconditioner, make_preconditioner
 from .integrator import trajectory_reparam, DivergenceError
 from .entropy import MidpointOperator, roulette_pass, penalty_h
 from .objective import (
+    RETIRED,
     AdaptConfig,
     AdaptState,
     adam_update,
@@ -202,7 +203,7 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
                 continue
             kept.append(j)
             draws.append(draw)
-            pens.append(penalty_h(abs(draw.mu), cfg.penalty_delta, cfg.penalty_delta2))
+            pens.append(penalty_h(abs(draw.mu), cfg.penalty_delta))
             mus.append(abs(draw.mu))
         if kept:
             grads = gsm_gradient(traj.rows(kept), draws, state, precond, model, h_cy)
@@ -239,9 +240,10 @@ class DualAveraging:
     exactly on target_rate leaves the step size at its initial value.
     """
 
-    def __init__(self, target_rate, h0=1.0, gamma=0.05, t0=10.0, kappa=0.75):
+    GAMMA, T0, KAPPA = 0.05, 10.0, 0.75
+
+    def __init__(self, target_rate, h0):
         self.target_rate = target_rate
-        self.gamma, self.t0, self.kappa = gamma, t0, kappa
         self.mu = np.log(h0)
         self.g_bar = 0.0
         self.log_h = self.mu
@@ -252,10 +254,10 @@ class DualAveraging:
         """Fold in one step's mean acceptance probability."""
         self.t += 1
         t = self.t
-        eta = 1.0 / (t + self.t0)
+        eta = 1.0 / (t + self.T0)
         self.g_bar = (1.0 - eta) * self.g_bar + eta * (self.target_rate - accept)
-        self.log_h = self.mu - np.sqrt(t) / self.gamma * self.g_bar
-        w = t ** (-self.kappa)
+        self.log_h = self.mu - np.sqrt(t) / self.GAMMA * self.g_bar
+        w = t ** (-self.KAPPA)
         self.log_h_bar = w * self.log_h + (1.0 - w) * self.log_h_bar
 
     def step_size(self, final=False):
@@ -279,9 +281,7 @@ class SamplerSettings:
     thin: int = 1
     init: Optional[np.ndarray] = None
     init_scale: float = 1.0
-    precond_init_scale: float = 1.0
     adapt_config: Optional[AdaptConfig] = None
-    precond: Optional[Preconditioner] = None
     step_size_adapt: bool = False
     target_accept: float = 0.65
 
@@ -291,13 +291,14 @@ class SamplerSettings:
 
 def check_run_fields(run):
     """Range checks of the run fields that SamplerSettings and the CLI's
-    RunConfig share (h, L, objective, step counts, chains, thin); each
-    ValueError message starts with the field it names."""
+    RunConfig share (h, L, objective, step counts, chains, thin,
+    init_scale); each ValueError message starts with the field it names."""
     if run.objective not in OBJECTIVES:
         raise ValueError(f"objective: must be one of {', '.join(OBJECTIVES)}, "
                          f"got {run.objective!r}")
-    if run.h <= 0:
-        raise ValueError(f"h: must be positive, got {run.h}")
+    for name in ("h", "init_scale"):
+        if not 0 < getattr(run, name) < np.inf:
+            raise ValueError(f"{name}: must be finite and positive, got {getattr(run, name)}")
     if run.L < 1:
         raise ValueError(f"L: must be a positive integer, got {run.L}")
     for name in ("adapt_steps", "sample_steps"):
@@ -323,11 +324,7 @@ def run_experiment(settings):
     settings.validate()
     t_start = time.perf_counter()
     model = settings.model
-    if settings.precond is not None:
-        precond = settings.precond
-    else:
-        precond = make_preconditioner(settings.kind, model.dim,
-                                      settings.precond_init_scale)
+    precond = make_preconditioner(settings.kind, model.dim)
     state = make_adapt_state(precond, settings.adapt_config)
     chains = make_chains(model, settings.chains, settings.seed,
                          settings.init, settings.init_scale)
@@ -443,8 +440,10 @@ def load_checkpoint(path):
         scalars = data["scalars"]
         config_d = json.loads(str(data["config_json"]))
         meta = json.loads(str(data["meta_json"]))
-    for key in ("beta_bounds", "gamma_bounds"):
-        config_d[key] = tuple(config_d[key])
+    for key, value in RETIRED.items():
+        old = config_d.pop(key, value)
+        if (tuple(old) if isinstance(old, list) else old) != value:
+            raise ValueError(f"{key}: checkpoint holds {old!r}, now fixed at {value!r}")
     config = AdaptConfig(**config_d)
     precond = Preconditioner(kind=kind, dim=dim, theta=theta)
     lam = None if np.isnan(scalars[3]) else float(scalars[3])

@@ -56,36 +56,27 @@ def _spd_inverse(cov):
     return 0.5 * (P + P.T)
 
 
-def _as_precision(prec, dim=None):
-    """Turn a precision argument (scalar, diagonal vector, dense SPD) into a dense matrix."""
+def _as_precision(prec):
+    """Turn a precision argument (diagonal vector, dense SPD) into a dense matrix."""
     prec = np.asarray(prec, dtype=float)
-    if prec.ndim == 0:
-        if dim is None:
-            raise ValueError("scalar precision needs an explicit dimension")
-        return float(prec) * np.eye(dim)
     if prec.ndim == 1:
         if np.any(prec <= 0):
             raise ValueError("diagonal precision entries must be positive")
         return np.diag(prec)
     if prec.ndim == 2 and prec.shape[0] == prec.shape[1]:
         return prec.copy()
-    raise ValueError("precision must be scalar, vector or square matrix")
+    raise ValueError("precision must be a vector or a square matrix")
 
 
-def gaussian_target(precision=None, covariance=None, cov_factor=None, mean=None, name="gaussian"):
+def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian"):
     """Gaussian with U(q) = 0.5 (q - mean)^T P (q - mean).
 
-    Exactly one of ``precision``, ``covariance`` or ``cov_factor`` (F with
-    covariance F F^T) must be given, as a vector (diagonal) or dense SPD
-    matrix.  The gradient is P (q - mean) and the Hessian-vector product
-    P w, independent of position.
+    Exactly one of ``precision`` or ``covariance`` must be given, as a
+    vector (diagonal) or dense SPD matrix.  The gradient is P (q - mean)
+    and the Hessian-vector product P w, independent of position.
     """
-    given = [s is not None for s in (precision, covariance, cov_factor)]
-    if sum(given) != 1:
-        raise ValueError("give exactly one of precision, covariance, cov_factor")
-    if cov_factor is not None:
-        F = np.atleast_2d(np.asarray(cov_factor, dtype=float))
-        covariance = F @ F.T
+    if (precision is None) == (covariance is None):
+        raise ValueError("give exactly one of precision, covariance")
     if covariance is not None:
         cov = np.asarray(covariance, dtype=float)
         if cov.ndim == 1:
@@ -165,8 +156,7 @@ def logistic_target(X, y, prior_cov=1.0):
     """Bayesian logistic regression posterior (negative log, unnormalized).
 
     U(q) = sum_i [ -y_i x_i^T q + log(1 + e^{x_i^T q}) ] + 0.5 q^T P0 q
-    with P0 the prior precision.  ``prior_cov`` may be a scalar, diagonal
-    vector or dense SPD covariance.
+    with P0 = I / prior_cov, for a scalar prior variance prior_cov.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -179,13 +169,9 @@ def logistic_target(X, y, prior_cov=1.0):
         raise ValueError("y length does not match X")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be 0 or 1")
-    cov = np.asarray(prior_cov, dtype=float)
-    if cov.ndim == 0:
-        P0 = np.eye(d) / float(cov)
-    elif cov.ndim == 1:
-        P0 = np.diag(1.0 / cov)
-    else:
-        P0 = _spd_inverse(cov)
+    if not 0 < prior_cov < np.inf:
+        raise ValueError(f"prior_cov: must be finite and positive, got {prior_cov}")
+    P0 = np.eye(d) / float(prior_cov)
 
     def potential(q):
         t = X @ q
@@ -276,12 +262,12 @@ def _is_float(s):
         return False
 
 
-def simulate_logistic_data(n, d, seed=0, coef_scale=1.5):
+def simulate_logistic_data(n, d, seed=0):
     """Synthetic logistic-regression data: standard-normal covariates and
-    labels from a random coefficient vector."""
+    labels from a random coefficient vector of scale 1.5 / sqrt(d)."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
-    beta = coef_scale * rng.standard_normal(d) / np.sqrt(d)
+    beta = 1.5 * rng.standard_normal(d) / np.sqrt(d)
     y = (rng.uniform(size=n) < _sigmoid(X @ beta)).astype(float)
     return X, y
 
@@ -290,28 +276,26 @@ def simulate_logistic_data(n, d, seed=0, coef_scale=1.5):
 
 COX_SIGMA2 = 1.91
 COX_BETA = 1.0 / 33.0
+COX_MU = float(np.log(126.0)) - COX_SIGMA2 / 2.0
 
 
-def cox_default_mu(sigma2=COX_SIGMA2):
-    return np.log(126.0) - sigma2 / 2.0
-
-
-def _cox_prior_cov(n, sigma2, beta):
+def _cox_prior_cov(n):
     idx = np.arange(n)
     ii, jj = np.meshgrid(idx, idx, indexing="ij")
     ii = ii.ravel()
     jj = jj.ravel()
     dist = np.sqrt((ii[:, None] - ii[None, :]) ** 2 + (jj[:, None] - jj[None, :]) ** 2)
-    return sigma2 * np.exp(-dist / (n * beta))
+    return COX_SIGMA2 * np.exp(-dist / (n * COX_BETA))
 
 
-def cox_target(n, y, mu=None, sigma2=COX_SIGMA2, beta=COX_BETA):
+def cox_target(n, y):
     """Log-Gaussian Cox process posterior on an n-by-n grid (d = n^2).
 
     Counts are Poisson with intensity per cell m exp(x_ij), m = n^{-2};
-    the latent field has mean mu and exponential-decay covariance
-    sigma2 * exp(-dist / (n beta)).  The prior precision is factored once;
-    the likelihood Hessian is diagonal with entries m exp(x_ij).
+    the latent field has mean COX_MU and exponential-decay covariance
+    COX_SIGMA2 * exp(-dist / (n COX_BETA)).  The prior precision is
+    factored once; the likelihood Hessian is diagonal with entries
+    m exp(x_ij).
     """
     d = n * n
     y = np.asarray(y, dtype=float).ravel()
@@ -319,15 +303,13 @@ def cox_target(n, y, mu=None, sigma2=COX_SIGMA2, beta=COX_BETA):
         raise ValueError(f"y must have n^2 = {d} entries")
     if np.any(y < 0) or np.any(y != np.round(y)):
         raise ValueError("counts must be nonnegative integers")
-    if mu is None:
-        mu = cox_default_mu(sigma2)
     m = 1.0 / d
-    cov = _cox_prior_cov(n, sigma2, beta)
+    cov = _cox_prior_cov(n)
     try:
         P = _spd_inverse(cov)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("Cox prior covariance is not positive definite") from exc
-    mu_vec = np.full(d, float(mu))
+    mu_vec = np.full(d, COX_MU)
 
     def potential(x):
         r = x - mu_vec
@@ -341,18 +323,16 @@ def cox_target(n, y, mu=None, sigma2=COX_SIGMA2, beta=COX_BETA):
 
     return TargetModel(d, potential, grad, hvp, name=f"cox(n={n})",
                        extras={"prior_precision": P, "prior_cov": cov,
-                               "mu": float(mu), "m": m})
+                               "mu": COX_MU, "m": m})
 
 
-def simulate_cox_data(n, mu=None, sigma2=COX_SIGMA2, beta=COX_BETA, seed=0):
+def simulate_cox_data(n, seed=0):
     """Draw a latent field from the Cox prior and counts from the Poisson likelihood."""
-    if mu is None:
-        mu = cox_default_mu(sigma2)
     d = n * n
     rng = np.random.default_rng(seed)
-    cov = _cox_prior_cov(n, sigma2, beta)
+    cov = _cox_prior_cov(n)
     L = np.linalg.cholesky(cov + 1e-12 * np.eye(d))
-    x = mu + L @ rng.standard_normal(d)
+    x = COX_MU + L @ rng.standard_normal(d)
     lam = np.exp(x) / d
     y = rng.poisson(lam)
     return x, y
@@ -445,8 +425,10 @@ def sv_target(returns):
     return model
 
 
-def simulate_sv_data(T, phi=0.98, sigma=0.15, mu=-1.0, seed=0):
-    """Simulate a return series from the stochastic volatility model."""
+def simulate_sv_data(T, seed=0):
+    """Simulate a return series from the stochastic volatility model with
+    persistence phi = 0.98, noise scale sigma = 0.15 and mean mu = -1."""
+    phi, sigma, mu = 0.98, 0.15, -1.0
     if T < 2:
         raise ValueError("need T >= 2")
     rng = np.random.default_rng(seed)

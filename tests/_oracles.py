@@ -12,7 +12,7 @@ import numpy as np
 
 from ehmc.entropy import dl_coeff, penalty_h
 from ehmc.integrator import DivergenceError, Trajectory, energy_error, trajectory_reparam
-from ehmc.objective import jump_value, surrogate_velocity
+from ehmc.objective import L2HMC_FLOOR, jump_value, surrogate_velocity
 from ehmc.precond import Preconditioner
 from ehmc.targets import TargetModel
 
@@ -319,7 +319,7 @@ def gsm_surrogate_loss(traj, draw, state, precond, model):
     logdet = d * np.log(traj.h) + precond.logdet()
     ent = _entropy_bilinear(traj, precond, model, draw.y, draw.epsilon)
     mu = _entropy_bilinear(traj, precond, model, draw.b, draw.b)
-    pen = penalty_h(abs(mu), state.config.penalty_delta, state.config.penalty_delta2)
+    pen = penalty_h(abs(mu), state.config.penalty_delta)
     loss = energy - state.beta * (logdet + ent - state.gamma * pen)
     parts = {
         "delta": delta,
@@ -333,9 +333,8 @@ def gsm_surrogate_loss(traj, draw, state, precond, model):
 
 
 def _l2hmc(j, state):
-    floor = state.config.l2hmc_floor
-    lam = state.lambda_ma if state.lambda_ma is not None else max(j, floor)
-    return -(j / lam - lam / max(j, floor))
+    lam = state.lambda_ma if state.lambda_ma is not None else max(j, L2HMC_FLOOR)
+    return -(j / lam - lam / max(j, L2HMC_FLOOR))
 
 
 def _surrogate_jump(traj, precond, model):
@@ -404,7 +403,7 @@ def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=
             except FloatingPointError:
                 state.skip_count += 1
                 continue
-            pens.append(sampler.penalty_h(abs(draw.mu), cfg.penalty_delta, cfg.penalty_delta2))
+            pens.append(sampler.penalty_h(abs(draw.mu), cfg.penalty_delta))
             mus.append(abs(draw.mu))
     elif objective == "esjd":
         grads = [sampler.esjd_gradient(traj, precond) for _, traj in live]

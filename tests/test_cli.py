@@ -1,5 +1,6 @@
 """Configuration parsing, preset registry, output emission, exit codes."""
 
+import argparse
 import importlib.util
 import os
 import re
@@ -7,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,10 @@ import pytest
 
 from ehmc import __version__
 from ehmc.cli import (
+    _FIELDS,
     ConfigError,
     PRESET_PARAMS,
+    _add_flags,
     _fmt,
     build_model,
     main,
@@ -23,7 +27,10 @@ from ehmc.cli import (
     render_config,
     to_settings,
 )
+from ehmc.objective import AdaptConfig
 from ehmc.precond import make_preconditioner
+from ehmc.sampler import SamplerSettings, run_experiment
+from ehmc.targets import gaussian_target
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -110,6 +117,40 @@ def test_invalid_numbers():
         parse_config(None, {"target": "gaussian_iso", "alpha_star": 1.5})
 
 
+# values that cannot run, each with the field it belongs to
+UNRUNNABLE = [
+    ("h", float("nan")), ("h", float("inf")), ("init_scale", -1.0),
+    ("init_scale", float("nan")), ("rho_theta", -1.0), ("rho_beta", float("nan")),
+    ("rho_gamma", -1.0), ("alpha_star", 1.5), ("penalty_delta", float("nan")),
+    ("delta_prime", 1.5), ("n_min", 0), ("lambda_rate", 5.0), ("lambda_rate", 0.0),
+]
+
+
+@pytest.mark.parametrize("name,value", UNRUNNABLE)
+def test_unrunnable_value_names_its_field(tmp_path, name, value):
+    with pytest.raises(ConfigError, match=f"^{name}:"):
+        parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path), name: value})
+    with pytest.raises(ValueError, match=f"^{name}:"):
+        if name in {f.name for f in fields(AdaptConfig)}:
+            AdaptConfig(**{name: value})
+        else:
+            run_experiment(SamplerSettings(model=gaussian_target(precision=np.ones(2)),
+                                           adapt_steps=1, sample_steps=0, chains=1,
+                                           **{name: value}))
+
+
+def test_every_adapt_setting_has_a_key_and_a_flag():
+    # an AdaptConfig field that no INI key or flag can set fails here
+    adapt = [(key, name) for section, key, name, _ in _FIELDS if section == "adapt"]
+    assert [f.name for f in fields(AdaptConfig)] == [name for _, name in adapt]
+    assert all(key == name for key, name in adapt)
+    parser = argparse.ArgumentParser()
+    _add_flags(parser)
+    flags = {opt for action in parser._actions for opt in action.option_strings}
+    for _, name in adapt:
+        assert "--" + name.replace("_", "-") in flags
+
+
 def test_non_numeric_value_in_file(tmp_path):
     path = write_config(tmp_path, f"[run]\ntarget = gaussian_iso\nh = fast\nout = {tmp_path}\n")
     with pytest.raises(ConfigError, match="run.h"):
@@ -137,7 +178,7 @@ def test_budget_mode_divides_by_l(tmp_path):
     cfg = parse_config(None, {"target": "gaussian_iso", "adapt_budget": 1000,
                               "sample_budget": 601, "L": 4, "out": str(tmp_path)})
     assert cfg.effective_steps() == (250, 150)
-    assert cfg.effective_steps(L=10) == (100, 60)
+    assert replace(cfg, L=10).effective_steps() == (100, 60)
     settings = to_settings(cfg)
     assert settings.adapt_steps == 250
     assert settings.sample_steps == 150
@@ -277,6 +318,26 @@ def test_main_sweep_mode(tmp_path):
     assert [ln.split(",")[l_col] for ln in lines[2:]] == ["1", "2", "3"]
     for L in (1, 2, 3):
         assert (out / f"L{L}" / "summary.csv").exists()
+
+
+def test_main_sweep_points_are_ordinary_runs(tmp_path):
+    def argv(out, *extra):
+        return ["--target", "gaussian_iso", "--param", "d=2", "--h", "0.3",
+                "--adapt-budget", "60", "--sample-budget", "120", "--chains", "2",
+                "--seed", "1", "--out", str(tmp_path / out), *extra]
+
+    assert main(argv("sweep", "--L", "3", "--sweep-L", "1,4")) == 0
+    sweep = parse_config(str(tmp_path / "sweep" / "config.echo"))
+    for L, steps in ((1, ["60", "120"]), (4, ["15", "30"])):
+        point = tmp_path / "sweep" / f"L{L}"
+        header, row = (point / "summary.csv").read_text().splitlines()[1:3]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert [cells["L"], cells["adapt_steps"], cells["sample_steps"]] == [str(L)] + steps
+        assert parse_config(str(point / "config.echo")) == replace(sweep, L=L, sweep_L=())
+        # the point draws what a plain run at that L draws
+        assert main(argv(f"plain{L}", "--L", str(L))) == 0
+        plain = (tmp_path / f"plain{L}" / "per_dim.csv").read_bytes()
+        assert (point / "per_dim.csv").read_bytes() == plain
 
 
 def test_main_objective_none_keeps_theta(tmp_path):

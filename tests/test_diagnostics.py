@@ -143,7 +143,6 @@ def test_build_report_sums_ess_across_chains():
     draws = rng.standard_normal((4, 5000, 2))
     report = build_report(draws, acceptance_rate=0.8, divergences=0,
                           mu_trace=np.array([]), wall_seconds=1.0)
-    assert report.has_draws
     # iid in each of 4 chains: summed ESS near 4 * 5000
     assert np.all(report.ess_per_dim > 0.9 * 20000)
     assert np.all(report.ess_per_dim < 1.1 * 20000)
@@ -166,7 +165,6 @@ def test_build_report_degenerate_dimension():
 def test_build_report_empty_phase():
     report = build_report(np.zeros((3, 0, 4)), acceptance_rate=0.7,
                           divergences=0, mu_trace=np.array([]), wall_seconds=0.2)
-    assert not report.has_draws
     assert np.all(np.isnan(report.ess_per_dim))
     assert np.isnan(report.min_ess)
     assert np.isnan(report.max_rhat)

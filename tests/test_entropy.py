@@ -200,38 +200,36 @@ def test_clamp_inactive_for_contractive():
 
 
 def test_penalty_examples():
-    assert penalty_h(0.5, 0.75, 1.75) == 0.0
-    assert np.isclose(penalty_h(1.0, 0.75, 1.75), 0.0625)
-    assert np.isclose(penalty_h(2.0, 0.75, 1.75), 1.25)
-
-
-def test_penalty_defaults():
-    # delta2 defaults to 1 + delta
-    assert penalty_h(2.0) == penalty_h(2.0, 0.75, 1.75)
+    assert penalty_h(0.5, 0.75) == 0.0
+    assert np.isclose(penalty_h(1.0, 0.75), 0.0625)
+    assert np.isclose(penalty_h(2.0, 0.75), 1.25)
+    # delta defaults to PENALTY_DELTA = 0.75
+    assert penalty_h(2.0) == penalty_h(2.0, 0.75)
 
 
 def test_penalty_invalid_thresholds():
-    with pytest.raises(ValueError):
-        penalty_h(1.0, 0.8, 0.5)
-    with pytest.raises(ValueError):
-        penalty_h_grad(1.0, 0.8, 0.8)
+    for delta in (0.0, -0.5, np.nan):
+        with pytest.raises(ValueError, match="delta"):
+            penalty_h(1.0, delta)
+        with pytest.raises(ValueError, match="delta"):
+            penalty_h_grad(1.0, delta)
 
 
 def test_penalty_continuity_at_kinks():
     for kink in (0.75, 1.75):
-        lo = penalty_h(kink - 1e-9, 0.75, 1.75)
-        hi = penalty_h(kink + 1e-9, 0.75, 1.75)
+        lo = penalty_h(kink - 1e-9, 0.75)
+        hi = penalty_h(kink + 1e-9, 0.75)
         assert abs(hi - lo) < 1e-8
 
 
 def test_penalty_monotone():
     xs = np.linspace(0, 3, 301)
-    vals = [penalty_h(x, 0.75, 1.75) for x in xs]
+    vals = [penalty_h(x, 0.75) for x in xs]
     assert np.all(np.diff(vals) >= 0)
 
 
 def test_penalty_grad_matches_fd():
     eps = 1e-7
     for x in (0.3, 0.9, 1.4, 2.2, 5.0):
-        fd = (penalty_h(x + eps, 0.75, 1.75) - penalty_h(x - eps, 0.75, 1.75)) / (2 * eps)
-        assert abs(penalty_h_grad(x, 0.75, 1.75) - fd) < 1e-6
+        fd = (penalty_h(x + eps, 0.75) - penalty_h(x - eps, 0.75)) / (2 * eps)
+        assert abs(penalty_h_grad(x, 0.75) - fd) < 1e-6

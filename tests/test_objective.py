@@ -182,9 +182,9 @@ def test_gsm_gradient_with_active_penalty():
 
 
 def test_gsm_gradient_zero_when_beta_zero_and_no_energy():
-    cfg = AdaptConfig(beta_bounds=(0.0, 1e2))
     m, p, traj, draw = make_case("diagonal", 4, 3, 0.2, seed=8, sign="-")
-    state = AdaptState(precond=p, config=cfg, beta=0.0)
+    state = AdaptState(precond=p, config=AdaptConfig())
+    state.beta = 0.0
     grad = gsm_gradient(traj, draw, state, p, m)
     assert np.array_equal(grad, np.zeros_like(p.theta))
 

@@ -1,6 +1,7 @@
 """Chain driver: transitions, the adaptive step, run phases, checkpoints."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -426,7 +427,6 @@ def test_empty_sampling_phase():
                                objective="gsm", adapt_steps=30,
                                sample_steps=0, chains=2, seed=6)
     report = run_experiment(settings)
-    assert not report.has_draws
     assert report.draws.shape == (2, 0, 1)
     # acceptance falls back to the adaptation phase
     assert 0.0 <= report.acceptance_rate <= 1.0
@@ -544,6 +544,46 @@ def test_checkpoint_preserves_lambda(tmp_path):
     save_checkpoint(path, chains, state, 0.5)
     _, state2, _, _ = load_checkpoint(path)
     assert state2.lambda_ma == state.lambda_ma
+
+
+# the config_json entries that checkpoints held for the settings that are
+# now constants, with the values they always had
+RETIRED_ENTRIES = {"beta_bounds": [0.01, 100.0], "gamma_bounds": [1000.0, 100000.0],
+                   "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
+                   "penalty_delta2": None, "l2hmc_floor": 1e-8}
+
+
+def checkpoint_with_entries(tmp_path, entries):
+    # a fresh checkpoint whose config_json also holds the given entries
+    m = gaussian_target(precision=np.eye(2))
+    state = make_adapt_state(make_preconditioner("diagonal", 2))
+    chains = make_chains(m, 2, seed=29)
+    adaptive_step(chains, state, m, 0.5, 3, objective="gsm")
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, chains, state, 0.5)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    config_d = json.loads(str(arrays["config_json"]))
+    arrays["config_json"] = np.array(json.dumps({**config_d, **entries}))
+    np.savez(path, **arrays)
+    return path, state
+
+
+def test_checkpoint_with_retired_entries_loads(tmp_path):
+    path, state = checkpoint_with_entries(tmp_path, RETIRED_ENTRIES)
+    _, state2, _, _ = load_checkpoint(path)
+    assert state2.config == state.config
+    assert np.array_equal(state2.precond.theta, state.precond.theta)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("beta_bounds", [0.0, 100.0]), ("gamma_bounds", [1000.0, 1e6]), ("adam_beta1", 0.8),
+    ("adam_beta2", 0.99), ("adam_eps", 1e-6), ("penalty_delta2", 1.75), ("l2hmc_floor", 1e-6),
+])
+def test_checkpoint_with_other_retired_value_names_it(tmp_path, key, value):
+    path, _ = checkpoint_with_entries(tmp_path, {**RETIRED_ENTRIES, key: value})
+    with pytest.raises(ValueError, match=f"^{key}:"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_loads_without_pickle(tmp_path):

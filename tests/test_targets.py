@@ -84,7 +84,7 @@ def test_gaussian_mean_and_factor():
     rng = np.random.default_rng(0)
     F = np.tril(rng.standard_normal((3, 3))) + 3 * np.eye(3)
     mu = rng.standard_normal(3)
-    m = gaussian_target(cov_factor=F, mean=mu)
+    m = gaussian_target(covariance=F @ F.T, mean=mu)
     assert np.allclose(m.grad(mu), 0.0)
     check_model(m, rng, n_points=5)
 
@@ -133,6 +133,9 @@ def test_logistic_validation():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         logistic_target(bad, np.zeros(4))
+    for prior_cov in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="prior_cov"):
+            logistic_target(X, np.zeros(4), prior_cov=prior_cov)
 
 
 def test_logistic_stability_large_inputs():
