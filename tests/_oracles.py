@@ -28,6 +28,26 @@ def masked_sigmoid(t):
     return out
 
 
+def textbook_logistic(X, y, prior_cov=1.0):
+    """Logistic-regression posterior from the textbook formulas: a C-order
+    design, ``np.logaddexp`` for log(1 + e^t) and ``masked_sigmoid``."""
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def potential(q):
+        t = X @ q
+        return float(np.sum(np.logaddexp(0.0, t) - y * t)) + 0.5 * float(q @ q) / prior_cov
+
+    def grad(q):
+        return X.T @ (masked_sigmoid(X @ q) - y) + q / prior_cov
+
+    def hvp(q, w):
+        s = masked_sigmoid(X @ q)
+        return X.T @ (s * (1.0 - s) * (X @ w)) + w / prior_cov
+
+    return TargetModel(dim=X.shape[1], potential=potential, grad=grad, hvp=hvp)
+
+
 def flat_model(d):
     """Zero potential in d dimensions: free-particle trajectories."""
     return TargetModel(dim=d, potential=lambda q: 0.0, grad=lambda q: np.zeros(d),

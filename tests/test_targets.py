@@ -13,13 +13,14 @@ from ehmc.targets import (
     load_logistic_csv,
     load_returns_csv,
     logistic_target,
+    prepare_design,
     simulate_cox_data,
     simulate_logistic_data,
     simulate_sv_data,
     sv_target,
 )
 
-from _oracles import masked_sigmoid
+from _oracles import masked_sigmoid, textbook_logistic
 
 
 def fd_grad(model, q, eps=1e-6):
@@ -300,6 +301,99 @@ def test_sigmoid_bits_match_masked_form():
         assert s.shape == ()
         assert np.array_equal(s, masked_sigmoid(t0))
     assert np.isnan(targets._sigmoid(np.array([np.nan]))[0])
+
+
+def test_log1pexp_matches_logaddexp():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-300, -1e-300])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(targets._log1pexp(special), np.logaddexp(0.0, special),
+                              equal_nan=True)
+        for x in special:
+            v = targets._log1pexp(np.asarray(x))
+            assert np.shape(v) == ()
+            assert np.array_equal(v, np.logaddexp(0.0, x), equal_nan=True)
+    # each form is within one ulp of the exact value (against 120-bit
+    # arithmetic on these draws), so they may round one ulp apart either way
+    t = 3.0 * np.random.default_rng(5).standard_normal(20000)
+    ref = np.logaddexp(0.0, t)
+    assert np.all(np.abs(targets._log1pexp(t) - ref) <= 2.0 * np.spacing(ref))
+
+
+@pytest.mark.parametrize("design", ["standardised", "raw"])
+def test_logistic_matches_textbook_oracle(design):
+    if design == "standardised":
+        X, y = simulate_logistic_data(600, 8, seed=4)
+        X = prepare_design(X)
+    else:
+        # columns on scales up to 300, so that |x^T q| > 700 on some rows at
+        # the test positions: saturated sigmoid and log(1 + e^t)
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((400, 5)) * np.array([1.0, 10.0, 300.0, 0.1, 50.0])
+        y = (rng.uniform(size=400) < 0.5).astype(float)
+    m, ref = logistic_target(X, y, prior_cov=2.0), textbook_logistic(X, y, prior_cov=2.0)
+    rng = np.random.default_rng(6)
+    big = 0
+    for _ in range(5):
+        q = 1.5 * rng.standard_normal(m.dim)
+        w = rng.standard_normal(m.dim)
+        big += int(np.sum(np.abs(X @ q) > 700.0))
+        assert m.potential(q) == pytest.approx(ref.potential(q), rel=1e-12)
+        np.testing.assert_allclose(m.grad(q), ref.grad(q), rtol=1e-12)
+        np.testing.assert_allclose(m.hvp(q, w), ref.hvp(q, w), rtol=1e-12)
+    assert (big > 0) == (design == "raw")
+    # a non-finite position gives a non-finite gradient: the divergence path
+    for bad in (np.nan, np.inf, -np.inf):
+        q = rng.standard_normal(m.dim)
+        q[1] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.all(np.isfinite(m.grad(q)))
+
+
+def test_logistic_layout_independent():
+    X, y = simulate_logistic_data(300, 5, seed=2)
+    wide = np.zeros((600, 10))
+    wide[::2, ::2] = X
+    models = [logistic_target(Z, y) for Z in (X, np.asfortranarray(X), wide[::2, ::2])]
+    first = models[0]
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        q, w = rng.standard_normal(5), rng.standard_normal(5)
+        for m in models[1:]:
+            assert m.potential(q) == first.potential(q)
+            assert np.array_equal(m.grad(q), first.grad(q))
+            assert np.array_equal(m.hvp(q, w), first.hvp(q, w))
+
+
+def _target_with_inputs(name):
+    # (model, the caller's arrays it was built from, a position shift)
+    if name == "logistic":
+        X, y = simulate_logistic_data(100, 3, seed=1)
+        return logistic_target(X, y), [X, y], 0.0
+    if name == "gaussian":
+        mean = np.array([1.0, -2.0, 0.5])
+        return gaussian_target(covariance=np.array([1.0, 2.0, 3.0]), mean=mean), [mean], 0.0
+    if name == "cox":
+        x, counts = simulate_cox_data(3, seed=1)
+        counts = counts.astype(float)
+        return cox_target(3, counts), [counts], x
+    returns = simulate_sv_data(30, seed=1)
+    return sv_target(returns), [returns], 0.0
+
+
+@pytest.mark.parametrize("name", ["logistic", "gaussian", "cox", "sv"])
+def test_target_keeps_its_own_data(name):
+    # the caller changing its arrays after construction changes no target
+    model, inputs, shift = _target_with_inputs(name)
+    rng = np.random.default_rng(11)
+    q = shift + rng.standard_normal(model.dim)
+    w = rng.standard_normal(model.dim)
+    before = (model.potential(q), model.grad(q), model.hvp(q, w))
+    for a in inputs:
+        a[...] = 1 - a
+    after = (model.potential(q), model.grad(q), model.hvp(q, w))
+    assert after[0] == before[0]
+    assert np.array_equal(after[1], before[1])
+    assert np.array_equal(after[2], before[2])
 
 
 def test_logistic_hvp_memo_matches_fresh_model():
