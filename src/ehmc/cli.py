@@ -420,7 +420,7 @@ def emit_report(report, out_dir, config, sweep_rows=None):
     chains = report.extras.get("chains")
     if state is not None and chains is not None:
         path = os.path.join(out_dir, "checkpoint.npz")
-        save_checkpoint(path, chains, state, report.extras.get("h_final", config.h),
+        save_checkpoint(path, chains, state, config.h,
                         meta={"version": __version__, "seed": config.seed,
                               "target": config.target})
         paths.append(path)

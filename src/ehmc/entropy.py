@@ -168,10 +168,11 @@ def roulette_logdet_estimate(draw):
 def penalty_h(x, delta=PENALTY_DELTA):
     """Hinge-like eigenvalue penalty: zero up to delta, quadratic on
     (delta, delta2], linear beyond, with delta2 = 1 + delta.  Continuous
-    with continuous slope at delta (slope 0) and a slope match at delta2."""
-    delta2 = 1.0 + delta
-    if not 0 < delta < delta2:
+    with continuous slope at delta (slope 0) and a slope match at delta2.
+    Once 1 + delta rounds to delta, both pieces vanish and it is 0."""
+    if not 0 < delta < np.inf:
         raise ValueError(f"delta: must be finite and positive, got {delta}")
+    delta2 = 1.0 + delta
     if x <= delta:
         return 0.0
     if x <= delta2:
@@ -182,9 +183,9 @@ def penalty_h(x, delta=PENALTY_DELTA):
 
 def penalty_h_grad(x, delta=PENALTY_DELTA):
     """Derivative of penalty_h away from the kink points."""
-    delta2 = 1.0 + delta
-    if not 0 < delta < delta2:
+    if not 0 < delta < np.inf:
         raise ValueError(f"delta: must be finite and positive, got {delta}")
+    delta2 = 1.0 + delta
     if x <= delta:
         return 0.0
     if x <= delta2:

@@ -247,14 +247,8 @@ class Preconditioner:
             out[..., :d] += scale
 
 
-def make_preconditioner(kind, dim, init_scale=1.0):
-    """Create factor parameters with C = init_scale * I."""
+def make_preconditioner(kind, dim):
+    """Create factor parameters with C = I (theta = 0 for every kind)."""
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError("dim must be a positive integer")
-    if init_scale <= 0:
-        raise ValueError("init_scale must be positive")
-    theta = np.zeros(n_params(kind, dim))
-    log_s = np.log(init_scale)
-    # banded stores B's diagonal; C = B^{-1} = init_scale * I needs B = I / init_scale
-    theta[:dim] = -log_s if kind == "banded" else log_s
-    return Preconditioner(kind, int(dim), theta)
+    return Preconditioner(kind, int(dim), np.zeros(n_params(kind, dim)))

@@ -1,6 +1,9 @@
 """Chain driver: HMC transitions, the multi-chain adaptive step, run
 orchestration (adapt, freeze, sample) and checkpointing.
 
+The step size h is fixed for the whole run; adaptation learns only the
+factor C, whose scale sets the effective step h C.
+
 Every chain owns three RNG substreams (velocity, acceptance uniform,
 roulette) spawned from one master seed, so switching the objective on or
 off never perturbs the chain path itself.  Updates to the shared
@@ -232,39 +235,6 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
     return chains, state
 
 
-class DualAveraging:
-    """Running dual-averaging step size (Hoffman & Gelman 2014, Alg. 5).
-
-    Carries (g_bar, log_h, log_h_bar, t) from step to step, so an update
-    costs O(1).  The shrink target is log h0, so acceptance sitting
-    exactly on target_rate leaves the step size at its initial value.
-    """
-
-    GAMMA, T0, KAPPA = 0.05, 10.0, 0.75
-
-    def __init__(self, target_rate, h0):
-        self.target_rate = target_rate
-        self.mu = np.log(h0)
-        self.g_bar = 0.0
-        self.log_h = self.mu
-        self.log_h_bar = self.mu
-        self.t = 0
-
-    def update(self, accept):
-        """Fold in one step's mean acceptance probability."""
-        self.t += 1
-        t = self.t
-        eta = 1.0 / (t + self.T0)
-        self.g_bar = (1.0 - eta) * self.g_bar + eta * (self.target_rate - accept)
-        self.log_h = self.mu - np.sqrt(t) / self.GAMMA * self.g_bar
-        w = t ** (-self.KAPPA)
-        self.log_h_bar = w * self.log_h + (1.0 - w) * self.log_h_bar
-
-    def step_size(self, final=False):
-        """The current iterate, or the averaged one when final is set."""
-        return float(np.exp(self.log_h_bar if final else self.log_h))
-
-
 @dataclass
 class SamplerSettings:
     """Everything run_experiment needs, independent of any config file."""
@@ -282,8 +252,6 @@ class SamplerSettings:
     init: Optional[np.ndarray] = None
     init_scale: float = 1.0
     adapt_config: Optional[AdaptConfig] = None
-    step_size_adapt: bool = False
-    target_accept: float = 0.65
 
     def validate(self):
         check_run_fields(self)
@@ -314,10 +282,10 @@ def run_experiment(settings):
     """Adapt, freeze, sample; return the summary report.
 
     Phase 1 runs settings.adapt_steps adaptive steps (a no-op kernel-wise
-    when the objective is "none" and step-size adaptation is off).  Phase
-    2 freezes all parameters and records every thin-th position per
-    chain.  The report's acceptance rate refers to the sampling phase
-    when it is nonempty.
+    when the objective is "none").  Phase 2 freezes all parameters and
+    records every thin-th position per chain.  Both phases use
+    settings.h; only the factor C is learnt.  The report's acceptance
+    rate refers to the sampling phase when it is nonempty.
     """
     from .diagnostics import build_report, condition_number
 
@@ -328,20 +296,13 @@ def run_experiment(settings):
     state = make_adapt_state(precond, settings.adapt_config)
     chains = make_chains(model, settings.chains, settings.seed,
                          settings.init, settings.init_scale)
-    h = settings.h
     mu_trace = []
-    dual_avg = DualAveraging(settings.target_accept, settings.h)
     for _ in range(settings.adapt_steps):
-        if settings.step_size_adapt:
-            h = dual_avg.step_size()
         rec = {}
-        chains, state = adaptive_step(chains, state, model, h, settings.L,
+        chains, state = adaptive_step(chains, state, model, settings.h, settings.L,
                                       settings.objective, rec)
-        dual_avg.update(rec["accept"])
         if settings.objective == "gsm":
             mu_trace.append(rec["mu"])
-    if settings.step_size_adapt and settings.adapt_steps > 0:
-        h = dual_avg.step_size(final=True)
     adapt_accepts = sum(c.accept_count for c in chains)
     adapt_trans = sum(c.transition_count for c in chains)
     adapt_divs = sum(c.divergence_count for c in chains)
@@ -349,7 +310,7 @@ def run_experiment(settings):
     kept = [[] for _ in chains]
     for step in range(settings.sample_steps):
         for i, chain in enumerate(chains):
-            hmc_transition(chain, state.precond, model, h, settings.L)
+            hmc_transition(chain, state.precond, model, settings.h, settings.L)
             if step % settings.thin == 0:
                 kept[i].append(chain.q.copy())
     if settings.sample_steps > 0:
@@ -374,7 +335,6 @@ def run_experiment(settings):
         "final_precond": state.precond,
         "adapt_state": state,
         "chains": chains,
-        "h_final": h,
         "adapt_acceptance": adapt_accepts / adapt_trans if adapt_trans else np.nan,
         "adapt_divergences": adapt_divs,
         "skip_count": state.skip_count,

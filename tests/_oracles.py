@@ -13,7 +13,7 @@ import numpy as np
 from ehmc.entropy import dl_coeff, penalty_h
 from ehmc.integrator import DivergenceError, Trajectory, energy_error, trajectory_reparam
 from ehmc.objective import L2HMC_FLOOR, jump_value, surrogate_velocity
-from ehmc.precond import Preconditioner
+from ehmc.precond import Preconditioner, n_params
 from ehmc.targets import TargetModel
 
 
@@ -57,6 +57,14 @@ def flat_model(d):
 def with_theta(precond, theta):
     """Fresh preconditioner of the same kind at a different parameter point."""
     return Preconditioner(precond.kind, precond.dim, np.asarray(theta, dtype=float))
+
+
+def scaled_identity(kind, dim, s):
+    """Factor C = s I: log s on C's diagonal, or -log s on the diagonal of
+    B = C^{-1} for the banded kind."""
+    theta = np.zeros(n_params(kind, dim))
+    theta[:dim] = -np.log(s) if kind == "banded" else np.log(s)
+    return Preconditioner(kind, dim, theta)
 
 
 def fd_theta_gradient(f, theta, eps=1e-6):
@@ -196,25 +204,6 @@ def mala_log_accept(q, q_new, v, h, C, grad, potential):
         - log_kernel(q_new, q)
     )
     return min(0.0, log_ratio)
-
-
-def dual_averaging_replay(target_rate, history, h0=1.0, gamma=0.05, t0=10.0,
-                          kappa=0.75, final=False):
-    """Replay the dual-averaging recursion over a whole acceptance history.
-
-    Returns the current iterate, or the averaged iterate when final is set.
-    """
-    mu = np.log(h0)
-    g_bar = 0.0
-    log_h = mu
-    log_h_bar = mu
-    for t, a in enumerate(history, start=1):
-        eta = 1.0 / (t + t0)
-        g_bar = (1.0 - eta) * g_bar + eta * (target_rate - a)
-        log_h = mu - np.sqrt(t) / gamma * g_bar
-        w = t ** (-kappa)
-        log_h_bar = w * log_h + (1.0 - w) * log_h_bar
-    return float(np.exp(log_h_bar if final else log_h))
 
 
 # -- leapfrog and the residual-Jacobian recursion ------------------------

@@ -17,7 +17,7 @@ from ehmc.precond import Preconditioner, make_preconditioner
 from ehmc.sampler import ChainState, SamplerSettings, make_chains, run_experiment
 from ehmc.targets import gaussian_target
 
-from _oracles import adaptive_step_per_chain, hazard_model, logged_model
+from _oracles import adaptive_step_per_chain, hazard_model, logged_model, scaled_identity
 
 ADAPT, SAMPLE, CHAINS = 5, 7, 3
 
@@ -133,7 +133,7 @@ def test_sampling_transition_calls(kind, L, monkeypatch):
     monkeypatch.setattr(integrator.Trajectory, "xi",
                         property(lambda traj: xi_reads.append(1) or real_xi.fget(traj)))
     model, log = logged_model(gaussian_target(covariance=np.array([1.0, 2.0, 0.5])))
-    precond = make_preconditioner(kind, 3, 0.8)
+    precond = scaled_identity(kind, 3, 0.8)
     chain = make_chains(model, 1, seed=2)[0]
     sampler.hmc_transition(chain, precond, model, 0.3, L)
     for _ in range(3):

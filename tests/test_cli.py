@@ -151,6 +151,22 @@ def test_every_adapt_setting_has_a_key_and_a_flag():
         assert "--" + name.replace("_", "-") in flags
 
 
+def test_every_run_setting_comes_from_the_cli(tmp_path, monkeypatch):
+    # a SamplerSettings field that to_settings does not pass is a run
+    # setting only library callers can reach; it fails here
+    import ehmc.cli as cli_mod
+
+    passed = {}
+
+    def recording_settings(**kwargs):
+        passed.update(kwargs)
+        return SamplerSettings(**kwargs)
+
+    monkeypatch.setattr(cli_mod, "SamplerSettings", recording_settings)
+    to_settings(parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path)}))
+    assert sorted(passed) == sorted(f.name for f in fields(SamplerSettings))
+
+
 def test_non_numeric_value_in_file(tmp_path):
     path = write_config(tmp_path, f"[run]\ntarget = gaussian_iso\nh = fast\nout = {tmp_path}\n")
     with pytest.raises(ConfigError, match="run.h"):
@@ -362,6 +378,14 @@ def test_diagonal_logistic_run_never_loads_scipy(tmp_path):
     assert (tmp_path / "checkpoint.npz").exists()
 
 
+def test_main_huge_penalty_delta_runs(tmp_path):
+    # with 1 + delta == delta the penalty's quadratic piece is empty and
+    # the penalty is 0 everywhere, not an error
+    code, out = run_main(tmp_path, ["--penalty-delta", "1e17"])
+    assert code == 0
+    assert (out / "checkpoint.npz").exists()
+
+
 def test_main_validation_exit_code(tmp_path, capsys):
     code, _ = run_main(tmp_path, ["--L", "0"])
     assert code == 1
@@ -425,6 +449,15 @@ def test_readme_command_line_example_runs(tmp_path):
     argv[argv.index("--out") + 1] = str(tmp_path / "demo")
     assert main(argv) == 0
     assert (tmp_path / "demo" / "summary.csv").exists()
+
+
+def test_readme_library_example_runs():
+    block = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    assert scope["draws"].shape == (4, 2000, 20)
+    assert np.isfinite(scope["report"].min_ess)
+    assert np.isfinite(scope["report"].max_rhat)
 
 
 def test_readme_config_example_parses(tmp_path, monkeypatch):

@@ -208,11 +208,19 @@ def test_penalty_examples():
 
 
 def test_penalty_invalid_thresholds():
-    for delta in (0.0, -0.5, np.nan):
+    for delta in (0.0, -0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="delta"):
             penalty_h(1.0, delta)
         with pytest.raises(ValueError, match="delta"):
             penalty_h_grad(1.0, delta)
+
+
+def test_penalty_vanishes_when_one_plus_delta_rounds_to_delta():
+    for delta in (2.0**53, 1e17, 1e300):
+        assert 1.0 + delta == delta
+        for x in (0.0, 1.0, delta, 2.0 * delta):
+            assert penalty_h(x, delta) == 0.0
+            assert penalty_h_grad(x, delta) == 0.0
 
 
 def test_penalty_continuity_at_kinks():

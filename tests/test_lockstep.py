@@ -7,7 +7,7 @@ import pytest
 from ehmc import sampler
 from ehmc.objective import make_adapt_state
 from ehmc.precond import make_preconditioner
-from ehmc.sampler import OBJECTIVES, DualAveraging, adaptive_step, make_chains
+from ehmc.sampler import OBJECTIVES, adaptive_step, make_chains
 from ehmc.targets import (
     correlated_gaussian,
     cox_target,
@@ -38,6 +38,9 @@ CASES = {
     "banded": (cox_model, 0.2, 3),
 }
 
+# step-size multipliers cycled over the steps of a run whose h varies
+H_SCHEDULE = (1.0, 1.3, 0.7, 1.6, 0.9)
+
 
 def snapshot(chains, state, model, record):
     starts = []
@@ -60,28 +63,26 @@ def snapshot(chains, state, model, record):
     }
 
 
-def run_side(step_fn, base, kind, objective, size_adapt, h, L, steps, n_chains):
+def run_side(step_fn, base, kind, objective, h_varies, h, L, steps, n_chains):
     """Snapshots and target-evaluation logs after every adaptive step."""
     model, log = logged_model(base)
     state = make_adapt_state(make_preconditioner(kind, base.dim))
     chains = make_chains(model, n_chains, seed=5)
-    dual = DualAveraging(0.65, h)
     out = []
-    for _ in range(steps):
+    for t in range(steps):
         for calls in log.values():
             calls.clear()
         rec = {}
-        step_fn(chains, state, model, dual.step_size() if size_adapt else h, L,
-                objective, rec)
-        dual.update(rec["accept"])
+        step_h = h * H_SCHEDULE[t % len(H_SCHEDULE)] if h_varies else h
+        step_fn(chains, state, model, step_h, L, objective, rec)
         out.append((snapshot(chains, state, model, rec),
                     {name: list(calls) for name, calls in log.items()}))
     return out
 
 
-def assert_lockstep_matches(base, kind, objective, size_adapt, h, L, steps=8, n_chains=3):
-    block = run_side(adaptive_step, base, kind, objective, size_adapt, h, L, steps, n_chains)
-    reference = run_side(adaptive_step_per_chain, base, kind, objective, size_adapt, h, L,
+def assert_lockstep_matches(base, kind, objective, h_varies, h, L, steps=8, n_chains=3):
+    block = run_side(adaptive_step, base, kind, objective, h_varies, h, L, steps, n_chains)
+    reference = run_side(adaptive_step_per_chain, base, kind, objective, h_varies, h, L,
                          steps, n_chains)
     for t, ((snap, log), (ref_snap, ref_log)) in enumerate(zip(block, reference)):
         assert snap == ref_snap, f"state differs after step {t}"
@@ -93,12 +94,12 @@ def assert_lockstep_matches(base, kind, objective, size_adapt, h, L, steps=8, n_
     return block
 
 
-@pytest.mark.parametrize("size_adapt", [False, True])
+@pytest.mark.parametrize("h_varies", [False, True])
 @pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("kind", sorted(CASES))
-def test_lockstep_matches_per_chain(kind, objective, size_adapt):
+def test_lockstep_matches_per_chain(kind, objective, h_varies):
     build, h, L = CASES[kind]
-    assert_lockstep_matches(build(), kind, objective, size_adapt, h, L)
+    assert_lockstep_matches(build(), kind, objective, h_varies, h, L)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")

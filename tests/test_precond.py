@@ -13,6 +13,7 @@ from _oracles import (
     banded_upper_bidiagonal,
     dense_lower_factor,
     fd_theta_gradient,
+    scaled_identity,
     with_theta,
 )
 
@@ -41,7 +42,7 @@ def test_identity_init(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_scaled_init(kind):
-    p = make_preconditioner(kind, 2, init_scale=0.5)
+    p = scaled_identity(kind, 2, 0.5)
     assert np.allclose(p.matvec(np.ones(2)), 0.5 * np.ones(2))
     assert np.isclose(p.logdet(), 2.0 * np.log(0.5))
 
@@ -49,8 +50,6 @@ def test_scaled_init(kind):
 def test_constructor_validation():
     with pytest.raises(ValueError):
         make_preconditioner("diagonal", 0)
-    with pytest.raises(ValueError):
-        make_preconditioner("diagonal", 3, init_scale=0.0)
     with pytest.raises(ValueError):
         make_preconditioner("??", 3)
     with pytest.raises(ValueError):
