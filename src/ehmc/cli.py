@@ -11,7 +11,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -109,30 +109,9 @@ _PARSERS = {str: lambda raw, name: raw.strip(), int: _parse_int, float: _parse_f
 
 # every [run] and [adapt] setting: (section, INI key, RunConfig field, type);
 # the INI parser, the command-line flags and render_config all read this
-_FIELDS = (
-    ("run", "target", "target", str),
-    ("run", "objective", "objective", str),
-    ("run", "precond", "precond", str),
-    ("run", "h", "h", float),
-    ("run", "l", "L", int),
-    ("run", "adapt_steps", "adapt_steps", int),
-    ("run", "sample_steps", "sample_steps", int),
-    ("run", "chains", "chains", int),
-    ("run", "seed", "seed", int),
-    ("run", "thin", "thin", int),
-    ("run", "init_scale", "init_scale", float),
-    ("run", "out", "out", str),
-    ("run", "adapt_budget", "adapt_budget", int),
-    ("run", "sample_budget", "sample_budget", int),
-    ("adapt", "rho_theta", "rho_theta", float),
-    ("adapt", "rho_beta", "rho_beta", float),
-    ("adapt", "rho_gamma", "rho_gamma", float),
-    ("adapt", "alpha_star", "alpha_star", float),
-    ("adapt", "penalty_delta", "penalty_delta", float),
-    ("adapt", "delta_prime", "delta_prime", float),
-    ("adapt", "n_min", "n_min", int),
-    ("adapt", "lambda_rate", "lambda_rate", float),
-)
+_ADAPT_NAMES = {f.name for f in fields(AdaptConfig)}
+_FIELDS = tuple(("adapt" if f.name in _ADAPT_NAMES else "run", f.name.lower(), f.name, f.type)
+                for f in fields(RunConfig) if f.name not in ("target_params", "sweep_L"))
 _KEYS = {(section, key): (name, typ) for section, key, name, typ in _FIELDS}
 _CHOICES = {"objective": OBJECTIVES, "precond": KINDS}
 _HELP = {"target": "target preset name", "out": "output directory",

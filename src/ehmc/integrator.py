@@ -48,7 +48,9 @@ class Trajectory:
     potentials at q[0] and q[L] once evaluated.  A block has q and grads
     of shape (L+1, k, d), v and xi (k, d), delta (k,), u0 and u_end lists
     of k entries, and ``live`` (k,), False for rows whose integration
-    failed; ``live`` is None for one chain.
+    failed; ``live`` is None for one chain.  A one-chain trajectory is
+    what a sampling transition makes; the adaptation objectives take
+    blocks only.
     """
 
     def __init__(self, q, grads, v, xi, h, L, delta=np.nan, u0=None, u_end=None,
@@ -92,15 +94,6 @@ class Trajectory:
                           xi=self.xi[index], h=self.h, L=self.L, delta=self.delta[index],
                           u0=[self.u0[i] for i in index],
                           u_end=[self.u_end[i] for i in index], live=self.live[index])
-
-    def as_block(self):
-        """A one-chain trajectory as a block of one row; a block as it is."""
-        if self.live is not None:
-            return self
-        return Trajectory(q=self.q[:, None], grads=self.grads[:, None], v=self.v[None],
-                          xi=self.xi[None], h=self.h, L=self.L,
-                          delta=np.array([self.delta]), u0=[self.u0],
-                          u_end=[self.u_end], live=np.ones(1, dtype=bool))
 
 
 def _accept_prob(delta):

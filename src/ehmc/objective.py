@@ -5,9 +5,8 @@ All gradients use frozen-value semantics: the cached trajectory gradients,
 the roulette accumulator y, the power vector b and the Hessian midpoint
 are constants; theta enters only through the explicit C / C^T products.
 Each gradient is assembled from the two preconditioner adjoint primitives.
-The gradients take one trajectory or a block of k chains (see
-``integrator``) and return one gradient per row of a block, with the bits
-of the one-chain call: per-row branches (positive energy error, nonzero
+The gradients take a block of k chains (see ``integrator``) and return
+one gradient per row: per-row branches (positive energy error, nonzero
 acceptance, an active penalty) act on the rows they hold for.
 The matching surrogate losses, re-evaluatable at any parameter point from
 the frozen pieces, live in the test suite, whose finite differences of
@@ -161,32 +160,27 @@ def _on_rows(mask, out, fn):
 # -- penalised generalized-speed-measure objective -----------------------
 
 
-def gsm_gradient(traj, draw, state, precond, model, h_cy=None):
-    """Analytic gradient of the penalised loss under frozen-value semantics.
+def gsm_gradient(traj, draws, state, precond, h_cy):
+    """Analytic gradient of the penalised loss under frozen-value semantics,
+    one row per chain of the block traj.
 
     The loss is max(0, Delta) - beta (d log h + log|det C| + y^T D eps
     - gamma pen(|b^T D b|)), with D the midpoint surrogate operator.  The
-    energy part enters only when the trajectory's energy error is
-    positive; the entropy part back-propagates through both C factors of
-    the surrogate operator; the penalty differentiates through the
-    operator only, with b frozen.  The draw must come from a roulette pass
-    over a MidpointOperator, which keeps H C eps and H C b, so this costs
-    one hvp call (H C y).  For a block, draw is a list of one draw per
-    row and the result is (k, n_params); a caller that already applied H C
-    y to each row passes the products as h_cy, and no hvp call is made.
+    energy part enters only for rows whose energy error is positive; the
+    entropy part back-propagates through both C factors of the surrogate
+    operator; the penalty differentiates through the operator only, with
+    b frozen.  draws holds one draw per row, each from a roulette pass
+    over a MidpointOperator, which keeps H C eps and H C b; h_cy holds
+    the caller's H C y product for each row (read only for L > 1), so no
+    hvp call is made here.
     """
-    blk = traj.as_block()
-    draws = draw if blk is traj else [draw]
     out = np.zeros((len(draws), precond.theta.size))
-    positive = np.isfinite(blk.delta) & (blk.delta > 0.0)
-    _on_rows(positive, out, lambda index, rows: _delta_grad(blk.rows(index), precond, rows))
+    positive = np.isfinite(traj.delta) & (traj.delta > 0.0)
+    _on_rows(positive, out, lambda index, rows: _delta_grad(traj.rows(index), precond, rows))
     # log-det part: d log h is theta-free
     precond.accumulate_logdet_grad(out, -state.beta)
-    if blk.L > 1:
-        c = dl_coeff(blk.h, blk.L)
-        if h_cy is None:
-            h_cy = [model.hvp(blk.midpoint[i], precond.matvec(dr.y))
-                    for i, dr in enumerate(draws)]
+    if traj.L > 1:
+        c = dl_coeff(traj.h, traj.L)
         eps = np.stack([dr.epsilon for dr in draws])
         y = np.stack([dr.y for dr in draws])
         precond.accumulate_bilinear_grad(np.stack([dr.hvp_eps for dr in draws]), y, out,
@@ -204,19 +198,17 @@ def gsm_gradient(traj, draw, state, precond, model, h_cy=None):
                 coeff[i] = state.beta * state.gamma * slope * np.sign(mu) * c * 2.0
         _on_rows(coeff != 0.0, out, lambda index, rows: precond.accumulate_bilinear_grad(
             hvp_b[index], b[index], rows, coeff[index]))
-    return out if blk is traj else out[0]
+    return out
 
 
 # -- competing objectives ------------------------------------------------
 
 
 def jump_value(traj):
-    """Acceptance-weighted squared jump J = a ||q_L - q_0||^2 (one per row
-    for a block)."""
-    blk = traj.as_block()
-    jump = blk.q[blk.L] - blk.q[0]
-    j = blk.accept_prob * row_dot(jump, jump)
-    return j if blk is traj else float(j[0])
+    """Acceptance-weighted squared jump J = a ||q_L - q_0||^2, one per row
+    of the block traj."""
+    jump = traj.q[traj.L] - traj.q[0]
+    return traj.accept_prob * row_dot(jump, jump)
 
 
 def _jump_grad(traj, precond, out, scale):
@@ -242,28 +234,23 @@ def _jump_grad(traj, precond, out, scale):
 
 
 def esjd_gradient(traj, precond):
-    """Gradient of the ESJD loss -J (one row per chain for a block)."""
-    blk = traj.as_block()
-    out = np.zeros((blk.live.size, precond.theta.size))
-    _jump_grad(blk, precond, out, -1.0)
-    return out if blk is traj else out[0]
+    """Gradient of the ESJD loss -J, one row per chain of the block traj."""
+    out = np.zeros((traj.live.size, precond.theta.size))
+    _jump_grad(traj, precond, out, -1.0)
+    return out
 
 
-def l2hmc_gradient(traj, state, precond):
+def l2hmc_gradient(traj, jumps, state, precond):
     """Gradient of the L2HMC loss -(J / lambda - lambda / max(J, L2HMC_FLOOR)),
-    with lambda the moving average of J (J itself before the first one);
-    one row per chain for a block."""
-    blk = traj.as_block()
-    jumps = jump_value(blk)
-    dloss_dj = np.empty(jumps.size)
-    for i, j in enumerate(jumps):
-        lam = state.lambda_ma if state.lambda_ma is not None else max(j, L2HMC_FLOOR)
-        dloss_dj[i] = -1.0 / lam
-        if j > L2HMC_FLOOR:
-            dloss_dj[i] -= lam / (j * j)
+    one row per chain of the block traj, whose jump_value is jumps; lambda
+    is the moving average state.lambda_ma, which the caller sets first."""
+    lam = state.lambda_ma
+    dloss_dj = np.full(jumps.size, -1.0 / lam)
+    far = jumps > L2HMC_FLOOR
+    dloss_dj[far] -= lam / (jumps[far] * jumps[far])
     out = np.zeros((jumps.size, precond.theta.size))
-    _jump_grad(blk, precond, out, dloss_dj)
-    return out if blk is traj else out[0]
+    _jump_grad(traj, precond, out, dloss_dj)
+    return out
 
 
 # -- parameter and controller updates ------------------------------------

@@ -44,7 +44,7 @@ def n_params(kind, dim):
         return dim * (dim + 1) // 2
     if kind == "banded":
         return 2 * dim - 1
-    raise ValueError(f"unknown preconditioner kind {kind!r}")
+    raise ValueError(f"kind: must be one of {', '.join(KINDS)}, got {kind!r}")
 
 
 def _band_factor(gbtrf, kl, ku, ab):
@@ -82,7 +82,7 @@ class Preconditioner:
 
     def __init__(self, kind, dim, theta):
         if kind not in KINDS:
-            raise ValueError(f"unknown preconditioner kind {kind!r}")
+            raise ValueError(f"kind: must be one of {', '.join(KINDS)}, got {kind!r}")
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self.kind = kind

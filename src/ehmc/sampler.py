@@ -93,7 +93,7 @@ def make_chains(model, n_chains, seed, init=None, init_scale=1.0):
         else:
             q0 = np.array(init, dtype=float).copy()
             if q0.shape != (model.dim,):
-                raise ValueError("init vector has wrong length")
+                raise ValueError(f"init: must have length {model.dim}, got {q0.shape}")
         chains.append(ChainState(q=q0, rng_velocity=rng_v, rng_accept=rng_a,
                                  rng_roulette=rng_r))
     return chains
@@ -209,7 +209,7 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
             pens.append(penalty_h(abs(draw.mu), cfg.penalty_delta))
             mus.append(abs(draw.mu))
         if kept:
-            grads = gsm_gradient(traj.rows(kept), draws, state, precond, model, h_cy)
+            grads = gsm_gradient(traj.rows(kept), draws, state, precond, h_cy)
     elif objective == "esjd" and live.size:
         grads = esjd_gradient(traj, precond)
     elif objective == "l2hmc" and live.size:
@@ -217,7 +217,7 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
         fresh_lambda = state.lambda_ma is None
         if fresh_lambda:
             update_lambda(state, float(np.mean(jumps)))
-        grads = l2hmc_gradient(traj, state, precond)
+        grads = l2hmc_gradient(traj, jumps, state, precond)
     finite = np.isfinite(grads).all(axis=1)
     state.skip_count += int(finite.size - finite.sum())
     if finite.any():
@@ -259,7 +259,7 @@ class SamplerSettings:
 
 def check_run_fields(run):
     """Range checks of the run fields that SamplerSettings and the CLI's
-    RunConfig share (h, L, objective, step counts, chains, thin,
+    RunConfig share (h, L, objective, step counts, chains, seed, thin,
     init_scale); each ValueError message starts with the field it names."""
     if run.objective not in OBJECTIVES:
         raise ValueError(f"objective: must be one of {', '.join(OBJECTIVES)}, "
@@ -274,6 +274,8 @@ def check_run_fields(run):
             raise ValueError(f"{name}: must be nonnegative")
     if run.chains < 1:
         raise ValueError(f"chains: must be at least 1, got {run.chains}")
+    if run.seed < 0:
+        raise ValueError(f"seed: must be nonnegative, got {run.seed}")
     if run.thin < 1:
         raise ValueError(f"thin: must be at least 1, got {run.thin}")
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ehmc.entropy import dl_coeff, penalty_h
 from ehmc.integrator import DivergenceError, Trajectory, energy_error, trajectory_reparam
-from ehmc.objective import L2HMC_FLOOR, jump_value, surrogate_velocity
+from ehmc.objective import L2HMC_FLOOR
 from ehmc.precond import Preconditioner, n_params
 from ehmc.targets import TargetModel
 
@@ -299,9 +299,17 @@ def surrogate_endpoint(traj, precond):
     )
 
 
+def surrogate_final_velocity(traj, precond):
+    """w = C^T p_L = v - C^T (h/2 (g_0 + g_L) + h * sum of interior g), with
+    the trajectory's gradients frozen, as a function of the preconditioner."""
+    h, L = traj.h, traj.L
+    m = 0.5 * h * (traj.grads[0] + traj.grads[L]) + h * traj.grads[1:L].sum(axis=0)
+    return traj.v - precond.rmatvec(m)
+
+
 def surrogate_delta(traj, precond, model):
     """Energy error re-evaluated at an arbitrary parameter point."""
-    w, _ = surrogate_velocity(traj, precond)
+    w = surrogate_final_velocity(traj, precond)
     u0 = model.potential(traj.q[0])
     u_end = model.potential(surrogate_endpoint(traj, precond))
     return u_end - u0 + 0.5 * float(w @ w) - 0.5 * float(traj.v @ traj.v)
@@ -342,21 +350,27 @@ def gsm_surrogate_loss(traj, draw, state, precond, model):
 
 
 def _l2hmc(j, state):
-    lam = state.lambda_ma if state.lambda_ma is not None else max(j, L2HMC_FLOOR)
+    lam = state.lambda_ma
     return -(j / lam - lam / max(j, L2HMC_FLOOR))
 
 
-def _surrogate_jump(traj, precond, model):
-    # J = a ||q_L - q_0||^2 with a and q_L re-evaluated at precond
-    delta = surrogate_delta(traj, precond, model)
+def _jump(delta, q0, qL):
+    # J = a ||q_L - q_0||^2 with a = min(1, exp(-delta)), 0 for a
+    # non-finite delta
     a = min(1.0, float(np.exp(-max(delta, -700.0)))) if np.isfinite(delta) else 0.0
-    jump = surrogate_endpoint(traj, precond) - traj.q[0]
+    jump = qL - q0
     return a * float(jump @ jump)
+
+
+def _surrogate_jump(traj, precond, model):
+    # J with a and q_L re-evaluated at precond
+    return _jump(surrogate_delta(traj, precond, model), traj.q[0],
+                 surrogate_endpoint(traj, precond))
 
 
 def esjd_loss(traj):
     """Negative acceptance-weighted squared jump of the trajectory."""
-    return -jump_value(traj)
+    return -_jump(traj.delta, traj.q[0], traj.q[traj.L])
 
 
 def esjd_surrogate_loss(traj, precond, model):
@@ -370,7 +384,7 @@ def l2hmc_loss(traj, state):
     loss = -(J / lambda - lambda / max(J, floor)) where J is the
     acceptance-weighted squared jump and lambda its moving average.
     """
-    return _l2hmc(jump_value(traj), state)
+    return _l2hmc(_jump(traj.delta, traj.q[0], traj.q[traj.L]), state)
 
 
 def l2hmc_surrogate_loss(traj, state, precond, model):
@@ -378,12 +392,21 @@ def l2hmc_surrogate_loss(traj, state, precond, model):
     return _l2hmc(_surrogate_jump(traj, precond, model), state)
 
 
+def one_row_block(traj):
+    """A one-chain trajectory as a block of one row, the form the objective
+    gradients take."""
+    return Trajectory(q=traj.q[:, None], grads=traj.grads[:, None], v=traj.v[None],
+                      xi=traj.xi[None], h=traj.h, L=traj.L, delta=np.array([traj.delta]),
+                      u0=[traj.u0], u_end=[traj.u_end], live=np.ones(1, dtype=bool))
+
+
 def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=None):
     """The adaptive step one chain at a time: each chain's own transition,
-    roulette pass and gradient, then the shared update.  The package moves
-    the chains in lockstep as one block; this is the reference it must
-    match bit for bit.  Like the package, it looks its functions up as
-    ``sampler`` globals."""
+    roulette pass (followed by its H C y product) and gradient on a 1-row
+    block, then the shared update.  The package moves the chains in
+    lockstep as one block; this is the reference it must match bit for
+    bit.  Like the package, it looks its functions up as ``sampler``
+    globals."""
     from ehmc import sampler
 
     precond = state.precond
@@ -400,28 +423,30 @@ def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=
     mean_a = float(np.mean(a_vals))
     stats = {"accept": mean_a, "divergences": step_divergences,
              "mu": np.nan, "pen": np.nan}
-    live = [(c, t) for c, t in zip(chains, trajs) if t is not None]
+    live = [(c, one_row_block(t)) for c, t in zip(chains, trajs) if t is not None]
     grads, pens, mus = [], [], []
     if objective == "gsm":
-        for chain, traj in live:
-            dl = sampler.MidpointOperator(traj.midpoint, precond, model, h, L)
+        for chain, block in live:
+            dl = sampler.MidpointOperator(block.midpoint[0], precond, model, h, L)
             try:
                 draw = sampler.roulette_pass(dl, model.dim, chain.rng_roulette,
                                              cfg.delta_prime, cfg.n_min)
-                grads.append(sampler.gsm_gradient(traj, draw, state, precond, model))
+                h_cy = dl.product(draw.y) if L > 1 else None
             except FloatingPointError:
                 state.skip_count += 1
                 continue
+            grads.append(sampler.gsm_gradient(block, [draw], state, precond, [h_cy])[0])
             pens.append(sampler.penalty_h(abs(draw.mu), cfg.penalty_delta))
             mus.append(abs(draw.mu))
     elif objective == "esjd":
-        grads = [sampler.esjd_gradient(traj, precond) for _, traj in live]
+        grads = [sampler.esjd_gradient(block, precond)[0] for _, block in live]
     elif objective == "l2hmc":
-        jumps = [sampler.jump_value(traj) for _, traj in live]
+        jumps = [sampler.jump_value(block) for _, block in live]
         fresh_lambda = state.lambda_ma is None
         if fresh_lambda and jumps:
             sampler.update_lambda(state, float(np.mean(jumps)))
-        grads = [sampler.l2hmc_gradient(traj, state, precond) for _, traj in live]
+        grads = [sampler.l2hmc_gradient(block, jump, state, precond)[0]
+                 for (_, block), jump in zip(live, jumps)]
     finite = [g for g in grads if np.isfinite(g).all()]
     state.skip_count += len(grads) - len(finite)
     if finite:

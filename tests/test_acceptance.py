@@ -12,7 +12,13 @@ import numpy as np
 from ehmc.diagnostics import ess, split_rhat
 from ehmc.entropy import dl_coeff, MidpointOperator, roulette_logdet_estimate, roulette_pass
 from ehmc.integrator import trajectory_reparam
-from ehmc.objective import esjd_gradient, gsm_gradient, l2hmc_gradient, make_adapt_state
+from ehmc.objective import (
+    esjd_gradient,
+    gsm_gradient,
+    jump_value,
+    l2hmc_gradient,
+    make_adapt_state,
+)
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import SamplerSettings, hmc_transition, make_chains, run_experiment
 from ehmc.targets import (
@@ -160,15 +166,16 @@ def test_criterion_06_gradient_engine():
         for seed in (1, 2, 3):
             chains = make_chains(model, 1, seed=seed)
             chain = chains[0]
-            _, traj, _ = hmc_transition(chain, p, model, 0.35, 4)
-            draw = roulette_pass(MidpointOperator(traj.midpoint, p, model, 0.35, 4),
-                                 d, chain.rng_roulette)
+            _, block, _ = hmc_transition([chain], p, model, 0.35, 4)
+            traj = block.row(0)
+            dl = MidpointOperator(traj.midpoint, p, model, 0.35, 4)
+            draw = roulette_pass(dl, d, chain.rng_roulette)
             checks = (
-                (gsm_gradient(traj, draw, state, p, model),
+                (gsm_gradient(block, [draw], state, p, [dl.product(draw.y)])[0],
                  lambda th: gsm_surrogate_loss(traj, draw, state, with_theta(p, th), model)[0]),
-                (esjd_gradient(traj, p),
+                (esjd_gradient(block, p)[0],
                  lambda th: esjd_surrogate_loss(traj, with_theta(p, th), model)),
-                (l2hmc_gradient(traj, state, p),
+                (l2hmc_gradient(block, jump_value(block), state, p)[0],
                  lambda th: l2hmc_surrogate_loss(traj, state, with_theta(p, th), model)),
             )
             for grad, f in checks:

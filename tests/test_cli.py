@@ -387,9 +387,12 @@ def test_main_huge_penalty_delta_runs(tmp_path):
 
 
 def test_main_validation_exit_code(tmp_path, capsys):
-    code, _ = run_main(tmp_path, ["--L", "0"])
-    assert code == 1
-    assert "L" in capsys.readouterr().err
+    # a bad setting exits with 1, writes nothing and names its field
+    for flag, value, name in (("--L", "0", "L"), ("--seed", "-1", "seed")):
+        code, out = run_main(tmp_path, [flag, value], sub=name)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {name}:")
+        assert not out.exists()
 
 
 def test_main_bad_param_syntax(tmp_path, capsys):

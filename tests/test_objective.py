@@ -12,6 +12,7 @@ from ehmc.objective import (
     default_adapt_config,
     esjd_gradient,
     gsm_gradient,
+    jump_value,
     l2hmc_gradient,
     make_adapt_state,
     update_beta,
@@ -35,22 +36,30 @@ from _oracles import (
 
 
 def make_case(kind, d, L, h, seed, sign=None, cov_spread=0.5):
-    """Trajectory + roulette draw on a random Gaussian, optionally filtered
-    by the sign of the energy error."""
+    """1-row trajectory block + roulette draw on a random Gaussian,
+    optionally filtered by the sign of the energy error."""
     rng = np.random.default_rng(seed)
     m = gaussian_target(covariance=np.exp(rng.normal(0, cov_spread, d)))
     p = Preconditioner(kind, d, rng.normal(0, 0.2, n_params(kind, d)))
     for _ in range(200):
         q0 = rng.standard_normal(d)
         v = rng.standard_normal(d)
-        traj = trajectory_reparam(q0, v, h, L, p, m)
-        if sign is None or (sign == "+" and traj.delta > 1e-6) or (
-            sign == "-" and traj.delta < -1e-6
+        traj = trajectory_reparam(q0[None], v[None], h, L, p, m)
+        if sign is None or (sign == "+" and traj.delta[0] > 1e-6) or (
+            sign == "-" and traj.delta[0] < -1e-6
         ):
             break
-    dl = MidpointOperator(traj.midpoint, p, m, h, L)
+    dl = MidpointOperator(traj.midpoint[0], p, m, h, L)
     draw = roulette_pass(dl, d, rng)
     return m, p, traj, draw
+
+
+def gsm_rows(traj, draws, state, p, m):
+    """gsm_gradient of a block, given each row's H C y product as the
+    adaptive step computes it after the row's roulette pass."""
+    h_cy = [MidpointOperator(traj.midpoint[i], p, m, traj.h, traj.L).product(draw.y)
+            for i, draw in enumerate(draws)]
+    return gsm_gradient(traj, draws, state, p, h_cy)
 
 
 def stable_seed(*parts):
@@ -90,9 +99,9 @@ def test_gsm_loss_beta_linearity():
     m, p, traj, draw = make_case("dense", 4, 5, 0.25, seed=3)
     state = make_adapt_state(p)
     state.beta = 0.8
-    l1, parts = gsm_surrogate_loss(traj, draw, state, p, m)
+    l1, parts = gsm_surrogate_loss(traj.row(0), draw, state, p, m)
     state.beta = 1.6
-    l2, _ = gsm_surrogate_loss(traj, draw, state, p, m)
+    l2, _ = gsm_surrogate_loss(traj.row(0), draw, state, p, m)
     assert np.isclose(l2 - parts["energy"], 2.0 * (l1 - parts["energy"]), rtol=1e-12)
 
 
@@ -127,23 +136,23 @@ def test_gsm_entropy_reported_value_large_n():
 
 def test_gsm_gradient_degenerate_draw():
     # a zero Hessian zeroes the first series term: the draw keeps H C eps
-    # but has no mu probe, so the gradient makes one hvp call (H C y) and
-    # only the log-det part is left
+    # but has no mu probe, so the gradient step makes one hvp call (the
+    # caller's H C y) and only the log-det part is left
     calls = []
     base = flat_model(3)
     m = TargetModel(dim=3, potential=base.potential, grad=base.grad,
                     hvp=lambda q, w: calls.append(1) or base.hvp(q, w))
     p = make_preconditioner("dense", 3)
-    traj = trajectory_reparam(np.array([0.3, -0.1, 0.2]), np.array([0.2, 0.5, -1.0]),
+    traj = trajectory_reparam(np.array([[0.3, -0.1, 0.2]]), np.array([[0.2, 0.5, -1.0]]),
                               0.4, 3, p, m)
-    draw = roulette_pass(MidpointOperator(traj.midpoint, p, m, 0.4, 3), 3,
+    draw = roulette_pass(MidpointOperator(traj.midpoint[0], p, m, 0.4, 3), 3,
                          np.random.default_rng(6))
     assert draw.degenerate and draw.hvp_eps is not None and draw.hvp_b is None
-    assert traj.delta <= 0.0
+    assert traj.delta[0] <= 0.0
     state = make_adapt_state(p)
     state.gamma = 2e3
     calls.clear()
-    out = gsm_gradient(traj, draw, state, p, m)
+    out = gsm_rows(traj, [draw], state, p, m)[0]
     assert len(calls) == 1
     expected = np.zeros_like(p.theta)
     p.accumulate_logdet_grad(expected, -state.beta)
@@ -158,9 +167,9 @@ def test_gsm_gradient_matches_fd(kind, d, sign):
     state = make_adapt_state(p)
     state.beta = 0.9
     state.gamma = 2e3
-    grad = gsm_gradient(traj, draw, state, p, m)
+    grad = gsm_rows(traj, [draw], state, p, m)[0]
     fd = fd_theta_gradient(
-        lambda th: gsm_surrogate_loss(traj, draw, state, with_theta(p, th), m)[0],
+        lambda th: gsm_surrogate_loss(traj.row(0), draw, state, with_theta(p, th), m)[0],
         p.theta,
     )
     assert relative_error(grad, fd) < 1e-5
@@ -171,11 +180,11 @@ def test_gsm_gradient_with_active_penalty():
     m, p, traj, draw = make_case("diagonal", 5, 5, 1.1, seed=42, cov_spread=0.8)
     state = make_adapt_state(p)
     state.gamma = 5e3
-    _, parts = gsm_surrogate_loss(traj, draw, state, p, m)
+    _, parts = gsm_surrogate_loss(traj.row(0), draw, state, p, m)
     assert parts["penalty"] > 0.0
-    grad = gsm_gradient(traj, draw, state, p, m)
+    grad = gsm_rows(traj, [draw], state, p, m)[0]
     fd = fd_theta_gradient(
-        lambda th: gsm_surrogate_loss(traj, draw, state, with_theta(p, th), m)[0],
+        lambda th: gsm_surrogate_loss(traj.row(0), draw, state, with_theta(p, th), m)[0],
         p.theta,
     )
     assert relative_error(grad, fd) < 1e-5
@@ -185,7 +194,7 @@ def test_gsm_gradient_zero_when_beta_zero_and_no_energy():
     m, p, traj, draw = make_case("diagonal", 4, 3, 0.2, seed=8, sign="-")
     state = AdaptState(precond=p, config=AdaptConfig())
     state.beta = 0.0
-    grad = gsm_gradient(traj, draw, state, p, m)
+    grad = gsm_rows(traj, [draw], state, p, m)[0]
     assert np.array_equal(grad, np.zeros_like(p.theta))
 
 
@@ -228,9 +237,9 @@ def test_l2hmc_floor_guards_zero_jump():
 @pytest.mark.parametrize("kind,d", [("diagonal", 5), ("dense", 6), ("banded", 6)])
 def test_esjd_gradient_matches_fd(kind, d):
     m, p, traj, _ = make_case(kind, d, 4, 0.3, seed=stable_seed(kind, 'esjd'), sign="+")
-    grad = esjd_gradient(traj, p)
+    grad = esjd_gradient(traj, p)[0]
     fd = fd_theta_gradient(
-        lambda th: esjd_surrogate_loss(traj, with_theta(p, th), m), p.theta
+        lambda th: esjd_surrogate_loss(traj.row(0), with_theta(p, th), m), p.theta
     )
     assert relative_error(grad, fd) < 1e-5
 
@@ -240,28 +249,57 @@ def test_l2hmc_gradient_matches_fd(kind, d):
     m, p, traj, _ = make_case(kind, d, 4, 0.3, seed=stable_seed(kind, 'l2hmc'), sign="+")
     state = make_adapt_state(p)
     state.lambda_ma = 1.3
-    grad = l2hmc_gradient(traj, state, p)
+    grad = l2hmc_gradient(traj, jump_value(traj), state, p)[0]
     fd = fd_theta_gradient(
-        lambda th: l2hmc_surrogate_loss(traj, state, with_theta(p, th), m), p.theta
+        lambda th: l2hmc_surrogate_loss(traj.row(0), state, with_theta(p, th), m), p.theta
     )
     assert relative_error(grad, fd) < 1e-5
 
 
+def block_case(kind, d, h, L):
+    """A 4-row trajectory block on a random Gaussian, two rows with a
+    positive and two with a negative energy error, and a roulette draw
+    per row."""
+    rng = np.random.default_rng(stable_seed(kind, "block"))
+    m = gaussian_target(covariance=np.exp(rng.normal(0, 0.5, d)))
+    p = Preconditioner(kind, d, rng.normal(0, 0.2, n_params(kind, d)))
+    starts = {"+": [], "-": []}
+    while min(len(rows) for rows in starts.values()) < 2:
+        q0, v = rng.standard_normal(d), rng.standard_normal(d)
+        delta = trajectory_reparam(q0[None], v[None], h, L, p, m).delta[0]
+        if abs(delta) > 1e-6:
+            starts["+" if delta > 0 else "-"].append((q0, v))
+    rows = starts["+"][:2] + starts["-"][:2]
+    traj = trajectory_reparam(np.stack([q0 for q0, _ in rows]),
+                              np.stack([v for _, v in rows]), h, L, p, m)
+    draws = [roulette_pass(MidpointOperator(traj.midpoint[i], p, m, h, L), d, rng)
+             for i in range(len(rows))]
+    return m, p, traj, draws
+
+
 def test_multi_chain_gradient_linearity():
-    m1, p, t1, d1 = make_case("diagonal", 4, 3, 0.3, seed=31, sign="+")
-    t2 = trajectory_reparam(np.ones(4) * 0.4, np.ones(4) * -0.6, 0.3, 3, p, m1)
-    d2 = roulette_pass(MidpointOperator(t2.midpoint, p, m1, 0.3, 3), 4,
-                       np.random.default_rng(32))
-    state = make_adapt_state(p)
-    g_avg = 0.5 * (gsm_gradient(t1, d1, state, p, m1) + gsm_gradient(t2, d2, state, p, m1))
-    fd = fd_theta_gradient(
-        lambda th: 0.5 * (
-            gsm_surrogate_loss(t1, d1, state, with_theta(p, th), m1)[0]
-            + gsm_surrogate_loss(t2, d2, state, with_theta(p, th), m1)[0]
-        ),
-        p.theta,
-    )
-    assert relative_error(g_avg, fd) < 1e-5
+    # every row of all three gradients on a block with mixed energy-error
+    # signs, and their average, against finite differences of that row's
+    # own loss, so the per-row branches meet an independent check
+    for kind, d in [("diagonal", 4), ("dense", 5), ("banded", 5)]:
+        m, p, traj, draws = block_case(kind, d, 0.3, 3)
+        assert traj.live.all() and list(traj.delta > 0) == [True, True, False, False]
+        state = make_adapt_state(p)
+        state.lambda_ma = 1.3
+        blocks = (
+            (gsm_rows(traj, draws, state, p, m),
+             lambda i, q: gsm_surrogate_loss(traj.row(i), draws[i], state, q, m)[0]),
+            (esjd_gradient(traj, p), lambda i, q: esjd_surrogate_loss(traj.row(i), q, m)),
+            (l2hmc_gradient(traj, jump_value(traj), state, p),
+             lambda i, q: l2hmc_surrogate_loss(traj.row(i), state, q, m)),
+        )
+        for grads, loss in blocks:
+            assert grads.shape == (traj.live.size, p.theta.size)
+            fds = [fd_theta_gradient(lambda th: loss(i, with_theta(p, th)), p.theta)
+                   for i in range(traj.live.size)]
+            for grad, fd in zip(grads, fds):
+                assert relative_error(grad, fd) < 1e-5
+            assert relative_error(grads.mean(axis=0), np.mean(fds, axis=0)) < 1e-5
 
 
 # ------------------------------------------------------------------- adam

@@ -390,6 +390,8 @@ def test_empty_sampling_phase():
 
 
 def test_settings_validation():
+    # every bad field fails run_experiment, before any transition, with a
+    # message that starts with the field's name
     m = gaussian_target(precision=np.array([1.0]))
     for bad in (
         dict(h=0.0),
@@ -398,10 +400,15 @@ def test_settings_validation():
         dict(chains=0),
         dict(thin=0),
         dict(adapt_steps=-1),
+        dict(sample_steps=-1),
+        dict(seed=-1),
+        dict(init_scale=np.inf),
+        dict(kind="cubic"),
+        dict(init=np.zeros(3)),
     ):
         settings = SamplerSettings(model=m, **bad)
-        with pytest.raises(ValueError):
-            settings.validate()
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))}:"):
+            run_experiment(settings)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
