@@ -36,15 +36,20 @@ KINDS = ("diagonal", "dense", "banded")
 _FLOAT64 = np.dtype(np.float64)
 
 
+def check_kind(kind):
+    """Raise ValueError unless ``kind`` is one of KINDS."""
+    if kind not in KINDS:
+        raise ValueError(f"kind: must be one of {', '.join(KINDS)}, got {kind!r}")
+
+
 def n_params(kind, dim):
     """Length of the parameter vector for a factor kind."""
+    check_kind(kind)
     if kind == "diagonal":
         return dim
     if kind == "dense":
         return dim * (dim + 1) // 2
-    if kind == "banded":
-        return 2 * dim - 1
-    raise ValueError(f"kind: must be one of {', '.join(KINDS)}, got {kind!r}")
+    return 2 * dim - 1
 
 
 def _band_factor(gbtrf, kl, ku, ab):
@@ -81,8 +86,7 @@ class Preconditioner:
     """Learnable factor C exposing matvec, adjoint, solve and logdet maps."""
 
     def __init__(self, kind, dim, theta):
-        if kind not in KINDS:
-            raise ValueError(f"kind: must be one of {', '.join(KINDS)}, got {kind!r}")
+        check_kind(kind)
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self.kind = kind

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .precond import Preconditioner, make_preconditioner
+from .precond import Preconditioner, check_kind, make_preconditioner
 from .integrator import trajectory_reparam, DivergenceError
 from .entropy import MidpointOperator, roulette_pass, penalty_h
 from .objective import (
@@ -254,7 +254,14 @@ class SamplerSettings:
     adapt_config: Optional[AdaptConfig] = None
 
     def validate(self):
+        """Range checks of the run fields, then the factor kind and the
+        shape of init; each ValueError message starts with the field it
+        names."""
         check_run_fields(self)
+        check_kind(self.kind)
+        if self.init is not None and np.shape(self.init) != (self.model.dim,):
+            raise ValueError(f"init: must have length {self.model.dim}, "
+                             f"got {np.shape(self.init)}")
 
 
 def check_run_fields(run):

@@ -2,8 +2,9 @@
 
 Every model's target is fixed at construction and safe to evaluate from
 multiple chains: it keeps private, read-only copies of its data arrays.
-Dense prior precisions (correlated Gaussian, Cox) are factored once at
-construction and cached.  The logistic design is stored column-major, so
+Dense prior precisions (correlated Gaussian, Cox) are inverted once at
+construction, through numpy's Cholesky factor, and cached; the module
+needs numpy alone.  The logistic design is stored column-major, so
 X q and X^T r both run as matrix-vector products over contiguous memory.
 The one piece of mutable state is the logistic ``hvp``'s one-entry memo:
 the curvature weights s (1 - s) at the last position it was given, reused
@@ -55,13 +56,23 @@ def _frozen(a, order="K"):
     return a
 
 
-def _spd_inverse(cov):
-    """Symmetrized inverse of a dense SPD matrix from one Cholesky
-    factorization; raises np.linalg.LinAlgError when it is not SPD."""
-    # imported here so that targets without a dense matrix never load scipy
-    from scipy.linalg import cho_factor, cho_solve
+def _cholesky_upper(a):
+    """Upper Cholesky factor U, U^T U = S, of the symmetric S that the
+    upper triangle of ``a`` defines, as LAPACK's potrf with uplo "U" reads
+    it; raises np.linalg.LinAlgError when S is not positive definite or
+    ``a`` has a non-finite entry."""
+    if not np.all(np.isfinite(a)):
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    # numpy's cholesky reads the lower triangle, which of a.T is a's upper
+    return np.linalg.cholesky(a.T).T
 
-    P = cho_solve(cho_factor(cov), np.eye(cov.shape[0]))
+
+def _spd_inverse(cov):
+    """Symmetrized inverse P = U^{-1} U^{-T} of a dense SPD matrix from one
+    Cholesky factorization of its upper triangle; raises
+    np.linalg.LinAlgError when it is not SPD."""
+    U_inv = np.linalg.solve(_cholesky_upper(cov), np.eye(cov.shape[0]))
+    P = U_inv @ U_inv.T
     return 0.5 * (P + P.T)
 
 
@@ -98,11 +109,9 @@ def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian")
             except np.linalg.LinAlgError as exc:
                 raise ValueError("covariance is not positive definite") from exc
     else:
-        from scipy.linalg import cho_factor
-
         P = _as_precision(precision)
         try:
-            cho_factor(P)
+            _cholesky_upper(P)
         except np.linalg.LinAlgError as exc:
             raise ValueError("precision is not positive definite") from exc
     d = P.shape[0]

@@ -364,12 +364,25 @@ def test_main_objective_none_keeps_theta(tmp_path):
     assert (out / "mu_trace.csv").read_text().splitlines()[2:] == []
 
 
-def test_diagonal_logistic_run_never_loads_scipy(tmp_path):
+@pytest.mark.parametrize("target, params, precond, loads_scipy", [
+    ("logistic", ["n=30", "d=2"], "diagonal", False),
+    ("correlated", ["grid_points=6"], "dense", False),
+    ("cox", ["n=2"], "diagonal", False),
+    ("anisotropic", ["d=3", "c=2"], "dense", False),
+    # the banded factor's LAPACK pair is the one use of scipy
+    ("cox", ["n=2"], "banded", True),
+], ids=["logistic-diagonal", "correlated-dense", "cox-diagonal", "anisotropic-dense",
+        "cox-banded"])
+def test_run_loads_scipy_only_for_banded_factor(tmp_path, target, params, precond,
+                                                loads_scipy):
     # parses, builds the model, runs and writes every output
-    argv = ["--target", "logistic", "--param", "n=30", "--param", "d=2", "--L", "2",
-            "--chains", "1", "--adapt-steps", "3", "--sample-steps", "8", "--out", str(tmp_path)]
+    argv = ["--target", target, "--precond", precond, "--L", "2", "--chains", "1",
+            "--adapt-steps", "3", "--sample-steps", "8", "--out", str(tmp_path)]
+    for param in params:
+        argv += ["--param", param]
     script = ("import sys\nfrom ehmc import cli\nassert cli.main(sys.argv[1:]) == 0\n"
-              "assert 'scipy' not in sys.modules, [m for m in sys.modules if 'scipy' in m]\n")
+              f"assert ('scipy' in sys.modules) is {loads_scipy}, "
+              "[m for m in sys.modules if 'scipy' in m]\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script] + argv, env=env,

@@ -390,8 +390,8 @@ def test_empty_sampling_phase():
 
 
 def test_settings_validation():
-    # every bad field fails run_experiment, before any transition, with a
-    # message that starts with the field's name
+    # every bad field fails validate() and run_experiment, before any
+    # transition, with a message that starts with the field's name
     m = gaussian_target(precision=np.array([1.0]))
     for bad in (
         dict(h=0.0),
@@ -407,6 +407,8 @@ def test_settings_validation():
         dict(init=np.zeros(3)),
     ):
         settings = SamplerSettings(model=m, **bad)
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))}:"):
+            settings.validate()
         with pytest.raises(ValueError, match=f"^{next(iter(bad))}:"):
             run_experiment(settings)
 

@@ -75,10 +75,18 @@ def test_gaussian_input_validation():
         gaussian_target(precision=np.ones(2), covariance=np.ones(2))
     with pytest.raises(ValueError):
         gaussian_target(covariance=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        gaussian_target(covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-    with pytest.raises(ValueError):
-        gaussian_target(precision=np.ones((2, 2)) - 2 * np.eye(2))
+    # the checks read the upper triangle: upper_bad's defines [[1, 2], [2, 1]]
+    # (indefinite), its lower one [[1, 0.5], [0.5, 1]] (positive definite)
+    upper_bad = np.array([[1.0, 2.0], [0.5, 1.0]])
+    for bad in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones((2, 2)) - 2 * np.eye(2),
+                np.array([[1.0, np.nan], [np.nan, 1.0]]), upper_bad):
+        with pytest.raises(ValueError, match="^covariance is not positive definite$"):
+            gaussian_target(covariance=bad)
+        with pytest.raises(ValueError, match="^precision is not positive definite$"):
+            gaussian_target(precision=bad)
+    m = gaussian_target(covariance=upper_bad.T)
+    assert np.allclose(m.precision, np.linalg.inv([[1.0, 0.5], [0.5, 1.0]]), atol=1e-14)
+    gaussian_target(precision=upper_bad.T)
 
 
 def test_gaussian_mean_and_factor():
@@ -186,7 +194,7 @@ def test_constant_column_standardizes_to_zero(tmp_path):
     assert np.allclose(X[:, 0], 0.0)
 
 
-def test_cox_model():
+def test_cox_model(monkeypatch):
     n = 4
     x, y = simulate_cox_data(n, seed=5)
     assert x.shape == (16,)
@@ -209,6 +217,9 @@ def test_cox_model():
         cox_target(n, np.full(16, -1.0))
     with pytest.raises(ValueError):
         cox_target(n, y + 0.5)
+    monkeypatch.setattr(targets, "_cox_prior_cov", lambda n: -np.eye(n * n))
+    with pytest.raises(RuntimeError, match="^Cox prior covariance is not positive definite$"):
+        cox_target(n, y)
 
 
 def test_cox_covariance_structure():
@@ -226,6 +237,21 @@ def test_cox_determinism():
     assert np.array_equal(y1, y2)
     x3, _ = simulate_cox_data(5, seed=43)
     assert not np.array_equal(x1, x3)
+
+
+def test_spd_inverse_matches_scipy_cholesky():
+    from scipy.linalg import cho_factor, cho_solve
+
+    # the cond-1207 kernel and the 8 x 8 Cox prior
+    kernel = correlated_gaussian(51)
+    cox = cox_target(8, np.zeros(64))
+    for cov, P in ((kernel.extras["covariance"], kernel.precision),
+                   (cox.extras["prior_cov"], cox.extras["prior_precision"])):
+        d = cov.shape[0]
+        ref = cho_solve(cho_factor(cov), np.eye(d))
+        assert np.max(np.abs(P - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(P @ cov - np.eye(d))) <= 1e-12
+        assert np.array_equal(P, P.T)
 
 
 def test_sv_model():
