@@ -1,15 +1,18 @@
 """Leapfrog integration and the energy error of its proposals.
 
 Trajectories are integrated in velocity coordinates u = C^T p so the banded
-preconditioner never needs a solve on the hot path.  All gradient
+preconditioner never needs a solve on the hot path.  The last half-kick
+leaves the final velocity w = C^T p_L on the trajectory, and the energy
+error and the adaptation objectives both read it.  All gradient
 evaluations along the trajectory are kept; the adaptation objective reuses
 them as frozen constants, and the accumulator xi it also reads is computed
 from them on first read, so a sampling transition never builds it.  A
 caller that already holds the gradient and potential at the start point
-passes them in, so a transition costs L gradients and one potential.  A
-one-chain gradient is checked for finiteness through its sum, which is
-non-finite whenever an entry is; only a non-finite sum gets the entrywise
-test, so DivergenceError reports the same step as an entrywise check.
+passes them in, so a transition costs L gradients, one potential and
+2L + 1 factor maps.  A one-chain gradient is checked for finiteness
+through its sum, which is non-finite whenever an entry is; only a
+non-finite sum gets the entrywise test, so DivergenceError reports the
+same step as an entrywise check.
 
 A trajectory runs one chain on (d,) arrays or k chains in lockstep on a
 (k, d) block, with a chain axis after the step axis: q and grads are then
@@ -41,21 +44,22 @@ class Trajectory:
     """One L-step leapfrog trajectory with cached gradients, or a block of k.
 
     q has shape (L+1, d) with q[0] the starting position; grads[i] is the
-    potential gradient at q[i]; xi is the gradient accumulator
+    potential gradient at q[i]; v is the starting velocity C^T p_0 and w
+    the final velocity C^T p_L; xi is the gradient accumulator
     sum_{i=1}^{L-1} (L-i) grads[i], given or, when None, computed from
     grads on first read; delta is the energy error of the proposal (+inf
     when a potential evaluation was non-finite); u0 and u_end are the
     potentials at q[0] and q[L] once evaluated.  A block has q and grads
-    of shape (L+1, k, d), v and xi (k, d), delta (k,), u0 and u_end lists
-    of k entries, and ``live`` (k,), False for rows whose integration
+    of shape (L+1, k, d), v, w and xi (k, d), delta (k,), u0 and u_end
+    lists of k entries, and ``live`` (k,), False for rows whose integration
     failed; ``live`` is None for one chain.  A one-chain trajectory is
     what a sampling transition makes; the adaptation objectives take
     blocks only.
     """
 
-    def __init__(self, q, grads, v, xi, h, L, delta=np.nan, u0=None, u_end=None,
+    def __init__(self, q, grads, v, w, xi, h, L, delta=np.nan, u0=None, u_end=None,
                  live=None):
-        self.q, self.grads, self.v, self.h, self.L = q, grads, v, h, L
+        self.q, self.grads, self.v, self.w, self.h, self.L = q, grads, v, w, h, L
         self._xi = xi
         self.delta, self.u0, self.u_end, self.live = delta, u0, u_end, live
 
@@ -81,8 +85,8 @@ class Trajectory:
     def row(self, i):
         """Row i of a block as a one-chain trajectory (views, no copies)."""
         return Trajectory(q=self.q[:, i], grads=self.grads[:, i], v=self.v[i],
-                          xi=self.xi[i], h=self.h, L=self.L, delta=float(self.delta[i]),
-                          u0=self.u0[i], u_end=self.u_end[i])
+                          w=self.w[i], xi=self.xi[i], h=self.h, L=self.L,
+                          delta=float(self.delta[i]), u0=self.u0[i], u_end=self.u_end[i])
 
     def rows(self, index):
         """The block of the rows listed, in increasing order, in index (all
@@ -91,8 +95,8 @@ class Trajectory:
         if index.size == self.live.size:
             return self
         return Trajectory(q=self.q[:, index], grads=self.grads[:, index], v=self.v[index],
-                          xi=self.xi[index], h=self.h, L=self.L, delta=self.delta[index],
-                          u0=[self.u0[i] for i in index],
+                          w=self.w[index], xi=self.xi[index], h=self.h, L=self.L,
+                          delta=self.delta[index], u0=[self.u0[i] for i in index],
                           u_end=[self.u_end[i] for i in index], live=self.live[index])
 
 
@@ -144,10 +148,11 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     """Full trajectory from velocity v, with p0 = C^{-T} v.
 
     Integrates velocity Verlet for kinetic energy 0.5 p^T C C^T p in
-    u = C^T p coordinates (u0 = v), keeping every gradient so the endpoint
-    identity and the adaptation objective can be evaluated without
-    re-running the model; the xi accumulator the objectives read is
-    computed from those gradients on first read.  g0 and u0, when given,
+    u = C^T p coordinates (u0 = v), ending with the half-kick that gives
+    the final velocity w = C^T p_L, and keeps every gradient so the
+    endpoint identity and the adaptation objective can be evaluated
+    without re-running the model; the xi accumulator the objectives read
+    is computed from those gradients on first read.  g0 and u0, when given,
     are the gradient and potential at q0, which are then not evaluated
     again.
 
@@ -172,43 +177,29 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     for step in range(1, L + 1):
         q[step] = q[step - 1] + h * precond.matvec(u)
         fill(model, q, grads, step, live)
-        if step < L:
-            u = u - h * precond.rmatvec(grads[step])
-    traj = Trajectory(q=q, grads=grads, v=v.copy(), xi=None, h=h, L=L, u0=u0, live=live)
-    traj.delta = energy_error(traj, precond, model)
+        u = u - (h if step < L else 0.5 * h) * precond.rmatvec(grads[step])
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=u, xi=None, h=h, L=L, u0=u0, live=live)
+    traj.delta = energy_error(traj, model)
     return traj
 
 
-def final_velocity(traj, precond):
-    """w = C^T p_L for a completed trajectory, from cached gradients:
-    w = v - (h/2) C^T (g_0 + g_L) - h C^T (sum of interior gradients)."""
-    h, L = traj.h, traj.L
-    gsum = traj.grads[0] + traj.grads[L]
-    if L > 1:
-        interior = traj.grads[1:L].sum(axis=0)
-    else:
-        interior = np.zeros_like(traj.v)
-    return traj.v - 0.5 * h * precond.rmatvec(gsum) - h * precond.rmatvec(interior)
+def energy_error(traj, model):
+    """Energy change of the proposal, from the trajectory's final velocity w.
 
-
-def energy_error(traj, precond, model):
-    """Energy change of the proposal, from cached gradients.
-
-    With w the final velocity, the error is
-    U(q_L) - U(q_0) + 0.5 ||w||^2 - 0.5 ||v||^2.  The end potentials the
-    trajectory does not carry yet are evaluated and stored on it.  Returns
-    +inf when any piece is non-finite; the sampler treats that as a
-    rejection.  For a block it returns one error per row, +inf (with no
-    potential evaluated) for rows that are not live.
+    The error is U(q_L) - U(q_0) + 0.5 ||w||^2 - 0.5 ||v||^2.  The end
+    potentials the trajectory does not carry yet are evaluated and stored
+    on it.  Returns +inf when any piece is non-finite; the sampler treats
+    that as a rejection.  For a block it returns one error per row, +inf
+    (with no potential evaluated) for rows that are not live.
     """
-    w = final_velocity(traj, precond)
     if traj.live is None:
         if traj.u0 is None:
             traj.u0 = model.potential(traj.q[0])
         if traj.u_end is None:
             traj.u_end = model.potential(traj.q[traj.L])
-        return _energy_delta(traj.u0, traj.u_end, float(w @ w), float(traj.v @ traj.v))
-    ww, vv = row_dot(w, w), row_dot(traj.v, traj.v)
+        return _energy_delta(traj.u0, traj.u_end, float(traj.w @ traj.w),
+                             float(traj.v @ traj.v))
+    ww, vv = row_dot(traj.w, traj.w), row_dot(traj.v, traj.v)
     delta = np.full(traj.live.size, np.inf)
     if traj.u_end is None:
         traj.u_end = [None] * traj.live.size

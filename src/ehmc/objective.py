@@ -118,16 +118,6 @@ def make_adapt_state(precond, config=None):
 # -- frozen endpoint pieces ----------------------------------------------
 
 
-def surrogate_velocity(traj, precond):
-    """Final velocity C^T p_L as a function of the preconditioner."""
-    # integrator.final_velocity rounds this w differently; merging them changes theta and draws
-    h, L = traj.h, traj.L
-    m = 0.5 * h * (traj.grads[0] + traj.grads[L])
-    if L > 1:
-        m = m + h * traj.grads[1:L].sum(axis=0)
-    return traj.v - precond.rmatvec(m), m
-
-
 def _endpoint_adjoint(traj, precond, u, out, scale=1.0):
     # accumulate scale * d(u^T q_L(theta)) / dtheta for frozen u, with
     # q_L = q_0 + Lh C v - C C^T (h^2 xi + (L h^2 / 2) g_0)
@@ -139,10 +129,12 @@ def _endpoint_adjoint(traj, precond, u, out, scale=1.0):
 
 
 def _delta_grad(traj, precond, out, scale=1.0):
-    # accumulate scale * dDelta/dtheta with all potential gradients frozen
-    w, m = surrogate_velocity(traj, precond)
-    _endpoint_adjoint(traj, precond, traj.grads[traj.L], out, scale)
-    precond.accumulate_bilinear_grad(m, w, out, -scale)
+    # accumulate scale * dDelta/dtheta with all potential gradients frozen:
+    # w = v - C^T m for the theta-free m below, so d(0.5 ||w||^2) = -m^T dC w
+    h, L = traj.h, traj.L
+    m = 0.5 * h * (traj.grads[0] + traj.grads[L]) + h * traj.grads[1:L].sum(axis=0)
+    _endpoint_adjoint(traj, precond, traj.grads[L], out, scale)
+    precond.accumulate_bilinear_grad(m, traj.w, out, -scale)
 
 
 def _on_rows(mask, out, fn):

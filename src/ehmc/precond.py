@@ -17,7 +17,7 @@ The factor is built once per write of ``theta`` (the constructor and
 copy, so the built factor cannot go stale; the maps only apply it.  The
 write also binds the kind's C w and C^T w for one (d,) vector, and a
 float64 (d,) ndarray goes to them with no conversion and no dispatch on
-the kind: the sampling leapfrog makes 2L + 2 such calls per transition.
+the kind: the sampling leapfrog makes 2L + 1 such calls per transition.
 The gradient helpers accumulate into caller-owned arrays.
 
 Every map and ``accumulate_bilinear_grad`` also take a (k, d) block of k

@@ -11,6 +11,7 @@ the curvature weights s (1 - s) at the last position it was given, reused
 while the position stays equal.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -88,6 +89,14 @@ def _as_precision(prec):
     raise ValueError("precision must be a vector or a square matrix")
 
 
+def _check_symmetric(a, name):
+    """Raise ValueError naming ``name`` unless a equals its transpose up to
+    rounding (1e-12 of its largest entry); non-finite entries pass here."""
+    if a.shape != a.T.shape or (np.isfinite(a).all() and
+                                np.max(np.abs(a - a.T)) > 1e-12 * np.max(np.abs(a))):
+        raise ValueError(f"{name} is not symmetric")
+
+
 def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian"):
     """Gaussian with U(q) = 0.5 (q - mean)^T P (q - mean).
 
@@ -104,12 +113,14 @@ def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian")
                 raise ValueError("diagonal covariance entries must be positive")
             P = np.diag(1.0 / cov)
         else:
+            _check_symmetric(cov, "covariance")
             try:
                 P = _spd_inverse(cov)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("covariance is not positive definite") from exc
     else:
         P = _as_precision(precision)
+        _check_symmetric(P, "precision")
         try:
             _cholesky_upper(P)
         except np.linalg.LinAlgError as exc:
@@ -229,7 +240,7 @@ def load_logistic_csv(path, intercept=True, standardize=True):
     """Read a numeric CSV with the binary label in the last column.
 
     The covariates go through ``prepare_design``.  Errors name the
-    offending row and column.
+    offending row and column; a NaN or infinite field is one.
     """
     rows = []
     try:
@@ -242,12 +253,16 @@ def load_logistic_csv(path, intercept=True, standardize=True):
             continue
         fields = line.split(",")
         try:
-            rows.append([float(f) for f in fields])
+            row = [float(f) for f in fields]
         except ValueError:
             bad = next(j for j, f in enumerate(fields) if not _is_float(f))
             raise IngestionError(
                 f"{path}: non-numeric field at row {i + 1}, column {bad + 1}"
             ) from None
+        bad = next((j for j, x in enumerate(row) if not math.isfinite(x)), None)
+        if bad is not None:
+            raise IngestionError(f"{path}: non-finite field at row {i + 1}, column {bad + 1}")
+        rows.append(row)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     width = len(rows[0])

@@ -151,10 +151,11 @@ class TextbookFactor:
 def trajectory_one_chain(q0, v, h, L, precond, model, g0=None, u0=None):
     """The one-chain leapfrog as the package ran it before xi was computed
     on first read: textbook factor maps with checked inputs, every
-    gradient tested entrywise with ``np.isfinite``, xi built up front.
+    gradient tested entrywise with ``np.isfinite``, xi built up front, and
+    the last half-kick to the final velocity w made with the same maps.
     The package's (d,) path must match it bit for bit, also in the step
     and positions of a DivergenceError.  The energy error is the shared
-    ``integrator.energy_error``, applied with the same textbook maps."""
+    ``integrator.energy_error``, which reads that w."""
     maps = TextbookFactor(precond)
     q0 = np.asarray(q0, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -175,11 +176,12 @@ def trajectory_one_chain(q0, v, h, L, precond, model, g0=None, u0=None):
         grads[step] = checked_grad(step)
         if step < L:
             u = u - h * maps.rmatvec(grads[step])
+    w = u - 0.5 * h * maps.rmatvec(grads[L])
     xi = np.zeros_like(v)
     for i in range(1, L):
         xi += (L - i) * grads[i]
-    traj = Trajectory(q=q, grads=grads, v=v.copy(), xi=xi, h=h, L=L, u0=u0)
-    traj.delta = energy_error(traj, maps, model)
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=w, xi=xi, h=h, L=L, u0=u0)
+    traj.delta = energy_error(traj, model)
     return traj
 
 
@@ -396,8 +398,9 @@ def one_row_block(traj):
     """A one-chain trajectory as a block of one row, the form the objective
     gradients take."""
     return Trajectory(q=traj.q[:, None], grads=traj.grads[:, None], v=traj.v[None],
-                      xi=traj.xi[None], h=traj.h, L=traj.L, delta=np.array([traj.delta]),
-                      u0=[traj.u0], u_end=[traj.u_end], live=np.ones(1, dtype=bool))
+                      w=traj.w[None], xi=traj.xi[None], h=traj.h, L=traj.L,
+                      delta=np.array([traj.delta]), u0=[traj.u0], u_end=[traj.u_end],
+                      live=np.ones(1, dtype=bool))
 
 
 def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=None):

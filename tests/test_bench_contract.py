@@ -116,9 +116,9 @@ def test_target_calls_are_per_chain_vectors(objective, monkeypatch):
 def test_sampling_transition_calls(kind, L, monkeypatch):
     # the tracer wraps Preconditioner.matvec/rmatvec on the class, so every
     # factor map of a sampling transition must go through those attributes:
-    # 2L + 2 of them (C^T g_0, L leapfrog pairs less one, two for the final
-    # velocity), with L gradients, one potential and no xi once the start
-    # point is cached
+    # 2L + 1 of them (C^T g_0, L leapfrog pairs less one, and the last
+    # half-kick, which gives the final velocity), with L gradients, one
+    # potential and no xi once the start point is cached
     maps = []
     for attr in ("matvec", "rmatvec"):
         real = getattr(Preconditioner, attr)
@@ -140,7 +140,7 @@ def test_sampling_transition_calls(kind, L, monkeypatch):
         del maps[:]
         before = {name: len(calls) for name, calls in log.items()}
         _, traj, _ = sampler.hmc_transition(chain, precond, model, 0.3, L)
-        assert len(maps) == 2 * L + 2
+        assert len(maps) == 2 * L + 1
         assert len(log["grad"]) - before["grad"] == L
         assert len(log["potential"]) - before["potential"] == 1
         assert not xi_reads and traj._xi is None

@@ -414,6 +414,18 @@ def test_main_bad_param_syntax(tmp_path, capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
+def test_main_nonfinite_csv_exit_code(tmp_path, capsys):
+    # a NaN or infinite covariate is a data error (exit 1) naming its row
+    # and column, not a zero column in the standardized design
+    data = tmp_path / "data.csv"
+    data.write_text("0.5,nan,inf,1\n-0.2,1.0,2.0,0\n0.1,0.3,-1.0,1\n1.5,0.2,0.7,0\n")
+    code = main(["--target", "logistic", "--param", f"csv={data}", "--adapt-steps", "2",
+                 "--sample-steps", "2", "--chains", "1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "non-finite field at row 1, column 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     import ehmc.cli as cli_mod
 

@@ -6,7 +6,6 @@ import pytest
 from ehmc.integrator import (
     DivergenceError,
     energy_error,
-    final_velocity,
     row_dot,
     trajectory_reparam,
 )
@@ -47,7 +46,7 @@ def test_hand_example_energy_error():
     p = make_preconditioner("diagonal", 1)
     traj = trajectory_reparam(np.array([1.0]), np.array([0.0]), 1.0, 1, p, m)
     assert np.isclose(traj.delta, -0.09375)
-    assert np.isclose(energy_error(traj, p, m), -0.09375)
+    assert np.isclose(energy_error(traj, m), -0.09375)
 
 
 def test_reversibility():
@@ -101,8 +100,7 @@ def test_reparam_matches_direct(kind):
         # endpoint identity from the cached accumulators
         assert np.max(np.abs(surrogate_endpoint(traj, p) - traj.q[-1])) / scale < 1e-10
         # final velocity consistency: w = C^T p_L
-        w = final_velocity(traj, p)
-        assert np.max(np.abs(w - p.rmatvec(p_direct))) < 1e-9
+        assert np.max(np.abs(traj.w - p.rmatvec(p_direct))) < 1e-9
 
 
 def test_trajectory_caches():
@@ -269,7 +267,7 @@ def test_invalid_step_arguments():
 
 def assert_row_equals(block, i, traj):
     row = block.row(i)
-    for name in ("q", "grads", "v", "xi"):
+    for name in ("q", "grads", "v", "w", "xi"):
         assert np.array_equal(getattr(row, name), getattr(traj, name))
     assert row.delta == traj.delta and row.u0 == traj.u0 and row.u_end == traj.u_end
     assert row.accept_prob == traj.accept_prob

@@ -70,7 +70,7 @@ def stable_seed(*parts):
 def manual_traj(q0, qL, delta, h=0.5):
     d = len(q0)
     q = np.stack([np.asarray(q0, float), np.asarray(qL, float)])
-    return Trajectory(q=q, grads=np.zeros((2, d)), v=np.zeros(d),
+    return Trajectory(q=q, grads=np.zeros((2, d)), v=np.zeros(d), w=np.zeros(d),
                       xi=np.zeros(d), h=h, L=1, delta=delta)
 
 

@@ -39,7 +39,7 @@ def assert_same(new, ref):
         assert new.step == ref.step
         assert np.array_equal(new.positions, ref.positions)
         return
-    for name in ("q", "grads", "v"):
+    for name in ("q", "grads", "v", "w"):
         assert np.array_equal(getattr(new, name), getattr(ref, name), equal_nan=True)
     assert new.delta == ref.delta and new.u0 == ref.u0 and new.u_end == ref.u_end
     assert new._xi is None

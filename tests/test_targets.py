@@ -75,18 +75,38 @@ def test_gaussian_input_validation():
         gaussian_target(precision=np.ones(2), covariance=np.ones(2))
     with pytest.raises(ValueError):
         gaussian_target(covariance=np.array([1.0, -1.0]))
-    # the checks read the upper triangle: upper_bad's defines [[1, 2], [2, 1]]
-    # (indefinite), its lower one [[1, 0.5], [0.5, 1]] (positive definite)
-    upper_bad = np.array([[1.0, 2.0], [0.5, 1.0]])
     for bad in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones((2, 2)) - 2 * np.eye(2),
-                np.array([[1.0, np.nan], [np.nan, 1.0]]), upper_bad):
+                np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[1.0, np.inf], [1.0, 1.0]])):
         with pytest.raises(ValueError, match="^covariance is not positive definite$"):
             gaussian_target(covariance=bad)
         with pytest.raises(ValueError, match="^precision is not positive definite$"):
             gaussian_target(precision=bad)
-    m = gaussian_target(covariance=upper_bad.T)
-    assert np.allclose(m.precision, np.linalg.inv([[1.0, 0.5], [0.5, 1.0]]), atol=1e-14)
-    gaussian_target(precision=upper_bad.T)
+
+
+@pytest.mark.parametrize("arg", ["precision", "covariance"])
+def test_gaussian_rejects_nonsymmetric_matrix(arg):
+    # P = [[2, 1], [0, 2]] read as given has gradient P (q - mu) = (-0.1, -1.4)
+    # at q = (0.3, -0.7), while its potential's finite difference is
+    # (0.25, -1.25); read as a covariance only its upper triangle counted.
+    # upper_bad's upper triangle is indefinite and its lower one positive
+    # definite: neither it nor its transpose is read by one triangle alone
+    upper_bad = np.array([[1.0, 2.0], [0.5, 1.0]])
+    for bad in (np.array([[2.0, 1.0], [0.0, 2.0]]), upper_bad, upper_bad.T):
+        with pytest.raises(ValueError, match=f"^{arg} is not symmetric$"):
+            gaussian_target(**{arg: bad})
+    with pytest.raises(ValueError, match=f"^{arg} "):
+        gaussian_target(**{arg: np.ones((2, 3))})
+    # a rounding-level asymmetry, 1e-13 of the largest entry, is accepted
+    # and the matrix is used as given
+    S = np.array([[2.0, 0.5], [0.5, 2.0]])
+    S[0, 1] += 2e-13
+    m = gaussian_target(**{arg: S})
+    expected = S if arg == "precision" else np.linalg.inv(S)
+    assert np.allclose(m.precision, expected, rtol=0.0, atol=1e-12)
+    # the exactly symmetric presets pass
+    K = correlated_gaussian(9).extras["covariance"]
+    assert np.array_equal(K, K.T)
+    gaussian_target(**{arg: K})
 
 
 def test_gaussian_mean_and_factor():
@@ -183,6 +203,15 @@ def test_load_logistic_csv_errors(tmp_path):
     bad.write_text("")
     with pytest.raises(IngestionError, match="no data"):
         load_logistic_csv(bad)
+    # a NaN or infinite covariate is named, not standardized into a zero
+    # column; the first one in reading order counts
+    bad.write_text("0.1,2.0,1\n\n0.3,inf,0\nnan,-inf,1\n0.4,1.0,0\n")
+    with pytest.raises(IngestionError, match="non-finite field at row 3, column 2"):
+        load_logistic_csv(bad)
+    for field in ("nan", "NaN", "inf", "-Infinity"):
+        bad.write_text(f"0.1,2.0,1\n{field},1.0,0\n")
+        with pytest.raises(IngestionError, match="non-finite field at row 2, column 1"):
+            load_logistic_csv(bad, standardize=False)
     with pytest.raises(IngestionError):
         load_logistic_csv(tmp_path / "missing.csv")
 
