@@ -9,6 +9,7 @@ eigenvalue estimate, and hands its raw products H C eps and H C b on to
 the gradient.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,9 +62,10 @@ def dl_coeff(h, L):
 class MidpointOperator:
     """w -> D w at a frozen midpoint, one hvp call per application.
 
-    Exactly zero for L = 1.  Raises on non-finite output so the adaptation
-    step can skip the update.  ``last_hvp`` is the raw product H(q_mid) C w
-    of the latest application (None before the first and for L = 1).
+    Exactly zero for L = 1.  Raises on non-finite output (tested entrywise
+    only when its sum is not finite) so the adaptation step can skip the
+    update.  ``last_hvp`` is the raw product H(q_mid) C w of the latest
+    application (None before the first and for L = 1).
     """
 
     def __init__(self, q_mid, precond, model, h, L):
@@ -81,7 +83,7 @@ class MidpointOperator:
             return np.zeros_like(np.asarray(w, dtype=float))
         self.last_hvp = self.product(w)
         out = self.coeff * self.precond.rmatvec(self.last_hvp)
-        if not np.isfinite(out).all():
+        if not math.isfinite(out.sum()) and not np.isfinite(out).all():
             raise FloatingPointError("non-finite Hessian-vector product")
         return out
 
@@ -90,10 +92,9 @@ def sample_truncation(rng, n_min=N_MIN):
     """Truncation level N = n_min + Geometric(1/2) on {0,1,...} and its
     survival probabilities p_k = P(N >= k)."""
     extra = int(rng.geometric(0.5)) - 1
-    n = n_min + extra
-    k = np.arange(1, n + 1)
-    p = np.where(k <= n_min, 1.0, 0.5 ** np.maximum(k - n_min, 0))
-    return n, p
+    p = np.ones(n_min + extra)
+    p[n_min:] = 0.5 ** np.arange(1, extra + 1)
+    return n_min + extra, p
 
 
 def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
@@ -104,11 +105,13 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     Accumulates y and the probe inner products, then spends one extra
     operator application on mu = b^T D b.  When dl exposes ``last_hvp``
     (as MidpointOperator does), the raw products of the first term and of
-    the mu probe are kept on the draw.
+    the mu probe are kept on the draw.  Norms are ``np.linalg.norm``'s
+    sqrt(x @ x), and ||eta|| is carried over unless the clamp fired.
     """
     epsilon = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
     n, survival = sample_truncation(rng, n_min)
     eta = epsilon.copy()
+    en = math.sqrt(eta @ eta)
     y = np.zeros(dim)
     eps_eta = np.zeros(n)
     clamps = 0
@@ -118,8 +121,7 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         z = dl(eta)
         if k == 1:
             hvp_eps = getattr(dl, "last_hvp", None)
-        zn = float(np.linalg.norm(z))
-        en = float(np.linalg.norm(eta))
+        zn = math.sqrt(z @ z)
         if zn == 0.0:
             eta = np.zeros(dim)
             degenerate = True
@@ -127,15 +129,16 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         if zn > delta_prime * en:
             z = z * (delta_prime * en / zn)
             clamps += 1
-        eta = z
+            zn = math.sqrt(z @ z)
+        eta, en = z, zn
         y += ((-1.0) ** k / survival[k - 1]) * eta
         eps_eta[k - 1] = float(epsilon @ eta)
-    if degenerate or float(np.linalg.norm(eta)) == 0.0:
+    if degenerate or en == 0.0:
         b = np.zeros(dim)
         mu = 0.0
         degenerate = True
     else:
-        b = eta / float(np.linalg.norm(eta))
+        b = eta / en
         mu = float(b @ dl(b))
         hvp_b = getattr(dl, "last_hvp", None)
     return RouletteDraw(

@@ -4,10 +4,14 @@ preconditioner parameters.
 All gradients use frozen-value semantics: the cached trajectory gradients,
 the roulette accumulator y, the power vector b and the Hessian midpoint
 are constants; theta enters only through the explicit C / C^T products.
-Each gradient is assembled from the two preconditioner adjoint primitives.
-The gradients take a block of k chains (see ``integrator``) and return
-one gradient per row: per-row branches (positive energy error, nonzero
-acceptance, an active penalty) act on the rows they hold for.
+A gradient is a sum of terms s d(u^T C w)/dtheta with frozen u and w.
+The gradients take a block of k chains (see ``integrator``), build the
+same T terms for every row (at most 7: four for the energy error, then
+two for the entropy and one for the penalty, or three for the jump), and
+contract them in one ``accumulate_bilinear_grad`` call, one gradient per
+row.  A per-row branch (positive energy error, nonzero acceptance, an
+active penalty) gives its terms scale 0, and so adds nothing, on the rows
+it does not hold for, even where their vectors are not finite.
 The matching surrogate losses, re-evaluatable at any parameter point from
 the frozen pieces, live in the test suite, whose finite differences of
 them are the independent check.
@@ -118,35 +122,35 @@ def make_adapt_state(precond, config=None):
 # -- frozen endpoint pieces ----------------------------------------------
 
 
-def _endpoint_adjoint(traj, precond, u, out, scale=1.0):
-    # accumulate scale * d(u^T q_L(theta)) / dtheta for frozen u, with
-    # q_L = q_0 + Lh C v - C C^T (h^2 xi + (L h^2 / 2) g_0)
+def _endpoint_terms(traj, precond, u, scale):
+    # the terms of scale * d(u^T q_L(theta)) / dtheta for frozen u, with
+    # q_L = q_0 + Lh C v - C C^T x for x = h^2 xi + (L h^2 / 2) g_0
     h, L = traj.h, traj.L
-    precond.accumulate_bilinear_grad(u, traj.v, out, scale * L * h)
-    ct_terms = h * h * traj.xi + 0.5 * L * h * h * traj.grads[0]
-    precond.accumulate_bilinear_grad(u, precond.rmatvec(ct_terms), out, -scale)
-    precond.accumulate_bilinear_grad(ct_terms, precond.rmatvec(u), out, -scale)
+    x = h * h * traj.xi + 0.5 * L * h * h * traj.grads[0]
+    return [(u, traj.v, scale * L * h), (u, precond.rmatvec(x), -scale),
+            (x, precond.rmatvec(u), -scale)]
 
 
-def _delta_grad(traj, precond, out, scale=1.0):
-    # accumulate scale * dDelta/dtheta with all potential gradients frozen:
+def _delta_terms(traj, precond, scale):
+    # the terms of scale * dDelta/dtheta with all potential gradients frozen:
     # w = v - C^T m for the theta-free m below, so d(0.5 ||w||^2) = -m^T dC w
     h, L = traj.h, traj.L
     m = 0.5 * h * (traj.grads[0] + traj.grads[L]) + h * traj.grads[1:L].sum(axis=0)
-    _endpoint_adjoint(traj, precond, traj.grads[L], out, scale)
-    precond.accumulate_bilinear_grad(m, traj.w, out, -scale)
+    return _endpoint_terms(traj, precond, traj.grads[L], scale) + [(m, traj.w, -scale)]
 
 
-def _on_rows(mask, out, fn):
-    # call fn(index, rows) on the rows of the block out where mask holds:
-    # out itself when all do, else a copy that is written back
-    index = np.flatnonzero(mask)
-    if index.size == mask.size:
-        fn(index, out)
-    elif index.size:
-        rows = out[index]
-        fn(index, rows)
-        out[index] = rows
+def _contract(precond, terms, out):
+    # add the terms (u, w: (k, d) or k rows; scale: a number or (k,)) into
+    # the block out in one call, each zeroed on the rows where its scale is 0
+    U, W = np.empty((2, len(out), len(terms), precond.dim))
+    S = np.empty((len(out), len(terms)))
+    for t, (u, w, s) in enumerate(terms):
+        U[:, t], W[:, t], S[:, t] = u, w, s
+    off = S == 0.0
+    if off.any():
+        U[off] = 0.0
+        W[off] = 0.0
+    precond.accumulate_bilinear_grad(U, W, out, S)
 
 
 # -- penalised generalized-speed-measure objective -----------------------
@@ -167,17 +171,12 @@ def gsm_gradient(traj, draws, state, precond, h_cy):
     hvp call is made here.
     """
     out = np.zeros((len(draws), precond.theta.size))
-    positive = np.isfinite(traj.delta) & (traj.delta > 0.0)
-    _on_rows(positive, out, lambda index, rows: _delta_grad(traj.rows(index), precond, rows))
     # log-det part: d log h is theta-free
     precond.accumulate_logdet_grad(out, -state.beta)
+    positive = np.isfinite(traj.delta) & (traj.delta > 0.0)
+    terms = _delta_terms(traj, precond, positive.astype(float))
     if traj.L > 1:
         c = dl_coeff(traj.h, traj.L)
-        eps = np.stack([dr.epsilon for dr in draws])
-        y = np.stack([dr.y for dr in draws])
-        precond.accumulate_bilinear_grad(np.stack([dr.hvp_eps for dr in draws]), y, out,
-                                         -state.beta * c)
-        precond.accumulate_bilinear_grad(np.stack(h_cy), eps, out, -state.beta * c)
         # a degenerate draw keeps no H C b: there b = 0, so mu = 0 and the
         # penalty is inactive
         b = np.stack([dr.b for dr in draws])
@@ -188,8 +187,9 @@ def gsm_gradient(traj, draws, state, precond, h_cy):
             slope = penalty_h_grad(abs(mu), state.config.penalty_delta)
             if slope != 0.0 and mu != 0.0:
                 coeff[i] = state.beta * state.gamma * slope * np.sign(mu) * c * 2.0
-        _on_rows(coeff != 0.0, out, lambda index, rows: precond.accumulate_bilinear_grad(
-            hvp_b[index], b[index], rows, coeff[index]))
+        terms += [([dr.hvp_eps for dr in draws], [dr.y for dr in draws], -state.beta * c),
+                  (h_cy, [dr.epsilon for dr in draws], -state.beta * c), (hvp_b, b, coeff)]
+    _contract(precond, terms, out)
     return out
 
 
@@ -203,33 +203,23 @@ def jump_value(traj):
     return traj.accept_prob * row_dot(jump, jump)
 
 
-def _jump_grad(traj, precond, out, scale):
-    # accumulate scale * dJ/dtheta into the rows of out for the block traj,
-    # with dJ = a dr + r da for r the squared jump; scale is a number or
-    # one per row
+def _jump_gradient(traj, precond, scale):
+    # scale * dJ/dtheta for the block traj, one row per chain, with
+    # dJ = a dr + r da for r the squared jump and da = -a dDelta on the
+    # rows where the exponential binds; scale is a number or one per row
     a = traj.accept_prob
     jump = traj.q[traj.L] - traj.q[0]
     r = row_dot(jump, jump)
-    moved = scale * a * 2.0
-    _on_rows(a > 0.0, out, lambda index, rows: _endpoint_adjoint(
-        traj.rows(index), precond, jump[index], rows, moved[index]))
-    # da = -a dDelta on the branch where the exponential binds
     binds = np.isfinite(traj.delta) & (traj.delta > 0.0) & (a > 0.0)
-    energy = scale * r * (-a)
-
-    def energy_part(index, rows):
-        tmp = np.zeros_like(rows)
-        _delta_grad(traj.rows(index), precond, tmp, 1.0)
-        rows += energy[index][:, None] * tmp
-
-    _on_rows(binds, out, energy_part)
+    out = np.zeros((a.size, precond.theta.size))
+    _contract(precond, _endpoint_terms(traj, precond, jump, scale * a * 2.0)
+              + _delta_terms(traj, precond, np.where(binds, scale * r * (-a), 0.0)), out)
+    return out
 
 
 def esjd_gradient(traj, precond):
     """Gradient of the ESJD loss -J, one row per chain of the block traj."""
-    out = np.zeros((traj.live.size, precond.theta.size))
-    _jump_grad(traj, precond, out, -1.0)
-    return out
+    return _jump_gradient(traj, precond, -1.0)
 
 
 def l2hmc_gradient(traj, jumps, state, precond):
@@ -240,9 +230,7 @@ def l2hmc_gradient(traj, jumps, state, precond):
     dloss_dj = np.full(jumps.size, -1.0 / lam)
     far = jumps > L2HMC_FLOOR
     dloss_dj[far] -= lam / (jumps[far] * jumps[far])
-    out = np.zeros((jumps.size, precond.theta.size))
-    _jump_grad(traj, precond, out, dloss_dj)
-    return out
+    return _jump_gradient(traj, precond, dloss_dj)
 
 
 # -- parameter and controller updates ------------------------------------

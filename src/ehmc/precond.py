@@ -20,12 +20,15 @@ float64 (d,) ndarray goes to them with no conversion and no dispatch on
 the kind: the sampling leapfrog makes 2L + 1 such calls per transition.
 The gradient helpers accumulate into caller-owned arrays.
 
-Every map and ``accumulate_bilinear_grad`` also take a (k, d) block of k
-vectors, one per row, and give each row the same bits as the (d,) call:
-the dense maps are stacked ``np.matmul`` (one gemv per row; a plain gemm
-rounds differently), the banded maps one LAPACK solve with k right-hand
-sides, and the dense triangular solves stay one call per row, because a
-multi-right-hand-side ``trsm`` rounds differently.
+Every map also takes a (k, d) block, and ``accumulate_bilinear_grad``
+a (k, T, d) stack of T terms per row; each row gets the bits it gets
+alone.  The dense maps are stacked ``np.matmul`` (one gemv per row; a
+plain gemm rounds differently), the banded maps one LAPACK solve with k
+right-hand sides, and the dense triangular solves one call per row (a
+multi-right-hand-side ``trsm`` rounds differently).  A term stack costs
+one stacked (d, T) by (T, d) ``np.matmul`` and one gather (dense), two
+LAPACK solves with kT right-hand sides and two sums over T (banded), or
+one sum over T (diagonal).
 """
 
 from functools import partial
@@ -93,7 +96,10 @@ class Preconditioner:
         self.dim = dim
         self._vec_shape = (dim,)
         if kind == "dense":
-            self._rows, self._cols = np.tril_indices(dim, k=-1)
+            # the packed parameters' places in the flattened C: the
+            # diagonal, then the strict lower triangle row by row
+            rows, cols = np.tril_indices(dim, k=-1)
+            self._packed = np.concatenate([np.arange(dim) * (dim + 1), rows * dim + cols])
         elif kind == "banded":
             # imported here so that the other kinds never load scipy
             from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -123,8 +129,7 @@ class Preconditioner:
         elif self.kind == "dense":
             self._exp = np.exp(theta[:d])
             C = np.zeros((d, d))
-            C[np.diag_indices(d)] = self._exp
-            C[self._rows, self._cols] = theta[d:]
+            C.flat[self._packed] = np.concatenate([self._exp, theta[d:]])
             self._C = C
             self._matvec = partial(np.matmul, C)
             self._rmatvec = partial(np.matmul, C.T)
@@ -214,32 +219,34 @@ class Preconditioner:
 
     # -- parameter gradients --------------------------------------------
 
-    def accumulate_bilinear_grad(self, u, w, out, scale=1.0):
-        """Add scale * d(u^T C w)/d(theta) into ``out``.
-
-        Respects the exp reparameterization of diagonal entries; for the
-        banded kind uses d(u^T B^{-1} w)/dB = -(B^{-T} u)(B^{-1} w)^T
-        restricted to the band.  For (k, d) blocks u and w, ``out`` is
-        (k, n_params) and ``scale`` a number or one number per row.
+    def accumulate_bilinear_grad(self, U, W, out, S):
+        """Add sum_t S[:, t] * d(U[:, t]^T C W[:, t])/d(theta) into the
+        (k, n_params) block ``out``, for (k, T, d) stacks U, W and (k, T)
+        scales S.  Respects the exp reparameterization of diagonal entries;
+        for the banded kind uses d(u^T B^{-1} w)/dB = -(B^{-T} u)(B^{-1} w)^T
+        restricted to the band.
         """
-        u = self._check_vec(u)
-        w = self._check_vec(w)
+        U = np.asarray(U, dtype=float)
+        W = np.asarray(W, dtype=float)
+        S = np.asarray(S, dtype=float)
+        if U.ndim != 3 or W.shape != U.shape or U.shape != S.shape + (self.dim,):
+            raise ValueError(f"terms have shapes {U.shape}, {W.shape} and scales "
+                             f"{S.shape}, expected (k, T, {self.dim}) twice and (k, T)")
         d = self.dim
-        if np.ndim(scale) == 1:
-            scale = scale[:, None]
+        SU = S[:, :, None] * U
         if self.kind == "diagonal":
-            out += scale * (u * w * self._exp)
-            return
-        if self.kind == "dense":
-            out[..., :d] += scale * (u * w * self._exp)
-            # np.take gives the bits of fancy indexing, at half its cost on a block
-            out[..., d:] += scale * (np.take(u, self._rows, axis=-1)
-                                     * np.take(w, self._cols, axis=-1))
-            return
-        a = self.rmatvec(u)  # B^{-T} u
-        b = self.matvec(w)  # B^{-1} w
-        out[..., :d] += scale * (-a * b * self._exp)
-        out[..., d:] += scale * (-a[..., : d - 1] * b[..., 1:])
+            out += (SU * W).sum(axis=1) * self._exp
+        elif self.kind == "dense":
+            # sum_t s_t u_t w_t^T, one matmul per row, then its packed entries
+            G = np.matmul(SU.transpose(0, 2, 1), W).reshape(len(U), d * d)
+            packed = np.take(G, self._packed, axis=1)
+            packed[:, :d] *= self._exp
+            out += packed
+        else:
+            a = self.rmatvec(SU.reshape(-1, d)).reshape(U.shape)  # B^{-T} s u
+            b = self.matvec(W.reshape(-1, d)).reshape(U.shape)  # B^{-1} w
+            out[:, :d] -= (a * b).sum(axis=1) * self._exp
+            out[:, d:] -= (a[:, :, :-1] * b[:, :, 1:]).sum(axis=1)
 
     def accumulate_logdet_grad(self, out, scale=1.0):
         """Add scale * d(log|det C|)/d(theta) into ``out`` (into every row of

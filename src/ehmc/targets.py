@@ -240,9 +240,9 @@ def load_logistic_csv(path, intercept=True, standardize=True):
     """Read a numeric CSV with the binary label in the last column.
 
     The covariates go through ``prepare_design``.  Errors name the
-    offending row and column; a NaN or infinite field is one.
+    offending row (its line in the file) and column; a NaN or infinite field is one.
     """
-    rows = []
+    rows = {}  # file line number -> fields
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -262,18 +262,18 @@ def load_logistic_csv(path, intercept=True, standardize=True):
         bad = next((j for j, x in enumerate(row) if not math.isfinite(x)), None)
         if bad is not None:
             raise IngestionError(f"{path}: non-finite field at row {i + 1}, column {bad + 1}")
-        rows.append(row)
+        rows[i + 1] = row
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    width = len(rows[0])
-    for i, r in enumerate(rows):
+    width = len(next(iter(rows.values())))
+    for n, r in rows.items():
         if len(r) != width:
-            raise IngestionError(f"{path}: row {i + 1} has {len(r)} fields, expected {width}")
-    data = np.asarray(rows, dtype=float)
+            raise IngestionError(f"{path}: row {n} has {len(r)} fields, expected {width}")
+    data = np.asarray(list(rows.values()), dtype=float)
     X, y = data[:, :-1], data[:, -1]
     bad = np.where(~np.isin(y, (0.0, 1.0)))[0]
     if bad.size:
-        raise IngestionError(f"{path}: label outside {{0,1}} at row {bad[0] + 1}")
+        raise IngestionError(f"{path}: label outside {{0,1}} at row {list(rows)[bad[0]]}")
     return prepare_design(X, intercept, standardize), y
 
 

@@ -10,7 +10,8 @@ package's analytic gradients.
 
 import numpy as np
 
-from ehmc.entropy import dl_coeff, penalty_h
+from ehmc.entropy import (DELTA_PRIME, N_MIN, MidpointOperator, RouletteDraw, dl_coeff,
+                          penalty_h)
 from ehmc.integrator import DivergenceError, Trajectory, energy_error, trajectory_reparam
 from ehmc.objective import L2HMC_FLOOR
 from ehmc.precond import Preconditioner, n_params
@@ -68,16 +69,17 @@ def scaled_identity(kind, dim, s):
 
 
 def fd_theta_gradient(f, theta, eps=1e-6):
-    """Central finite differences of a scalar function of theta."""
+    """Central finite differences of a function of theta: of its scalar
+    value, or of each entry of its array value with theta's axis last."""
     theta = np.asarray(theta, dtype=float)
-    out = np.zeros_like(theta)
+    out = []
     for j in range(theta.size):
         tp = theta.copy()
         tp[j] += eps
         tm = theta.copy()
         tm[j] -= eps
-        out[j] = (f(tp) - f(tm)) / (2.0 * eps)
-    return out
+        out.append((np.asarray(f(tp)) - np.asarray(f(tm))) / (2.0 * eps))
+    return np.stack(out, axis=-1)
 
 
 def relative_error(approx, exact, floor=1.0):
@@ -146,6 +148,62 @@ class TextbookFactor:
 
     def rmatvec(self, w):
         return self._rmatvec(self._check(w))
+
+
+class EntrywiseMidpointOperator(MidpointOperator):
+    """MidpointOperator with the entrywise finiteness test on every output."""
+
+    def __call__(self, w):
+        if self.L == 1:
+            return np.zeros_like(np.asarray(w, dtype=float))
+        self.last_hvp = self.product(w)
+        out = self.coeff * self.precond.rmatvec(self.last_hvp)
+        if not np.isfinite(out).all():
+            raise FloatingPointError("non-finite Hessian-vector product")
+        return out
+
+
+def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
+    """The roulette pass with survival probabilities from a mask over
+    1..N and both norms recomputed by ``np.linalg.norm`` on every term:
+    the reference the package's pass must match bit for bit."""
+    epsilon = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
+    n = n_min + int(rng.geometric(0.5)) - 1
+    k = np.arange(1, n + 1)
+    survival = np.where(k <= n_min, 1.0, 0.5 ** np.maximum(k - n_min, 0))
+    eta = epsilon.copy()
+    y = np.zeros(dim)
+    eps_eta = np.zeros(n)
+    clamps = 0
+    degenerate = False
+    hvp_eps = hvp_b = None
+    for k in range(1, n + 1):
+        z = dl(eta)
+        if k == 1:
+            hvp_eps = getattr(dl, "last_hvp", None)
+        zn = float(np.linalg.norm(z))
+        en = float(np.linalg.norm(eta))
+        if zn == 0.0:
+            eta = np.zeros(dim)
+            degenerate = True
+            break
+        if zn > delta_prime * en:
+            z = z * (delta_prime * en / zn)
+            clamps += 1
+        eta = z
+        y += ((-1.0) ** k / survival[k - 1]) * eta
+        eps_eta[k - 1] = float(epsilon @ eta)
+    if degenerate or float(np.linalg.norm(eta)) == 0.0:
+        b = np.zeros(dim)
+        mu = 0.0
+        degenerate = True
+    else:
+        b = eta / float(np.linalg.norm(eta))
+        mu = float(b @ dl(b))
+        hvp_b = getattr(dl, "last_hvp", None)
+    return RouletteDraw(epsilon=epsilon, n_terms=n, survival=survival, eta_bar=eta, y=y,
+                        b=b, mu=mu, eps_eta=eps_eta, clamp_count=clamps,
+                        degenerate=degenerate, hvp_eps=hvp_eps, hvp_b=hvp_b)
 
 
 def trajectory_one_chain(q0, v, h, L, precond, model, g0=None, u0=None):

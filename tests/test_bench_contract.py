@@ -144,3 +144,29 @@ def test_sampling_transition_calls(kind, L, monkeypatch):
         assert len(log["grad"]) - before["grad"] == L
         assert len(log["potential"]) - before["potential"] == 1
         assert not xi_reads and traj._xi is None
+
+
+@pytest.mark.parametrize("objective", ["gsm", "esjd", "l2hmc"])
+def test_one_parameter_gradient_call_per_adaptation_step(objective, monkeypatch):
+    # the tracer's precond.param_grad span wraps these two methods on the
+    # class, and a traced run fails without a span: every adaptation step
+    # contracts all its terms in one accumulate_bilinear_grad call, and a
+    # GSM step adds its log-det part in one accumulate_logdet_grad call
+    calls = {"accumulate_bilinear_grad": 0, "accumulate_logdet_grad": 0}
+    for attr in calls:
+        real = getattr(Preconditioner, attr)
+
+        def counted(self, *args, attr=attr, real=real):
+            calls[attr] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
+    model = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))
+    state = make_adapt_state(make_preconditioner("dense", 3))
+    chains = make_chains(model, CHAINS, seed=6)
+    for _ in range(6):
+        before = dict(calls)
+        sampler.adaptive_step(chains, state, model, 0.3, 4, objective, {})
+        assert calls["accumulate_bilinear_grad"] - before["accumulate_bilinear_grad"] == 1
+        assert (calls["accumulate_logdet_grad"] - before["accumulate_logdet_grad"]
+                == (objective == "gsm"))

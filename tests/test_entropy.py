@@ -1,5 +1,7 @@
 """Midpoint-Hessian operator, roulette estimator, and eigenvalue penalty."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ehmc.entropy import (
     N_MIN,
     dl_coeff,
     MidpointOperator,
+    RouletteDraw,
     penalty_h,
     penalty_h_grad,
     roulette_logdet_estimate,
@@ -15,6 +18,8 @@ from ehmc.entropy import (
 )
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
 from ehmc.targets import TargetModel, gaussian_target, logistic_target, simulate_logistic_data
+
+from _oracles import EntrywiseMidpointOperator, hazard_model, roulette_pass_reference
 
 
 # ---------------------------------------------------------------- operator
@@ -111,6 +116,92 @@ def test_roulette_zero_operator():
     assert np.array_equal(draw.b, np.zeros(3))
     assert draw.mu == 0.0
     assert roulette_logdet_estimate(draw) == 0.0
+
+
+def assert_draws_bit_equal(new, ref):
+    for field in dataclasses.fields(RouletteDraw):
+        a, b = getattr(new, field.name), getattr(ref, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        if b is not None:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
+def scaled_orthogonal(d, lo, hi, rng):
+    # Q diag(s) Q^T with every |s| in [lo, hi], so ||D w|| / ||w|| lies there too
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    s = rng.uniform(lo, hi, d) * rng.choice([-1.0, 1.0], d)
+    return (Q * s) @ Q.T
+
+
+def overflowing_model(d):
+    # a Hessian-vector product with finite entries whose sum overflows
+    base = gaussian_target(precision=np.ones(d))
+    return TargetModel(dim=d, potential=base.potential, grad=base.grad,
+                       hvp=lambda q, w: np.full(d, 1.7e308), precision=base.precision)
+
+
+def roulette_operators(d, rng):
+    """(name, package operator, reference operator) pairs; a plain callable
+    serves both sides."""
+    gauss = gaussian_target(covariance=np.exp(rng.normal(0.0, 0.5, d)))
+    dense = Preconditioner("dense", d, rng.normal(0.0, 0.3, n_params("dense", d)))
+    contractive = scaled_orthogonal(d, 0.05, 0.5, rng)
+    expanding = scaled_orthogonal(d, 2.0, 4.0, rng)
+    q = rng.normal(0.0, 0.5, d)
+    pairs = [("zero", MidpointOperator(q, dense, gauss, 0.5, 1),
+              EntrywiseMidpointOperator(q, dense, gauss, 0.5, 1)),
+             ("never clamps", lambda w: contractive @ w, None),
+             ("clamps every term", lambda w: expanding @ w, None)]
+    for h in (0.3, 0.9):
+        pairs.append(("midpoint", MidpointOperator(q, dense, gauss, h, 5),
+                      EntrywiseMidpointOperator(q, dense, gauss, h, 5)))
+    hazard = hazard_model()
+    for q in (np.array([0.0, 0.3, -0.2]), np.array([1.2, 0.0, 0.0])):
+        hz = Preconditioner("diagonal", 3, np.full(3, 0.7))
+        pairs.append(("non-finite hvp", MidpointOperator(q, hz, hazard, 0.6, 4),
+                      EntrywiseMidpointOperator(q, hz, hazard, 0.6, 4)))
+    eye = make_preconditioner("diagonal", 4)
+    big = overflowing_model(4)
+    pairs.append(("overflowing sum", MidpointOperator(np.zeros(4), eye, big, 0.5, 3),
+                  EntrywiseMidpointOperator(np.zeros(4), eye, big, 0.5, 3)))
+    return [(name, new, new if ref is None else ref) for name, new, ref in pairs]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_roulette_pass_equals_reference():
+    # every field of every draw bit for bit, the same FloatingPointError
+    # where the reference raises, and the generators left in the same state
+    rng = np.random.default_rng(31)
+    seen = {}
+    for name, new_op, ref_op in roulette_operators(5, rng):
+        dim = 3 if name == "non-finite hvp" else 4 if name == "overflowing sum" else 5
+        for n_min, delta_prime in ((1, 0.99), (3, 0.99), (6, 0.5)):
+            new_rng, ref_rng = np.random.default_rng(n_min), np.random.default_rng(n_min)
+            for _ in range(25):
+                try:
+                    ref = roulette_pass_reference(ref_op, dim, ref_rng, delta_prime, n_min)
+                except FloatingPointError as err:
+                    with pytest.raises(FloatingPointError) as raised:
+                        roulette_pass(new_op, dim, new_rng, delta_prime, n_min)
+                    assert str(raised.value) == str(err)
+                    seen.setdefault(name, []).append(None)
+                else:
+                    new = roulette_pass(new_op, dim, new_rng, delta_prime, n_min)
+                    assert_draws_bit_equal(new, ref)
+                    seen.setdefault(name, []).append(ref)
+                assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert sum(map(len, seen.values())) >= 500
+    draws = {name: [dr for dr in got if dr is not None] for name, got in seen.items()}
+    assert all(dr.degenerate for dr in draws["zero"])
+    assert all(dr.clamp_count == 0 and not dr.degenerate for dr in draws["never clamps"])
+    assert all(dr.clamp_count == dr.n_terms for dr in draws["clamps every term"])
+    assert len({dr.n_terms for dr in draws["clamps every term"]}) > 3
+    assert all(dr.hvp_eps is not None and dr.hvp_b is not None for dr in draws["midpoint"])
+    assert len({dr.clamp_count for dr in draws["midpoint"]}) > 1
+    assert 0 < len(draws["non-finite hvp"]) < len(seen["non-finite hvp"])
+    assert all(dr.degenerate for dr in draws["overflowing sum"])
 
 
 def test_roulette_scalar_closed_form():

@@ -302,6 +302,25 @@ def test_multi_chain_gradient_linearity():
             assert relative_error(grads.mean(axis=0), np.mean(fds, axis=0)) < 1e-5
 
 
+def test_branch_off_rows_ignore_non_finite_pieces():
+    # a row whose energy error is +inf (its final velocity overflowed, say)
+    # holds no energy branch and, with a = 0, no jump branch: those terms
+    # add nothing to it, so its ESJD gradient is exactly 0 and its GSM
+    # gradient is the one it gets with a finite w and a negative error,
+    # while the other rows keep their bits
+    for kind, d in [("diagonal", 4), ("dense", 5), ("banded", 5)]:
+        m, p, traj, draws = block_case(kind, d, 0.3, 3)
+        state = make_adapt_state(p)
+        gsm, esjd = gsm_rows(traj, draws, state, p, m), esjd_gradient(traj, p)
+        traj.delta = traj.delta.copy()
+        traj.delta[3] = np.inf
+        traj.w = traj.w.copy()
+        traj.w[3] = np.inf
+        got_gsm, got_esjd = gsm_rows(traj, draws, state, p, m), esjd_gradient(traj, p)
+        assert np.array_equal(got_gsm, gsm)
+        assert np.array_equal(got_esjd[:3], esjd[:3]) and not got_esjd[3].any()
+
+
 # ------------------------------------------------------------------- adam
 
 

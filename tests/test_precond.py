@@ -132,7 +132,7 @@ def test_bilinear_grad_matches_fd(kind):
         u = rng.standard_normal(dim)
         w = rng.standard_normal(dim)
         grad = np.zeros_like(p.theta)
-        p.accumulate_bilinear_grad(u, w, grad)
+        p.accumulate_bilinear_grad(u[None, None], w[None, None], grad[None], [[1.0]])
         fd = fd_theta_gradient(
             lambda th: float(u @ with_theta(p, th).matvec(w)), p.theta
         )
@@ -152,14 +152,18 @@ def test_logdet_grad_matches_fd(kind):
 def test_grad_accumulation_and_scale():
     rng = np.random.default_rng(5)
     p = random_precond("dense", 4, rng)
-    u = rng.standard_normal(4)
-    w = rng.standard_normal(4)
-    once = np.zeros_like(p.theta)
-    p.accumulate_bilinear_grad(u, w, once, scale=2.0)
-    twice = np.zeros_like(p.theta)
-    p.accumulate_bilinear_grad(u, w, twice)
-    p.accumulate_bilinear_grad(u, w, twice)
+    u = rng.standard_normal((1, 1, 4))
+    w = rng.standard_normal((1, 1, 4))
+    once = np.zeros((1, p.theta.size))
+    p.accumulate_bilinear_grad(u, w, once, [[2.0]])
+    twice = np.zeros((1, p.theta.size))
+    p.accumulate_bilinear_grad(u, w, twice, [[1.0]])
+    p.accumulate_bilinear_grad(u, w, twice, [[1.0]])
     assert np.allclose(once, twice)
+    stacked = np.zeros((1, p.theta.size))
+    p.accumulate_bilinear_grad(np.concatenate([u, u], axis=1), np.concatenate([w, w], axis=1),
+                               stacked, [[1.0, 1.0]])
+    assert np.allclose(once, stacked)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -221,10 +225,10 @@ def assert_maps_equal_fresh(p, rng):
         w = rng.standard_normal(p.dim)
         for name in ("matvec", "rmatvec", "solve", "solve_t"):
             assert np.array_equal(getattr(p, name)(w), getattr(fresh, name)(w))
-        got = np.zeros(p.theta.size)
-        want = np.zeros(p.theta.size)
-        p.accumulate_bilinear_grad(u, w, got, scale=0.7)
-        fresh.accumulate_bilinear_grad(u, w, want, scale=0.7)
+        got = np.zeros((1, p.theta.size))
+        want = np.zeros((1, p.theta.size))
+        p.accumulate_bilinear_grad(u[None, None], w[None, None], got, [[0.7]])
+        fresh.accumulate_bilinear_grad(u[None, None], w[None, None], want, [[0.7]])
         assert np.array_equal(got, want)
     assert p.logdet() == fresh.logdet()
 
@@ -263,14 +267,6 @@ def test_block_maps_equal_rows(kind, dim):
             block = getattr(p, name)(W)
             assert block.shape == (k, dim) and block.flags.c_contiguous
             assert np.array_equal(block, np.stack([getattr(p, name)(w) for w in W]))
-        U = rng.standard_normal((k, dim))
-        for scale in (0.7, rng.normal(size=k)):
-            got = rng.standard_normal((k, p.theta.size))
-            want = got.copy()
-            p.accumulate_bilinear_grad(U, W, got, scale)
-            for i in range(k):
-                p.accumulate_bilinear_grad(U[i], W[i], want[i], np.broadcast_to(scale, k)[i])
-            assert np.array_equal(got, want)
         got = rng.standard_normal((k, p.theta.size))
         want = got.copy()
         p.accumulate_logdet_grad(got, -0.3)
@@ -285,6 +281,65 @@ def test_block_shape_errors(kind):
     for bad in (np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros((4, 1))):
         with pytest.raises(ValueError):
             p.matvec(bad)
+    # a term stack is (k, T, d) for u and w alike, with (k, T) scales
+    out = np.zeros((2, p.theta.size))
+    good, scales = np.ones((2, 3, 4)), np.ones((2, 3))
+    for U, W, S in ((np.ones((2, 4)), np.ones((2, 4)), np.ones(2)),
+                    (np.ones(4), np.ones(4), 1.0),
+                    (np.ones((2, 3, 5)), np.ones((2, 3, 5)), scales),
+                    (good, np.ones((2, 2, 4)), scales),
+                    (good, good, np.ones((2, 2))),
+                    (good, good, 1.0)):
+        with pytest.raises(ValueError):
+            p.accumulate_bilinear_grad(U, W, out, S)
+
+
+def random_terms(p, k, T, rng):
+    # u, w of mixed magnitudes and scales of both signs, one of them 0
+    size = (k, T, p.dim)
+    U = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, (k, T, 1))
+    W = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, (k, T, 1))
+    S = rng.normal(size=(k, T))
+    S[0, 0] = 0.0
+    return U, W, S
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [1, 2, 7, 51, 64])
+def test_bilinear_stack_equals_rows(kind, dim):
+    # a k-row stack of T terms gives each row the bits of its 1-row call
+    rng = np.random.default_rng(500 + dim)
+    for k in (1, 3, 8):
+        for T in (1, 4, 7):
+            p = random_precond(kind, dim, rng, scale=0.5)
+            U, W, S = random_terms(p, k, T, rng)
+            got = rng.standard_normal((k, p.theta.size))
+            want = got.copy()
+            p.accumulate_bilinear_grad(U, W, got, S)
+            for i in range(k):
+                p.accumulate_bilinear_grad(U[i:i + 1], W[i:i + 1], want[i:i + 1], S[i:i + 1])
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [1, 2, 7, 51, 64])
+def test_bilinear_stack_matches_fd(kind, dim):
+    # each row is sum_t s_t d(u_t^T C w_t)/dtheta
+    rng = np.random.default_rng(600 + dim)
+    for k in (1, 3, 8):
+        for T in (1, 4, 7):
+            p = random_precond(kind, dim, rng)
+            U, W, S = (rng.standard_normal((k, T, dim)), rng.standard_normal((k, T, dim)),
+                       rng.normal(size=(k, T)))
+            grad = np.zeros((k, p.theta.size))
+            p.accumulate_bilinear_grad(U, W, grad, S)
+
+            def value(th):
+                CW = with_theta(p, th).matvec(W.reshape(-1, dim)).reshape(W.shape)
+                return (S * (U * CW).sum(axis=2)).sum(axis=1)
+
+            fd = fd_theta_gradient(value, p.theta)
+            assert np.max(np.abs(grad - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -158,6 +158,9 @@ def test_map_inputs_convert_as_before(kind, d):
     rng = np.random.default_rng(d)
     p = random_precond(kind, d, rng)
     for name, w in map_inputs(d, rng).items():
+        # the input as a stack of one term for one row, with its own dtype
+        # and strides
+        stack = [[w]] if isinstance(w, list) else w[None, None]
         try:
             ref = old_check(d, w)
         except ValueError as err:
@@ -165,6 +168,8 @@ def test_map_inputs_convert_as_before(kind, d):
                 with pytest.raises(ValueError) as new:
                     getattr(p, method)(w)
                 assert str(new.value) == str(err)
+            with pytest.raises(ValueError):
+                p.accumulate_bilinear_grad(stack, stack, np.zeros((1, p.theta.size)), [[1.0]])
             assert name == "column"
             continue
         assert name != "column"
@@ -176,8 +181,8 @@ def test_map_inputs_convert_as_before(kind, d):
         assert np.array_equal(out, ref)
         for method in ("matvec", "rmatvec", "solve", "solve_t"):
             assert np.array_equal(getattr(p, method)(w), getattr(p, method)(ref))
-        bilinear = np.zeros(p.theta.size)
-        p.accumulate_bilinear_grad(w, w, bilinear)
-        expected = np.zeros(p.theta.size)
-        p.accumulate_bilinear_grad(ref, ref, expected)
+        bilinear = np.zeros((1, p.theta.size))
+        p.accumulate_bilinear_grad(stack, stack, bilinear, [[1.0]])
+        expected = np.zeros((1, p.theta.size))
+        p.accumulate_bilinear_grad(ref[None, None], ref[None, None], expected, np.ones((1, 1)))
         assert np.array_equal(bilinear, expected)

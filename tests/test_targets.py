@@ -200,6 +200,13 @@ def test_load_logistic_csv_errors(tmp_path):
     bad.write_text("1.0,2.0,3.0\n")
     with pytest.raises(IngestionError, match="label"):
         load_logistic_csv(bad)
+    # rows are counted in file lines, blank lines included
+    bad.write_text("1,2,1\n\n1,2\n")
+    with pytest.raises(IngestionError, match="row 3 has 2 fields, expected 3"):
+        load_logistic_csv(bad)
+    bad.write_text("1,2,1\n\n1,2,3\n")
+    with pytest.raises(IngestionError, match="label outside .* at row 3$"):
+        load_logistic_csv(bad)
     bad.write_text("")
     with pytest.raises(IngestionError, match="no data"):
         load_logistic_csv(bad)
