@@ -27,7 +27,6 @@ class RouletteDraw:
     epsilon: Rademacher probe (+-1 entries)
     n_terms: truncation level N (>= n_min)
     survival: p_k = P(N >= k) for k = 1..N, nonincreasing, positive
-    eta_bar: final normalized power iterate
     y: alternating-series accumulator sum_k ((-1)^k / p_k) eta_k
     b: unit eigenvector estimate (zero vector when degenerate)
     mu: b^T D b, the dominant-eigenvalue estimate
@@ -43,7 +42,6 @@ class RouletteDraw:
     epsilon: np.ndarray
     n_terms: int
     survival: np.ndarray
-    eta_bar: np.ndarray
     y: np.ndarray
     b: np.ndarray
     mu: float
@@ -145,7 +143,6 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         epsilon=epsilon,
         n_terms=n,
         survival=survival,
-        eta_bar=eta,
         y=y,
         b=b,
         mu=mu,

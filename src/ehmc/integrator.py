@@ -5,14 +5,12 @@ preconditioner never needs a solve on the hot path.  The last half-kick
 leaves the final velocity w = C^T p_L on the trajectory, and the energy
 error and the adaptation objectives both read it.  All gradient
 evaluations along the trajectory are kept; the adaptation objective reuses
-them as frozen constants, and the accumulator xi it also reads is computed
-from them on first read, so a sampling transition never builds it.  A
-caller that already holds the gradient and potential at the start point
-passes them in, so a transition costs L gradients, one potential and
-2L + 1 factor maps.  A one-chain gradient is checked for finiteness
-through its sum, which is non-finite whenever an entry is; only a
-non-finite sum gets the entrywise test, so DivergenceError reports the
-same step as an entrywise check.
+them as frozen constants.  A caller that already holds the gradient and
+potential at the start point passes them in, so a transition costs L
+gradients, one potential and 2L + 1 factor maps.  A one-chain gradient
+is checked for finiteness through its sum, which is non-finite whenever
+an entry is; only a non-finite sum gets the entrywise test, so
+DivergenceError reports the same step as an entrywise check.
 
 A trajectory runs one chain on (d,) arrays or k chains in lockstep on a
 (k, d) block, with a chain axis after the step axis: q and grads are then
@@ -45,32 +43,19 @@ class Trajectory:
 
     q has shape (L+1, d) with q[0] the starting position; grads[i] is the
     potential gradient at q[i]; v is the starting velocity C^T p_0 and w
-    the final velocity C^T p_L; xi is the gradient accumulator
-    sum_{i=1}^{L-1} (L-i) grads[i], given or, when None, computed from
-    grads on first read; delta is the energy error of the proposal (+inf
-    when a potential evaluation was non-finite); u0 and u_end are the
-    potentials at q[0] and q[L] once evaluated.  A block has q and grads
-    of shape (L+1, k, d), v, w and xi (k, d), delta (k,), u0 and u_end
+    the final velocity C^T p_L; delta is the energy error of the proposal
+    (+inf when a potential evaluation was non-finite); u0 and u_end are
+    the potentials at q[0] and q[L] once evaluated.  A block has q and
+    grads of shape (L+1, k, d), v and w (k, d), delta (k,), u0 and u_end
     lists of k entries, and ``live`` (k,), False for rows whose integration
     failed; ``live`` is None for one chain.  A one-chain trajectory is
     what a sampling transition makes; the adaptation objectives take
     blocks only.
     """
 
-    def __init__(self, q, grads, v, w, xi, h, L, delta=np.nan, u0=None, u_end=None,
-                 live=None):
+    def __init__(self, q, grads, v, w, h, L, delta=np.nan, u0=None, u_end=None, live=None):
         self.q, self.grads, self.v, self.w, self.h, self.L = q, grads, v, w, h, L
-        self._xi = xi
         self.delta, self.u0, self.u_end, self.live = delta, u0, u_end, live
-
-    @property
-    def xi(self):
-        if self._xi is None:
-            xi = np.zeros_like(self.v)
-            for i in range(1, self.L):
-                xi += (self.L - i) * self.grads[i]
-            self._xi = xi
-        return self._xi
 
     @property
     def midpoint(self):
@@ -84,9 +69,9 @@ class Trajectory:
 
     def row(self, i):
         """Row i of a block as a one-chain trajectory (views, no copies)."""
-        return Trajectory(q=self.q[:, i], grads=self.grads[:, i], v=self.v[i],
-                          w=self.w[i], xi=self.xi[i], h=self.h, L=self.L,
-                          delta=float(self.delta[i]), u0=self.u0[i], u_end=self.u_end[i])
+        return Trajectory(q=self.q[:, i], grads=self.grads[:, i], v=self.v[i], w=self.w[i],
+                          h=self.h, L=self.L, delta=float(self.delta[i]), u0=self.u0[i],
+                          u_end=self.u_end[i])
 
     def rows(self, index):
         """The block of the rows listed, in increasing order, in index (all
@@ -95,9 +80,9 @@ class Trajectory:
         if index.size == self.live.size:
             return self
         return Trajectory(q=self.q[:, index], grads=self.grads[:, index], v=self.v[index],
-                          w=self.w[index], xi=self.xi[index], h=self.h, L=self.L,
-                          delta=self.delta[index], u0=[self.u0[i] for i in index],
-                          u_end=[self.u_end[i] for i in index], live=self.live[index])
+                          w=self.w[index], h=self.h, L=self.L, delta=self.delta[index],
+                          u0=[self.u0[i] for i in index], u_end=[self.u_end[i] for i in index],
+                          live=self.live[index])
 
 
 def _accept_prob(delta):
@@ -151,10 +136,8 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     u = C^T p coordinates (u0 = v), ending with the half-kick that gives
     the final velocity w = C^T p_L, and keeps every gradient so the
     endpoint identity and the adaptation objective can be evaluated
-    without re-running the model; the xi accumulator the objectives read
-    is computed from those gradients on first read.  g0 and u0, when given,
-    are the gradient and potential at q0, which are then not evaluated
-    again.
+    without re-running the model.  g0 and u0, when given, are the
+    gradient and potential at q0, which are then not evaluated again.
 
     q0 and v are (d,) for one chain, where a non-finite gradient raises
     DivergenceError, or (k, d) for k chains in lockstep, where g0 and u0
@@ -178,7 +161,7 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
         q[step] = q[step - 1] + h * precond.matvec(u)
         fill(model, q, grads, step, live)
         u = u - (h if step < L else 0.5 * h) * precond.rmatvec(grads[step])
-    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=u, xi=None, h=h, L=L, u0=u0, live=live)
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=u, h=h, L=L, u0=u0, live=live)
     traj.delta = energy_error(traj, model)
     return traj
 

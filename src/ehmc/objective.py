@@ -5,6 +5,9 @@ All gradients use frozen-value semantics: the cached trajectory gradients,
 the roulette accumulator y, the power vector b and the Hessian midpoint
 are constants; theta enters only through the explicit C / C^T products.
 A gradient is a sum of terms s d(u^T C w)/dtheta with frozen u and w.
+Each gradient forms the endpoint's x = h^2 xi + (L h^2 / 2) g_0, with
+xi = sum_{i=1}^{L-1} (L - i) g_i, and C^T x once, and the GSM penalty
+reads the mu its roulette draw already holds.
 The gradients take a block of k chains (see ``integrator``), build the
 same T terms for every row (at most 7: four for the energy error, then
 two for the entropy and one for the penalty, or three for the jump), and
@@ -122,21 +125,31 @@ def make_adapt_state(precond, config=None):
 # -- frozen endpoint pieces ----------------------------------------------
 
 
-def _endpoint_terms(traj, precond, u, scale):
-    # the terms of scale * d(u^T q_L(theta)) / dtheta for frozen u, with
-    # q_L = q_0 + Lh C v - C C^T x for x = h^2 xi + (L h^2 / 2) g_0
+def _endpoint_pieces(traj, precond):
+    # x and C^T x for the endpoint q_L = q_0 + Lh C v - C C^T x, where
+    # x = h^2 xi + (L h^2 / 2) g_0 and xi = sum_{i=1}^{L-1} (L - i) g_i
     h, L = traj.h, traj.L
-    x = h * h * traj.xi + 0.5 * L * h * h * traj.grads[0]
-    return [(u, traj.v, scale * L * h), (u, precond.rmatvec(x), -scale),
+    xi = np.zeros_like(traj.v)
+    for i in range(1, L):
+        xi += (L - i) * traj.grads[i]
+    x = h * h * xi + 0.5 * L * h * h * traj.grads[0]
+    return x, precond.rmatvec(x)
+
+
+def _endpoint_terms(traj, precond, ends, u, scale):
+    # the terms of scale * d(u^T q_L(theta)) / dtheta for frozen u, from
+    # the _endpoint_pieces ends = (x, C^T x)
+    x, ct_x = ends
+    return [(u, traj.v, scale * traj.L * traj.h), (u, ct_x, -scale),
             (x, precond.rmatvec(u), -scale)]
 
 
-def _delta_terms(traj, precond, scale):
+def _delta_terms(traj, precond, ends, scale):
     # the terms of scale * dDelta/dtheta with all potential gradients frozen:
     # w = v - C^T m for the theta-free m below, so d(0.5 ||w||^2) = -m^T dC w
     h, L = traj.h, traj.L
     m = 0.5 * h * (traj.grads[0] + traj.grads[L]) + h * traj.grads[1:L].sum(axis=0)
-    return _endpoint_terms(traj, precond, traj.grads[L], scale) + [(m, traj.w, -scale)]
+    return _endpoint_terms(traj, precond, ends, traj.grads[L], scale) + [(m, traj.w, -scale)]
 
 
 def _contract(precond, terms, out):
@@ -166,15 +179,17 @@ def gsm_gradient(traj, draws, state, precond, h_cy):
     entropy part back-propagates through both C factors of the surrogate
     operator; the penalty differentiates through the operator only, with
     b frozen.  draws holds one draw per row, each from a roulette pass
-    over a MidpointOperator, which keeps H C eps and H C b; h_cy holds
-    the caller's H C y product for each row (read only for L > 1), so no
-    hvp call is made here.
+    over a MidpointOperator, which keeps H C eps and H C b, and whose mu
+    is the b^T D b the caller's penalty reads; h_cy holds the caller's
+    H C y product for each row (read only for L > 1), so no hvp call is
+    made here.
     """
     out = np.zeros((len(draws), precond.theta.size))
     # log-det part: d log h is theta-free
     precond.accumulate_logdet_grad(out, -state.beta)
     positive = np.isfinite(traj.delta) & (traj.delta > 0.0)
-    terms = _delta_terms(traj, precond, positive.astype(float))
+    ends = _endpoint_pieces(traj, precond)
+    terms = _delta_terms(traj, precond, ends, positive.astype(float))
     if traj.L > 1:
         c = dl_coeff(traj.h, traj.L)
         # a degenerate draw keeps no H C b: there b = 0, so mu = 0 and the
@@ -182,11 +197,9 @@ def gsm_gradient(traj, draws, state, precond, h_cy):
         b = np.stack([dr.b for dr in draws])
         hvp_b = np.stack([np.zeros_like(dr.b) if dr.hvp_b is None else dr.hvp_b
                           for dr in draws])
-        coeff = np.zeros(len(draws))
-        for i, mu in enumerate(c * row_dot(precond.matvec(b), hvp_b)):
-            slope = penalty_h_grad(abs(mu), state.config.penalty_delta)
-            if slope != 0.0 and mu != 0.0:
-                coeff[i] = state.beta * state.gamma * slope * np.sign(mu) * c * 2.0
+        delta = state.config.penalty_delta
+        coeff = [state.beta * state.gamma * penalty_h_grad(abs(dr.mu), delta) * np.sign(dr.mu)
+                 * c * 2.0 for dr in draws]
         terms += [([dr.hvp_eps for dr in draws], [dr.y for dr in draws], -state.beta * c),
                   (h_cy, [dr.epsilon for dr in draws], -state.beta * c), (hvp_b, b, coeff)]
     _contract(precond, terms, out)
@@ -211,9 +224,10 @@ def _jump_gradient(traj, precond, scale):
     jump = traj.q[traj.L] - traj.q[0]
     r = row_dot(jump, jump)
     binds = np.isfinite(traj.delta) & (traj.delta > 0.0) & (a > 0.0)
+    ends = _endpoint_pieces(traj, precond)
     out = np.zeros((a.size, precond.theta.size))
-    _contract(precond, _endpoint_terms(traj, precond, jump, scale * a * 2.0)
-              + _delta_terms(traj, precond, np.where(binds, scale * r * (-a), 0.0)), out)
+    _contract(precond, _endpoint_terms(traj, precond, ends, jump, scale * a * 2.0)
+              + _delta_terms(traj, precond, ends, np.where(binds, scale * r * (-a), 0.0)), out)
     return out
 
 

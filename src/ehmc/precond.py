@@ -8,7 +8,8 @@ Three kinds are supported:
   then the strict lower triangle packed row by row).
 * ``banded``    -- C = B^{-1} for an upper bidiagonal B,
   2d-1 parameters (log of B's diagonal, then its superdiagonal).
-  All maps run in O(d).
+  B is kept in one (2, d) band layout; C w and C^T w are triangular
+  solves with B and B^T, no factorization, and all maps run in O(d).
 
 Diagonal entries of C (or of B) are stored as unconstrained reals and
 mapped through exp, which keeps C C^T positive definite for every theta.
@@ -55,29 +56,15 @@ def n_params(kind, dim):
     return 2 * dim - 1
 
 
-def _band_factor(gbtrf, kl, ku, ab):
-    # LAPACK gbtrf factors of a band matrix in its (2 kl + ku + 1, d) layout
-    lu, piv, info = gbtrf(ab, kl, ku)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gbtrf")
-    return kl, ku, lu, piv, info
-
-
-def _band_solve(gbtrs, factor, w):
-    """Solve with a bidiagonal band matrix as scipy's ``solve_banded`` does:
-    a 1x1 system is a division, anything larger LAPACK ``gbsv``, which is
-    ``gbtrf`` then ``gbtrs``.  The ``gbtrf`` factors are computed once per
-    theta, so a solve is one ``gbtrs`` call, with the same bits.  The rows
-    of a (k, d) block are its k right-hand sides."""
-    kl, ku, lu, piv, info = factor
-    if w.shape[-1] == 1:
-        return w / lu[kl + ku, 0]
-    if info > 0:
+def _band_solve(tbtrs, ab, trans, w):
+    """Solve B x = w (trans "N") or B^T x = w (trans "T") with the upper
+    bidiagonal B in its (2, d) band layout ``ab``: one LAPACK ``tbtrs``
+    triangular solve, back- or forward substitution, no factorization.
+    The rows of a (k, d) block are its k right-hand sides."""
+    x, info = tbtrs(ab, w if w.ndim == 1 else w.T, "U", trans)
+    if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
-    x, info = gbtrs(lu, kl, ku, w if w.ndim == 1 else w.T, piv)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gbtrs")
-    return x if w.ndim == 1 else np.ascontiguousarray(x.T)
+    return x if w.ndim == 1 else x.T
 
 
 def _rows_matvec(A, W):
@@ -86,7 +73,7 @@ def _rows_matvec(A, W):
 
 
 class Preconditioner:
-    """Learnable factor C exposing matvec, adjoint, solve and logdet maps."""
+    """Learnable factor C exposing C w, C^T w and their inverses."""
 
     def __init__(self, kind, dim, theta):
         check_kind(kind)
@@ -102,9 +89,9 @@ class Preconditioner:
             self._packed = np.concatenate([np.arange(dim) * (dim + 1), rows * dim + cols])
         elif kind == "banded":
             # imported here so that the other kinds never load scipy
-            from scipy.linalg.lapack import dgbtrf, dgbtrs
+            from scipy.linalg.lapack import dtbtrs
 
-            self._gbtrf, self._gbtrs = dgbtrf, dgbtrs
+            self._tbtrs = dtbtrs
         self.theta = theta
 
     @property
@@ -134,21 +121,14 @@ class Preconditioner:
             self._matvec = partial(np.matmul, C)
             self._rmatvec = partial(np.matmul, C.T)
         else:
-            # B's diagonal and superdiagonal, and the gbtrf factors of B
-            # (kl, ku) = (0, 1) and of B^T (1, 0); row 0 of the latter's
-            # layout is gbtrf's fill-in workspace
+            # B's superdiagonal (row 0, from column 1) and diagonal (row 1)
             self._exp = np.exp(theta[:d])
             self._sup = theta[d:]
-            ab_upper = np.zeros((2, d))
-            ab_upper[0, 1:] = self._sup
-            ab_upper[1] = self._exp
-            ab_lower = np.zeros((3, d))
-            ab_lower[1] = self._exp
-            ab_lower[2, : d - 1] = self._sup
-            self._upper = _band_factor(self._gbtrf, 0, 1, ab_upper)
-            self._lower = _band_factor(self._gbtrf, 1, 0, ab_lower)
-            self._matvec = partial(_band_solve, self._gbtrs, self._upper)
-            self._rmatvec = partial(_band_solve, self._gbtrs, self._lower)
+            ab = np.zeros((2, d))
+            ab[0, 1:] = self._sup
+            ab[1] = self._exp
+            self._matvec = partial(_band_solve, self._tbtrs, ab, "N")
+            self._rmatvec = partial(_band_solve, self._tbtrs, ab, "T")
 
     def _check_vec(self, w):
         # a float64 (d,) ndarray is what asarray would return unchanged
@@ -206,11 +186,6 @@ class Preconditioner:
             return solve_triangular(self._C, w, lower=True, trans=trans)
         return np.stack([solve_triangular(self._C, row, lower=True, trans=trans)
                          for row in w])
-
-    def logdet(self):
-        """log |det C|; finite for every parameter vector."""
-        s = float(np.sum(self.theta[: self.dim]))
-        return -s if self.kind == "banded" else s
 
     def dense(self):
         """Materialize C as a dense matrix (small d only): row j of the

@@ -191,7 +191,6 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
     live = np.flatnonzero(traj.live)
     traj = traj.rows(live)
     grads = np.zeros((0, precond.theta.size))
-    pens, mus = [], []
     if objective == "gsm":
         kept, draws, h_cy = [], [], []
         for j, i in enumerate(live):
@@ -206,8 +205,6 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
                 continue
             kept.append(j)
             draws.append(draw)
-            pens.append(penalty_h(abs(draw.mu), cfg.penalty_delta))
-            mus.append(abs(draw.mu))
         if kept:
             grads = gsm_gradient(traj.rows(kept), draws, state, precond, h_cy)
     elif objective == "esjd" and live.size:
@@ -224,9 +221,10 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
         adam_update(state, np.mean(grads[finite], axis=0))
     if objective == "gsm":
         update_beta(state, mean_a)
-        if pens:
-            stats["pen"] = float(np.mean(pens))
+        if draws:
+            mus = [abs(draw.mu) for draw in draws]
             stats["mu"] = float(np.mean(mus))
+            stats["pen"] = float(np.mean([penalty_h(mu, cfg.penalty_delta) for mu in mus]))
             update_gamma(state, stats["pen"])
     elif objective == "l2hmc" and live.size and not fresh_lambda:
         update_lambda(state, float(np.mean(jumps)))

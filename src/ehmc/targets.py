@@ -97,6 +97,12 @@ def _check_symmetric(a, name):
         raise ValueError(f"{name} is not symmetric")
 
 
+def _check_size(arg, value):
+    """Raise ValueError naming ``arg`` unless the size value is at least 1."""
+    if value < 1:
+        raise ValueError(f"{arg}: must be a positive integer, got {value}")
+
+
 def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian"):
     """Gaussian with U(q) = 0.5 (q - mean)^T P (q - mean).
 
@@ -106,6 +112,9 @@ def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian")
     """
     if (precision is None) == (covariance is None):
         raise ValueError("give exactly one of precision, covariance")
+    for arg, value in (("precision", precision), ("covariance", covariance)):
+        if value is not None and np.size(value) == 0:
+            raise ValueError(f"{arg}: must not be empty")
     if covariance is not None:
         cov = np.asarray(covariance, dtype=float)
         if cov.ndim == 1:
@@ -190,8 +199,8 @@ def logistic_target(X, y, prior_cov=1.0):
     """
     X = _frozen(X, order="F")
     y = _frozen(y)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-d design matrix")
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError(f"X: must be a nonempty 2-d design matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite entries")
     n, d = X.shape
@@ -299,6 +308,8 @@ def _is_float(s):
 def simulate_logistic_data(n, d, seed=0):
     """Synthetic logistic-regression data: standard-normal covariates and
     labels from a random coefficient vector of scale 1.5 / sqrt(d)."""
+    _check_size("n", n)
+    _check_size("d", d)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     beta = 1.5 * rng.standard_normal(d) / np.sqrt(d)
@@ -331,6 +342,7 @@ def cox_target(n, y):
     factored once; the likelihood Hessian is diagonal with entries
     m exp(x_ij).
     """
+    _check_size("n", n)
     d = n * n
     y = _frozen(np.ravel(y))
     if y.shape != (d,):
@@ -362,6 +374,7 @@ def cox_target(n, y):
 
 def simulate_cox_data(n, seed=0):
     """Draw a latent field from the Cox prior and counts from the Poisson likelihood."""
+    _check_size("n", n)
     d = n * n
     rng = np.random.default_rng(seed)
     cov = _cox_prior_cov(n)

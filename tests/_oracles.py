@@ -8,6 +8,9 @@ trajectory's gradients frozen, whose finite differences check the
 package's analytic gradients.
 """
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from ehmc.entropy import (DELTA_PRIME, N_MIN, MidpointOperator, RouletteDraw, dl_coeff,
@@ -89,6 +92,23 @@ def relative_error(approx, exact, floor=1.0):
     return float(np.max(np.abs(approx - exact))) / scale
 
 
+def logdet(precond):
+    """log |det C| of a preconditioner: the sum of the log-diagonal of C,
+    or minus that of B = C^{-1} for the banded kind."""
+    s = float(np.sum(precond.theta[: precond.dim]))
+    return -s if precond.kind == "banded" else s
+
+
+def forward_substitution(diag, sup, w):
+    """x with B^T x = w for the upper bidiagonal B with diagonal diag and
+    superdiagonal sup, by textbook forward substitution on one (d,) vector."""
+    x = np.empty(len(w))
+    x[0] = w[0] / diag[0]
+    for i in range(1, len(w)):
+        x[i] = (w[i] - sup[i - 1] * x[i - 1]) / diag[i]
+    return x
+
+
 def banded_upper_bidiagonal(precond):
     """Dense B for a banded-kind preconditioner (C = B^{-1})."""
     d = precond.dim
@@ -112,9 +132,10 @@ def dense_lower_factor(precond):
 class TextbookFactor:
     """C w and C^T w on (d,) vectors, built from a preconditioner's theta
     alone: exp of the diagonal, the dense C filled row by row, scipy's
-    ``solve_banded`` with B for the banded kind.  Every input is converted
-    with ``np.asarray`` and shape-checked, as the package's maps did before
-    they bound a per-theta implementation."""
+    ``solve_banded`` with B and ``forward_substitution`` with B^T for the
+    banded kind.  Every input is converted with ``np.asarray`` and
+    shape-checked, as the package's maps did before they bound a
+    per-theta implementation."""
 
     def __init__(self, precond):
         from scipy.linalg import solve_banded
@@ -131,11 +152,8 @@ class TextbookFactor:
             ab_upper = np.zeros((2, d))
             ab_upper[0, 1:] = np.diag(B, 1)
             ab_upper[1] = np.diag(B)
-            ab_lower = np.zeros((2, d))
-            ab_lower[0] = np.diag(B)
-            ab_lower[1, : d - 1] = np.diag(B, 1)
             self._matvec = lambda w: solve_banded((0, 1), ab_upper, w)
-            self._rmatvec = lambda w: solve_banded((1, 0), ab_lower, w)
+            self._rmatvec = lambda w: forward_substitution(np.diag(B), np.diag(B, 1), w)
 
     def _check(self, w):
         w = np.asarray(w, dtype=float)
@@ -163,10 +181,18 @@ class EntrywiseMidpointOperator(MidpointOperator):
         return out
 
 
+@dataclass
+class ReferenceDraw(RouletteDraw):
+    """A roulette draw that also keeps eta_bar, the final iterate."""
+
+    eta_bar: Optional[np.ndarray] = None
+
+
 def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     """The roulette pass with survival probabilities from a mask over
     1..N and both norms recomputed by ``np.linalg.norm`` on every term:
-    the reference the package's pass must match bit for bit."""
+    the reference the package's pass must match bit for bit, in every
+    RouletteDraw field.  It also returns the final iterate eta_bar."""
     epsilon = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
     n = n_min + int(rng.geometric(0.5)) - 1
     k = np.arange(1, n + 1)
@@ -201,16 +227,15 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         b = eta / float(np.linalg.norm(eta))
         mu = float(b @ dl(b))
         hvp_b = getattr(dl, "last_hvp", None)
-    return RouletteDraw(epsilon=epsilon, n_terms=n, survival=survival, eta_bar=eta, y=y,
-                        b=b, mu=mu, eps_eta=eps_eta, clamp_count=clamps,
-                        degenerate=degenerate, hvp_eps=hvp_eps, hvp_b=hvp_b)
+    return ReferenceDraw(epsilon=epsilon, n_terms=n, survival=survival, y=y, b=b, mu=mu,
+                         eps_eta=eps_eta, clamp_count=clamps, degenerate=degenerate,
+                         hvp_eps=hvp_eps, hvp_b=hvp_b, eta_bar=eta)
 
 
 def trajectory_one_chain(q0, v, h, L, precond, model, g0=None, u0=None):
-    """The one-chain leapfrog as the package ran it before xi was computed
-    on first read: textbook factor maps with checked inputs, every
-    gradient tested entrywise with ``np.isfinite``, xi built up front, and
-    the last half-kick to the final velocity w made with the same maps.
+    """The one-chain leapfrog with textbook factor maps with checked
+    inputs, every gradient tested entrywise with ``np.isfinite``, and the
+    last half-kick to the final velocity w made with the same maps.
     The package's (d,) path must match it bit for bit, also in the step
     and positions of a DivergenceError.  The energy error is the shared
     ``integrator.energy_error``, which reads that w."""
@@ -235,10 +260,7 @@ def trajectory_one_chain(q0, v, h, L, precond, model, g0=None, u0=None):
         if step < L:
             u = u - h * maps.rmatvec(grads[step])
     w = u - 0.5 * h * maps.rmatvec(grads[L])
-    xi = np.zeros_like(v)
-    for i in range(1, L):
-        xi += (L - i) * grads[i]
-    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=w, xi=xi, h=h, L=L, u0=u0)
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=w, h=h, L=L, u0=u0)
     traj.delta = energy_error(traj, model)
     return traj
 
@@ -349,11 +371,17 @@ def _ct_hessian_c(q, precond, model):
 # -- adaptation losses at any parameter point, pieces frozen -------------
 
 
+def gradient_accumulator(traj):
+    """xi = sum_{i=1}^{L-1} (L - i) g_i of a one-chain trajectory."""
+    return sum(((traj.L - i) * traj.grads[i] for i in range(1, traj.L)),
+               np.zeros_like(traj.v))
+
+
 def surrogate_endpoint(traj, precond):
     """q_L = q_0 + Lh C v - h^2 C C^T xi - (L h^2 / 2) C C^T g_0 from the
-    cached accumulators, as an explicit function of the preconditioner."""
+    cached gradients, as an explicit function of the preconditioner."""
     h, L = traj.h, traj.L
-    ct_terms = h * h * traj.xi + 0.5 * L * h * h * traj.grads[0]
+    ct_terms = h * h * gradient_accumulator(traj) + 0.5 * L * h * h * traj.grads[0]
     return traj.q[0] + L * h * precond.matvec(traj.v) - precond.matvec(
         precond.rmatvec(ct_terms)
     )
@@ -393,15 +421,15 @@ def gsm_surrogate_loss(traj, draw, state, precond, model):
     d = traj.q.shape[1]
     delta = surrogate_delta(traj, precond, model)
     energy = max(0.0, delta)
-    logdet = d * np.log(traj.h) + precond.logdet()
+    log_det = d * np.log(traj.h) + logdet(precond)
     ent = _entropy_bilinear(traj, precond, model, draw.y, draw.epsilon)
     mu = _entropy_bilinear(traj, precond, model, draw.b, draw.b)
     pen = penalty_h(abs(mu), state.config.penalty_delta)
-    loss = energy - state.beta * (logdet + ent - state.gamma * pen)
+    loss = energy - state.beta * (log_det + ent - state.gamma * pen)
     parts = {
         "delta": delta,
         "energy": energy,
-        "logdet": logdet,
+        "logdet": log_det,
         "entropy": ent,
         "mu": mu,
         "penalty": pen,
@@ -456,7 +484,7 @@ def one_row_block(traj):
     """A one-chain trajectory as a block of one row, the form the objective
     gradients take."""
     return Trajectory(q=traj.q[:, None], grads=traj.grads[:, None], v=traj.v[None],
-                      w=traj.w[None], xi=traj.xi[None], h=traj.h, L=traj.L,
+                      w=traj.w[None], h=traj.h, L=traj.L,
                       delta=np.array([traj.delta]), u0=[traj.u0], u_end=[traj.u_end],
                       live=np.ones(1, dtype=bool))
 

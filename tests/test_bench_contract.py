@@ -11,9 +11,12 @@ import functools
 import numpy as np
 import pytest
 
-from ehmc import integrator, sampler
-from ehmc.objective import make_adapt_state
-from ehmc.precond import Preconditioner, make_preconditioner
+from ehmc import objective as objective_module, sampler
+from ehmc.entropy import MidpointOperator, roulette_pass
+from ehmc.integrator import trajectory_reparam
+from ehmc.objective import (esjd_gradient, gsm_gradient, jump_value, l2hmc_gradient,
+                            make_adapt_state)
+from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import ChainState, SamplerSettings, make_chains, run_experiment
 from ehmc.targets import gaussian_target
 
@@ -118,7 +121,7 @@ def test_sampling_transition_calls(kind, L, monkeypatch):
     # factor map of a sampling transition must go through those attributes:
     # 2L + 1 of them (C^T g_0, L leapfrog pairs less one, and the last
     # half-kick, which gives the final velocity), with L gradients, one
-    # potential and no xi once the start point is cached
+    # potential and no gradient accumulator once the start point is cached
     maps = []
     for attr in ("matvec", "rmatvec"):
         real = getattr(Preconditioner, attr)
@@ -128,10 +131,10 @@ def test_sampling_transition_calls(kind, L, monkeypatch):
             return real(self, w)
 
         monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
-    xi_reads = []
-    real_xi = integrator.Trajectory.xi
-    monkeypatch.setattr(integrator.Trajectory, "xi",
-                        property(lambda traj: xi_reads.append(1) or real_xi.fget(traj)))
+    pieces = []
+    real_pieces = objective_module._endpoint_pieces
+    monkeypatch.setattr(objective_module, "_endpoint_pieces",
+                        lambda *args: pieces.append(1) or real_pieces(*args))
     model, log = logged_model(gaussian_target(covariance=np.array([1.0, 2.0, 0.5])))
     precond = scaled_identity(kind, 3, 0.8)
     chain = make_chains(model, 1, seed=2)[0]
@@ -143,7 +146,7 @@ def test_sampling_transition_calls(kind, L, monkeypatch):
         assert len(maps) == 2 * L + 1
         assert len(log["grad"]) - before["grad"] == L
         assert len(log["potential"]) - before["potential"] == 1
-        assert not xi_reads and traj._xi is None
+        assert not pieces and not hasattr(traj, "xi")
 
 
 @pytest.mark.parametrize("objective", ["gsm", "esjd", "l2hmc"])
@@ -170,3 +173,41 @@ def test_one_parameter_gradient_call_per_adaptation_step(objective, monkeypatch)
         assert calls["accumulate_bilinear_grad"] - before["accumulate_bilinear_grad"] == 1
         assert (calls["accumulate_logdet_grad"] - before["accumulate_logdet_grad"]
                 == (objective == "gsm"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_objective_gradient_map_calls(kind, monkeypatch):
+    # the factor maps one gradient makes on a 4-row block, counted through
+    # the class attributes the tracer wraps.  C^T x for the endpoint's
+    # x = h^2 xi + (L h^2 / 2) g_0 is applied once, so an ESJD or L2HMC
+    # gradient makes 3 rmatvec calls (x, the jump, g_L) and GSM 2 (x, g_L);
+    # GSM reads mu from its draws and applies C to nothing itself.  The
+    # banded contraction adds one rmatvec and one matvec call.
+    rng = np.random.default_rng(KINDS.index(kind))
+    d, h, L = 5, 0.3, 4
+    model = gaussian_target(covariance=np.exp(rng.normal(0.0, 0.5, d)))
+    precond = Preconditioner(kind, d, rng.normal(0.0, 0.2, n_params(kind, d)))
+    traj = trajectory_reparam(rng.standard_normal((4, d)), rng.standard_normal((4, d)),
+                              h, L, precond, model)
+    ops = [MidpointOperator(traj.midpoint[i], precond, model, h, L) for i in range(4)]
+    draws = [roulette_pass(op, d, rng) for op in ops]
+    h_cy = [op.product(draw.y) for op, draw in zip(ops, draws)]
+    state = make_adapt_state(precond)
+    state.lambda_ma = 1.3
+    calls = {"matvec": 0, "rmatvec": 0}
+    for attr in calls:
+        real = getattr(Preconditioner, attr)
+
+        def counted(self, w, attr=attr, real=real):
+            calls[attr] += 1
+            return real(self, w)
+
+        monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
+    banded = kind == "banded"
+    for gradient, rmatvec in (
+            (lambda: gsm_gradient(traj, draws, state, precond, h_cy), 2),
+            (lambda: esjd_gradient(traj, precond), 3),
+            (lambda: l2hmc_gradient(traj, jump_value(traj), state, precond), 3)):
+        calls.update(matvec=0, rmatvec=0)
+        gradient()
+        assert calls == {"matvec": banded, "rmatvec": rmatvec + banded}

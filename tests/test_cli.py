@@ -28,7 +28,7 @@ from ehmc.cli import (
     to_settings,
 )
 from ehmc.objective import AdaptConfig
-from ehmc.precond import make_preconditioner
+from ehmc.precond import KINDS, make_preconditioner
 from ehmc.sampler import SamplerSettings, run_experiment
 from ehmc.targets import gaussian_target
 
@@ -408,6 +408,24 @@ def test_main_validation_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("target,params,name", [
+    ("gaussian_iso", ["d=0"], "covariance"),
+    ("cox", ["n=0"], "n"),
+    ("logistic", ["d=0", "intercept=false"], "d"),
+    ("logistic", ["n=-1"], "n"),
+])
+def test_main_bad_preset_size_exit_code(tmp_path, capsys, target, params, name):
+    # an empty or negative preset size is a settings error naming its
+    # argument, not a traceback
+    argv = ["--target", target, "--out", str(tmp_path / "out")]
+    for param in params:
+        argv += ["--param", param]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_bad_param_syntax(tmp_path, capsys):
     code = main(["--target", "gaussian_iso", "--param", "d:2", "--out", str(tmp_path)])
     assert code == 1
@@ -502,15 +520,22 @@ def test_readme_config_example_parses(tmp_path, monkeypatch):
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-@pytest.mark.parametrize("objective", ["gsm", "esjd", "l2hmc"])
-def test_benchmark_trace_hooks_fire(tmp_path, monkeypatch, objective):
+TRACE_CASES = [(kind, objective) for kind in KINDS for objective in ("gsm", "esjd", "l2hmc")]
+
+
+@pytest.mark.parametrize("precond,objective", TRACE_CASES,
+                         ids=[o if k == "diagonal" else f"{k}-{o}" for k, o in TRACE_CASES])
+def test_benchmark_trace_hooks_fire(tmp_path, monkeypatch, precond, objective):
+    # every factor kind, so a traced run through each kind's maps, and the
+    # deletion of any name the tracer wraps, fails here
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.syspath_prepend(str(BENCH))
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    cfg = parse_config(None, {"target": "gaussian_iso", "objective": objective, "h": 0.3,
+    cfg = parse_config(None, {"target": "gaussian_iso", "precond": precond,
+                              "objective": objective, "h": 0.3,
                               "L": 3, "adapt_steps": 6, "sample_steps": 8, "chains": 2,
                               "out": str(tmp_path)}, {"d": "3"})
     out = str(tmp_path / "out")

@@ -112,8 +112,6 @@ def test_trajectory_caches():
     assert traj.grads.shape == (8, 2)
     for i in range(8):
         assert np.allclose(traj.grads[i], m.grad(traj.q[i]))
-    xi = sum((7 - i) * traj.grads[i] for i in range(1, 7))
-    assert np.allclose(traj.xi, xi)
     assert np.allclose(traj.midpoint, traj.q[3])
 
 
@@ -267,7 +265,7 @@ def test_invalid_step_arguments():
 
 def assert_row_equals(block, i, traj):
     row = block.row(i)
-    for name in ("q", "grads", "v", "w", "xi"):
+    for name in ("q", "grads", "v", "w"):
         assert np.array_equal(getattr(row, name), getattr(traj, name))
     assert row.delta == traj.delta and row.u0 == traj.u0 and row.u_end == traj.u_end
     assert row.accept_prob == traj.accept_prob

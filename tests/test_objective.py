@@ -8,6 +8,7 @@ from ehmc.integrator import Trajectory, trajectory_reparam
 from ehmc.objective import (
     AdaptConfig,
     AdaptState,
+    _endpoint_pieces,
     adam_update,
     default_adapt_config,
     esjd_gradient,
@@ -70,8 +71,8 @@ def stable_seed(*parts):
 def manual_traj(q0, qL, delta, h=0.5):
     d = len(q0)
     q = np.stack([np.asarray(q0, float), np.asarray(qL, float)])
-    return Trajectory(q=q, grads=np.zeros((2, d)), v=np.zeros(d), w=np.zeros(d),
-                      xi=np.zeros(d), h=h, L=1, delta=delta)
+    return Trajectory(q=q, grads=np.zeros((2, d)), v=np.zeros(d), w=np.zeros(d), h=h, L=1,
+                      delta=delta)
 
 
 # ----------------------------------------------------------- GSM loss value
@@ -254,6 +255,22 @@ def test_l2hmc_gradient_matches_fd(kind, d):
         lambda th: l2hmc_surrogate_loss(traj.row(0), state, with_theta(p, th), m), p.theta
     )
     assert relative_error(grad, fd) < 1e-5
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "banded"])
+def test_endpoint_pieces(kind):
+    # x = h^2 xi + (L h^2 / 2) g_0 with xi = sum_{i=1}^{L-1} (L - i) g_i,
+    # one row per chain, and C^T x with the bits of the factor map
+    rng = np.random.default_rng(stable_seed(kind, "pieces"))
+    d, h, L = 4, 0.1, 7
+    m = gaussian_target(covariance=np.exp(rng.normal(0, 0.5, d)))
+    p = Preconditioner(kind, d, rng.normal(0, 0.2, n_params(kind, d)))
+    traj = trajectory_reparam(rng.standard_normal((3, d)), rng.standard_normal((3, d)),
+                              h, L, p, m)
+    x, ct_x = _endpoint_pieces(traj, p)
+    xi = sum((L - i) * traj.grads[i] for i in range(1, L))
+    assert np.allclose(x, h * h * xi + 0.5 * L * h * h * traj.grads[0])
+    assert np.array_equal(ct_x, p.rmatvec(x))
 
 
 def block_case(kind, d, h, L):

@@ -167,6 +167,25 @@ def test_logistic_validation():
             logistic_target(X, np.zeros(4), prior_cov=prior_cov)
 
 
+def test_size_validation():
+    # an empty or negative size fails with a message naming its argument
+    cases = [
+        ("covariance", lambda: gaussian_target(covariance=np.zeros(0))),
+        ("precision", lambda: gaussian_target(precision=np.zeros((0, 0)))),
+        ("n", lambda: cox_target(0, np.zeros(0))),
+        ("n", lambda: cox_target(-2, np.zeros(4))),
+        ("n", lambda: simulate_cox_data(0)),
+        ("n", lambda: simulate_logistic_data(-1, 3)),
+        ("n", lambda: simulate_logistic_data(0, 3)),
+        ("d", lambda: simulate_logistic_data(5, 0)),
+        ("X", lambda: logistic_target(np.zeros((0, 3)), np.zeros(0))),
+        ("X", lambda: logistic_target(np.zeros((4, 0)), np.zeros(4))),
+    ]
+    for name, make in cases:
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            make()
+
+
 def test_logistic_stability_large_inputs():
     # potential must not overflow for large linear predictors
     X = np.array([[100.0], [-100.0]])
