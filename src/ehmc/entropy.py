@@ -5,8 +5,9 @@ penalty.
 The operator D(w) = -h^2 (L^2 - 1)/6 * C^T H(q_mid) C w costs one
 Hessian-vector product per application.  One roulette pass per adaptation
 step serves both the entropy surrogate and the penalty's power-iteration
-eigenvalue estimate, and hands its raw products H C eps and H C b on to
-the gradient.
+eigenvalue estimate with N + 1 products: N series terms and the mu probe.
+It hands H C eps, H C b and H C y (summed from its products like y) on to
+the gradient, which makes none.
 """
 
 import math
@@ -35,7 +36,9 @@ class RouletteDraw:
     degenerate: an iterate hit exactly zero, so b and mu are zeroed
     hvp_eps: the raw product H C epsilon of the first term
     hvp_b: the raw product H C b of the mu probe
-    (the last two are kept only from a MidpointOperator, and hvp_b not
+    hvp_y: H C y = sum_k ((-1)^k / p_k) H C eta_k, summed from the
+        products of the following applications, the last one's from hvp_b
+    (the last three are kept only from a MidpointOperator, and hvp_b not
     for a degenerate draw; they are None otherwise)
     """
 
@@ -50,6 +53,7 @@ class RouletteDraw:
     degenerate: bool
     hvp_eps: Optional[np.ndarray] = None
     hvp_b: Optional[np.ndarray] = None
+    hvp_y: Optional[np.ndarray] = None
 
 
 def dl_coeff(h, L):
@@ -72,14 +76,10 @@ class MidpointOperator:
         self.coeff = dl_coeff(h, L)
         self.last_hvp = None
 
-    def product(self, w):
-        """The raw product H(q_mid) C w, one hvp call, not checked."""
-        return self.model.hvp(self.q_mid, self.precond.matvec(w))
-
     def __call__(self, w):
         if self.L == 1:
             return np.zeros_like(np.asarray(w, dtype=float))
-        self.last_hvp = self.product(w)
+        self.last_hvp = self.model.hvp(self.q_mid, self.precond.matvec(w))
         out = self.coeff * self.precond.rmatvec(self.last_hvp)
         if not math.isfinite(out.sum()) and not np.isfinite(out).all():
             raise FloatingPointError("non-finite Hessian-vector product")
@@ -101,9 +101,12 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     Iterates eta_k = (D eta_{k-1}) * min{1, delta' ||eta_{k-1}|| / ||D eta_{k-1}||},
     so iterates contract whenever the clamp fires and can never overflow.
     Accumulates y and the probe inner products, then spends one extra
-    operator application on mu = b^T D b.  When dl exposes ``last_hvp``
-    (as MidpointOperator does), the raw products of the first term and of
-    the mu probe are kept on the draw.  Norms are ``np.linalg.norm``'s
+    operator application on mu = b^T D b: N + 1 applications in all.
+    When dl exposes ``last_hvp`` (as MidpointOperator does), the raw
+    products of the first term and of the mu probe are kept on the draw,
+    and so is H C y: application k + 1 adds ((-1)^k / p_k) H C eta_k, and
+    the mu probe adds ((-1)^N / p_N) ||eta_N|| H C b.  A degenerate pass
+    stops at its last nonzero term.  Norms are ``np.linalg.norm``'s
     sqrt(x @ x), and ||eta|| is carried over unless the clamp fired.
     """
     epsilon = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
@@ -114,11 +117,14 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     eps_eta = np.zeros(n)
     clamps = 0
     degenerate = False
-    hvp_eps = hvp_b = None
+    hvp_eps = hvp_b = hvp_y = None
     for k in range(1, n + 1):
         z = dl(eta)
         if k == 1:
             hvp_eps = getattr(dl, "last_hvp", None)
+            hvp_y = None if hvp_eps is None else np.zeros(dim)
+        elif hvp_y is not None:
+            hvp_y += weight * dl.last_hvp
         zn = math.sqrt(z @ z)
         if zn == 0.0:
             eta = np.zeros(dim)
@@ -129,7 +135,8 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
             clamps += 1
             zn = math.sqrt(z @ z)
         eta, en = z, zn
-        y += ((-1.0) ** k / survival[k - 1]) * eta
+        weight = (-1.0) ** k / survival[k - 1]
+        y += weight * eta
         eps_eta[k - 1] = float(epsilon @ eta)
     if degenerate or en == 0.0:
         b = np.zeros(dim)
@@ -139,6 +146,8 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         b = eta / en
         mu = float(b @ dl(b))
         hvp_b = getattr(dl, "last_hvp", None)
+        if hvp_y is not None:
+            hvp_y += (weight * en) * hvp_b
     return RouletteDraw(
         epsilon=epsilon,
         n_terms=n,
@@ -151,6 +160,7 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         degenerate=degenerate,
         hvp_eps=hvp_eps,
         hvp_b=hvp_b,
+        hvp_y=hvp_y,
     )
 
 

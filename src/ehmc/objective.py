@@ -169,7 +169,7 @@ def _contract(precond, terms, out):
 # -- penalised generalized-speed-measure objective -----------------------
 
 
-def gsm_gradient(traj, draws, state, precond, h_cy):
+def gsm_gradient(traj, draws, state, precond):
     """Analytic gradient of the penalised loss under frozen-value semantics,
     one row per chain of the block traj.
 
@@ -179,10 +179,9 @@ def gsm_gradient(traj, draws, state, precond, h_cy):
     entropy part back-propagates through both C factors of the surrogate
     operator; the penalty differentiates through the operator only, with
     b frozen.  draws holds one draw per row, each from a roulette pass
-    over a MidpointOperator, which keeps H C eps and H C b, and whose mu
-    is the b^T D b the caller's penalty reads; h_cy holds the caller's
-    H C y product for each row (read only for L > 1), so no hvp call is
-    made here.
+    over a MidpointOperator, which keeps H C eps, H C b and H C y, and
+    whose mu is the b^T D b the caller's penalty reads; so no hvp call is
+    made here, and a GSM chain-step costs the pass's N + 1 products.
     """
     out = np.zeros((len(draws), precond.theta.size))
     # log-det part: d log h is theta-free
@@ -201,7 +200,8 @@ def gsm_gradient(traj, draws, state, precond, h_cy):
         coeff = [state.beta * state.gamma * penalty_h_grad(abs(dr.mu), delta) * np.sign(dr.mu)
                  * c * 2.0 for dr in draws]
         terms += [([dr.hvp_eps for dr in draws], [dr.y for dr in draws], -state.beta * c),
-                  (h_cy, [dr.epsilon for dr in draws], -state.beta * c), (hvp_b, b, coeff)]
+                  ([dr.hvp_y for dr in draws], [dr.epsilon for dr in draws], -state.beta * c),
+                  (hvp_b, b, coeff)]
     _contract(precond, terms, out)
     return out
 

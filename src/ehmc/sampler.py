@@ -16,9 +16,9 @@ The adaptive step moves its k chains in lockstep: one hmc_transition call
 on the list of chains integrates them as one (k, d) block, and the
 objective gradients are assembled on the block, with every row getting
 the bits of its one-chain computation.  Target calls stay one per chain
-on a (d,) array, and the roulette pass stays one per chain, each followed
-by that chain's H C y product, so a target that memoises per position
-sees one midpoint at a time.  Sampling moves each chain on its own.
+on a (d,) array, and the roulette pass stays one per chain, so a target
+that memoises per position sees one midpoint at a time.  Sampling moves
+each chain on its own.
 """
 
 import json
@@ -192,21 +192,19 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
     traj = traj.rows(live)
     grads = np.zeros((0, precond.theta.size))
     if objective == "gsm":
-        kept, draws, h_cy = [], [], []
+        kept, draws = [], []
         for j, i in enumerate(live):
             dl = MidpointOperator(traj.midpoint[j], precond, model, h, L)
             try:
                 draw = roulette_pass(dl, model.dim, chains[i].rng_roulette,
                                      cfg.delta_prime, cfg.n_min)
-                # H C y right after the pass's own products at this midpoint
-                h_cy.append(dl.product(draw.y) if L > 1 else None)
             except FloatingPointError:
                 state.skip_count += 1
                 continue
             kept.append(j)
             draws.append(draw)
         if kept:
-            grads = gsm_gradient(traj.rows(kept), draws, state, precond, h_cy)
+            grads = gsm_gradient(traj.rows(kept), draws, state, precond)
     elif objective == "esjd" and live.size:
         grads = esjd_gradient(traj, precond)
     elif objective == "l2hmc" and live.size:

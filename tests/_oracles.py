@@ -174,7 +174,7 @@ class EntrywiseMidpointOperator(MidpointOperator):
     def __call__(self, w):
         if self.L == 1:
             return np.zeros_like(np.asarray(w, dtype=float))
-        self.last_hvp = self.product(w)
+        self.last_hvp = self.model.hvp(self.q_mid, self.precond.matvec(w))
         out = self.coeff * self.precond.rmatvec(self.last_hvp)
         if not np.isfinite(out).all():
             raise FloatingPointError("non-finite Hessian-vector product")
@@ -192,7 +192,9 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     """The roulette pass with survival probabilities from a mask over
     1..N and both norms recomputed by ``np.linalg.norm`` on every term:
     the reference the package's pass must match bit for bit, in every
-    RouletteDraw field.  It also returns the final iterate eta_bar."""
+    RouletteDraw field, hvp_y summed term by term as H C eta_k arrives
+    (from the next application, or as ||eta_N|| H C b from the mu probe).
+    It also returns the final iterate eta_bar."""
     epsilon = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
     n = n_min + int(rng.geometric(0.5)) - 1
     k = np.arange(1, n + 1)
@@ -202,11 +204,15 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     eps_eta = np.zeros(n)
     clamps = 0
     degenerate = False
-    hvp_eps = hvp_b = None
+    hvp_eps = hvp_b = hvp_y = None
     for k in range(1, n + 1):
         z = dl(eta)
         if k == 1:
             hvp_eps = getattr(dl, "last_hvp", None)
+            hvp_y = None if hvp_eps is None else np.zeros(dim)
+        elif hvp_y is not None:
+            # dl(eta_{k-1}) made H C eta_{k-1}
+            hvp_y += ((-1.0) ** (k - 1) / survival[k - 2]) * dl.last_hvp
         zn = float(np.linalg.norm(z))
         en = float(np.linalg.norm(eta))
         if zn == 0.0:
@@ -224,12 +230,15 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         mu = 0.0
         degenerate = True
     else:
-        b = eta / float(np.linalg.norm(eta))
+        norm = float(np.linalg.norm(eta))
+        b = eta / norm
         mu = float(b @ dl(b))
         hvp_b = getattr(dl, "last_hvp", None)
+        if hvp_y is not None:
+            hvp_y += ((-1.0) ** n / survival[n - 1] * norm) * hvp_b
     return ReferenceDraw(epsilon=epsilon, n_terms=n, survival=survival, y=y, b=b, mu=mu,
                          eps_eta=eps_eta, clamp_count=clamps, degenerate=degenerate,
-                         hvp_eps=hvp_eps, hvp_b=hvp_b, eta_bar=eta)
+                         hvp_eps=hvp_eps, hvp_b=hvp_b, hvp_y=hvp_y, eta_bar=eta)
 
 
 def trajectory_one_chain(q0, v, h, L, precond, model, g0=None, u0=None):
@@ -491,11 +500,10 @@ def one_row_block(traj):
 
 def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=None):
     """The adaptive step one chain at a time: each chain's own transition,
-    roulette pass (followed by its H C y product) and gradient on a 1-row
-    block, then the shared update.  The package moves the chains in
-    lockstep as one block; this is the reference it must match bit for
-    bit.  Like the package, it looks its functions up as ``sampler``
-    globals."""
+    roulette pass and gradient on a 1-row block, then the shared update.
+    The package moves the chains in lockstep as one block; this is the
+    reference it must match bit for bit.  Like the package, it looks its
+    functions up as ``sampler`` globals."""
     from ehmc import sampler
 
     precond = state.precond
@@ -520,11 +528,10 @@ def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=
             try:
                 draw = sampler.roulette_pass(dl, model.dim, chain.rng_roulette,
                                              cfg.delta_prime, cfg.n_min)
-                h_cy = dl.product(draw.y) if L > 1 else None
             except FloatingPointError:
                 state.skip_count += 1
                 continue
-            grads.append(sampler.gsm_gradient(block, [draw], state, precond, [h_cy])[0])
+            grads.append(sampler.gsm_gradient(block, [draw], state, precond)[0])
             pens.append(sampler.penalty_h(abs(draw.mu), cfg.penalty_delta))
             mus.append(abs(draw.mu))
     elif objective == "esjd":
@@ -579,9 +586,8 @@ def logged_model(base):
 def hazard_model():
     """A 3-d Gaussian whose gradient is non-finite past a cliff, and whose
     Hessian-vector product is non-finite on one side of a plane and for
-    long vectors w.  Chains diverge mid-trajectory, roulette passes fail
-    now and then, and so does the gradient's H C y (y, the alternating
-    series, is the longest vector the roulette step applies H to)."""
+    long vectors w.  Chains diverge mid-trajectory, and roulette passes
+    fail now and then."""
     from ehmc.targets import TargetModel, gaussian_target
 
     base = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))

@@ -169,10 +169,10 @@ def test_criterion_06_gradient_engine():
             chain = chains[0]
             _, block, _ = hmc_transition([chain], p, model, 0.35, 4)
             traj = block.row(0)
-            dl = MidpointOperator(traj.midpoint, p, model, 0.35, 4)
-            draw = roulette_pass(dl, d, chain.rng_roulette)
+            draw = roulette_pass(MidpointOperator(traj.midpoint, p, model, 0.35, 4), d,
+                                 chain.rng_roulette)
             checks = (
-                (gsm_gradient(block, [draw], state, p, [dl.product(draw.y)])[0],
+                (gsm_gradient(block, [draw], state, p)[0],
                  lambda th: gsm_surrogate_loss(traj, draw, state, with_theta(p, th), model)[0]),
                 (esjd_gradient(block, p)[0],
                  lambda th: esjd_surrogate_loss(traj, with_theta(p, th), model)),

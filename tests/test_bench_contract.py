@@ -189,9 +189,8 @@ def test_objective_gradient_map_calls(kind, monkeypatch):
     precond = Preconditioner(kind, d, rng.normal(0.0, 0.2, n_params(kind, d)))
     traj = trajectory_reparam(rng.standard_normal((4, d)), rng.standard_normal((4, d)),
                               h, L, precond, model)
-    ops = [MidpointOperator(traj.midpoint[i], precond, model, h, L) for i in range(4)]
-    draws = [roulette_pass(op, d, rng) for op in ops]
-    h_cy = [op.product(draw.y) for op, draw in zip(ops, draws)]
+    draws = [roulette_pass(MidpointOperator(traj.midpoint[i], precond, model, h, L), d, rng)
+             for i in range(4)]
     state = make_adapt_state(precond)
     state.lambda_ma = 1.3
     calls = {"matvec": 0, "rmatvec": 0}
@@ -205,7 +204,7 @@ def test_objective_gradient_map_calls(kind, monkeypatch):
         monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
     banded = kind == "banded"
     for gradient, rmatvec in (
-            (lambda: gsm_gradient(traj, draws, state, precond, h_cy), 2),
+            (lambda: gsm_gradient(traj, draws, state, precond), 2),
             (lambda: esjd_gradient(traj, precond), 3),
             (lambda: l2hmc_gradient(traj, jump_value(traj), state, precond), 3)):
         calls.update(matvec=0, rmatvec=0)

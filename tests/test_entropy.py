@@ -142,6 +142,13 @@ def overflowing_model(d):
                        hvp=lambda q, w: np.full(d, 1.7e308), precision=base.precision)
 
 
+def matrix_model(A):
+    # a target whose Hessian-vector product is A w at every position
+    d = A.shape[0]
+    return TargetModel(dim=d, potential=lambda q: 0.0, grad=lambda q: np.zeros(d),
+                       hvp=lambda q, w: A @ w)
+
+
 def roulette_operators(d, rng):
     """(name, package operator, reference operator) pairs; a plain callable
     serves both sides."""
@@ -154,6 +161,16 @@ def roulette_operators(d, rng):
               EntrywiseMidpointOperator(q, dense, gauss, 0.5, 1)),
              ("never clamps", lambda w: contractive @ w, None),
              ("clamps every term", lambda w: expanding @ w, None)]
+    # the same two operators as midpoint operators, D = c C^T H C with C = I
+    # and H = D / c, and a nilpotent H, whose passes go degenerate once
+    # eta_k = D^k eps vanishes after nonzero terms
+    eye = make_preconditioner("diagonal", d)
+    c = dl_coeff(0.5, 3)
+    for name, A in (("never clamps", contractive / c), ("clamps every term", expanding / c),
+                    ("nilpotent", np.diag(rng.uniform(1.0, 2.0, d - 1), 1))):
+        model = matrix_model(A)
+        pairs.append((name, MidpointOperator(q, eye, model, 0.5, 3),
+                      EntrywiseMidpointOperator(q, eye, model, 0.5, 3)))
     for h in (0.3, 0.9):
         pairs.append(("midpoint", MidpointOperator(q, dense, gauss, h, 5),
                       EntrywiseMidpointOperator(q, dense, gauss, h, 5)))
@@ -170,6 +187,7 @@ def roulette_operators(d, rng):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_roulette_pass_equals_reference():
     # every field of every draw bit for bit, the same FloatingPointError
     # where the reference raises, and the generators left in the same state
@@ -199,9 +217,43 @@ def test_roulette_pass_equals_reference():
     assert all(dr.clamp_count == dr.n_terms for dr in draws["clamps every term"])
     assert len({dr.n_terms for dr in draws["clamps every term"]}) > 3
     assert all(dr.hvp_eps is not None and dr.hvp_b is not None for dr in draws["midpoint"])
+    assert any(dr.degenerate for dr in draws["nilpotent"])
+    assert any(not dr.degenerate for dr in draws["nilpotent"])
     assert len({dr.clamp_count for dr in draws["midpoint"]}) > 1
     assert 0 < len(draws["non-finite hvp"]) < len(seen["non-finite hvp"])
     assert all(dr.degenerate for dr in draws["overflowing sum"])
+
+
+def test_hvp_y_equals_a_fresh_product():
+    # H C y summed from the pass's own products against one more hvp call
+    # on y, on clamped, unclamped and degenerate passes; None from a plain
+    # callable and at L = 1.  The overflowing model is left out: its hvp
+    # is a constant, not linear in w.
+    rng = np.random.default_rng(32)
+    compared, nones = set(), set()
+    for name, op, _ in roulette_operators(5, rng):
+        if name == "overflowing sum":
+            continue
+        dim = 3 if name == "non-finite hvp" else 5
+        for n_min, delta_prime in ((1, 0.99), (3, 0.99), (6, 0.5)):
+            pass_rng = np.random.default_rng(n_min)
+            for _ in range(25):
+                try:
+                    draw = roulette_pass(op, dim, pass_rng, delta_prime, n_min)
+                except FloatingPointError:
+                    continue
+                if not isinstance(op, MidpointOperator) or op.L == 1:
+                    assert draw.hvp_y is None, name
+                    nones.add(name)
+                    continue
+                fresh = op.model.hvp(op.q_mid, op.precond.matvec(draw.y))
+                err = np.linalg.norm(draw.hvp_y - fresh)
+                assert err <= 1e-12 * np.linalg.norm(fresh), name
+                compared.add((name, draw.degenerate))
+    assert nones == {"zero", "never clamps", "clamps every term"}
+    assert compared >= {("never clamps", False), ("clamps every term", False),
+                        ("midpoint", False), ("nilpotent", False), ("nilpotent", True),
+                        ("non-finite hvp", False)}
 
 
 def test_roulette_scalar_closed_form():

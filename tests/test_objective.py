@@ -55,14 +55,6 @@ def make_case(kind, d, L, h, seed, sign=None, cov_spread=0.5):
     return m, p, traj, draw
 
 
-def gsm_rows(traj, draws, state, p, m):
-    """gsm_gradient of a block, given each row's H C y product as the
-    adaptive step computes it after the row's roulette pass."""
-    h_cy = [MidpointOperator(traj.midpoint[i], p, m, traj.h, traj.L).product(draw.y)
-            for i, draw in enumerate(draws)]
-    return gsm_gradient(traj, draws, state, p, h_cy)
-
-
 def stable_seed(*parts):
     # deterministic across processes, unlike hash() on strings
     return sum((i + 1) * sum(s.encode()) for i, s in enumerate(map(str, parts))) % 1000
@@ -137,8 +129,8 @@ def test_gsm_entropy_reported_value_large_n():
 
 def test_gsm_gradient_degenerate_draw():
     # a zero Hessian zeroes the first series term: the draw keeps H C eps
-    # but has no mu probe, so the gradient step makes one hvp call (the
-    # caller's H C y) and only the log-det part is left
+    # and a zero H C y but has no mu probe, so the gradient makes no hvp
+    # call and only the log-det part is left
     calls = []
     base = flat_model(3)
     m = TargetModel(dim=3, potential=base.potential, grad=base.grad,
@@ -149,12 +141,13 @@ def test_gsm_gradient_degenerate_draw():
     draw = roulette_pass(MidpointOperator(traj.midpoint[0], p, m, 0.4, 3), 3,
                          np.random.default_rng(6))
     assert draw.degenerate and draw.hvp_eps is not None and draw.hvp_b is None
+    assert np.array_equal(draw.hvp_y, np.zeros(3))
     assert traj.delta[0] <= 0.0
     state = make_adapt_state(p)
     state.gamma = 2e3
     calls.clear()
-    out = gsm_rows(traj, [draw], state, p, m)[0]
-    assert len(calls) == 1
+    out = gsm_gradient(traj, [draw], state, p)[0]
+    assert not calls
     expected = np.zeros_like(p.theta)
     p.accumulate_logdet_grad(expected, -state.beta)
     assert np.array_equal(out, expected)
@@ -168,7 +161,7 @@ def test_gsm_gradient_matches_fd(kind, d, sign):
     state = make_adapt_state(p)
     state.beta = 0.9
     state.gamma = 2e3
-    grad = gsm_rows(traj, [draw], state, p, m)[0]
+    grad = gsm_gradient(traj, [draw], state, p)[0]
     fd = fd_theta_gradient(
         lambda th: gsm_surrogate_loss(traj.row(0), draw, state, with_theta(p, th), m)[0],
         p.theta,
@@ -183,7 +176,7 @@ def test_gsm_gradient_with_active_penalty():
     state.gamma = 5e3
     _, parts = gsm_surrogate_loss(traj.row(0), draw, state, p, m)
     assert parts["penalty"] > 0.0
-    grad = gsm_rows(traj, [draw], state, p, m)[0]
+    grad = gsm_gradient(traj, [draw], state, p)[0]
     fd = fd_theta_gradient(
         lambda th: gsm_surrogate_loss(traj.row(0), draw, state, with_theta(p, th), m)[0],
         p.theta,
@@ -195,7 +188,7 @@ def test_gsm_gradient_zero_when_beta_zero_and_no_energy():
     m, p, traj, draw = make_case("diagonal", 4, 3, 0.2, seed=8, sign="-")
     state = AdaptState(precond=p, config=AdaptConfig())
     state.beta = 0.0
-    grad = gsm_rows(traj, [draw], state, p, m)[0]
+    grad = gsm_gradient(traj, [draw], state, p)[0]
     assert np.array_equal(grad, np.zeros_like(p.theta))
 
 
@@ -304,7 +297,7 @@ def test_multi_chain_gradient_linearity():
         state = make_adapt_state(p)
         state.lambda_ma = 1.3
         blocks = (
-            (gsm_rows(traj, draws, state, p, m),
+            (gsm_gradient(traj, draws, state, p),
              lambda i, q: gsm_surrogate_loss(traj.row(i), draws[i], state, q, m)[0]),
             (esjd_gradient(traj, p), lambda i, q: esjd_surrogate_loss(traj.row(i), q, m)),
             (l2hmc_gradient(traj, jump_value(traj), state, p),
@@ -328,12 +321,12 @@ def test_branch_off_rows_ignore_non_finite_pieces():
     for kind, d in [("diagonal", 4), ("dense", 5), ("banded", 5)]:
         m, p, traj, draws = block_case(kind, d, 0.3, 3)
         state = make_adapt_state(p)
-        gsm, esjd = gsm_rows(traj, draws, state, p, m), esjd_gradient(traj, p)
+        gsm, esjd = gsm_gradient(traj, draws, state, p), esjd_gradient(traj, p)
         traj.delta = traj.delta.copy()
         traj.delta[3] = np.inf
         traj.w = traj.w.copy()
         traj.w[3] = np.inf
-        got_gsm, got_esjd = gsm_rows(traj, draws, state, p, m), esjd_gradient(traj, p)
+        got_gsm, got_esjd = gsm_gradient(traj, draws, state, p), esjd_gradient(traj, p)
         assert np.array_equal(got_gsm, gsm)
         assert np.array_equal(got_esjd[:3], esjd[:3]) and not got_esjd[3].any()
 

@@ -273,8 +273,8 @@ def test_esjd_performs_no_hvp_calls():
 
 
 def test_gsm_step_hvp_count(monkeypatch):
-    # per live chain: the pass's n_terms products plus its mu probe, and
-    # one more (H C y) in the gradient
+    # per live chain: the pass's n_terms products plus its mu probe; the
+    # gradient reads H C y from the draw
     base = gaussian_target(covariance=np.array([1.0, 2.0, 0.7]))
     m, calls = counting_model(base)
     draws = []
@@ -292,7 +292,7 @@ def test_gsm_step_hvp_count(monkeypatch):
         before = calls["hvp"]
         adaptive_step(chains, state, m, 0.3, 5, objective="gsm")
         assert len(draws) == 4 and not any(d.degenerate for d in draws)
-        assert calls["hvp"] - before == sum(d.n_terms + 2 for d in draws)
+        assert calls["hvp"] - before == sum(d.n_terms + 1 for d in draws)
 
 
 def test_unknown_objective_rejected():
