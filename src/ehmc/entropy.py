@@ -65,7 +65,7 @@ class MidpointOperator:
     """w -> D w at a frozen midpoint, one hvp call per application.
 
     Exactly zero for L = 1.  Raises on non-finite output (tested entrywise
-    only when its sum is not finite) so the adaptation step can skip the
+    only when out.dot(out) is not finite) so the adaptation step can skip the
     update.  ``last_hvp`` is the raw product H(q_mid) C w of the latest
     application (None before the first and for L = 1).
     """
@@ -81,7 +81,7 @@ class MidpointOperator:
             return np.zeros_like(np.asarray(w, dtype=float))
         self.last_hvp = self.model.hvp(self.q_mid, self.precond.matvec(w))
         out = self.coeff * self.precond.rmatvec(self.last_hvp)
-        if not math.isfinite(out.sum()) and not np.isfinite(out).all():
+        if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
             raise FloatingPointError("non-finite Hessian-vector product")
         return out
 
@@ -106,13 +106,13 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     products of the first term and of the mu probe are kept on the draw,
     and so is H C y: application k + 1 adds ((-1)^k / p_k) H C eta_k, and
     the mu probe adds ((-1)^N / p_N) ||eta_N|| H C b.  A degenerate pass
-    stops at its last nonzero term.  Norms are ``np.linalg.norm``'s
-    sqrt(x @ x), and ||eta|| is carried over unless the clamp fired.
+    stops at its last nonzero term.  A norm is sqrt(x.dot(x)), the bits of
+    ``np.linalg.norm``, and ||eta|| is carried over unless the clamp fired.
     """
     epsilon = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
     n, survival = sample_truncation(rng, n_min)
     eta = epsilon.copy()
-    en = math.sqrt(eta @ eta)
+    en = math.sqrt(eta.dot(eta))
     y = np.zeros(dim)
     eps_eta = np.zeros(n)
     clamps = 0
@@ -125,7 +125,7 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
             hvp_y = None if hvp_eps is None else np.zeros(dim)
         elif hvp_y is not None:
             hvp_y += weight * dl.last_hvp
-        zn = math.sqrt(z @ z)
+        zn = math.sqrt(z.dot(z))
         if zn == 0.0:
             eta = np.zeros(dim)
             degenerate = True
@@ -133,35 +133,24 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         if zn > delta_prime * en:
             z = z * (delta_prime * en / zn)
             clamps += 1
-            zn = math.sqrt(z @ z)
+            zn = math.sqrt(z.dot(z))
         eta, en = z, zn
         weight = (-1.0) ** k / survival[k - 1]
         y += weight * eta
-        eps_eta[k - 1] = float(epsilon @ eta)
+        eps_eta[k - 1] = epsilon.dot(eta)
     if degenerate or en == 0.0:
         b = np.zeros(dim)
         mu = 0.0
         degenerate = True
     else:
         b = eta / en
-        mu = float(b @ dl(b))
+        mu = float(b.dot(dl(b)))
         hvp_b = getattr(dl, "last_hvp", None)
         if hvp_y is not None:
             hvp_y += (weight * en) * hvp_b
-    return RouletteDraw(
-        epsilon=epsilon,
-        n_terms=n,
-        survival=survival,
-        y=y,
-        b=b,
-        mu=mu,
-        eps_eta=eps_eta,
-        clamp_count=clamps,
-        degenerate=degenerate,
-        hvp_eps=hvp_eps,
-        hvp_b=hvp_b,
-        hvp_y=hvp_y,
-    )
+    return RouletteDraw(epsilon=epsilon, n_terms=n, survival=survival, y=y, b=b, mu=mu,
+                        eps_eta=eps_eta, clamp_count=clamps, degenerate=degenerate,
+                        hvp_eps=hvp_eps, hvp_b=hvp_b, hvp_y=hvp_y)
 
 
 def roulette_logdet_estimate(draw):

@@ -1,16 +1,16 @@
 """Leapfrog integration and the energy error of its proposals.
 
-Trajectories are integrated in velocity coordinates u = C^T p so the banded
-preconditioner never needs a solve on the hot path.  The last half-kick
-leaves the final velocity w = C^T p_L on the trajectory, and the energy
-error and the adaptation objectives both read it.  All gradient
-evaluations along the trajectory are kept; the adaptation objective reuses
-them as frozen constants.  A caller that already holds the gradient and
-potential at the start point passes them in, so a transition costs L
-gradients, one potential and 2L + 1 factor maps.  A one-chain gradient
-is checked for finiteness through its sum, which is non-finite whenever
-an entry is; only a non-finite sum gets the entrywise test, so
-DivergenceError reports the same step as an entrywise check.
+Trajectories are integrated in velocity coordinates u = C^T p, so a step
+maps by C and C^T only (banded: solves with B = C^{-1} and B^T).  The last
+half-kick leaves the final velocity w = C^T p_L on the trajectory, and the
+energy error and the adaptation objectives read it.  All gradient
+evaluations along the trajectory are kept; the adaptation objective
+reuses them as frozen constants.  A caller that already holds the
+gradient and potential at the start point passes them in, so a
+transition costs L gradients, one potential and 2L + 1 factor maps.  A
+one-chain gradient g is checked for finiteness through one dot g.g,
+non-finite whenever an entry is; only a non-finite g.g gets the entrywise
+test, so DivergenceError reports the same step as an entrywise check.
 
 A trajectory runs one chain on (d,) arrays or k chains in lockstep on a
 (k, d) block, with a chain axis after the step axis: q and grads are then
@@ -86,7 +86,7 @@ class Trajectory:
 
 
 def _accept_prob(delta):
-    if not np.isfinite(delta):
+    if not math.isfinite(delta):
         return 0.0
     return min(1.0, float(np.exp(-max(delta, -700.0))))
 
@@ -99,17 +99,15 @@ def row_dot(x, y):
 
 
 def _checked_grad(model, q, grads, step, live=None, given=None):
-    # one chain: the gradient at q[step] into grads[step], unless given.
-    # q is the (L+1, d) position array; its prefix is copied only on
-    # failure.  A NaN or infinite entry makes the sum non-finite, so a
-    # finite sum clears the gradient with one reduction; only a non-finite
-    # sum (such an entry, or finite entries that overflow) needs the
-    # entrywise test
+    # one chain: the gradient at q[step] into grads[step], unless given;
+    # the prefix of the positions q is copied only on failure.  A finite
+    # g.g clears g with one dot; only a non-finite one (a NaN or infinite
+    # entry, or finite entries whose squares overflow) needs entrywise tests
     if given is not None:
         grads[step] = given
         return
     g = model.grad(q[step])
-    if not math.isfinite(g.sum()) and not np.isfinite(g).all():
+    if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():
         raise DivergenceError(step, q[: step + 1].copy())
     grads[step] = g
 
@@ -180,8 +178,8 @@ def energy_error(traj, model):
             traj.u0 = model.potential(traj.q[0])
         if traj.u_end is None:
             traj.u_end = model.potential(traj.q[traj.L])
-        return _energy_delta(traj.u0, traj.u_end, float(traj.w @ traj.w),
-                             float(traj.v @ traj.v))
+        return _energy_delta(traj.u0, traj.u_end, float(traj.w.dot(traj.w)),
+                             float(traj.v.dot(traj.v)))
     ww, vv = row_dot(traj.w, traj.w), row_dot(traj.v, traj.v)
     delta = np.full(traj.live.size, np.inf)
     if traj.u_end is None:
@@ -197,6 +195,6 @@ def energy_error(traj, model):
 
 def _energy_delta(u0, u_end, ww, vv):
     delta = u_end - u0 + 0.5 * ww - 0.5 * vv
-    if not np.isfinite(delta):
+    if not math.isfinite(delta):
         return np.inf
     return float(delta)

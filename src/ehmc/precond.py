@@ -8,23 +8,25 @@ Three kinds are supported:
   then the strict lower triangle packed row by row).
 * ``banded``    -- C = B^{-1} for an upper bidiagonal B,
   2d-1 parameters (log of B's diagonal, then its superdiagonal).
-  B is kept in one (2, d) band layout; C w and C^T w are triangular
-  solves with B and B^T, no factorization, and all maps run in O(d).
+  B is kept in one Fortran-ordered (2, d) band, which LAPACK reads in
+  place; C w and C^T w are triangular solves with B and B^T, no
+  factorization, and all maps run in O(d).
 
 Diagonal entries of C (or of B) are stored as unconstrained reals and
 mapped through exp, which keeps C C^T positive definite for every theta.
 The factor is built once per write of ``theta`` (the constructor and
 ``adam_update`` are the writers), and ``theta`` is stored as a read-only
 copy, so the built factor cannot go stale; the maps only apply it.  The
-write also binds the kind's C w and C^T w for one (d,) vector, and a
-float64 (d,) ndarray goes to them with no conversion and no dispatch on
-the kind: the sampling leapfrog makes 2L + 1 such calls per transition.
-The gradient helpers accumulate into caller-owned arrays.
+write also binds the kind's C w and C^T w for one (d,) vector (one gemv,
+``C.dot`` or ``C.T.dot``, for the dense kind), and a float64 (d,) ndarray
+goes to them with no conversion and no dispatch on the kind: the sampling
+leapfrog makes 2L + 1 such calls per transition.  The gradient helpers
+accumulate into caller-owned arrays.
 
 Every map also takes a (k, d) block, and ``accumulate_bilinear_grad``
 a (k, T, d) stack of T terms per row; each row gets the bits it gets
-alone.  The dense maps are stacked ``np.matmul`` (one gemv per row; a
-plain gemm rounds differently), the banded maps one LAPACK solve with k
+alone.  The dense block maps are stacked ``np.matmul`` (one gemv per row;
+a plain gemm rounds differently), the banded maps one LAPACK solve with k
 right-hand sides, and the dense triangular solves one call per row (a
 multi-right-hand-side ``trsm`` rounds differently).  A term stack costs
 one stacked (d, T) by (T, d) ``np.matmul`` and one gather (dense), two
@@ -118,13 +120,13 @@ class Preconditioner:
             C = np.zeros((d, d))
             C.flat[self._packed] = np.concatenate([self._exp, theta[d:]])
             self._C = C
-            self._matvec = partial(np.matmul, C)
-            self._rmatvec = partial(np.matmul, C.T)
+            self._matvec = C.dot
+            self._rmatvec = C.T.dot
         else:
             # B's superdiagonal (row 0, from column 1) and diagonal (row 1)
             self._exp = np.exp(theta[:d])
             self._sup = theta[d:]
-            ab = np.zeros((2, d))
+            ab = np.zeros((2, d), order="F")
             ab[0, 1:] = self._sup
             ab[1] = self._exp
             self._matvec = partial(_band_solve, self._tbtrs, ab, "N")

@@ -22,6 +22,7 @@ each chain on its own.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, asdict, field
 from typing import Optional
@@ -117,7 +118,7 @@ def _settle(chain, model, traj, fresh_start):
     if traj is not None and fresh_start:
         chain.start = (chain.q, model, traj.grads[0].copy(), traj.u0)
     delta = np.inf if traj is None else traj.delta
-    divergent = not np.isfinite(delta) or delta > DIVERGENCE_DELTA
+    divergent = not math.isfinite(delta) or delta > DIVERGENCE_DELTA
     a = 0.0 if divergent else traj.accept_prob
     u = chain.rng_accept.uniform()
     chain.transition_count += 1

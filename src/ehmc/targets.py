@@ -141,13 +141,13 @@ def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian")
 
     def potential(q):
         r = q - mu
-        return 0.5 * float(r @ (P @ r))
+        return 0.5 * float(r.dot(P.dot(r)))
 
     def grad(q):
-        return P @ (q - mu)
+        return P.dot(q - mu)
 
     def hvp(q, w):
-        return P @ w
+        return P.dot(w)
 
     return TargetModel(d, potential, grad, hvp, name=name, precision=P,
                        extras={"mean": mu})
@@ -211,14 +211,15 @@ def logistic_target(X, y, prior_cov=1.0):
     if not 0 < prior_cov < np.inf:
         raise ValueError(f"prior_cov: must be finite and positive, got {prior_cov}")
     P0 = np.eye(d) / float(prior_cov)
+    XT = X.T
 
     def potential(q):
-        t = X @ q
-        return float(np.sum(_log1pexp(t) - y * t) + 0.5 * q @ (P0 @ q))
+        t = X.dot(q)
+        return float((_log1pexp(t) - y * t).sum() + (0.5 * q).dot(P0.dot(q)))
 
     def grad(q):
-        s = _sigmoid(X @ q)
-        return X.T @ (s - y) + P0 @ q
+        s = _sigmoid(X.dot(q))
+        return XT.dot(s - y) + P0.dot(q)
 
     # (copy of q, s (1 - s) at q): the sampler applies several Hessian-vector
     # products at one frozen midpoint; equal positions give equal weights.
@@ -230,9 +231,9 @@ def logistic_target(X, y, prior_cov=1.0):
         nonlocal memo
         cached = memo
         if cached is None or not np.array_equal(q, cached[0]):
-            s = _sigmoid(X @ q)
+            s = _sigmoid(X.dot(q))
             cached = memo = (np.array(q, dtype=float), s * (1.0 - s))
-        return X.T @ (cached[1] * (X @ w)) + P0 @ w
+        return XT.dot(cached[1] * X.dot(w)) + P0.dot(w)
 
     return TargetModel(d, potential, grad, hvp, name=f"logistic(n={n},d={d})",
                        extras={"prior_precision": P0})
@@ -359,13 +360,13 @@ def cox_target(n, y):
 
     def potential(x):
         r = x - mu_vec
-        return float(np.sum(m * np.exp(x) - y * x) + 0.5 * r @ (P @ r))
+        return float((m * np.exp(x) - y * x).sum() + (0.5 * r).dot(P.dot(r)))
 
     def grad(x):
-        return m * np.exp(x) - y + P @ (x - mu_vec)
+        return m * np.exp(x) - y + P.dot(x - mu_vec)
 
     def hvp(x, w):
-        return m * np.exp(x) * w + P @ w
+        return m * np.exp(x) * w + P.dot(w)
 
     return TargetModel(d, potential, grad, hvp, name=f"cox(n={n})",
                        extras={"prior_precision": P, "prior_cov": cov,

@@ -81,6 +81,23 @@ def test_dl_nonfinite_raises():
         MidpointOperator(np.zeros(1), p, m, 0.5, 3)(np.ones(1))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_dl_huge_finite_output_passes():
+    # finite entries near +-1e200 with a finite sum, whose dot with
+    # themselves overflows: the entrywise fallback clears them
+    rng = np.random.default_rng(5)
+    d = 4
+    p = Preconditioner("dense", d, rng.normal(0.0, 0.1, n_params("dense", d)))
+    m = matrix_model(np.diag([1e200, -1e200, 1e200, -1e200]))
+    dl = MidpointOperator(np.zeros(d), p, m, 0.5, 3)
+    C = p.dense()
+    for _ in range(3):
+        w = rng.standard_normal(d)
+        out = dl(w)
+        assert np.isfinite(out.sum()) and not np.isfinite(out.dot(out))
+        assert np.array_equal(out, dl.coeff * (C.T @ m.hvp(dl.q_mid, C @ w)))
+
+
 # ---------------------------------------------------------------- truncation law
 
 

@@ -101,16 +101,17 @@ def scripted_model(d, script):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("at", [0, 3, 6])
 def test_finiteness_edges(kind, at):
-    # the one-reduction test reads a gradient's sum: a sum that overflows
-    # from finite entries is no divergence, while one NaN or infinite entry
-    # raises at its own step, as the entrywise test does.  C = I keeps the
-    # huge gradient's maps finite
+    # the one-dot test reads g.g: finite entries whose squares overflow
+    # (whether their sum overflows too or not) are no divergence, while one
+    # NaN or infinite entry raises at its own step, as the entrywise test
+    # does.  C = I keeps the huge gradients' maps finite
     d, L = 4, 6
     rng = np.random.default_rng(at)
     p = Preconditioner(kind, d, np.zeros(n_params(kind, d)))
     q0, v = rng.standard_normal(d), rng.standard_normal(d)
     huge = [1e308] * d
-    cases = {"overflow": huge, "nan": [0.5, np.nan, 0.0, 1.0],
+    squares = [1e200, -1e200, 1.5e200, -0.5e200]
+    cases = {"overflow": huge, "squares overflow": squares, "nan": [0.5, np.nan, 0.0, 1.0],
              "+inf": [0.5, 0.0, np.inf, 1.0], "-inf": [-np.inf, 0.0, 0.5, 1.0],
              "+inf and -inf": [np.inf, -np.inf, 0.0, 0.0],
              "overflow and nan": huge[:3] + [np.nan]}
@@ -121,6 +122,10 @@ def test_finiteness_edges(kind, at):
         if name == "overflow":
             assert not np.isfinite(np.sum(huge))
             assert np.array_equal(new.grads[at], huge)
+        elif name == "squares overflow":
+            g = np.array(squares)
+            assert np.isfinite(g.sum()) and not np.isfinite(g.dot(g))
+            assert np.array_equal(new.grads[at], squares)
         else:
             assert new.step == at
 

@@ -492,3 +492,57 @@ def test_logistic_hvp_memo_matches_fresh_model():
     q[2] += 0.5
     assert np.array_equal(m.hvp(q, w), logistic_target(X, y).hvp(q, w))
     assert not np.array_equal(m.hvp(q, w), m.hvp(q1, w))
+
+
+def _matmul_forms(name):
+    """(target, potential, grad, hvp): a target and its textbook ``@`` forms
+    over the target's own arrays, in the target's own memory layout."""
+    if name in ("gaussian", "correlated"):
+        m = (correlated_gaussian(51) if name == "correlated" else
+             gaussian_target(covariance=np.array([1.0, 2.0, 3.0]), mean=[1.0, -2.0, 0.5]))
+        P, mu = m.precision, m.extras["mean"]
+
+        def potential(q):
+            r = q - mu
+            return 0.5 * float(r @ (P @ r))
+
+        return m, potential, lambda q: P @ (q - mu), lambda q, w: P @ w
+    if name == "cox":
+        x, y = simulate_cox_data(4, seed=2)
+        m = cox_target(4, y)
+        P, c, mu = m.extras["prior_precision"], m.extras["m"], np.full(16, m.extras["mu"])
+
+        def potential(x):
+            r = x - mu
+            return float(np.sum(c * np.exp(x) - y * x) + 0.5 * r @ (P @ r))
+
+        return (m, potential, lambda x: c * np.exp(x) - y + P @ (x - mu),
+                lambda x, w: c * np.exp(x) * w + P @ w)
+    X, y = simulate_logistic_data(300, 6, seed=5)
+    m = logistic_target(X, y, prior_cov=2.0)
+    X, P0 = np.asfortranarray(X), m.extras["prior_precision"]
+
+    def potential(q):
+        t = X @ q
+        return float(np.sum(targets._log1pexp(t) - y * t) + 0.5 * q @ (P0 @ q))
+
+    def hvp(q, w):
+        s = targets._sigmoid(X @ q)
+        return X.T @ (s * (1.0 - s) * (X @ w)) + P0 @ w
+
+    return m, potential, lambda q: X.T @ (targets._sigmoid(X @ q) - y) + P0 @ q, hvp
+
+
+@pytest.mark.parametrize("name", ["gaussian", "correlated", "cox", "logistic"])
+def test_targets_equal_matmul_forms_bit_for_bit(name):
+    # the targets contract through ndarray.dot; a numpy whose dot and
+    # matmul round differently would change every draw, and fails here
+    m, potential, grad, hvp = _matmul_forms(name)
+    rng = np.random.default_rng(23)
+    shift = m.extras["mu"] if name == "cox" else 0.0
+    for _ in range(6):
+        q = shift + rng.standard_normal(m.dim)
+        w = rng.standard_normal(m.dim)
+        assert m.potential(q) == potential(q)
+        assert np.array_equal(m.grad(q), grad(q))
+        assert np.array_equal(m.hvp(q, w), hvp(q, w))
