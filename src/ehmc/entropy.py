@@ -7,7 +7,9 @@ Hessian-vector product per application.  One roulette pass per adaptation
 step serves both the entropy surrogate and the penalty's power-iteration
 eigenvalue estimate with N + 1 products: N series terms and the mu probe.
 It hands H C eps, H C b and H C y (summed from its products like y) on to
-the gradient, which makes none.
+the gradient, which makes none.  A MidpointOperator binds the factor's
+one-vector maps and the target's hvp once, at construction (the sampler
+builds one per pass).
 """
 
 import math
@@ -67,7 +69,9 @@ class MidpointOperator:
     Exactly zero for L = 1.  Raises on non-finite output (tested entrywise
     only when out.dot(out) is not finite) so the adaptation step can skip the
     update.  ``last_hvp`` is the raw product H(q_mid) C w of the latest
-    application (None before the first and for L = 1).
+    application (None before the first and for L = 1).  w is one (d,)
+    vector (ValueError otherwise); the maps are those of the factor's theta
+    at construction (``Preconditioner.bound_maps``).
     """
 
     def __init__(self, q_mid, precond, model, h, L):
@@ -75,12 +79,17 @@ class MidpointOperator:
         self.L = L
         self.coeff = dl_coeff(h, L)
         self.last_hvp = None
+        self._matvec, self._rmatvec = precond.bound_maps()
+        self._hvp = model.hvp
 
     def __call__(self, w):
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.precond.dim,):
+            raise ValueError(f"vector has shape {w.shape}, expected ({self.precond.dim},)")
         if self.L == 1:
-            return np.zeros_like(np.asarray(w, dtype=float))
-        self.last_hvp = self.model.hvp(self.q_mid, self.precond.matvec(w))
-        out = self.coeff * self.precond.rmatvec(self.last_hvp)
+            return np.zeros_like(w)
+        self.last_hvp = self._hvp(self.q_mid, self._matvec(w))
+        out = self.coeff * self._rmatvec(self.last_hvp)
         if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
             raise FloatingPointError("non-finite Hessian-vector product")
         return out
@@ -115,8 +124,7 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     en = math.sqrt(eta.dot(eta))
     y = np.zeros(dim)
     eps_eta = np.zeros(n)
-    clamps = 0
-    degenerate = False
+    clamps, degenerate = 0, False
     hvp_eps = hvp_b = hvp_y = None
     for k in range(1, n + 1):
         z = dl(eta)
@@ -139,9 +147,7 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         y += weight * eta
         eps_eta[k - 1] = epsilon.dot(eta)
     if degenerate or en == 0.0:
-        b = np.zeros(dim)
-        mu = 0.0
-        degenerate = True
+        b, mu, degenerate = np.zeros(dim), 0.0, True
     else:
         b = eta / en
         mu = float(b.dot(dl(b)))
@@ -151,17 +157,6 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     return RouletteDraw(epsilon=epsilon, n_terms=n, survival=survival, y=y, b=b, mu=mu,
                         eps_eta=eps_eta, clamp_count=clamps, degenerate=degenerate,
                         hvp_eps=hvp_eps, hvp_b=hvp_b, hvp_y=hvp_y)
-
-
-def roulette_logdet_estimate(draw):
-    """Unbiased log det(I + D) estimate from one pass.
-
-    Sums ((-1)^{k+1} / (k p_k)) epsilon^T eta_k; unbiased for contractive
-    D when no clamps fired (clamping trades a little bias for stability).
-    """
-    k = np.arange(1, draw.n_terms + 1)
-    signs = (-1.0) ** (k + 1)
-    return float(np.sum(signs / (k * draw.survival) * draw.eps_eta))
 
 
 def penalty_h(x, delta=PENALTY_DELTA):

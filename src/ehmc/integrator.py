@@ -8,9 +8,11 @@ evaluations along the trajectory are kept; the adaptation objective
 reuses them as frozen constants.  A caller that already holds the
 gradient and potential at the start point passes them in, so a
 transition costs L gradients, one potential and 2L + 1 factor maps.  A
-one-chain gradient g is checked for finiteness through one dot g.g,
-non-finite whenever an entry is; only a non-finite g.g gets the entrywise
-test, so DivergenceError reports the same step as an entrywise check.
+one-chain trajectory binds the maps once per call
+(``Preconditioner.bound_maps``); they read each gradient g from its float64
+row of ``grads``, and one dot g.g tests g for finiteness, non-finite
+whenever an entry is.  Only a non-finite g.g gets the entrywise test, so
+DivergenceError reports the same step as an entrywise check.
 
 A trajectory runs one chain on (d,) arrays or k chains in lockstep on a
 (k, d) block, with a chain axis after the step axis: q and grads are then
@@ -98,20 +100,6 @@ def row_dot(x, y):
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _checked_grad(model, q, grads, step, live=None, given=None):
-    # one chain: the gradient at q[step] into grads[step], unless given;
-    # the prefix of the positions q is copied only on failure.  A finite
-    # g.g clears g with one dot; only a non-finite one (a NaN or infinite
-    # entry, or finite entries whose squares overflow) needs entrywise tests
-    if given is not None:
-        grads[step] = given
-        return
-    g = model.grad(q[step])
-    if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():
-        raise DivergenceError(step, q[: step + 1].copy())
-    grads[step] = g
-
-
 def _row_grads(model, q, grads, step, live, given=None):
     # a block: one model.grad call per live row of step `step` (none for
     # rows whose gradient is given); a row whose gradient is non-finite
@@ -138,9 +126,10 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     gradient and potential at q0, which are then not evaluated again.
 
     q0 and v are (d,) for one chain, where a non-finite gradient raises
-    DivergenceError, or (k, d) for k chains in lockstep, where g0 and u0
-    are sequences of k entries (None where not known) and a non-finite
-    gradient stops only its own row.
+    DivergenceError and a gradient at q0 not of shape (d,) ValueError, or
+    (k, d) for k chains in lockstep, where g0 and u0 are sequences of k
+    entries (None where not known) and a non-finite gradient stops only
+    its own row.
     """
     if h <= 0 or L < 1:
         raise ValueError("need h > 0 and L >= 1")
@@ -149,16 +138,32 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     q = np.empty((L + 1,) + q0.shape)
     q[0] = q0
     if q0.ndim == 1:
-        live, fill, grads = None, _checked_grad, np.empty_like(q)
+        matvec, rmatvec = precond.bound_maps()
+        grad, grads, live = model.grad, np.empty_like(q), None
+        if g0 is None:  # not (d,): its row would take a scalar or a (1,) by broadcasting
+            g0 = np.asarray(grad(q0), dtype=float)
+            if g0.shape != q0.shape:
+                raise ValueError(f"gradient has shape {g0.shape}, expected {q0.shape}")
+            if not np.isfinite(g0).all():
+                raise DivergenceError(0, q[:1].copy())
+        grads[0] = g0
+        u = v - 0.5 * h * rmatvec(grads[0])
+        for step in range(1, L + 1):
+            q[step] = q[step - 1] + h * matvec(u)
+            grads[step] = grad(q[step])
+            g = grads[step]
+            if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():
+                raise DivergenceError(step, q[: step + 1].copy())
+            u = u - (h if step < L else 0.5 * h) * rmatvec(g)
     else:
-        live, fill, grads = np.ones(len(q0), dtype=bool), _row_grads, np.zeros_like(q)
+        live, grads = np.ones(len(q0), dtype=bool), np.zeros_like(q)
         u0 = list(u0) if u0 is not None else [None] * len(live)
-    fill(model, q, grads, 0, live, g0)
-    u = v - 0.5 * h * precond.rmatvec(grads[0])
-    for step in range(1, L + 1):
-        q[step] = q[step - 1] + h * precond.matvec(u)
-        fill(model, q, grads, step, live)
-        u = u - (h if step < L else 0.5 * h) * precond.rmatvec(grads[step])
+        _row_grads(model, q, grads, 0, live, g0)
+        u = v - 0.5 * h * precond.rmatvec(grads[0])
+        for step in range(1, L + 1):
+            q[step] = q[step - 1] + h * precond.matvec(u)
+            _row_grads(model, q, grads, step, live)
+            u = u - (h if step < L else 0.5 * h) * precond.rmatvec(grads[step])
     traj = Trajectory(q=q, grads=grads, v=v.copy(), w=u, h=h, L=L, u0=u0, live=live)
     traj.delta = energy_error(traj, model)
     return traj

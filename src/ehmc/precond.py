@@ -18,10 +18,10 @@ The factor is built once per write of ``theta`` (the constructor and
 ``adam_update`` are the writers), and ``theta`` is stored as a read-only
 copy, so the built factor cannot go stale; the maps only apply it.  The
 write also binds the kind's C w and C^T w for one (d,) vector (one gemv,
-``C.dot`` or ``C.T.dot``, for the dense kind), and a float64 (d,) ndarray
-goes to them with no conversion and no dispatch on the kind: the sampling
-leapfrog makes 2L + 1 such calls per transition.  The gradient helpers
-accumulate into caller-owned arrays.
+``C.dot`` or ``C.T.dot``, for the dense kind), which ``bound_maps`` hands
+out.  The one-chain leapfrog and the roulette pass's operator bind them
+once per call, skipping the method call and input check of ``matvec`` and
+``rmatvec``.  The gradient helpers accumulate into caller-owned arrays.
 
 Every map also takes a (k, d) block, and ``accumulate_bilinear_grad``
 a (k, T, d) stack of T terms per row; each row gets the bits it gets
@@ -39,7 +39,6 @@ from functools import partial
 import numpy as np
 
 KINDS = ("diagonal", "dense", "banded")
-_FLOAT64 = np.dtype(np.float64)
 
 
 def check_kind(kind):
@@ -83,7 +82,6 @@ class Preconditioner:
             raise ValueError("dim must be a positive integer")
         self.kind = kind
         self.dim = dim
-        self._vec_shape = (dim,)
         if kind == "dense":
             # the packed parameters' places in the flattened C: the
             # diagonal, then the strict lower triangle row by row
@@ -132,10 +130,12 @@ class Preconditioner:
             self._matvec = partial(_band_solve, self._tbtrs, ab, "N")
             self._rmatvec = partial(_band_solve, self._tbtrs, ab, "T")
 
+    def bound_maps(self):
+        """(C w, C^T w) for a float64 (d,) ndarray w, unchecked, bound by the
+        latest write of ``theta`` and valid until the next one."""
+        return self._matvec, self._rmatvec
+
     def _check_vec(self, w):
-        # a float64 (d,) ndarray is what asarray would return unchanged
-        if type(w) is np.ndarray and w.shape == self._vec_shape and w.dtype is _FLOAT64:
-            return w
         w = np.asarray(w, dtype=float)
         if w.shape != (self.dim,) and (w.ndim != 2 or w.shape[1] != self.dim):
             raise ValueError(f"vector has shape {w.shape}, expected ({self.dim},) "

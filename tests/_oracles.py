@@ -169,7 +169,9 @@ class TextbookFactor:
 
 
 class EntrywiseMidpointOperator(MidpointOperator):
-    """MidpointOperator with the entrywise finiteness test on every output."""
+    """MidpointOperator through the checked maps ``precond.matvec`` and
+    ``rmatvec`` of the factor's current theta, with the entrywise
+    finiteness test on every output."""
 
     def __call__(self, w):
         if self.L == 1:
@@ -239,6 +241,17 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     return ReferenceDraw(epsilon=epsilon, n_terms=n, survival=survival, y=y, b=b, mu=mu,
                          eps_eta=eps_eta, clamp_count=clamps, degenerate=degenerate,
                          hvp_eps=hvp_eps, hvp_b=hvp_b, hvp_y=hvp_y, eta_bar=eta)
+
+
+def roulette_logdet_estimate(draw):
+    """Unbiased log det(I + D) estimate from one pass.
+
+    Sums ((-1)^{k+1} / (k p_k)) epsilon^T eta_k; unbiased for contractive
+    D when no clamps fired (clamping trades a little bias for stability).
+    """
+    k = np.arange(1, draw.n_terms + 1)
+    signs = (-1.0) ** (k + 1)
+    return float(np.sum(signs / (k * draw.survival) * draw.eps_eta))
 
 
 def trajectory_one_chain(q0, v, h, L, precond, model, g0=None, u0=None):

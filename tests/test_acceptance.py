@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from ehmc.diagnostics import ess, split_rhat
-from ehmc.entropy import dl_coeff, MidpointOperator, roulette_logdet_estimate, roulette_pass
+from ehmc.entropy import dl_coeff, MidpointOperator, roulette_pass
 from ehmc.integrator import trajectory_reparam
 from ehmc.objective import (
     esjd_gradient,
@@ -39,6 +39,7 @@ from _oracles import (
     mala_log_accept,
     relative_error,
     residual_jacobian_fd,
+    roulette_logdet_estimate,
     with_theta,
 )
 

@@ -117,17 +117,25 @@ def test_target_calls_are_per_chain_vectors(objective, monkeypatch):
 @pytest.mark.parametrize("kind", ["diagonal", "dense", "banded"])
 @pytest.mark.parametrize("L", [1, 4])
 def test_sampling_transition_calls(kind, L, monkeypatch):
-    # the tracer wraps Preconditioner.matvec/rmatvec on the class, so every
-    # factor map of a sampling transition must go through those attributes:
-    # 2L + 1 of them (C^T g_0, L leapfrog pairs less one, and the last
-    # half-kick, which gives the final velocity), with L gradients, one
-    # potential and no gradient accumulator once the start point is cached
-    maps = []
+    # a sampling transition takes the factor's one-vector maps from one
+    # bound_maps call and makes 2L + 1 maps on them (C^T g_0, L leapfrog
+    # pairs less one, and the last half-kick, which gives the final
+    # velocity), none through Preconditioner.matvec/rmatvec, which the
+    # tracer wraps on the class; with L gradients, one potential and no
+    # gradient accumulator once the start point is cached
+    maps, bindings, checked = [], [], []
+    real_bound = Preconditioner.bound_maps
+
+    def bound(self):
+        bindings.append(1)
+        return tuple(lambda w, f=f: maps.append(1) or f(w) for f in real_bound(self))
+
+    monkeypatch.setattr(Preconditioner, "bound_maps", bound)
     for attr in ("matvec", "rmatvec"):
         real = getattr(Preconditioner, attr)
 
         def counted(self, w, real=real):
-            maps.append(1)
+            checked.append(1)
             return real(self, w)
 
         monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
@@ -140,10 +148,10 @@ def test_sampling_transition_calls(kind, L, monkeypatch):
     chain = make_chains(model, 1, seed=2)[0]
     sampler.hmc_transition(chain, precond, model, 0.3, L)
     for _ in range(3):
-        del maps[:]
+        del maps[:], bindings[:]
         before = {name: len(calls) for name, calls in log.items()}
         _, traj, _ = sampler.hmc_transition(chain, precond, model, 0.3, L)
-        assert len(maps) == 2 * L + 1
+        assert len(maps) == 2 * L + 1 and len(bindings) == 1 and not checked
         assert len(log["grad"]) - before["grad"] == L
         assert len(log["potential"]) - before["potential"] == 1
         assert not pieces and not hasattr(traj, "xi")

@@ -12,14 +12,14 @@ from ehmc.entropy import (
     RouletteDraw,
     penalty_h,
     penalty_h_grad,
-    roulette_logdet_estimate,
     roulette_pass,
     sample_truncation,
 )
-from ehmc.precond import Preconditioner, make_preconditioner, n_params
+from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.targets import TargetModel, gaussian_target, logistic_target, simulate_logistic_data
 
-from _oracles import EntrywiseMidpointOperator, hazard_model, roulette_pass_reference
+from _oracles import (EntrywiseMidpointOperator, hazard_model, roulette_logdet_estimate,
+                      roulette_pass_reference)
 
 
 # ---------------------------------------------------------------- operator
@@ -96,6 +96,25 @@ def test_dl_huge_finite_output_passes():
         out = dl(w)
         assert np.isfinite(out.sum()) and not np.isfinite(out.dot(out))
         assert np.array_equal(out, dl.coeff * (C.T @ m.hvp(dl.q_mid, C @ w)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("L", [1, 3])
+def test_dl_refuses_wrong_shape(kind, L):
+    # the bound maps take w unchecked, so the operator checks it: a (1,)
+    # vector would broadcast through the diagonal multiply, and a (d, d)
+    # block would pass through C.dot as d products.  A list of d entries is
+    # taken as its array
+    d = 5
+    rng = np.random.default_rng(6)
+    p = Preconditioner(kind, d, rng.normal(0.0, 0.2, n_params(kind, d)))
+    m = gaussian_target(covariance=np.exp(rng.normal(0.0, 0.5, d)))
+    dl = MidpointOperator(rng.standard_normal(d), p, m, 0.4, L)
+    for w in (np.ones(1), np.ones(d + 1), np.ones((d, d)), np.ones((1, d)), 1.0):
+        with pytest.raises(ValueError, match="vector has shape"):
+            dl(w)
+    w = rng.standard_normal(d)
+    assert np.array_equal(dl(list(w)), dl(w))
 
 
 # ---------------------------------------------------------------- truncation law
@@ -239,6 +258,32 @@ def test_roulette_pass_equals_reference():
     assert len({dr.clamp_count for dr in draws["midpoint"]}) > 1
     assert 0 < len(draws["non-finite hvp"]) < len(seen["non-finite hvp"])
     assert all(dr.degenerate for dr in draws["overflowing sum"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_midpoint_operator_follows_theta_writes(kind):
+    # one factor whose theta is rewritten between roulette passes, as
+    # adam_update does, with one operator per pass as the sampler builds
+    # them: each pass equals the reference pass over a fresh factor at the
+    # new theta, and differs from the one at the theta before
+    rng = np.random.default_rng(33)
+    d, h, L = 5, 0.4, 5
+    m = gaussian_target(covariance=np.exp(rng.normal(0.0, 0.5, d)))
+    p = Preconditioner(kind, d, rng.normal(0.0, 0.3, n_params(kind, d)))
+    before = None
+    for seed in range(4):
+        q_mid = rng.standard_normal(d)
+        fresh = Preconditioner(kind, d, p.theta)
+        new = roulette_pass(MidpointOperator(q_mid, p, m, h, L), d, np.random.default_rng(seed))
+        ref = roulette_pass_reference(EntrywiseMidpointOperator(q_mid, fresh, m, h, L), d,
+                                      np.random.default_rng(seed))
+        assert_draws_bit_equal(new, ref)
+        if before is not None:
+            stale = roulette_pass_reference(EntrywiseMidpointOperator(q_mid, before, m, h, L),
+                                            d, np.random.default_rng(seed))
+            assert not np.array_equal(new.hvp_eps, stale.hvp_eps)
+        before = fresh
+        p.theta = p.theta - 0.05 * rng.standard_normal(p.theta.size)
 
 
 def test_hvp_y_equals_a_fresh_product():

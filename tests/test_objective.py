@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ehmc.entropy import MidpointOperator, roulette_logdet_estimate, roulette_pass
+from ehmc.entropy import MidpointOperator, roulette_pass
 from ehmc.integrator import Trajectory, trajectory_reparam
 from ehmc.objective import (
     AdaptConfig,
@@ -32,6 +32,7 @@ from _oracles import (
     l2hmc_loss,
     l2hmc_surrogate_loss,
     relative_error,
+    roulette_logdet_estimate,
     with_theta,
 )
 

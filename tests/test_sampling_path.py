@@ -43,19 +43,28 @@ def assert_same(new, ref):
     assert new.delta == ref.delta and new.u0 == ref.u0 and new.u_end == ref.u_end
 
 
+def float32_grad(model):
+    """The model with a gradient that returns float32 arrays."""
+    return TargetModel(dim=model.dim, potential=model.potential,
+                       grad=lambda q: model.grad(q).astype(np.float32), hvp=model.hvp)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("L", [1, 2, 7])
 @pytest.mark.parametrize("given", [False, True])
 def test_one_chain_equals_oracle(kind, L, given):
+    # also for a gradient returned as float32: it is stored in its float64
+    # row of grads, and the maps read that row, as the oracle's do
     rng = np.random.default_rng(10 * L + KINDS.index(kind))
     for d in (1, 5, 23):
         m = gaussian_target(covariance=np.exp(rng.normal(0, 0.5, d)))
         p = random_precond(kind, d, rng)
         for _ in range(3):
             q0, v = rng.standard_normal(d), rng.standard_normal(d)
-            g0, u0 = (m.grad(q0), m.potential(q0)) if given else (None, None)
-            new, ref = run_both(q0, v, 0.2, L, p, m, g0, u0)
-            assert_same(new, ref)
+            for model in (m, float32_grad(m)):
+                g0, u0 = (model.grad(q0), model.potential(q0)) if given else (None, None)
+                new, ref = run_both(q0, v, 0.2, L, p, model, g0, u0)
+                assert_same(new, ref)
             # start values given are used, not evaluated again
             logged, log = logged_model(m)
             trajectory_reparam(q0, v, 0.2, L, p, logged, g0, u0)
@@ -81,6 +90,28 @@ def test_hazard_divergence_equals_oracle(kind):
             if isinstance(ref, DivergenceError):
                 steps.add(ref.step)
     assert steps == set(range(L + 1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bound_maps_follow_theta_writes(kind):
+    # one factor whose theta is rewritten between trajectories, as
+    # adam_update does: each trajectory equals the oracle on a fresh factor
+    # at the new theta, and differs from the one at the theta before
+    rng = np.random.default_rng(40 + KINDS.index(kind))
+    d, h, L = 6, 0.3, 5
+    m = gaussian_target(covariance=np.exp(rng.normal(0, 0.5, d)))
+    p = random_precond(kind, d, rng)
+    before = None
+    for _ in range(4):
+        q0, v = rng.standard_normal(d), rng.standard_normal(d)
+        fresh = Preconditioner(kind, d, p.theta)
+        new = trajectory_reparam(q0, v, h, L, p, m)
+        assert_same(new, trajectory_one_chain(q0, v, h, L, fresh, m))
+        if before is not None:
+            stale = trajectory_one_chain(q0, v, h, L, before, m)
+            assert not np.array_equal(new.q[L], stale.q[L])
+        before = fresh
+        p.theta = p.theta - 0.05 * rng.standard_normal(p.theta.size)
 
 
 def scripted_model(d, script):
@@ -128,6 +159,12 @@ def test_finiteness_edges(kind, at):
             assert np.array_equal(new.grads[at], squares)
         else:
             assert new.step == at
+    if at == 0:
+        # the gradient at q0 must be (d,): its row of grads would take a
+        # scalar or a (1,) array by broadcasting
+        for g in (0.5, [0.5], [0.5] * (d - 1)):
+            with pytest.raises(ValueError, match="gradient has shape"):
+                trajectory_reparam(q0, v, 0.1, L, p, scripted_model(d, {0: g}))
 
 
 # ------------------------------------------------- inputs of the maps
