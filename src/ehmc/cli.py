@@ -1,6 +1,9 @@
 """Command-line front end: INI configuration, experiment presets, sweep
 and budget modes, and CSV/checkpoint emission.
 
+Each preset is declared once, as an entry of PRESETS; parsing,
+--list-presets, build_model and to_settings read that table.
+
 Grammar: an INI file with sections [run], [target], [adapt], [sweep] and
 an optional [meta] block (written by config.echo, ignored on re-parse).
 Every key is validated against a closed list, so typos fail loudly.
@@ -11,6 +14,7 @@ import argparse
 import configparser
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -66,27 +70,19 @@ class RunConfig:
         return adapt, sample
 
 
-def _parse_bool(raw, name):
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
-def _parse_int(raw, name):
+def _parse(typ, raw, name):
+    """The INI value raw as a typ; a ConfigError naming `name` if it is none."""
+    if typ is str:
+        return raw.strip()
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{name}: expected an integer, got {raw!r}") from None
-
-
-def _parse_float(raw, name):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{name}: expected a number, got {raw!r}") from None
+        return _BOOLS[raw.strip().lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{name}: expected {_EXPECTED[typ]}, got {raw!r}") from None
 
 
 def _parse_l_values(raw, name):
@@ -95,17 +91,13 @@ def _parse_l_values(raw, name):
         return ()
     if ".." in raw:
         lo, _, hi = raw.partition("..")
-        lo = _parse_int(lo, name)
-        hi = _parse_int(hi, name)
+        lo = _parse(int, lo, name)
+        hi = _parse(int, hi, name)
         if hi < lo:
             raise ConfigError(f"{name}: empty range {raw!r}")
         return tuple(range(lo, hi + 1))
-    return tuple(_parse_int(tok, name) for tok in raw.split(",") if tok.strip())
+    return tuple(_parse(int, tok, name) for tok in raw.split(",") if tok.strip())
 
-
-# value parsers by type, for every INI key
-_PARSERS = {str: lambda raw, name: raw.strip(), int: _parse_int, float: _parse_float,
-            bool: _parse_bool}
 
 # every [run] and [adapt] setting: (section, INI key, RunConfig field, type);
 # the INI parser, the command-line flags and render_config all read this
@@ -113,25 +105,63 @@ _ADAPT_NAMES = {f.name for f in fields(AdaptConfig)}
 _FIELDS = tuple(("adapt" if f.name in _ADAPT_NAMES else "run", f.name.lower(), f.name, f.type)
                 for f in fields(RunConfig) if f.name not in ("target_params", "sweep_L"))
 _KEYS = {(section, key): (name, typ) for section, key, name, typ in _FIELDS}
+# the SamplerSettings fields a RunConfig carries under the same name
+_SHARED = tuple(f.name for f in fields(SamplerSettings)
+                if f.name in {g.name for g in fields(RunConfig)})
 _CHOICES = {"objective": OBJECTIVES, "precond": KINDS}
+_BUDGET_HELP = ("leapfrog gradients per chain (GSM's Hessian-vector products not counted); "
+                "steps = budget // L")
 _HELP = {"target": "target preset name", "out": "output directory",
-         "adapt_budget": "gradient-evaluation budget; adapt steps = budget // L"}
+         "adapt_budget": _BUDGET_HELP, "sample_budget": _BUDGET_HELP}
 
-# per-preset target parameters: name -> (type, default)
-PRESET_PARAMS = {
-    "gaussian_iso": {"d": (int, 10), "scale": (float, 1.0)},
-    "anisotropic": {"d": (int, 100), "c": (float, 6.0)},
-    "correlated": {"grid_points": (int, 51)},
-    "logistic": {
+
+# a target preset: its parameters as name -> (type, default), the builder
+# of its model from their values, and the start point of every chain given
+# the model (by default None: random starts)
+Preset = namedtuple("Preset", "params build init", defaults=(lambda model: None,))
+
+
+def _logistic(p):
+    if p["csv"]:
+        X, y = targets.load_logistic_csv(p["csv"], intercept=p["intercept"],
+                                         standardize=p["standardize"])
+    else:
+        X, y = targets.simulate_logistic_data(p["n"], p["d"], seed=p["data_seed"])
+        X = targets.prepare_design(X, p["intercept"], p["standardize"])
+    return targets.logistic_target(X, y)
+
+
+def _cox(p):
+    _, y = targets.simulate_cox_data(p["n"], seed=p["data_seed"])
+    return targets.cox_target(p["n"], y)
+
+
+def _sv(p):
+    if p["csv"]:
+        return targets.sv_target(targets.load_returns_csv(p["csv"]))
+    return targets.sv_target(targets.simulate_sv_data(p["t"], seed=p["data_seed"]))
+
+
+PRESETS = {
+    "gaussian_iso": Preset({"d": (int, 10), "scale": (float, 1.0)}, lambda p: (
+        targets.gaussian_target(covariance=np.full(p["d"], p["scale"] ** 2),
+                                name=f"gaussian_iso(d={p['d']})"))),
+    "anisotropic": Preset({"d": (int, 100), "c": (float, 6.0)},
+                          lambda p: targets.anisotropic_gaussian(p["d"], p["c"])),
+    "correlated": Preset({"grid_points": (int, 51)},
+                         lambda p: targets.correlated_gaussian(p["grid_points"])),
+    "logistic": Preset({
         "csv": (str, ""),
         "n": (int, 100),
         "d": (int, 10),
         "data_seed": (int, 0),
         "intercept": (bool, True),
         "standardize": (bool, True),
-    },
-    "cox": {"n": (int, 16), "data_seed": (int, 0)},
-    "sv": {"csv": (str, ""), "t": (int, 100), "data_seed": (int, 0)},
+    }, _logistic),
+    # every chain starts at the prior mean
+    "cox": Preset({"n": (int, 16), "data_seed": (int, 0)}, _cox,
+                  init=lambda model: np.full(model.dim, model.extras["mu"])),
+    "sv": Preset({"csv": (str, ""), "t": (int, 100), "data_seed": (int, 0)}, _sv),
 }
 
 _SECTIONS = ("run", "target", "adapt", "sweep", "meta")
@@ -146,7 +176,6 @@ def parse_config(file=None, overrides=None, target_overrides=None):
     """
     values = {}
     target_params = {}
-    sweep = ()
     if file is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -165,42 +194,33 @@ def parse_config(file=None, overrides=None, target_overrides=None):
                 if (section, key) not in _KEYS:
                     raise ConfigError(f"unknown key {section}.{key}")
                 name, typ = _KEYS[section, key]
-                values[name] = _PARSERS[typ](raw, f"{section}.{key}")
+                values[name] = _parse(typ, raw, f"{section}.{key}")
         if parser.has_section("target"):
             target_params = dict(parser.items("target"))
         if parser.has_section("sweep"):
             for key, raw in parser.items("sweep"):
                 if key != "l_values":
                     raise ConfigError(f"unknown key sweep.{key}")
-                sweep = _parse_l_values(raw, "sweep.l_values")
-    if overrides:
-        for key, val in overrides.items():
-            values[key] = val
-    if target_overrides:
-        target_params.update(target_overrides)
-    if "target" not in values or not values["target"]:
+                values["sweep_L"] = _parse_l_values(raw, "sweep.l_values")
+    values.update(overrides or {})
+    target_params.update(target_overrides or {})
+    name = values.pop("target", None)
+    if not name:
         raise ConfigError("target: required field is missing")
-    name = values["target"]
-    if name not in PRESET_PARAMS:
-        known = ", ".join(sorted(PRESET_PARAMS))
+    if name not in PRESETS:
+        known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"target: unknown preset {name!r} (choose from {known})")
-    parsed_params = {}
-    schema = PRESET_PARAMS[name]
+    schema = PRESETS[name].params
+    parsed_params = {key: default for key, (_, default) in schema.items()}
     for key, raw in target_params.items():
         key = key.lower()
         if key not in schema:
             raise ConfigError(f"unknown key target.{key} for preset {name!r}")
         typ, _ = schema[key]
         if isinstance(raw, str) or typ is str:
-            raw = _PARSERS[typ](str(raw), f"target.{key}")
+            raw = _parse(typ, str(raw), f"target.{key}")
         parsed_params[key] = raw
-    for key, (_, default) in schema.items():
-        parsed_params.setdefault(key, default)
-    if sweep and "sweep_L" not in values:
-        values["sweep_L"] = sweep
-    config = RunConfig(target=name, target_params=parsed_params, **{
-        k: v for k, v in values.items() if k != "target"
-    })
+    config = RunConfig(target=name, target_params=parsed_params, **values)
     _validate(config)
     return config
 
@@ -238,33 +258,7 @@ def _check_writable(path):
 
 def build_model(config):
     """Instantiate the preset target for a validated config."""
-    p = config.target_params
-    name = config.target
-    if name == "gaussian_iso":
-        cov = np.full(p["d"], p["scale"] ** 2)
-        return targets.gaussian_target(covariance=cov, name=f"gaussian_iso(d={p['d']})")
-    if name == "anisotropic":
-        return targets.anisotropic_gaussian(p["d"], p["c"])
-    if name == "correlated":
-        return targets.correlated_gaussian(p["grid_points"])
-    if name == "logistic":
-        if p["csv"]:
-            X, y = targets.load_logistic_csv(p["csv"], intercept=p["intercept"],
-                                             standardize=p["standardize"])
-        else:
-            X, y = targets.simulate_logistic_data(p["n"], p["d"], seed=p["data_seed"])
-            X = targets.prepare_design(X, p["intercept"], p["standardize"])
-        return targets.logistic_target(X, y)
-    if name == "cox":
-        _, y = targets.simulate_cox_data(p["n"], seed=p["data_seed"])
-        return targets.cox_target(p["n"], y)
-    if name == "sv":
-        if p["csv"]:
-            returns = targets.load_returns_csv(p["csv"])
-        else:
-            returns = targets.simulate_sv_data(p["t"], seed=p["data_seed"])
-        return targets.sv_target(returns)
-    raise ConfigError(f"target: unknown preset {name!r}")
+    return PRESETS[config.target].build(config.target_params)
 
 
 def _adapt_config(config):
@@ -280,25 +274,11 @@ def to_settings(config, model=None):
     """Map a RunConfig onto SamplerSettings for one run."""
     if model is None:
         model = build_model(config)
-    adapt_steps, sample_steps = config.effective_steps()
-    init = None
-    if config.target == "cox":
-        init = np.full(model.dim, model.extras["mu"])
-    return SamplerSettings(
-        model=model,
-        kind=config.precond,
-        h=config.h,
-        L=config.L,
-        objective=config.objective,
-        adapt_steps=adapt_steps,
-        sample_steps=sample_steps,
-        chains=config.chains,
-        seed=config.seed,
-        thin=config.thin,
-        init=init,
-        init_scale=config.init_scale,
-        adapt_config=_adapt_config(config),
-    )
+    shared = {name: getattr(config, name) for name in _SHARED}
+    shared["adapt_steps"], shared["sample_steps"] = config.effective_steps()
+    return SamplerSettings(model=model, kind=config.precond,
+                           init=PRESETS[config.target].init(model),
+                           adapt_config=_adapt_config(config), **shared)
 
 
 # -- emission -------------------------------------------------------------
@@ -309,6 +289,8 @@ def _fmt(x):
         return "NA"
     if isinstance(x, str):
         return x
+    if isinstance(x, bool):
+        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     x = float(x)
@@ -317,42 +299,33 @@ def _fmt(x):
     return format(x, ".17g")
 
 
-SUMMARY_COLUMNS = (
-    "version", "seed", "target", "objective", "precond", "h", "L",
-    "adapt_steps", "sample_steps", "chains", "min_ess", "mean_ess",
-    "median_ess", "max_rhat", "median_rhat", "acceptance", "divergences",
-    "cond_number", "wall_seconds",
-)
+# summary.csv's columns in order, each with what it reads from the run's
+# RunReport r and RunConfig c (step counts after any budget)
+SUMMARY_COLUMNS = {
+    "version": lambda r, c: __version__,
+    "seed": lambda r, c: c.seed,
+    "target": lambda r, c: c.target,
+    "objective": lambda r, c: c.objective,
+    "precond": lambda r, c: c.precond,
+    "h": lambda r, c: c.h,
+    "L": lambda r, c: c.L,
+    "adapt_steps": lambda r, c: c.effective_steps()[0],
+    "sample_steps": lambda r, c: c.effective_steps()[1],
+    "chains": lambda r, c: c.chains,
+    "min_ess": lambda r, c: r.min_ess,
+    "mean_ess": lambda r, c: r.mean_ess,
+    "median_ess": lambda r, c: r.median_ess,
+    "max_rhat": lambda r, c: r.max_rhat,
+    "median_rhat": lambda r, c: r.median_rhat,
+    "acceptance": lambda r, c: r.acceptance_rate,
+    "divergences": lambda r, c: r.divergences,
+    "cond_number": lambda r, c: r.cond_number,
+    "wall_seconds": lambda r, c: r.wall_seconds,
+}
 
 
 def summary_row(report, config):
-    adapt_steps, sample_steps = config.effective_steps()
-    vals = {
-        "version": __version__,
-        "seed": config.seed,
-        "target": config.target,
-        "objective": config.objective,
-        "precond": config.precond,
-        "h": config.h,
-        "L": config.L,
-        "adapt_steps": adapt_steps,
-        "sample_steps": sample_steps,
-        "chains": config.chains,
-        "min_ess": report.min_ess,
-        "mean_ess": report.mean_ess,
-        "median_ess": report.median_ess,
-        "max_rhat": report.max_rhat,
-        "median_rhat": report.median_rhat,
-        "acceptance": report.acceptance_rate,
-        "divergences": report.divergences,
-        "cond_number": report.cond_number,
-        "wall_seconds": report.wall_seconds,
-    }
-    return [_fmt(vals[c]) for c in SUMMARY_COLUMNS]
-
-
-def _provenance(config):
-    return f"# ehmc={__version__} seed={config.seed}\n"
+    return [source(report, config) for source in SUMMARY_COLUMNS.values()]
 
 
 def emit_report(report, out_dir, config, sweep_rows=None):
@@ -360,35 +333,21 @@ def emit_report(report, out_dir, config, sweep_rows=None):
     final checkpoint under out_dir.  Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-
-    path = os.path.join(out_dir, "summary.csv")
-    rows = sweep_rows if sweep_rows is not None else [summary_row(report, config)]
-    with open(path, "w") as fh:
-        fh.write(_provenance(config))
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    paths.append(path)
-
-    path = os.path.join(out_dir, "per_dim.csv")
-    with open(path, "w") as fh:
-        fh.write(_provenance(config))
-        fh.write("dim,ess,split_rhat,degenerate\n")
-        for j in range(report.ess_per_dim.size):
-            fh.write(
-                f"{j},{_fmt(report.ess_per_dim[j])},"
-                f"{_fmt(report.split_rhat_per_dim[j])},"
-                f"{int(report.degenerate_dims[j])}\n"
-            )
-    paths.append(path)
-
-    path = os.path.join(out_dir, "mu_trace.csv")
-    with open(path, "w") as fh:
-        fh.write(_provenance(config))
-        fh.write("step,mu_abs_mean\n")
-        for i, val in enumerate(report.mu_trace):
-            fh.write(f"{i},{_fmt(val)}\n")
-    paths.append(path)
+    # file -> (header, rows); every cell goes through _fmt
+    tables = {
+        "summary.csv": (SUMMARY_COLUMNS, sweep_rows if sweep_rows is not None
+                        else [summary_row(report, config)]),
+        "per_dim.csv": (("dim", "ess", "split_rhat", "degenerate"),
+                        zip(range(report.ess_per_dim.size), report.ess_per_dim,
+                            report.split_rhat_per_dim, report.degenerate_dims.astype(int))),
+        "mu_trace.csv": (("step", "mu_abs_mean"), enumerate(report.mu_trace)),
+    }
+    for name, (header, rows) in tables.items():
+        path = os.path.join(out_dir, name)
+        with open(path, "w") as fh:
+            fh.write(f"# ehmc={__version__} seed={config.seed}\n" + ",".join(header) + "\n")
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        paths.append(path)
 
     path = os.path.join(out_dir, "config.echo")
     with open(path, "w") as fh:
@@ -408,26 +367,16 @@ def emit_report(report, out_dir, config, sweep_rows=None):
 
 def render_config(config):
     """Serialize a RunConfig as INI text that parse_config accepts back."""
-    blocks = {"run": ["[run]"], "adapt": ["[adapt]"]}
+    blocks = {"run": {}, "target": dict(sorted(config.target_params.items())), "adapt": {}}
     for section, key, name, _ in _FIELDS:
-        val = getattr(config, name)
-        if val is not None:
-            blocks[section].append(f"{key} = {_fmt(val)}")
-    lines = blocks["run"] + ["", "[target]"]
-    for key, val in sorted(config.target_params.items()):
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        elif isinstance(val, float):
-            val = _fmt(val)
-        lines.append(f"{key} = {val}")
-    lines += [""] + blocks["adapt"] + [""]
+        if getattr(config, name) is not None:
+            blocks[section][key] = getattr(config, name)
     if config.sweep_L:
-        lines.append("[sweep]")
-        lines.append("l_values = " + ",".join(str(l) for l in config.sweep_L))
-        lines.append("")
-    lines.append("[meta]")
-    lines.append(f"version = {__version__}")
-    lines.append("")
+        blocks["sweep"] = {"l_values": ",".join(str(l) for l in config.sweep_L)}
+    blocks["meta"] = {"version": __version__}
+    lines = []
+    for section, block in blocks.items():
+        lines += [f"[{section}]", *(f"{key} = {_fmt(val)}" for key, val in block.items()), ""]
     return "\n".join(lines)
 
 
@@ -454,9 +403,8 @@ def main(argv=None):
     _add_flags(parser)
     args = parser.parse_args(argv)
     if args.list_presets:
-        for name in sorted(PRESET_PARAMS):
-            keys = ", ".join(sorted(PRESET_PARAMS[name]))
-            print(f"{name}: {keys}")
+        for name in sorted(PRESETS):
+            print(f"{name}: {', '.join(sorted(PRESETS[name].params))}")
         return 0
     overrides = {name: getattr(args, name) for _, _, name, _ in _FIELDS
                  if getattr(args, name) is not None}
@@ -477,14 +425,12 @@ def main(argv=None):
     try:
         if config.sweep_L:
             rows = []
-            last = None
             for L in config.sweep_L:
                 one = replace(config, L=L, sweep_L=())
                 report = run_experiment(to_settings(one, model))
                 rows.append(summary_row(report, one))
                 emit_report(report, os.path.join(config.out, f"L{L}"), one)
-                last = report
-            emit_report(last, config.out, config, sweep_rows=rows)
+            emit_report(report, config.out, config, sweep_rows=rows)
         else:
             report = run_experiment(to_settings(config, model))
             emit_report(report, config.out, config)

@@ -104,11 +104,16 @@ def _row_grads(model, q, grads, step, live, given=None):
     # a block: one model.grad call per live row of step `step` (none for
     # rows whose gradient is given); a row whose gradient is non-finite
     # leaves `live` and keeps a zero gradient, so the lockstep arithmetic
-    # on it stays finite
+    # on it stays finite; a gradient it evaluates at step 0 must be (d,)
     for i in range(live.size):
         if live[i]:
             g = None if given is None else given[i]
-            grads[step, i] = model.grad(q[step, i]) if g is None else g
+            if g is None:
+                g = model.grad(q[step, i])
+                if step == 0 and np.shape(g) != q.shape[2:]:
+                    raise ValueError(f"gradient has shape {np.shape(g)}, "
+                                     f"expected {q.shape[2:]}")
+            grads[step, i] = g
     bad = ~np.isfinite(grads[step]).all(axis=1)
     if bad.any():
         live[bad] = False
@@ -128,8 +133,8 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     q0 and v are (d,) for one chain, where a non-finite gradient raises
     DivergenceError and a gradient at q0 not of shape (d,) ValueError, or
     (k, d) for k chains in lockstep, where g0 and u0 are sequences of k
-    entries (None where not known) and a non-finite gradient stops only
-    its own row.
+    entries (None where not known), an evaluated gradient at q0 must be
+    (d,) too, and a non-finite gradient stops only its own row.
     """
     if h <= 0 or L < 1:
         raise ValueError("need h > 0 and L >= 1")

@@ -18,15 +18,18 @@ from ehmc import __version__
 from ehmc.cli import (
     _FIELDS,
     ConfigError,
-    PRESET_PARAMS,
+    PRESETS,
     _add_flags,
     _fmt,
+    _parse,
     build_model,
+    emit_report,
     main,
     parse_config,
     render_config,
     to_settings,
 )
+from ehmc.diagnostics import RunReport
 from ehmc.objective import AdaptConfig
 from ehmc.precond import KINDS, make_preconditioner
 from ehmc.sampler import SamplerSettings, run_experiment
@@ -222,7 +225,7 @@ def test_roundtrip_through_render(tmp_path):
 
 
 def test_preset_registry_complete():
-    assert set(PRESET_PARAMS) == {
+    assert set(PRESETS) == {
         "gaussian_iso", "anisotropic", "correlated", "logistic", "cox", "sv"
     }
 
@@ -271,6 +274,46 @@ def test_fmt_17_digits():
     assert _fmt(np.nan) == "NA"
     assert _fmt(7) == "7"
     assert _fmt(0.1) == "0.10000000000000001"
+
+
+def hand_report():
+    # three dimensions, the last degenerate (every chain constant, so its
+    # R-hat is NaN); NaN, inf and None cells are written NA
+    return RunReport(
+        draws=np.zeros((2, 4, 3)), ess_per_dim=np.array([12.5, 1.0 / 3.0, 0.0]),
+        min_ess=0.0, mean_ess=0.1 + 0.2, median_ess=1.0 / 3.0,
+        split_rhat_per_dim=np.array([1.0000000000000002, 0.99, np.nan]),
+        max_rhat=np.nan, median_rhat=None, acceptance_rate=0.7, divergences=np.int64(3),
+        mu_trace=np.array([0.5, np.inf, 2.0 / 3.0]), wall_seconds=1.25,
+        degenerate_dims=np.array([False, False, True]))
+
+
+def test_emit_report_bytes(tmp_path):
+    cfg = parse_config(None, {"target": "gaussian_iso", "seed": 5, "h": 0.1, "L": 3,
+                              "adapt_budget": 10, "sample_steps": 7, "chains": 2,
+                              "out": str(tmp_path)}, {"d": "3"})
+    head = f"# ehmc={__version__} seed=5\n"
+    columns = ("version,seed,target,objective,precond,h,L,adapt_steps,sample_steps,chains,"
+               "min_ess,mean_ess,median_ess,max_rhat,median_rhat,acceptance,divergences,"
+               "cond_number,wall_seconds\n")
+    row = (f"{__version__},5,gaussian_iso,gsm,diagonal,0.10000000000000001,3,3,7,2,0,"
+           "0.30000000000000004,0.33333333333333331,NA,NA,0.69999999999999996,3,NA,1.25\n")
+    paths = emit_report(hand_report(), str(tmp_path / "one"), cfg)
+    assert [os.path.basename(p) for p in paths] == ["summary.csv", "per_dim.csv",
+                                                   "mu_trace.csv", "config.echo"]
+    one = tmp_path / "one"
+    assert (one / "summary.csv").read_text() == head + columns + row
+    assert (one / "per_dim.csv").read_text() == head + (
+        "dim,ess,split_rhat,degenerate\n"
+        "0,12.5,1.0000000000000002,0\n"
+        "1,0.33333333333333331,0.98999999999999999,0\n"
+        "2,0,NA,1\n")
+    assert (one / "mu_trace.csv").read_text() == head + (
+        "step,mu_abs_mean\n0,0.5\n1,NA\n2,0.66666666666666663\n")
+    # a sweep's summary takes its rows as given, one line each
+    emit_report(hand_report(), str(tmp_path / "sweep"), cfg,
+                sweep_rows=[["a", "1"], ["b", "NA"]])
+    assert (tmp_path / "sweep" / "summary.csv").read_text() == head + columns + "a,1\nb,NA\n"
 
 
 def run_main(tmp_path, extra, sub="out"):
@@ -459,7 +502,7 @@ def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 def test_main_list_presets(capsys):
     assert main(["--list-presets"]) == 0
     text = capsys.readouterr().out
-    for name in PRESET_PARAMS:
+    for name in PRESETS:
         assert name in text
 
 
@@ -513,6 +556,24 @@ def test_readme_config_example_parses(tmp_path, monkeypatch):
     assert cfg.target == "anisotropic"
     assert cfg.target_params == {"d": 20, "c": 4.0}
     assert cfg.sweep_L == tuple(range(1, 33))
+
+
+def test_readme_presets_and_columns_match_the_code(tmp_path):
+    # the Presets table lists exactly the presets, each with its parameter
+    # defaults, and the Outputs column list is the summary header written
+    section = README.split("### Presets", 1)[1].split("###", 1)[0]
+    table = {name: dict(p.strip("`").split("=", 1) for p in params.split(", "))
+             for name, params in re.findall(r"^\| `(\w+)` \| (.*?) \|", section, re.M)}
+    assert set(table) == set(PRESETS)
+    for name, preset in PRESETS.items():
+        assert set(table[name]) == set(preset.params), name
+        for key, (typ, default) in preset.params.items():
+            assert _parse(typ, table[name][key], key) == default, (name, key)
+    listed = re.search(r"columns `([^`]*)`", README.split("### Outputs", 1)[1]).group(1)
+    cfg = parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path)})
+    emit_report(hand_report(), str(tmp_path), cfg)
+    header = (tmp_path / "summary.csv").read_text().splitlines()[1]
+    assert re.split(r",\s+", listed) == header.split(",")
 
 
 # ------------------------------------------------------------ benchmark hooks

@@ -1,16 +1,21 @@
 """The adaptive step moves its chains in lockstep as one (k, d) block; it
 must match the one-chain-at-a-time reference step bit for bit."""
 
+import re
+
 import numpy as np
 import pytest
 
 from ehmc import sampler
+from ehmc.integrator import trajectory_reparam
 from ehmc.objective import make_adapt_state
 from ehmc.precond import make_preconditioner
 from ehmc.sampler import OBJECTIVES, adaptive_step, make_chains
 from ehmc.targets import (
+    TargetModel,
     correlated_gaussian,
     cox_target,
+    gaussian_target,
     logistic_target,
     prepare_design,
     simulate_cox_data,
@@ -167,3 +172,19 @@ def test_lockstep_matches_through_non_finite_gradients(kind, objective, monkeypa
     skipped, updates = block[-1][0]["scalars"][3:5]
     assert skipped > 0 and updates > 0
     assert any(0 < bad < size for bad, size in rows)
+
+
+@pytest.mark.parametrize("g", [0.5, [0.5], [0.5, 0.5]], ids=["scalar", "one entry", "d-1"])
+def test_block_refuses_wrong_shape_gradient(g):
+    # a gradient the block evaluates at its start rows must be (d,): its row
+    # of grads would take a scalar or a (1,) by broadcasting and integrate on
+    base = gaussian_target(covariance=np.ones(3))
+    model = TargetModel(dim=3, potential=base.potential, grad=lambda q: g, hvp=base.hvp)
+    message = re.escape(f"gradient has shape {np.shape(g)}, expected (3,)")
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=message):
+        trajectory_reparam(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), 0.1, 2,
+                           make_preconditioner("diagonal", 3), model)
+    state = make_adapt_state(make_preconditioner("diagonal", 3))
+    with pytest.raises(ValueError, match=message):
+        adaptive_step(make_chains(model, 2, seed=0), state, model, 0.1, 2)
