@@ -108,42 +108,31 @@ class RunReport:
 
 def build_report(draws, acceptance_rate, divergences, mu_trace, wall_seconds,
                  cond_number=None, extras=None):
-    """Assemble a RunReport, tolerating empty or too-short sampling phases."""
+    """Assemble a RunReport.  With fewer than 8 draws per chain (an empty or
+    too-short sampling phase) every ESS and R-hat statistic is NaN."""
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 3:
         raise ValueError("draws must have shape (chains, n, d)")
     n_chains, n, d = draws.shape
+    ess_pd = np.full(d, np.nan)
+    rhat_pd = np.full(d, np.nan)
+    degen = np.zeros(d, dtype=bool)
     if n >= 8:
-        ess_pd = np.zeros(d)
-        degen = np.zeros(d, dtype=bool)
         for j in range(d):
             per_chain = [ess(draws[c, :, j]) for c in range(n_chains)]
             ess_pd[j] = sum(per_chain)
             degen[j] = all(v == 0.0 for v in per_chain)
-        rhat_pd = np.array(
-            [split_rhat([draws[c, :, j] for c in range(n_chains)]) for j in range(d)]
-        )
-        min_ess = float(np.min(ess_pd))
-        mean_ess = float(np.mean(ess_pd))
-        median_ess = float(np.median(ess_pd))
-        finite_rhat = rhat_pd[np.isfinite(rhat_pd)]
-        max_rhat = float(np.max(finite_rhat)) if finite_rhat.size else np.nan
-        median_rhat = float(np.median(finite_rhat)) if finite_rhat.size else np.nan
-    else:
-        ess_pd = np.full(d, np.nan)
-        rhat_pd = np.full(d, np.nan)
-        degen = np.zeros(d, dtype=bool)
-        min_ess = mean_ess = median_ess = np.nan
-        max_rhat = median_rhat = np.nan
+            rhat_pd[j] = split_rhat(draws[:, :, j])
+    finite_rhat = rhat_pd[np.isfinite(rhat_pd)]
     return RunReport(
         draws=draws,
         ess_per_dim=ess_pd,
-        min_ess=min_ess,
-        mean_ess=mean_ess,
-        median_ess=median_ess,
+        min_ess=float(np.min(ess_pd)),
+        mean_ess=float(np.mean(ess_pd)),
+        median_ess=float(np.median(ess_pd)),
         split_rhat_per_dim=rhat_pd,
-        max_rhat=max_rhat,
-        median_rhat=median_rhat,
+        max_rhat=float(np.max(finite_rhat)) if finite_rhat.size else np.nan,
+        median_rhat=float(np.median(finite_rhat)) if finite_rhat.size else np.nan,
         acceptance_rate=acceptance_rate,
         divergences=divergences,
         mu_trace=np.asarray(mu_trace, dtype=float),

@@ -10,7 +10,8 @@ Three kinds are supported:
   2d-1 parameters (log of B's diagonal, then its superdiagonal).
   B is kept in one Fortran-ordered (2, d) band, which LAPACK reads in
   place; C w and C^T w are triangular solves with B and B^T, no
-  factorization, and all maps run in O(d).
+  factorization, and all maps run in O(d).  These solves (scipy's
+  ``dtbtrs``) are the one use of scipy; the other kinds run on numpy alone.
 
 Diagonal entries of C (or of B) are stored as unconstrained reals and
 mapped through exp, which keeps C C^T positive definite for every theta.
@@ -27,8 +28,8 @@ Every map also takes a (k, d) block, and ``accumulate_bilinear_grad``
 a (k, T, d) stack of T terms per row; each row gets the bits it gets
 alone.  The dense block maps are stacked ``np.matmul`` (one gemv per row;
 a plain gemm rounds differently), the banded maps one LAPACK solve with k
-right-hand sides, and the dense triangular solves one call per row (a
-multi-right-hand-side ``trsm`` rounds differently).  A term stack costs
+right-hand sides, and the dense inverse maps one ``np.linalg.solve`` per
+row (several right-hand sides round differently).  A term stack costs
 one stacked (d, T) by (T, d) ``np.matmul`` and one gather (dense), two
 LAPACK solves with kT right-hand sides and two sums over T (banded), or
 one sum over T (diagonal).
@@ -111,7 +112,6 @@ class Preconditioner:
         d = self.dim
         if self.kind == "diagonal":
             self._exp = np.exp(theta)
-            self._exp_neg = np.exp(-theta)
             self._matvec = self._rmatvec = partial(np.multiply, self._exp)
         elif self.kind == "dense":
             self._exp = np.exp(theta[:d])
@@ -160,34 +160,29 @@ class Preconditioner:
 
     def solve(self, w):
         """C^{-1} w."""
-        w = self._check_vec(w)
-        if self.kind == "diagonal":
-            return self._exp_neg * w
-        if self.kind == "dense":
-            return self._triangular_solve(w, "N")
-        # C^{-1} = B: multiply by the bidiagonal matrix directly
-        out = self._exp * w
-        out[..., :-1] += self._sup * w[..., 1:]
-        return out
+        return self._inverse(w, transpose=False)
 
     def solve_t(self, w):
         """C^{-T} w."""
+        return self._inverse(w, transpose=True)
+
+    def _inverse(self, w, transpose):
+        # from the factor itself: divide by its diagonal, solve with C or C^T
+        # one row at a time (dense), or multiply by B or B^T (C^{-1} = B)
         w = self._check_vec(w)
         if self.kind == "diagonal":
-            return self._exp_neg * w
+            return w / self._exp
         if self.kind == "dense":
-            return self._triangular_solve(w, "T")
+            C = self._C.T if transpose else self._C
+            if w.ndim == 1:
+                return np.linalg.solve(C, w)
+            return np.stack([np.linalg.solve(C, row) for row in w])
         out = self._exp * w
-        out[..., 1:] += self._sup * w[..., :-1]
+        if transpose:
+            out[..., 1:] += self._sup * w[..., :-1]
+        else:
+            out[..., :-1] += self._sup * w[..., 1:]
         return out
-
-    def _triangular_solve(self, w, trans):
-        from scipy.linalg import solve_triangular
-
-        if w.ndim == 1:
-            return solve_triangular(self._C, w, lower=True, trans=trans)
-        return np.stack([solve_triangular(self._C, row, lower=True, trans=trans)
-                         for row in w])
 
     def dense(self):
         """Materialize C as a dense matrix (small d only): row j of the

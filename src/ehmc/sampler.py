@@ -51,6 +51,10 @@ DIVERGENCE_DELTA = 1e3
 
 OBJECTIVES = ("gsm", "esjd", "l2hmc", "none")
 
+# a chain's RNG substreams and counters, in the order a checkpoint stores them
+STREAMS = ("rng_velocity", "rng_accept", "rng_roulette")
+COUNTERS = ("accept_count", "transition_count", "divergence_count")
+
 
 @dataclass
 class ChainState:
@@ -85,19 +89,21 @@ def make_chains(model, n_chains, seed, init=None, init_scale=1.0):
     master = np.random.SeedSequence(seed)
     chains = []
     for child in master.spawn(n_chains):
-        vel_ss, acc_ss, rou_ss = child.spawn(3)
-        rng_v = np.random.Generator(np.random.PCG64(vel_ss))
-        rng_a = np.random.Generator(np.random.PCG64(acc_ss))
-        rng_r = np.random.Generator(np.random.PCG64(rou_ss))
+        rngs = {name: np.random.Generator(np.random.PCG64(ss))
+                for name, ss in zip(STREAMS, child.spawn(len(STREAMS)))}
         if init is None:
-            q0 = init_scale * rng_v.standard_normal(model.dim)
+            q0 = init_scale * rngs["rng_velocity"].standard_normal(model.dim)
         else:
             q0 = np.array(init, dtype=float).copy()
             if q0.shape != (model.dim,):
                 raise ValueError(f"init: must have length {model.dim}, got {q0.shape}")
-        chains.append(ChainState(q=q0, rng_velocity=rng_v, rng_accept=rng_a,
-                                 rng_roulette=rng_r))
+        chains.append(ChainState(q=q0, **rngs))
     return chains
+
+
+def _totals(chains):
+    # each of COUNTERS summed over the chains
+    return {name: sum(getattr(c, name) for c in chains) for name in COUNTERS}
 
 
 def _start_point(chain, model):
@@ -183,11 +189,11 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
         raise ValueError(f"unknown objective {objective!r}")
     precond = state.precond
     cfg = state.config
-    before = sum(c.divergence_count for c in chains)
+    before = _totals(chains)["divergence_count"]
     _, traj, a_vals = hmc_transition(chains, precond, model, h, L)
     mean_a = float(np.mean(a_vals))
     stats = {"accept": mean_a,
-             "divergences": sum(c.divergence_count for c in chains) - before,
+             "divergences": _totals(chains)["divergence_count"] - before,
              "mu": np.nan, "pen": np.nan}
     live = np.flatnonzero(traj.live)
     traj = traj.rows(live)
@@ -291,7 +297,8 @@ def run_experiment(settings):
     when the objective is "none").  Phase 2 freezes all parameters and
     records every thin-th position per chain.  Both phases use
     settings.h; only the factor C is learnt.  The report's acceptance
-    rate refers to the sampling phase when it is nonempty.
+    rate refers to the sampling phase, or to the adaptation phase when no
+    sampling ran.
     """
     from .diagnostics import build_report, condition_number
 
@@ -309,45 +316,28 @@ def run_experiment(settings):
                                       settings.objective, rec)
         if settings.objective == "gsm":
             mu_trace.append(rec["mu"])
-    adapt_accepts = sum(c.accept_count for c in chains)
-    adapt_trans = sum(c.transition_count for c in chains)
-    adapt_divs = sum(c.divergence_count for c in chains)
+    adapt = _totals(chains)
 
     kept = [[] for _ in chains]
     for step in range(settings.sample_steps):
         for i, chain in enumerate(chains):
             hmc_transition(chain, state.precond, model, settings.h, settings.L)
             if step % settings.thin == 0:
-                kept[i].append(chain.q.copy())
-    if settings.sample_steps > 0:
-        draws = np.stack([np.stack(rows) for rows in kept])
-    else:
-        draws = np.zeros((settings.chains, 0, model.dim))
-    total_accepts = sum(c.accept_count for c in chains)
-    total_trans = sum(c.transition_count for c in chains)
-    total_divs = sum(c.divergence_count for c in chains)
-    sample_trans = total_trans - adapt_trans
-    if sample_trans > 0:
-        acceptance = (total_accepts - adapt_accepts) / sample_trans
-    elif adapt_trans > 0:
-        acceptance = adapt_accepts / adapt_trans
-    else:
-        acceptance = np.nan
+                kept[i].append(chain.q)
+    draws = np.array(kept, dtype=float).reshape(settings.chains, -1, model.dim)
+    total = _totals(chains)
+    sample = {name: total[name] - adapt[name] for name in COUNTERS}
+    phase = sample if sample["transition_count"] else adapt
+    acceptance = (phase["accept_count"] / phase["transition_count"]
+                  if phase["transition_count"] else np.nan)
     cond = None
     if model.precision is not None and model.dim <= 1000:
         cond = condition_number(state.precond, model.precision)
     wall = time.perf_counter() - t_start
-    extras = {
-        "final_precond": state.precond,
-        "adapt_state": state,
-        "chains": chains,
-        "adapt_acceptance": adapt_accepts / adapt_trans if adapt_trans else np.nan,
-        "adapt_divergences": adapt_divs,
-        "skip_count": state.skip_count,
-        "settings": settings,
-    }
+    extras = {"final_precond": state.precond, "adapt_state": state, "chains": chains,
+              "skip_count": state.skip_count}
     return build_report(draws=draws, acceptance_rate=float(acceptance),
-                        divergences=int(total_divs),
+                        divergences=int(total["divergence_count"]),
                         mu_trace=np.asarray(mu_trace, dtype=float),
                         wall_seconds=wall, cond_number=cond, extras=extras)
 
@@ -362,22 +352,14 @@ def save_checkpoint(path, chains, state, h, meta=None):
     string array, so the file loads without pickle; target models are not
     stored (the caller recreates them from its own configuration).
     """
-    rng_states = [
-        [json.dumps(c.rng_velocity.bit_generator.state),
-         json.dumps(c.rng_accept.bit_generator.state),
-         json.dumps(c.rng_roulette.bit_generator.state)]
-        for c in chains
-    ]
-    counters = np.array(
-        [[c.accept_count, c.transition_count, c.divergence_count] for c in chains],
-        dtype=np.int64,
-    )
     np.savez(
         path,
         positions=np.stack([c.q for c in chains]),
         last_delta=np.array([c.last_delta for c in chains]),
-        counters=counters,
-        rng_states=np.array(rng_states, dtype=np.bytes_),
+        counters=np.array([[getattr(c, name) for name in COUNTERS] for c in chains],
+                          dtype=np.int64),
+        rng_states=np.array([[json.dumps(getattr(c, name).bit_generator.state)
+                              for name in STREAMS] for c in chains], dtype=np.bytes_),
         theta=state.precond.theta,
         precond_kind=np.array(state.precond.kind),
         precond_dim=np.array(state.precond.dim),
@@ -391,44 +373,42 @@ def save_checkpoint(path, chains, state, h, meta=None):
     )
 
 
+def _generator(state_json):
+    # a Generator resumed at a JSON-encoded PCG64 state
+    bg = np.random.PCG64()
+    bg.state = json.loads(state_json)
+    return np.random.Generator(bg)
+
+
 def load_checkpoint(path):
-    """Rebuild (chains, state, h, meta) from a checkpoint file."""
+    """Rebuild (chains, state, h, meta) from a checkpoint file.  A file
+    whose arrays disagree in shape is refused with a ValueError that
+    starts with the array's name."""
     with np.load(path, allow_pickle=False) as data:
-        positions = data["positions"]
-        last_delta = data["last_delta"]
-        counters = data["counters"]
-        rng_states = data["rng_states"]
-        kind = str(data["precond_kind"])
-        dim = int(data["precond_dim"])
-        theta = data["theta"]
-        adam_m = data["adam_m"]
-        adam_v = data["adam_v"]
-        scalars = data["scalars"]
-        config_d = json.loads(str(data["config_json"]))
-        meta = json.loads(str(data["meta_json"]))
+        ck = {key: data[key] for key in data.files}
+    config_d = json.loads(str(ck["config_json"]))
     for key, value in RETIRED.items():
         old = config_d.pop(key, value)
         if (tuple(old) if isinstance(old, list) else old) != value:
             raise ValueError(f"{key}: checkpoint holds {old!r}, now fixed at {value!r}")
-    config = AdaptConfig(**config_d)
-    precond = Preconditioner(kind=kind, dim=dim, theta=theta)
-    lam = None if np.isnan(scalars[3]) else float(scalars[3])
-    state = AdaptState(precond=precond, config=config, beta=float(scalars[0]),
-                       gamma=float(scalars[1]), adam_m=adam_m.copy(),
-                       adam_v=adam_v.copy(), step=int(scalars[2]),
-                       lambda_ma=lam, skip_count=int(scalars[4]))
-    chains = []
-    for i in range(positions.shape[0]):
-        gens = []
-        for st in rng_states[i]:
-            bg = np.random.PCG64()
-            bg.state = json.loads(st)
-            gens.append(np.random.Generator(bg))
-        chains.append(ChainState(
-            q=positions[i].copy(), rng_velocity=gens[0], rng_accept=gens[1],
-            rng_roulette=gens[2], accept_count=int(counters[i, 0]),
-            transition_count=int(counters[i, 1]),
-            divergence_count=int(counters[i, 2]),
-            last_delta=float(last_delta[i]),
-        ))
-    return chains, state, float(scalars[5]), meta
+    precond = Preconditioner(kind=str(ck["precond_kind"]), dim=int(ck["precond_dim"]),
+                             theta=ck["theta"])
+    k = ck["positions"].shape[0] if ck["positions"].ndim else 0
+    expected = {"positions": (k, precond.dim), "last_delta": (k,),
+                "counters": (k, len(COUNTERS)), "rng_states": (k, len(STREAMS)),
+                "adam_m": precond.theta.shape, "adam_v": precond.theta.shape,
+                "scalars": (6,)}
+    for name, shape in expected.items():
+        if ck[name].shape != shape:
+            raise ValueError(f"{name}: has shape {ck[name].shape}, expected {shape}")
+    beta, gamma, step, lam, skips, h = ck["scalars"]
+    state = AdaptState(precond=precond, config=AdaptConfig(**config_d), beta=float(beta),
+                       gamma=float(gamma), adam_m=ck["adam_m"], adam_v=ck["adam_v"],
+                       step=int(step), lambda_ma=None if np.isnan(lam) else float(lam),
+                       skip_count=int(skips))
+    chains = [ChainState(q=q.copy(), last_delta=float(delta),
+                         **{name: _generator(st) for name, st in zip(STREAMS, states)},
+                         **{name: int(n) for name, n in zip(COUNTERS, counts)})
+              for q, delta, counts, states in zip(ck["positions"], ck["last_delta"],
+                                                  ck["counters"], ck["rng_states"])]
+    return chains, state, float(h), json.loads(str(ck["meta_json"]))

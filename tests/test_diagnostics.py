@@ -1,5 +1,7 @@
 """ESS, split R-hat, condition numbers, and report assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,25 @@ def test_build_report_empty_phase():
     assert np.all(np.isnan(report.ess_per_dim))
     assert np.isnan(report.min_ess)
     assert np.isnan(report.max_rhat)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_build_report_short_phase(n):
+    # fewer than 8 draws per chain: every statistic is NaN and no dimension,
+    # not even a constant one, is flagged degenerate, with no warning
+    draws = np.random.default_rng(12).standard_normal((3, n, 2))
+    draws[:, :, 1] = 4.2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = build_report(draws, acceptance_rate=0.6, divergences=0,
+                              mu_trace=np.array([]), wall_seconds=0.1)
+    for per_dim in (report.ess_per_dim, report.split_rhat_per_dim):
+        assert per_dim.shape == (2,) and np.all(np.isnan(per_dim))
+    for value in (report.min_ess, report.mean_ess, report.median_ess,
+                  report.max_rhat, report.median_rhat):
+        assert np.isnan(value)
+    assert report.degenerate_dims.dtype == bool and report.degenerate_dims.shape == (2,)
+    assert not report.degenerate_dims.any()
 
 
 def test_build_report_shape_check():

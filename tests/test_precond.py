@@ -1,5 +1,10 @@
 """Preconditioner parameterizations: maps, logdet, and adjoint gradients."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -283,6 +288,24 @@ def test_block_maps_equal_rows(kind, dim):
         for i in range(k):
             p.accumulate_logdet_grad(want[i], -0.3)
         assert np.array_equal(got, want)
+
+
+def test_dense_inverse_maps_leave_scipy_unloaded():
+    # C^{-1} w and C^{-T} w of a dense factor, on a vector and on a block,
+    # run on numpy alone
+    script = ("import sys\nimport numpy as np\n"
+              "from ehmc.precond import Preconditioner, n_params\n"
+              "p = Preconditioner('dense', 4, np.linspace(-0.3, 0.3, n_params('dense', 4)))\n"
+              "w = np.arange(8.0).reshape(2, 4)\n"
+              "for x in (w[0], w):\n"
+              "    assert np.allclose(p.matvec(p.solve(x)), x)\n"
+              "    assert np.allclose(p.rmatvec(p.solve_t(x)), x)\n"
+              "assert 'scipy' not in sys.modules, [m for m in sys.modules if 'scipy' in m]\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("kind", KINDS)

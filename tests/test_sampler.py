@@ -572,3 +572,71 @@ def test_checkpoint_loads_without_pickle(tmp_path):
         for key in data.files:
             assert data[key].dtype != object
         assert data["rng_states"].shape == (2, 3)
+
+
+CHECKPOINT_ARRAYS = ["positions", "last_delta", "counters", "rng_states", "theta",
+                     "precond_kind", "precond_dim", "adam_m", "adam_v", "scalars",
+                     "config_json", "meta_json"]
+
+
+@pytest.mark.parametrize("objective", ["gsm", "l2hmc"], ids=["lambda-unset", "lambda-set"])
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "banded"])
+def test_checkpoint_resave_writes_equal_arrays(tmp_path, kind, objective):
+    # the file layout: saving what load_checkpoint read back writes the same
+    # array names, dtypes, shapes and values, RNG state bytes, counters,
+    # last_delta and the NaN slot of an unset lambda included
+    m = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))
+    state = make_adapt_state(make_preconditioner(kind, 3))
+    chains = make_chains(m, 3, seed=31)
+    for _ in range(6):
+        adaptive_step(chains, state, m, 0.4, 3, objective=objective)
+    hmc_transition(chains[0], state.precond, m, 0.4, 3)
+    assert (state.lambda_ma is None) is (objective == "gsm")
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    save_checkpoint(first, chains, state, 0.4, meta={"seed": 31})
+    save_checkpoint(second, *load_checkpoint(first))
+    with np.load(first, allow_pickle=False) as a, np.load(second, allow_pickle=False) as b:
+        assert sorted(a.files) == sorted(b.files) == sorted(CHECKPOINT_ARRAYS)
+        for key in a.files:
+            assert (a[key].dtype, a[key].shape) == (b[key].dtype, b[key].shape), key
+            assert np.array_equal(a[key], b[key], equal_nan=a[key].dtype.kind == "f"), key
+        assert a["counters"].dtype == np.int64
+        assert a["rng_states"].shape == (3, 3) and a["rng_states"].dtype.kind == "S"
+        assert a["counters"][0, 1] == 7 and a["counters"][1, 1] == 6
+        assert a["scalars"].shape == (6,)
+        assert np.isnan(a["scalars"][3]) == (objective == "gsm")
+
+
+def checkpoint_with_arrays(tmp_path, **arrays):
+    # a dense d = 3 checkpoint of 2 chains in which each named array is
+    # replaced by its given function of the saved arrays
+    m = gaussian_target(precision=np.eye(3))
+    state = make_adapt_state(make_preconditioner("dense", 3))
+    chains = make_chains(m, 2, seed=37)
+    adaptive_step(chains, state, m, 0.5, 3, objective="gsm")
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, chains, state, 0.5)
+    with np.load(path, allow_pickle=False) as data:
+        saved = {key: data[key] for key in data.files}
+    np.savez(path, **{**saved, **{k: v(saved) for k, v in arrays.items()}})
+    return path
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("positions", lambda ck: np.zeros((2, 7))),
+    ("positions", lambda ck: np.zeros(6)),
+    ("last_delta", lambda ck: np.zeros(3)),
+    ("counters", lambda ck: ck["counters"][:, :2]),
+    ("counters", lambda ck: np.zeros((3, 3), dtype=np.int64)),
+    ("rng_states", lambda ck: ck["rng_states"][:1]),
+    ("rng_states", lambda ck: ck["rng_states"][:, :2]),
+    ("adam_m", lambda ck: np.zeros(5)),
+    ("adam_v", lambda ck: np.zeros(7)),
+    ("scalars", lambda ck: ck["scalars"][:5]),
+], ids=["positions-wide", "positions-flat", "last_delta-long", "counters-narrow",
+        "counters-long", "rng_states-short", "rng_states-narrow", "adam_m-long",
+        "adam_v-long", "scalars-short"])
+def test_checkpoint_with_inconsistent_arrays_is_refused(tmp_path, name, bad):
+    path = checkpoint_with_arrays(tmp_path, **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name}:"):
+        load_checkpoint(path)
