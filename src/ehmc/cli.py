@@ -121,6 +121,14 @@ _HELP = {"target": "target preset name", "out": "output directory",
 Preset = namedtuple("Preset", "params build init", defaults=(lambda model: None,))
 
 
+def _gaussian_iso(p):
+    try:  # a float's ** raises OverflowError where numpy's gives inf
+        variance = np.full(p["d"], p["scale"] ** 2)
+    except OverflowError:
+        raise ValueError(f"scale: its square overflows, got {p['scale']}") from None
+    return targets.gaussian_target(covariance=variance, name=f"gaussian_iso(d={p['d']})")
+
+
 def _logistic(p):
     if p["csv"]:
         X, y = targets.load_logistic_csv(p["csv"], intercept=p["intercept"],
@@ -143,9 +151,7 @@ def _sv(p):
 
 
 PRESETS = {
-    "gaussian_iso": Preset({"d": (int, 10), "scale": (float, 1.0)}, lambda p: (
-        targets.gaussian_target(covariance=np.full(p["d"], p["scale"] ** 2),
-                                name=f"gaussian_iso(d={p['d']})"))),
+    "gaussian_iso": Preset({"d": (int, 10), "scale": (float, 1.0)}, _gaussian_iso),
     "anisotropic": Preset({"d": (int, 100), "c": (float, 6.0)},
                           lambda p: targets.anisotropic_gaussian(p["d"], p["c"])),
     "correlated": Preset({"grid_points": (int, 51)},

@@ -24,7 +24,7 @@ each chain on its own.
 import json
 import math
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 from typing import Optional
 
 import numpy as np
@@ -381,9 +381,9 @@ def _generator(state_json):
 
 
 def load_checkpoint(path):
-    """Rebuild (chains, state, h, meta) from a checkpoint file.  A file
-    whose arrays disagree in shape is refused with a ValueError that
-    starts with the array's name."""
+    """Rebuild (chains, state, h, meta) from a checkpoint file.  An unknown
+    setting, an array of the wrong shape or dtype, or a non-finite position,
+    theta or Adam moment is refused with a ValueError naming it first."""
     with np.load(path, allow_pickle=False) as data:
         ck = {key: data[key] for key in data.files}
     config_d = json.loads(str(ck["config_json"]))
@@ -391,16 +391,25 @@ def load_checkpoint(path):
         old = config_d.pop(key, value)
         if (tuple(old) if isinstance(old, list) else old) != value:
             raise ValueError(f"{key}: checkpoint holds {old!r}, now fixed at {value!r}")
+    unknown = sorted(config_d.keys() - {f.name for f in fields(AdaptConfig)})
+    if unknown:
+        raise ValueError(f"{unknown[0]}: not an adaptation setting")
     precond = Preconditioner(kind=str(ck["precond_kind"]), dim=int(ck["precond_dim"]),
                              theta=ck["theta"])
     k = ck["positions"].shape[0] if ck["positions"].ndim else 0
-    expected = {"positions": (k, precond.dim), "last_delta": (k,),
-                "counters": (k, len(COUNTERS)), "rng_states": (k, len(STREAMS)),
-                "adam_m": precond.theta.shape, "adam_v": precond.theta.shape,
-                "scalars": (6,)}
-    for name, shape in expected.items():
+    expected = {"positions": ((k, precond.dim), np.floating), "last_delta": ((k,), np.floating),
+                "counters": ((k, len(COUNTERS)), np.integer),
+                "rng_states": ((k, len(STREAMS)), np.bytes_),
+                "adam_m": (precond.theta.shape, np.floating),
+                "adam_v": (precond.theta.shape, np.floating), "scalars": ((6,), np.floating)}
+    for name, (shape, dtype) in expected.items():
         if ck[name].shape != shape:
             raise ValueError(f"{name}: has shape {ck[name].shape}, expected {shape}")
+        if not np.issubdtype(ck[name].dtype, dtype):
+            raise ValueError(f"{name}: has dtype {ck[name].dtype}, expected {dtype.__name__}")
+    for name in ("theta", "adam_m", "adam_v", "positions"):
+        if not np.isfinite(ck[name]).all():
+            raise ValueError(f"{name}: has a non-finite entry")
     beta, gamma, step, lam, skips, h = ck["scalars"]
     state = AdaptState(precond=precond, config=AdaptConfig(**config_d), beta=float(beta),
                        gamma=float(gamma), adam_m=ck["adam_m"], adam_v=ck["adam_v"],

@@ -1,14 +1,15 @@
 """Target models: potential energy, gradient and Hessian-vector products.
 
 Every model's target is fixed at construction and safe to evaluate from
-multiple chains: it keeps private, read-only copies of its data arrays.
-Dense prior precisions (correlated Gaussian, Cox) are inverted once at
-construction, through numpy's Cholesky factor, and cached; the module
-needs numpy alone.  The logistic design is stored column-major, so
-X q and X^T r both run as matrix-vector products over contiguous memory.
-The one piece of mutable state is the logistic ``hvp``'s one-entry memo:
-the curvature weights s (1 - s) at the last position it was given, reused
-while the position stays equal.
+multiple chains.  Its inputs must be finite; it keeps private copies of
+its data, and those and the matrices it builds (Gaussian ``precision``,
+``extras`` priors) are read-only.  Dense prior precisions (correlated
+Gaussian, Cox) are inverted once at construction through numpy's
+Cholesky factor; the module needs numpy alone.  The logistic design is
+column-major, so X q and X^T r run over contiguous memory.  The one
+mutable state is the logistic ``hvp``'s one-entry memo: the curvature
+weights s (1 - s) at the last position it was given, reused while the
+position stays equal.
 """
 
 import math
@@ -68,76 +69,59 @@ def _cholesky_upper(a):
     return np.linalg.cholesky(a.T).T
 
 
-def _spd_inverse(cov):
-    """Symmetrized inverse P = U^{-1} U^{-T} of a dense SPD matrix from one
-    Cholesky factorization of its upper triangle; raises
-    np.linalg.LinAlgError when it is not SPD."""
-    U_inv = np.linalg.solve(_cholesky_upper(cov), np.eye(cov.shape[0]))
+def _spd_inverse(U):
+    """Symmetrized inverse P = U^{-1} U^{-T} of the dense SPD matrix whose
+    upper Cholesky factor is U."""
+    U_inv = np.linalg.solve(U, np.eye(U.shape[0]))
     P = U_inv @ U_inv.T
     return 0.5 * (P + P.T)
 
 
-def _as_precision(prec):
-    """Turn a precision argument (diagonal vector, dense SPD) into a dense matrix."""
-    prec = np.asarray(prec, dtype=float)
-    if prec.ndim == 1:
-        if np.any(prec <= 0):
-            raise ValueError("diagonal precision entries must be positive")
-        return np.diag(prec)
-    if prec.ndim == 2 and prec.shape[0] == prec.shape[1]:
-        return prec.copy()
-    raise ValueError("precision must be a vector or a square matrix")
-
-
 def _check_symmetric(a, name):
-    """Raise ValueError naming ``name`` unless a equals its transpose up to
-    rounding (1e-12 of its largest entry); non-finite entries pass here."""
-    if a.shape != a.T.shape or (np.isfinite(a).all() and
-                                np.max(np.abs(a - a.T)) > 1e-12 * np.max(np.abs(a))):
+    """Raise ValueError naming ``name`` unless the square matrix a equals its
+    transpose up to rounding (1e-12 of its largest entry); non-finite
+    entries pass here."""
+    if np.isfinite(a).all() and np.max(np.abs(a - a.T)) > 1e-12 * np.max(np.abs(a)):
         raise ValueError(f"{name} is not symmetric")
 
 
-def _check_size(arg, value):
-    """Raise ValueError naming ``arg`` unless the size value is at least 1."""
-    if value < 1:
-        raise ValueError(f"{arg}: must be a positive integer, got {value}")
+def _check_size(arg, value, minimum=1):
+    """Raise ValueError naming ``arg`` unless the size value is at least ``minimum``."""
+    if value < minimum:
+        raise ValueError(f"{arg}: must be at least {minimum}, got {value}")
 
 
 def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian"):
     """Gaussian with U(q) = 0.5 (q - mean)^T P (q - mean).
 
     Exactly one of ``precision`` or ``covariance`` must be given, as a
-    vector (diagonal) or dense SPD matrix.  The gradient is P (q - mean)
-    and the Hessian-vector product P w, independent of position.
+    finite, positive diagonal vector or a dense SPD matrix.  The gradient
+    is P (q - mean) and the Hessian-vector product P w, independent of q.
     """
     if (precision is None) == (covariance is None):
         raise ValueError("give exactly one of precision, covariance")
-    for arg, value in (("precision", precision), ("covariance", covariance)):
-        if value is not None and np.size(value) == 0:
-            raise ValueError(f"{arg}: must not be empty")
-    if covariance is not None:
-        cov = np.asarray(covariance, dtype=float)
-        if cov.ndim == 1:
-            if np.any(cov <= 0):
-                raise ValueError("diagonal covariance entries must be positive")
-            P = np.diag(1.0 / cov)
-        else:
-            _check_symmetric(cov, "covariance")
-            try:
-                P = _spd_inverse(cov)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("covariance is not positive definite") from exc
+    arg, a = ("precision", precision) if covariance is None else ("covariance", covariance)
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        raise ValueError(f"{arg}: must not be empty")
+    if a.ndim == 1:
+        if not np.all((a > 0) & (a < np.inf)):
+            raise ValueError(f"diagonal {arg} entries must be finite and positive")
+        P = np.diag(1.0 / a if arg == "covariance" else a)
+    elif a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{arg} must be a vector or a square matrix")
     else:
-        P = _as_precision(precision)
-        _check_symmetric(P, "precision")
+        _check_symmetric(a, arg)
         try:
-            _cholesky_upper(P)
+            U = _cholesky_upper(a)
         except np.linalg.LinAlgError as exc:
-            raise ValueError("precision is not positive definite") from exc
+            raise ValueError(f"{arg} is not positive definite") from exc
+        P = _spd_inverse(U) if arg == "covariance" else a.copy()
+    P.flags.writeable = False
     d = P.shape[0]
     mu = _frozen(np.zeros(d) if mean is None else mean)
-    if mu.shape != (d,):
-        raise ValueError("mean has wrong length")
+    if mu.shape != (d,) or not np.all(np.isfinite(mu)):
+        raise ValueError(f"mean: must be a finite vector of length {d}")
 
     def potential(q):
         r = q - mu
@@ -159,9 +143,9 @@ def anisotropic_gaussian(d, c):
     Marginal standard deviations grow geometrically from 1 to 10^(c/2);
     the largest variance is 10^c.
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    variances = np.exp(c * np.arange(d) / (d - 1) * np.log(10.0))
+    _check_size("d", d, 2)
+    with np.errstate(over="ignore"):  # an infinite variance is refused below
+        variances = np.exp(c * np.arange(d) / (d - 1) * np.log(10.0))
     return gaussian_target(covariance=variances, name=f"anisotropic(d={d},c={c})")
 
 
@@ -172,8 +156,7 @@ def correlated_gaussian(grid_points=51):
     on a regular grid over [0, 4].  The precision comes from one dense SPD
     factorization at construction.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
+    _check_size("grid_points", grid_points, 2)
     x = np.linspace(0.0, 4.0, grid_points)
     diff = x[:, None] - x[None, :]
     K = np.exp(-0.5 * diff**2 / 0.4**2) + 0.01 * np.eye(grid_points)
@@ -181,6 +164,7 @@ def correlated_gaussian(grid_points=51):
         model = gaussian_target(covariance=K, name=f"correlated(d={grid_points})")
     except ValueError as exc:
         raise RuntimeError("kernel matrix factorization failed") from exc
+    K.flags.writeable = False
     model.extras["covariance"] = K
     return model
 
@@ -211,6 +195,7 @@ def logistic_target(X, y, prior_cov=1.0):
     if not 0 < prior_cov < np.inf:
         raise ValueError(f"prior_cov: must be finite and positive, got {prior_cov}")
     P0 = np.eye(d) / float(prior_cov)
+    P0.flags.writeable = False
     XT = X.T
 
     def potential(q):
@@ -261,17 +246,15 @@ def load_logistic_csv(path, intercept=True, standardize=True):
     for i, line in enumerate(lines):
         if not line.strip():
             continue
-        fields = line.split(",")
-        try:
-            row = [float(f) for f in fields]
-        except ValueError:
-            bad = next(j for j, f in enumerate(fields) if not _is_float(f))
-            raise IngestionError(
-                f"{path}: non-numeric field at row {i + 1}, column {bad + 1}"
-            ) from None
-        bad = next((j for j, x in enumerate(row) if not math.isfinite(x)), None)
-        if bad is not None:
-            raise IngestionError(f"{path}: non-finite field at row {i + 1}, column {bad + 1}")
+        row = []
+        for j, f in enumerate(line.split(",")):
+            try:
+                row.append(float(f))
+                bad = None if math.isfinite(row[-1]) else "non-finite"
+            except ValueError:
+                bad = "non-numeric"
+            if bad:
+                raise IngestionError(f"{path}: {bad} field at row {i + 1}, column {j + 1}")
         rows[i + 1] = row
     if not rows:
         raise IngestionError(f"{path}: no data rows")
@@ -296,14 +279,6 @@ def prepare_design(X, intercept=True, standardize=True):
     if intercept:
         X = np.column_stack([X, np.ones(len(X))])
     return X
-
-
-def _is_float(s):
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def simulate_logistic_data(n, d, seed=0):
@@ -353,9 +328,10 @@ def cox_target(n, y):
     m = 1.0 / d
     cov = _cox_prior_cov(n)
     try:
-        P = _spd_inverse(cov)
+        P = _spd_inverse(_cholesky_upper(cov))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("Cox prior covariance is not positive definite") from exc
+    P.flags.writeable = cov.flags.writeable = False
     mu_vec = np.full(d, COX_MU)
 
     def potential(x):
@@ -402,52 +378,43 @@ def sv_target(returns):
     """
     y = _frozen(returns)
     T = y.size
-    if T < 2:
-        raise ValueError("need at least two observations")
+    _check_size("returns", T, 2)
     if not np.all(np.isfinite(y)):
         raise ValueError("returns contain non-finite values")
     d = T + 3
 
-    def unpack(q):
-        return q[:T], q[T], q[T + 1], q[T + 2]
-
-    def potential(q):
-        h, mu, a, b = unpack(q)
-        z = _sigmoid(np.asarray(a))
+    def transforms(q):
+        # the quantities U and its gradient share, as numpy scalars: once phi
+        # rounds to +-1, 1 - phi^2 is 0 and both turn non-finite (a divergence
+        # the sampler rejects) instead of raising ZeroDivisionError
+        h, mu, a, b = q[:T], q[T], q[T + 1], q[T + 2]
+        z = _sigmoid(np.asarray(a))[()]
         phi = 2.0 * z - 1.0
         sigma = _log1pexp(b)
-        s2 = sigma * sigma
+        return (h, mu, z, phi, sigma, _sigmoid(np.asarray(b))[()], sigma * sigma,
+                1.0 - phi * phi, h[1:] - phi * h[:-1])
+
+    def potential(q):
+        h, mu, z, phi, sigma, sb, s2, one_m_phi2, r = transforms(q)
         # observations
         u = np.sum(0.5 * (mu + h) + 0.5 * y**2 * np.exp(-(mu + h)))
         # AR(1) prior on the latent path
-        one_m_phi2 = 1.0 - phi * phi
         u += 0.5 * np.log(s2 / one_m_phi2) + 0.5 * h[0] ** 2 * one_m_phi2 / s2
-        r = h[1:] - phi * h[:-1]
         u += (T - 1) * np.log(sigma) + 0.5 * np.sum(r**2) / s2
         # transformed priors: Beta(20, 1.5) on (phi+1)/2 = sigmoid(a)
         u += -20.0 * np.log(z) - 1.5 * np.log1p(-z)
         # mu ~ Cauchy(0, 2)
         u += np.log1p((mu / 2.0) ** 2)
         # sigma ~ Half-Cauchy(0, 1) with softplus Jacobian
-        u += np.log1p(sigma * sigma) - np.log(_sigmoid(np.asarray(b)))
+        u += np.log1p(s2) - np.log(sb)
         return float(u)
 
     def grad(q):
-        h, mu, a, b = unpack(q)
-        # numpy scalars: once phi rounds to +-1, 1 - phi^2 is 0 and the
-        # gradient turns non-finite (a divergence the sampler rejects)
-        # instead of raising ZeroDivisionError
-        z = _sigmoid(np.asarray(a))[()]
-        phi = 2.0 * z - 1.0
-        sb = float(_sigmoid(np.asarray(b)))
-        sigma = float(_log1pexp(b))
-        s2 = sigma * sigma
+        h, mu, z, phi, sigma, sb, s2, one_m_phi2, r = transforms(q)
         g = np.zeros(d)
         e = 0.5 - 0.5 * y**2 * np.exp(-(mu + h))
         g[:T] += e
         g[T] += float(np.sum(e)) + (mu / 2.0) / (1.0 + (mu / 2.0) ** 2)
-        one_m_phi2 = 1.0 - phi * phi
-        r = h[1:] - phi * h[:-1]
         # latent-path terms
         g[0] += h[0] * one_m_phi2 / s2
         g[1:T] += r / s2
@@ -476,9 +443,8 @@ def sv_target(returns):
 def simulate_sv_data(T, seed=0):
     """Simulate a return series from the stochastic volatility model with
     persistence phi = 0.98, noise scale sigma = 0.15 and mean mu = -1."""
+    _check_size("T", T, 2)
     phi, sigma, mu = 0.98, 0.15, -1.0
-    if T < 2:
-        raise ValueError("need T >= 2")
     rng = np.random.default_rng(seed)
     h = np.empty(T)
     h[0] = rng.normal(0.0, sigma / np.sqrt(1.0 - phi**2))

@@ -32,6 +32,16 @@ def masked_sigmoid(t):
     return out
 
 
+def cholesky_inverse(S):
+    """Symmetrized inverse of the SPD matrix S through the upper Cholesky
+    factor that LAPACK reads from S's upper triangle: the numpy operations
+    a Gaussian covariance matrix is documented to be inverted by."""
+    U = np.linalg.cholesky(S.T).T
+    U_inv = np.linalg.solve(U, np.eye(S.shape[0]))
+    P = U_inv @ U_inv.T
+    return 0.5 * (P + P.T)
+
+
 def textbook_logistic(X, y, prior_cov=1.0):
     """Logistic-regression posterior from the textbook formulas: a C-order
     design, ``np.logaddexp`` for log(1 + e^t) and ``masked_sigmoid``."""

@@ -35,6 +35,8 @@ from ehmc.precond import KINDS, make_preconditioner
 from ehmc.sampler import SamplerSettings, run_experiment
 from ehmc.targets import gaussian_target
 
+from _oracles import cholesky_inverse
+
 
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -258,6 +260,25 @@ def test_every_preset_builds(tmp_path):
         assert np.all(np.isfinite(model.grad(q)))
 
 
+def correlated_kernel(grid_points):
+    x = np.linspace(0.0, 4.0, grid_points)
+    return np.exp(-0.5 * (x[:, None] - x[None, :]) ** 2 / 0.4**2) + 0.01 * np.eye(grid_points)
+
+
+@pytest.mark.parametrize("name, params, expected", [
+    ("gaussian_iso", {}, lambda: np.eye(10)),
+    # 2.759 ** 2 and 2.759 * 2.759 round apart under glibc's pow: the
+    # preset squares a Python float
+    ("gaussian_iso", {"d": "4", "scale": "2.759"}, lambda: np.diag(1.0 / np.full(4, 2.759**2))),
+    ("anisotropic", {"d": "6", "c": "3"},
+     lambda: np.diag(1.0 / np.exp(3.0 * np.arange(6) / 5 * np.log(10.0)))),
+    ("correlated", {"grid_points": "12"}, lambda: cholesky_inverse(correlated_kernel(12))),
+], ids=["gaussian_iso-default", "gaussian_iso-scale", "anisotropic", "correlated"])
+def test_gaussian_preset_precision_bits(tmp_path, name, params, expected):
+    cfg = parse_config(None, {"target": name, "out": str(tmp_path)}, params)
+    assert np.array_equal(build_model(cfg).precision, expected())
+
+
 def test_cox_runs_start_at_prior_mean(tmp_path):
     cfg = parse_config(None, {"target": "cox", "out": str(tmp_path)}, {"n": "3"})
     settings = to_settings(cfg)
@@ -466,6 +487,27 @@ def test_main_bad_preset_size_exit_code(tmp_path, capsys, target, params, name):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target, param, message", [
+    ("gaussian_iso", "scale=1e200", "scale: its square overflows, got 1e+200"),
+    ("gaussian_iso", "scale=nan", "diagonal covariance entries must be finite and positive"),
+    ("anisotropic", "c=400", "diagonal covariance entries must be finite and positive"),
+])
+def test_main_nonfinite_preset_value_exit_code(tmp_path, monkeypatch, capsys, target, param,
+                                               message):
+    # a preset value that squares past the float range or gives a NaN or
+    # infinite variance is a settings error before any transition runs
+    import ehmc.cli as cli_mod
+
+    def no_run(settings):
+        raise AssertionError("a transition ran")
+
+    monkeypatch.setattr(cli_mod, "run_experiment", no_run)
+    assert main(["--target", target, "--param", param, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -640,3 +640,42 @@ def test_checkpoint_with_inconsistent_arrays_is_refused(tmp_path, name, bad):
     path = checkpoint_with_arrays(tmp_path, **{name: bad})
     with pytest.raises(ValueError, match=f"^{name}:"):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_unknown_setting_names_it(tmp_path):
+    path, _ = checkpoint_with_entries(tmp_path, {"learning_rate_x": 0.1})
+    with pytest.raises(ValueError, match="^learning_rate_x: "):
+        load_checkpoint(path)
+
+
+def _with_nan(name):
+    def bad(ck):
+        a = ck[name].astype(float)
+        a.flat[0] = np.nan
+        return a
+    return bad
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("counters", lambda ck: ck["counters"] + 0.5),
+    ("counters", lambda ck: ck["counters"].astype(float)),
+    ("rng_states", lambda ck: ck["rng_states"].astype(str)),
+    ("theta", _with_nan("theta")),
+    ("adam_m", _with_nan("adam_m")),
+    ("adam_v", _with_nan("adam_v")),
+    ("positions", _with_nan("positions")),
+], ids=["counters-fractional", "counters-float", "rng_states-str", "theta-nan",
+        "adam_m-nan", "adam_v-nan", "positions-nan"])
+def test_checkpoint_with_wrong_dtype_or_nonfinite_state_is_refused(tmp_path, name, bad):
+    path = checkpoint_with_arrays(tmp_path, **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        load_checkpoint(path)
+
+
+def test_checkpoint_keeps_infinite_last_delta_and_unset_lambda(tmp_path):
+    # a divergent transition leaves last_delta at +inf; GSM leaves lambda
+    # unset, a NaN in the scalars
+    path = checkpoint_with_arrays(tmp_path, last_delta=lambda ck: np.array([np.inf, 0.25]))
+    chains, state, _, _ = load_checkpoint(path)
+    assert chains[0].last_delta == np.inf and chains[1].last_delta == 0.25
+    assert state.lambda_ma is None

@@ -1,5 +1,7 @@
 """Target models: gradients and Hessian products against finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from ehmc.targets import (
     sv_target,
 )
 
-from _oracles import masked_sigmoid, textbook_logistic
+from _oracles import cholesky_inverse, masked_sigmoid, textbook_logistic
 
 
 def fd_grad(model, q, eps=1e-6):
@@ -331,6 +333,17 @@ def test_sv_grad_nonfinite_when_phi_rounds_to_one():
     assert not np.isfinite(m.grad(q)).all()
 
 
+def test_sv_grad_nonfinite_when_sigma_underflows():
+    # at b = -800, sigma = softplus(b) underflows to 0: the gradient is
+    # non-finite like the potential, not a ZeroDivisionError
+    m = sv_target(simulate_sv_data(12, seed=1))
+    q = np.zeros(m.dim)
+    q[14] = -800.0
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(m.grad(q)).all()
+        assert not np.isfinite(m.potential(q))
+
+
 def test_sv_determinism_and_validation():
     a = simulate_sv_data(20, seed=7)
     b = simulate_sv_data(20, seed=7)
@@ -546,3 +559,115 @@ def test_targets_equal_matmul_forms_bit_for_bit(name):
         assert m.potential(q) == potential(q)
         assert np.array_equal(m.grad(q), grad(q))
         assert np.array_equal(m.hvp(q, w), hvp(q, w))
+
+
+SPD = np.array([[2.0, 0.3, -0.4], [0.3, 1.5, 0.2], [-0.4, 0.2, 0.9]])
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: gaussian_target(precision=[2.0, 0.5, 3.0]), lambda: np.diag([2.0, 0.5, 3.0])),
+    (lambda: gaussian_target(covariance=[1.0, 2.0, 0.3]),
+     lambda: np.diag(1.0 / np.array([1.0, 2.0, 0.3]))),
+    (lambda: gaussian_target(precision=SPD), lambda: SPD),
+    (lambda: gaussian_target(covariance=SPD), lambda: cholesky_inverse(SPD)),
+    (lambda: anisotropic_gaussian(7, 2.5),
+     lambda: np.diag(1.0 / np.exp(2.5 * np.arange(7) / 6 * np.log(10.0)))),
+    (lambda: correlated_gaussian(51),
+     lambda: cholesky_inverse(correlated_gaussian(51).extras["covariance"])),
+], ids=["precision-vector", "covariance-vector", "precision-matrix", "covariance-matrix",
+        "anisotropic", "correlated"])
+def test_gaussian_precision_bits_per_input_form(make, expected):
+    # every valid input form builds P by the same numpy operations, bit for bit
+    m = make()
+    assert m.precision.dtype == np.float64
+    assert np.array_equal(m.precision, expected())
+
+
+def test_gaussian_matrix_precision_is_a_private_copy():
+    S = SPD.copy()
+    m = gaussian_target(precision=S)
+    S[0, 0] = 50.0
+    assert np.array_equal(m.precision, SPD)
+
+
+@pytest.mark.parametrize("arg", ["precision", "covariance"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_gaussian_diagonal_entries_must_be_finite_and_positive(arg, bad):
+    # a NaN covariance used to build a NaN precision, and +inf a singular one
+    with pytest.raises(ValueError, match=f"^diagonal {arg} entries must be finite and positive$"):
+        gaussian_target(**{arg: np.array([1.0, bad])})
+
+
+@pytest.mark.parametrize("arg", ["precision", "covariance"])
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), ()], ids=["2x3", "2x2x2", "scalar"])
+def test_gaussian_neither_vector_nor_square_matrix(arg, shape):
+    with pytest.raises(ValueError, match=f"^{arg} must be a vector or a square matrix$"):
+        gaussian_target(**{arg: np.ones(shape)})
+
+
+@pytest.mark.parametrize("mean", [[0.0, np.nan], [np.inf, 0.0], [0.0, 1.0, 2.0]],
+                         ids=["nan", "inf", "long"])
+def test_gaussian_mean_must_be_finite_of_its_length(mean):
+    with pytest.raises(ValueError, match="^mean: must be a finite vector of length 2$"):
+        gaussian_target(covariance=[1.0, 2.0], mean=mean)
+
+
+def test_model_arrays_are_read_only():
+    # the arrays a model exposes are the ones its closures read: a write
+    # fails and leaves the model as it was
+    X, y = simulate_logistic_data(50, 3, seed=1)
+    _, counts = simulate_cox_data(3, seed=1)
+    cases = [(gaussian_target(covariance=[1.0, 2.0, 3.0]), "precision"),
+             (correlated_gaussian(9), "precision"),
+             (correlated_gaussian(9), "covariance"),
+             (logistic_target(X, y), "prior_precision"),
+             (cox_target(3, counts), "prior_precision"),
+             (cox_target(3, counts), "prior_cov")]
+    rng = np.random.default_rng(12)
+    for m, name in cases:
+        a = m.precision if name == "precision" else m.extras[name]
+        q = rng.standard_normal(m.dim)
+        before = m.grad(q)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 100.0
+        assert np.array_equal(m.grad(q), before)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("d", lambda: anisotropic_gaussian(1, 2.0)),
+    ("grid_points", lambda: correlated_gaussian(1)),
+    ("returns", lambda: sv_target(np.array([0.1]))),
+    ("T", lambda: simulate_sv_data(1)),
+])
+def test_minimum_two_sizes_name_their_argument(name, make):
+    with pytest.raises(ValueError, match=f"^{name}: must be at least 2, got 1$"):
+        make()
+
+
+@pytest.mark.parametrize("text, kind, row, column", [
+    ("1.0,oops,1\n", "non-numeric", 1, 2),
+    ("1.0,2.0,1\n\n3.0,,0\n", "non-numeric", 3, 2),
+    ("1.0,2.0,1\n0x1p3,2.0,0\n", "non-numeric", 2, 1),
+    ("1.0,2.0,1\n1.0,2.0,nan\n", "non-finite", 2, 3),
+    ("1.0,2.0,1\n1.0,-inf,0\n", "non-finite", 2, 2),
+    ("1e999,2.0,1\n", "non-finite", 1, 1),
+], ids=["word", "empty", "hex", "nan-label", "minus-inf", "overflow"])
+def test_load_logistic_csv_field_messages(tmp_path, text, kind, row, column):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    message = f"{path}: {kind} field at row {row}, column {column}"
+    with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+        load_logistic_csv(path)
+
+
+@pytest.mark.parametrize("fields, kind, column", [
+    ("nan,oops,1", "non-finite", 1),
+    ("oops,inf,1", "non-numeric", 1),
+    ("0.5,inf,oops", "non-finite", 2),
+])
+def test_load_logistic_csv_names_first_bad_field(tmp_path, fields, kind, column):
+    # a row with several bad fields names the first one in column order
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1.0,2.0,1\n{fields}\n")
+    with pytest.raises(IngestionError, match=f"{kind} field at row 2, column {column}$"):
+        load_logistic_csv(path)
