@@ -122,6 +122,7 @@ Preset = namedtuple("Preset", "params build init", defaults=(lambda model: None,
 
 
 def _gaussian_iso(p):
+    targets.check_size("d", p["d"])
     try:  # a float's ** raises OverflowError where numpy's gives inf
         variance = np.full(p["d"], p["scale"] ** 2)
     except OverflowError:
@@ -147,6 +148,7 @@ def _cox(p):
 def _sv(p):
     if p["csv"]:
         return targets.sv_target(targets.load_returns_csv(p["csv"]))
+    targets.check_size("t", p["t"], 2)
     return targets.sv_target(targets.simulate_sv_data(p["t"], seed=p["data_seed"]))
 
 

@@ -8,11 +8,11 @@ evaluations along the trajectory are kept; the adaptation objective
 reuses them as frozen constants.  A caller that already holds the
 gradient and potential at the start point passes them in, so a
 transition costs L gradients, one potential and 2L + 1 factor maps.  A
-one-chain trajectory binds the maps once per call
-(``Preconditioner.bound_maps``); they read each gradient g from its float64
-row of ``grads``, and one dot g.g tests g for finiteness, non-finite
-whenever an entry is.  Only a non-finite g.g gets the entrywise test, so
-DivergenceError reports the same step as an entrywise check.
+trajectory binds its maps once per call (``Preconditioner.bound_maps``);
+they read each gradient g from its float64 row of ``grads``.  One dot g.g
+of a step's gradient (of the whole step, flattened, for a block) tests it
+for finiteness, non-finite whenever an entry is; only a non-finite dot
+gets the entrywise test, which finds the step and the rows it failed on.
 
 A trajectory runs one chain on (d,) arrays or k chains in lockstep on a
 (k, d) block, with a chain axis after the step axis: q and grads are then
@@ -114,8 +114,9 @@ def _row_grads(model, q, grads, step, live, given=None):
                     raise ValueError(f"gradient has shape {np.shape(g)}, "
                                      f"expected {q.shape[2:]}")
             grads[step, i] = g
-    bad = ~np.isfinite(grads[step]).all(axis=1)
-    if bad.any():
+    flat = grads[step].ravel()  # a view: grads is C-contiguous
+    if not math.isfinite(flat.dot(flat)):
+        bad = ~np.isfinite(grads[step]).all(axis=1)
         live[bad] = False
         grads[step, bad] = 0.0
 
@@ -161,14 +162,15 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
                 raise DivergenceError(step, q[: step + 1].copy())
             u = u - (h if step < L else 0.5 * h) * rmatvec(g)
     else:
+        matvec, rmatvec = precond.bound_maps(block=True)
         live, grads = np.ones(len(q0), dtype=bool), np.zeros_like(q)
         u0 = list(u0) if u0 is not None else [None] * len(live)
         _row_grads(model, q, grads, 0, live, g0)
-        u = v - 0.5 * h * precond.rmatvec(grads[0])
+        u = v - 0.5 * h * rmatvec(grads[0])
         for step in range(1, L + 1):
-            q[step] = q[step - 1] + h * precond.matvec(u)
+            q[step] = q[step - 1] + h * matvec(u)
             _row_grads(model, q, grads, step, live)
-            u = u - (h if step < L else 0.5 * h) * precond.rmatvec(grads[step])
+            u = u - (h if step < L else 0.5 * h) * rmatvec(grads[step])
     traj = Trajectory(q=q, grads=grads, v=v.copy(), w=u, h=h, L=L, u0=u0, live=live)
     traj.delta = energy_error(traj, model)
     return traj

@@ -128,10 +128,12 @@ def make_adapt_state(precond, config=None):
 def _endpoint_pieces(traj, precond):
     # x and C^T x for the endpoint q_L = q_0 + Lh C v - C C^T x, where
     # x = h^2 xi + (L h^2 / 2) g_0 and xi = sum_{i=1}^{L-1} (L - i) g_i
+    # xi as 0 minus each -(L - i) g_i in step order: a - (-b) rounds as
+    # a + b, and a subtract reduction keeps that order where an add one
+    # sums pairwise (k d = 1), so xi has the bits of the running sum from 0
     h, L = traj.h, traj.L
-    xi = np.zeros_like(traj.v)
-    for i in range(1, L):
-        xi += (L - i) * traj.grads[i]
+    xi = np.subtract.reduce(np.arange(1 - L, 0.0)[:, None, None] * traj.grads[1:L], axis=0,
+                            initial=0.0)
     x = h * h * xi + 0.5 * L * h * h * traj.grads[0]
     return x, precond.rmatvec(x)
 

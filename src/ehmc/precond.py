@@ -19,8 +19,9 @@ The factor is built once per write of ``theta`` (the constructor and
 ``adam_update`` are the writers), and ``theta`` is stored as a read-only
 copy, so the built factor cannot go stale; the maps only apply it.  The
 write also binds the kind's C w and C^T w for one (d,) vector (one gemv,
-``C.dot`` or ``C.T.dot``, for the dense kind), which ``bound_maps`` hands
-out.  The one-chain leapfrog and the roulette pass's operator bind them
+``C.dot`` or ``C.T.dot``, for the dense kind) and for a (k, d) block,
+which ``bound_maps`` hands out and ``matvec`` and ``rmatvec`` pick by the
+input's shape.  The leapfrog and the roulette pass's operator bind them
 once per call, skipping the method call and input check of ``matvec`` and
 ``rmatvec``.  The gradient helpers accumulate into caller-owned arrays.
 
@@ -112,14 +113,15 @@ class Preconditioner:
         d = self.dim
         if self.kind == "diagonal":
             self._exp = np.exp(theta)
-            self._matvec = self._rmatvec = partial(np.multiply, self._exp)
+            maps = (partial(np.multiply, self._exp),) * 2
+            self._maps = (maps, maps)
         elif self.kind == "dense":
             self._exp = np.exp(theta[:d])
             C = np.zeros((d, d))
             C.flat[self._packed] = np.concatenate([self._exp, theta[d:]])
             self._C = C
-            self._matvec = C.dot
-            self._rmatvec = C.T.dot
+            self._maps = ((C.dot, C.T.dot),
+                          (partial(_rows_matvec, C), partial(_rows_matvec, C.T)))
         else:
             # B's superdiagonal (row 0, from column 1) and diagonal (row 1)
             self._exp = np.exp(theta[:d])
@@ -127,13 +129,15 @@ class Preconditioner:
             ab = np.zeros((2, d), order="F")
             ab[0, 1:] = self._sup
             ab[1] = self._exp
-            self._matvec = partial(_band_solve, self._tbtrs, ab, "N")
-            self._rmatvec = partial(_band_solve, self._tbtrs, ab, "T")
+            maps = (partial(_band_solve, self._tbtrs, ab, "N"),
+                    partial(_band_solve, self._tbtrs, ab, "T"))
+            self._maps = (maps, maps)
 
-    def bound_maps(self):
-        """(C w, C^T w) for a float64 (d,) ndarray w, unchecked, bound by the
-        latest write of ``theta`` and valid until the next one."""
-        return self._matvec, self._rmatvec
+    def bound_maps(self, block=False):
+        """(C w, C^T w) for a float64 (d,) ndarray w, or a (k, d) one if
+        ``block``, unchecked, bound by the latest write of ``theta`` and
+        valid until the next one."""
+        return self._maps[block]
 
     def _check_vec(self, w):
         w = np.asarray(w, dtype=float)
@@ -147,16 +151,12 @@ class Preconditioner:
     def matvec(self, w):
         """C w.  For the banded kind this solves B x = w by back-substitution."""
         w = self._check_vec(w)
-        if w.ndim == 2 and self.kind == "dense":
-            return _rows_matvec(self._C, w)
-        return self._matvec(w)
+        return self._maps[w.ndim == 2][0](w)
 
     def rmatvec(self, w):
         """C^T w."""
         w = self._check_vec(w)
-        if w.ndim == 2 and self.kind == "dense":
-            return _rows_matvec(self._C.T, w)
-        return self._rmatvec(w)
+        return self._maps[w.ndim == 2][1](w)
 
     def solve(self, w):
         """C^{-1} w."""

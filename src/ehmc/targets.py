@@ -85,7 +85,7 @@ def _check_symmetric(a, name):
         raise ValueError(f"{name} is not symmetric")
 
 
-def _check_size(arg, value, minimum=1):
+def check_size(arg, value, minimum=1):
     """Raise ValueError naming ``arg`` unless the size value is at least ``minimum``."""
     if value < minimum:
         raise ValueError(f"{arg}: must be at least {minimum}, got {value}")
@@ -143,7 +143,7 @@ def anisotropic_gaussian(d, c):
     Marginal standard deviations grow geometrically from 1 to 10^(c/2);
     the largest variance is 10^c.
     """
-    _check_size("d", d, 2)
+    check_size("d", d, 2)
     with np.errstate(over="ignore"):  # an infinite variance is refused below
         variances = np.exp(c * np.arange(d) / (d - 1) * np.log(10.0))
     return gaussian_target(covariance=variances, name=f"anisotropic(d={d},c={c})")
@@ -156,7 +156,7 @@ def correlated_gaussian(grid_points=51):
     on a regular grid over [0, 4].  The precision comes from one dense SPD
     factorization at construction.
     """
-    _check_size("grid_points", grid_points, 2)
+    check_size("grid_points", grid_points, 2)
     x = np.linspace(0.0, 4.0, grid_points)
     diff = x[:, None] - x[None, :]
     K = np.exp(-0.5 * diff**2 / 0.4**2) + 0.01 * np.eye(grid_points)
@@ -284,8 +284,8 @@ def prepare_design(X, intercept=True, standardize=True):
 def simulate_logistic_data(n, d, seed=0):
     """Synthetic logistic-regression data: standard-normal covariates and
     labels from a random coefficient vector of scale 1.5 / sqrt(d)."""
-    _check_size("n", n)
-    _check_size("d", d)
+    check_size("n", n)
+    check_size("d", d)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     beta = 1.5 * rng.standard_normal(d) / np.sqrt(d)
@@ -318,7 +318,7 @@ def cox_target(n, y):
     factored once; the likelihood Hessian is diagonal with entries
     m exp(x_ij).
     """
-    _check_size("n", n)
+    check_size("n", n)
     d = n * n
     y = _frozen(np.ravel(y))
     if y.shape != (d,):
@@ -351,7 +351,7 @@ def cox_target(n, y):
 
 def simulate_cox_data(n, seed=0):
     """Draw a latent field from the Cox prior and counts from the Poisson likelihood."""
-    _check_size("n", n)
+    check_size("n", n)
     d = n * n
     rng = np.random.default_rng(seed)
     cov = _cox_prior_cov(n)
@@ -378,7 +378,7 @@ def sv_target(returns):
     """
     y = _frozen(returns)
     T = y.size
-    _check_size("returns", T, 2)
+    check_size("returns", T, 2)
     if not np.all(np.isfinite(y)):
         raise ValueError("returns contain non-finite values")
     d = T + 3
@@ -443,7 +443,7 @@ def sv_target(returns):
 def simulate_sv_data(T, seed=0):
     """Simulate a return series from the stochastic volatility model with
     persistence phi = 0.98, noise scale sigma = 0.15 and mean mu = -1."""
-    _check_size("T", T, 2)
+    check_size("T", T, 2)
     phi, sigma, mu = 0.98, 0.15, -1.0
     rng = np.random.default_rng(seed)
     h = np.empty(T)

@@ -157,6 +157,49 @@ def test_sampling_transition_calls(kind, L, monkeypatch):
         assert not pieces and not hasattr(traj, "xi")
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("objective", ["gsm", "esjd", "l2hmc"])
+def test_adaptation_trajectory_map_calls(kind, objective, monkeypatch):
+    # an adaptation step's block trajectory takes the factor's block maps
+    # from one bound_maps call and makes 2L + 1 maps on them, none through
+    # Preconditioner.matvec/rmatvec; the objective gradient after it still
+    # maps through those, so the tracer's precond.maps span keeps firing
+    L, maps, bindings, checked, inside = 4, [], [], [], []
+    real_bound, real_trajectory = Preconditioner.bound_maps, sampler.trajectory_reparam
+
+    def bound(self, block=False):
+        bindings.append((bool(inside), block))
+        return tuple(lambda w, f=f: maps.append(bool(inside)) or f(w)
+                     for f in real_bound(self, block))
+
+    def trajectory(*args):
+        inside.append(1)
+        try:
+            return real_trajectory(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Preconditioner, "bound_maps", bound)
+    monkeypatch.setattr(sampler, "trajectory_reparam", trajectory)
+    for attr in ("matvec", "rmatvec"):
+        real = getattr(Preconditioner, attr)
+
+        def counted(self, w, real=real):
+            checked.append(bool(inside))
+            return real(self, w)
+
+        monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
+    model = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))
+    state = make_adapt_state(make_preconditioner(kind, 3))
+    chains = make_chains(model, CHAINS, seed=6)
+    for _ in range(3):
+        del maps[:], bindings[:], checked[:]
+        sampler.adaptive_step(chains, state, model, 0.3, L, objective, {})
+        assert [block for inner, block in bindings if inner] == [True]
+        assert maps.count(True) == 2 * L + 1
+        assert checked and not any(checked)
+
+
 @pytest.mark.parametrize("objective", ["gsm", "esjd", "l2hmc"])
 def test_one_parameter_gradient_call_per_adaptation_step(objective, monkeypatch):
     # the tracer's precond.param_grad span wraps these two methods on the

@@ -473,7 +473,7 @@ def test_main_validation_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target,params,name", [
-    ("gaussian_iso", ["d=0"], "covariance"),
+    ("gaussian_iso", ["d=0"], "d"),
     ("cox", ["n=0"], "n"),
     ("logistic", ["d=0", "intercept=false"], "d"),
     ("logistic", ["n=-1"], "n"),
@@ -487,6 +487,20 @@ def test_main_bad_preset_size_exit_code(tmp_path, capsys, target, params, name):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target, param, message", [
+    ("gaussian_iso", "d=-1", "d: must be at least 1, got -1"),
+    ("gaussian_iso", "d=0", "d: must be at least 1, got 0"),
+    ("sv", "t=1", "t: must be at least 2, got 1"),
+    ("sv", "t=-3", "t: must be at least 2, got -3"),
+])
+def test_main_preset_size_names_its_parameter(tmp_path, capsys, target, param, message):
+    # a preset size is checked under the name the user gave, before numpy
+    # or a library argument of another name sees it
+    assert main(["--target", target, "--param", param, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

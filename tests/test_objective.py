@@ -267,6 +267,26 @@ def test_endpoint_pieces(kind):
     assert np.array_equal(ct_x, p.rmatvec(x))
 
 
+@pytest.mark.parametrize("k,d", [(1, 1), (1, 3), (4, 1), (3, 5)])
+@pytest.mark.parametrize("L", [1, 2, 9, 20])
+def test_endpoint_sum_bits(k, d, L):
+    # xi has the bits of the running sum from 0 in step order, signed
+    # zeros included, also at k d = 1, where an add reduction would sum
+    # pairwise; so x has the bits of the formula in test_endpoint_pieces
+    rng = np.random.default_rng(100 * L + 10 * k + d)
+    h = 0.3
+    for t in range(20):
+        grads = rng.standard_normal((L + 1, k, d)) * np.exp(rng.normal(0, 8, (L + 1, k, d)))
+        grads[rng.random(grads.shape) < 0.1 * (t % 10)] = -0.0
+        traj = Trajectory(q=None, grads=grads, v=np.zeros((k, d)), w=None, h=h, L=L)
+        xi = np.zeros((k, d))
+        for i in range(1, L):
+            xi += (L - i) * grads[i]
+        want = h * h * xi + 0.5 * L * h * h * grads[0]
+        x, _ = _endpoint_pieces(traj, make_preconditioner("diagonal", d))
+        assert np.array_equal(x, want) and np.array_equal(np.signbit(x), np.signbit(want))
+
+
 def block_case(kind, d, h, L):
     """A 4-row trajectory block on a random Gaussian, two rows with a
     positive and two with a negative energy error, and a roulette draw

@@ -4,6 +4,8 @@
 maps and an entrywise finiteness test on every gradient.  The package's
 (d,) path skips both costs; these tests hold it to the oracle bit for
 bit, divergences included, and pin down what the factor maps accept.
+A (k, d) block, which tests each step with one dot too, holds each row
+to its one-chain outcome at the same finiteness edges.
 """
 
 import numpy as np
@@ -128,6 +130,17 @@ def scripted_model(d, script):
     return TargetModel(dim=d, potential=base.potential, grad=grad, hvp=base.hvp)
 
 
+# gradients of d = 4 entries for the finiteness edges: finite entries whose
+# squares overflow, with or without their sum, then NaN and infinite entries
+HUGE = [1e308] * 4
+SQUARES = [1e200, -1e200, 1.5e200, -0.5e200]
+FINITENESS_CASES = {
+    "overflow": HUGE, "squares overflow": SQUARES, "nan": [0.5, np.nan, 0.0, 1.0],
+    "+inf": [0.5, 0.0, np.inf, 1.0], "-inf": [-np.inf, 0.0, 0.5, 1.0],
+    "+inf and -inf": [np.inf, -np.inf, 0.0, 0.0], "overflow and nan": HUGE[:3] + [np.nan],
+}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("at", [0, 3, 6])
@@ -140,23 +153,17 @@ def test_finiteness_edges(kind, at):
     rng = np.random.default_rng(at)
     p = Preconditioner(kind, d, np.zeros(n_params(kind, d)))
     q0, v = rng.standard_normal(d), rng.standard_normal(d)
-    huge = [1e308] * d
-    squares = [1e200, -1e200, 1.5e200, -0.5e200]
-    cases = {"overflow": huge, "squares overflow": squares, "nan": [0.5, np.nan, 0.0, 1.0],
-             "+inf": [0.5, 0.0, np.inf, 1.0], "-inf": [-np.inf, 0.0, 0.5, 1.0],
-             "+inf and -inf": [np.inf, -np.inf, 0.0, 0.0],
-             "overflow and nan": huge[:3] + [np.nan]}
-    for name, g in cases.items():
+    for name, g in FINITENESS_CASES.items():
         new, ref = [outcome(fn, q0, v, 0.1, L, p, scripted_model(d, {at: g}))
                     for fn in (trajectory_reparam, trajectory_one_chain)]
         assert_same(new, ref)
         if name == "overflow":
-            assert not np.isfinite(np.sum(huge))
-            assert np.array_equal(new.grads[at], huge)
+            assert not np.isfinite(np.sum(HUGE))
+            assert np.array_equal(new.grads[at], HUGE)
         elif name == "squares overflow":
-            g = np.array(squares)
+            g = np.array(SQUARES)
             assert np.isfinite(g.sum()) and not np.isfinite(g.dot(g))
-            assert np.array_equal(new.grads[at], squares)
+            assert np.array_equal(new.grads[at], SQUARES)
         else:
             assert new.step == at
     if at == 0:
@@ -165,6 +172,47 @@ def test_finiteness_edges(kind, at):
         for g in (0.5, [0.5], [0.5] * (d - 1)):
             with pytest.raises(ValueError, match="gradient has shape"):
                 trajectory_reparam(q0, v, 0.1, L, p, scripted_model(d, {0: g}))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_block_finiteness_edges(kind, at):
+    # each case of test_finiteness_edges on row 1 of a 3-row block: the
+    # block's one dot per step overflows or turns NaN, and each row keeps
+    # its own one-chain outcome.  Overflowing rows stay live with their
+    # exact entries; a NaN or infinite row leaves `live` at its own step,
+    # keeps zero gradients from there and makes no further target call;
+    # the other rows are bit-identical to their one-chain runs
+    d, L, k = 4, 6, 3
+    rng = np.random.default_rng(at)
+    p = Preconditioner(kind, d, np.zeros(n_params(kind, d)))
+    q0, v = rng.standard_normal((k, d)), rng.standard_normal((k, d))
+    for name, g in FINITENESS_CASES.items():
+        # row 1's gradient at step `at` is call at k + 1 of the block
+        model, log = logged_model(scripted_model(d, {at * k + 1: g}))
+        block = trajectory_reparam(q0, v, 0.1, L, p, model)
+        points = {"grad": [], "potential": []}
+        for i in range(k):
+            row_model, row_log = logged_model(scripted_model(d, {at: g} if i == 1 else {}))
+            ref = outcome(trajectory_reparam, q0[i], v[i], 0.1, L, p, row_model)
+            for key in points:
+                points[key] += row_log[key]
+            if isinstance(ref, DivergenceError):
+                assert not block.live[i] and block.delta[i] == np.inf
+                assert np.array_equal(block.q[: ref.step + 1, i], ref.positions)
+                assert not block.grads[ref.step:, i].any()
+            else:
+                assert block.live[i]
+                assert_same(block.row(i), ref)
+        if name in ("overflow", "squares overflow"):
+            assert block.live.all() and np.array_equal(block.grads[at, 1], g)
+        else:
+            assert list(block.live) == [True, False, True]
+            assert outcome(trajectory_reparam, q0[1], v[1], 0.1, L, p,
+                           scripted_model(d, {at: g})).step == at
+        for key in points:
+            assert sorted(log[key]) == sorted(points[key]), (name, key)
 
 
 # ------------------------------------------------- inputs of the maps
