@@ -7,7 +7,9 @@ Each preset is declared once, as an entry of PRESETS; parsing,
 Grammar: an INI file with sections [run], [target], [adapt], [sweep] and
 an optional [meta] block (written by config.echo, ignored on re-parse).
 Every key is validated against a closed list, so typos fail loudly.
-Command-line flags mirror [run]/[adapt] keys and override the file.
+Each [run], [adapt] and [sweep] key has a flag (--sweep-L for l_values)
+that overrides the file and is read and checked exactly like the key; a
+bad flag value, like an unknown flag, is a configuration error (exit 1).
 """
 
 import argparse
@@ -15,7 +17,7 @@ import configparser
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -30,44 +32,33 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration input: exit code 1 territory."""
 
 
-@dataclass
-class RunConfig:
-    """Flat, fully-validated run description; round-trips through INI.
+# the SamplerSettings fields a config sets: the plain-valued ones, as the
+# model, init and adapt_config are built from the config; a config names
+# the factor kind precond
+_RUN = tuple(f for f in fields(SamplerSettings) if f.type in (str, int, float))
+_RENAMED = {"kind": "precond"}
 
-    Defaults are those of SamplerSettings and AdaptConfig; rho_theta None
-    means the per-kind default of objective.default_adapt_config.
-    """
 
-    target: str
-    target_params: dict = field(default_factory=dict)
-    objective: str = SamplerSettings.objective
-    precond: str = SamplerSettings.kind
-    h: float = SamplerSettings.h
-    L: int = SamplerSettings.L
-    adapt_steps: int = SamplerSettings.adapt_steps
-    sample_steps: int = SamplerSettings.sample_steps
-    chains: int = SamplerSettings.chains
-    seed: int = SamplerSettings.seed
-    thin: int = SamplerSettings.thin
-    init_scale: float = SamplerSettings.init_scale
-    out: str = "results"
-    adapt_budget: int = 0
-    sample_budget: int = 0
-    rho_theta: float = None
-    rho_beta: float = AdaptConfig.rho_beta
-    rho_gamma: float = AdaptConfig.rho_gamma
-    alpha_star: float = AdaptConfig.alpha_star
-    penalty_delta: float = AdaptConfig.penalty_delta
-    delta_prime: float = AdaptConfig.delta_prime
-    n_min: int = AdaptConfig.n_min
-    lambda_rate: float = AdaptConfig.lambda_rate
-    sweep_L: tuple = ()
+def _effective_steps(self):
+    """(adapt, sample) step counts after applying any gradient budget."""
+    adapt = self.adapt_budget // self.L if self.adapt_budget > 0 else self.adapt_steps
+    sample = self.sample_budget // self.L if self.sample_budget > 0 else self.sample_steps
+    return adapt, sample
 
-    def effective_steps(self):
-        """(adapt, sample) step counts after applying any gradient budget."""
-        adapt = self.adapt_budget // self.L if self.adapt_budget > 0 else self.adapt_steps
-        sample = self.sample_budget // self.L if self.sample_budget > 0 else self.sample_steps
-        return adapt, sample
+
+RunConfig = make_dataclass("RunConfig", [
+    ("target", str),
+    ("target_params", dict, field(default_factory=dict)),
+    *((_RENAMED.get(f.name, f.name), f.type, field(default=f.default)) for f in _RUN),
+    ("out", str, field(default="results")),
+    ("adapt_budget", int, field(default=0)),
+    ("sample_budget", int, field(default=0)),
+    # rho_theta None means the per-kind default of default_adapt_config
+    *((f.name, f.type, field(default=None if f.name == "rho_theta" else f.default))
+      for f in fields(AdaptConfig)),
+    ("sweep_L", tuple, field(default=())),
+], namespace={"__doc__": "Flat, fully-validated run description; round-trips through INI.",
+              "__module__": __name__, "effective_steps": _effective_steps})
 
 
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -76,43 +67,41 @@ _EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
 def _parse(typ, raw, name):
-    """The INI value raw as a typ; a ConfigError naming `name` if it is none."""
+    """The INI or flag text raw as a typ, where a tuple is L values given
+    as a range lo..hi or a comma list; a ConfigError naming `name` if it
+    is none."""
+    raw = raw.strip()
     if typ is str:
-        return raw.strip()
+        return raw
+    if typ is tuple:
+        lo, dots, hi = raw.partition("..")
+        if not dots:
+            return tuple(_parse(int, tok, name) for tok in raw.split(",") if tok.strip())
+        values = tuple(range(_parse(int, lo, name), _parse(int, hi, name) + 1))
+        if not values:
+            raise ConfigError(f"{name}: empty range {raw!r}")
+        return values
     try:
-        return _BOOLS[raw.strip().lower()] if typ is bool else typ(raw)
+        return _BOOLS[raw.lower()] if typ is bool else typ(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"{name}: expected {_EXPECTED[typ]}, got {raw!r}") from None
 
 
-def _parse_l_values(raw, name):
-    raw = raw.strip()
-    if not raw:
-        return ()
-    if ".." in raw:
-        lo, _, hi = raw.partition("..")
-        lo = _parse(int, lo, name)
-        hi = _parse(int, hi, name)
-        if hi < lo:
-            raise ConfigError(f"{name}: empty range {raw!r}")
-        return tuple(range(lo, hi + 1))
-    return tuple(_parse(int, tok, name) for tok in raw.split(",") if tok.strip())
-
-
-# every [run] and [adapt] setting: (section, INI key, RunConfig field, type);
-# the INI parser, the command-line flags and render_config all read this
+# every setting: (section, INI key, RunConfig field, type); the INI parser,
+# the command-line flags and render_config all read this
 _ADAPT_NAMES = {f.name for f in fields(AdaptConfig)}
-_FIELDS = tuple(("adapt" if f.name in _ADAPT_NAMES else "run", f.name.lower(), f.name, f.type)
-                for f in fields(RunConfig) if f.name not in ("target_params", "sweep_L"))
-_KEYS = {(section, key): (name, typ) for section, key, name, typ in _FIELDS}
-# the SamplerSettings fields a RunConfig carries under the same name
-_SHARED = tuple(f.name for f in fields(SamplerSettings)
-                if f.name in {g.name for g in fields(RunConfig)})
-_CHOICES = {"objective": OBJECTIVES, "precond": KINDS}
+_FIELDS = tuple(("adapt" if f.name in _ADAPT_NAMES else "sweep" if f.name == "sweep_L" else "run",
+                 "l_values" if f.name == "sweep_L" else f.name.lower(), f.name, f.type)
+                for f in fields(RunConfig) if f.name != "target_params")
+# each setting's INI name section.key -> (RunConfig field, type), and back
+_KEYS = {f"{section}.{key}": (name, typ) for section, key, name, typ in _FIELDS}
+_LABELS = {name: label for label, (name, _) in _KEYS.items()}
 _BUDGET_HELP = ("leapfrog gradients per chain (GSM's Hessian-vector products not counted); "
                 "steps = budget // L")
-_HELP = {"target": "target preset name", "out": "output directory",
-         "adapt_budget": _BUDGET_HELP, "sample_budget": _BUDGET_HELP}
+_HELP = {"target": "target preset name", "objective": " | ".join(OBJECTIVES),
+         "precond": " | ".join(KINDS), "out": "output directory",
+         "adapt_budget": _BUDGET_HELP, "sample_budget": _BUDGET_HELP,
+         "sweep_L": "comma list or lo..hi range of L values"}
 
 
 # a target preset: its parameters as name -> (type, default), the builder
@@ -182,7 +171,7 @@ def parse_config(file=None, overrides=None, target_overrides=None):
     output directory is probed for writability here so a bad path fails
     before any compute starts.
     """
-    values = {}
+    given = []  # (INI name, text or value): the file's settings, then the overrides
     target_params = {}
     if file is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -195,23 +184,19 @@ def parse_config(file=None, overrides=None, target_overrides=None):
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]")
-        for section in ("run", "adapt"):
-            if not parser.has_section(section):
-                continue
-            for key, raw in parser.items(section):
-                if (section, key) not in _KEYS:
-                    raise ConfigError(f"unknown key {section}.{key}")
-                name, typ = _KEYS[section, key]
-                values[name] = _parse(typ, raw, f"{section}.{key}")
-        if parser.has_section("target"):
-            target_params = dict(parser.items("target"))
-        if parser.has_section("sweep"):
-            for key, raw in parser.items("sweep"):
-                if key != "l_values":
-                    raise ConfigError(f"unknown key sweep.{key}")
-                values["sweep_L"] = _parse_l_values(raw, "sweep.l_values")
-    values.update(overrides or {})
+            if section == "target":
+                target_params = dict(parser.items(section))
+            elif section != "meta":
+                given += [(f"{section}.{key}", raw) for key, raw in parser.items(section)]
+    given += [(_LABELS.get(name, name), raw) for name, raw in (overrides or {}).items()]
     target_params.update(target_overrides or {})
+    values = {}
+    for label, raw in given:
+        if label not in _KEYS:
+            raise ConfigError(f"unknown key {label}")
+        name, typ = _KEYS[label]
+        # text is read as in a file; a value a library caller passes is taken as given
+        values[name] = _parse(typ, raw, label) if isinstance(raw, str) else raw
     name = values.pop("target", None)
     if not name:
         raise ConfigError("target: required field is missing")
@@ -282,11 +267,10 @@ def to_settings(config, model=None):
     """Map a RunConfig onto SamplerSettings for one run."""
     if model is None:
         model = build_model(config)
-    shared = {name: getattr(config, name) for name in _SHARED}
-    shared["adapt_steps"], shared["sample_steps"] = config.effective_steps()
-    return SamplerSettings(model=model, kind=config.precond,
-                           init=PRESETS[config.target].init(model),
-                           adapt_config=_adapt_config(config), **shared)
+    run = {f.name: getattr(config, _RENAMED.get(f.name, f.name)) for f in _RUN}
+    run["adapt_steps"], run["sample_steps"] = config.effective_steps()
+    return SamplerSettings(model=model, init=PRESETS[config.target].init(model),
+                           adapt_config=_adapt_config(config), **run)
 
 
 # -- emission -------------------------------------------------------------
@@ -297,6 +281,8 @@ def _fmt(x):
         return "NA"
     if isinstance(x, str):
         return x
+    if isinstance(x, tuple):
+        return ",".join(map(_fmt, x))
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -375,16 +361,16 @@ def emit_report(report, out_dir, config, sweep_rows=None):
 
 def render_config(config):
     """Serialize a RunConfig as INI text that parse_config accepts back."""
-    blocks = {"run": {}, "target": dict(sorted(config.target_params.items())), "adapt": {}}
-    for section, key, name, _ in _FIELDS:
-        if getattr(config, name) is not None:
+    blocks = {"run": {}, "target": dict(sorted(config.target_params.items())), "adapt": {},
+              "sweep": {}, "meta": {"version": __version__}}
+    for section, key, name, typ in _FIELDS:
+        # rho_theta None is the per-kind default, and an empty sweep is none
+        if getattr(config, name) is not None and (typ is not tuple or getattr(config, name)):
             blocks[section][key] = getattr(config, name)
-    if config.sweep_L:
-        blocks["sweep"] = {"l_values": ",".join(str(l) for l in config.sweep_L)}
-    blocks["meta"] = {"version": __version__}
     lines = []
     for section, block in blocks.items():
-        lines += [f"[{section}]", *(f"{key} = {_fmt(val)}" for key, val in block.items()), ""]
+        if block:
+            lines += [f"[{section}]", *(f"{key} = {_fmt(val)}" for key, val in block.items()), ""]
     return "\n".join(lines)
 
 
@@ -393,11 +379,8 @@ def render_config(config):
 
 def _add_flags(parser):
     parser.add_argument("--config", help="INI configuration file")
-    for _, _, name, typ in _FIELDS:
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=typ,
-                            choices=_CHOICES.get(name), help=_HELP.get(name))
-    parser.add_argument("--sweep-L", dest="sweep_L",
-                        help="comma list or lo..hi range of L values")
+    for _, _, name, _ in _FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, help=_HELP.get(name))
     parser.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE", help="target parameter override")
     parser.add_argument("--list-presets", action="store_true")
@@ -409,7 +392,10 @@ def main(argv=None):
         description="Adaptive HMC with entropy-guided mass-matrix learning",
     )
     _add_flags(parser)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error is a configuration error
+        return 0 if exc.code == 0 else 1
     if args.list_presets:
         for name in sorted(PRESETS):
             print(f"{name}: {', '.join(sorted(PRESETS[name].params))}")
@@ -418,8 +404,6 @@ def main(argv=None):
                  if getattr(args, name) is not None}
     target_overrides = {}
     try:
-        if args.sweep_L is not None:
-            overrides["sweep_L"] = _parse_l_values(args.sweep_L, "sweep_L")
         for item in args.param:
             key, sep, val = item.partition("=")
             if not sep:

@@ -84,8 +84,7 @@ class AdaptConfig:
 def default_adapt_config(kind):
     """Per-kind learning-rate defaults: the dense and banded parameterizations
     need a smaller step than the diagonal one."""
-    rate = 1e-2 if kind == "diagonal" else 1e-3
-    return AdaptConfig(rho_theta=rate)
+    return AdaptConfig() if kind == "diagonal" else AdaptConfig(rho_theta=1e-3)
 
 
 @dataclass

@@ -243,10 +243,10 @@ class SamplerSettings:
     """Everything run_experiment needs, independent of any config file."""
 
     model: object
+    objective: str = "gsm"
     kind: str = "diagonal"
     h: float = 0.1
     L: int = 5
-    objective: str = "gsm"
     adapt_steps: int = 1000
     sample_steps: int = 1000
     chains: int = 10
@@ -334,8 +334,7 @@ def run_experiment(settings):
     if model.precision is not None and model.dim <= 1000:
         cond = condition_number(state.precond, model.precision)
     wall = time.perf_counter() - t_start
-    extras = {"final_precond": state.precond, "adapt_state": state, "chains": chains,
-              "skip_count": state.skip_count}
+    extras = {"adapt_state": state, "chains": chains, "skip_count": state.skip_count}
     return build_report(draws=draws, acceptance_rate=float(acceptance),
                         divergences=int(total["divergence_count"]),
                         mu_trace=np.asarray(mu_trace, dtype=float),

@@ -231,12 +231,11 @@ def _sigmoid(t):
     return np.maximum(e, t >= 0) / (1.0 + e)
 
 
-def load_logistic_csv(path, intercept=True, standardize=True):
-    """Read a numeric CSV with the binary label in the last column.
-
-    The covariates go through ``prepare_design``.  Errors name the
-    offending row (its line in the file) and column; a NaN or infinite field is one.
-    """
+def _read_csv(path):
+    """The rows of a numeric CSV as a (rows, fields) array, and each row's
+    line in the file.  Blank lines and ``#`` comments, whole-line or
+    trailing, are skipped.  Errors name the offending row (its line in the
+    file) and column; a NaN or infinite field is one."""
     rows = {}  # file line number -> fields
     try:
         with open(path) as fh:
@@ -244,6 +243,7 @@ def load_logistic_csv(path, intercept=True, standardize=True):
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     for i, line in enumerate(lines):
+        line = line.partition("#")[0]
         if not line.strip():
             continue
         row = []
@@ -262,11 +262,17 @@ def load_logistic_csv(path, intercept=True, standardize=True):
     for n, r in rows.items():
         if len(r) != width:
             raise IngestionError(f"{path}: row {n} has {len(r)} fields, expected {width}")
-    data = np.asarray(list(rows.values()), dtype=float)
+    return np.asarray(list(rows.values()), dtype=float), list(rows)
+
+
+def load_logistic_csv(path, intercept=True, standardize=True):
+    """Read a numeric CSV with the binary label in the last column, as
+    ``_read_csv`` does; the covariates go through ``prepare_design``."""
+    data, lines = _read_csv(path)
     X, y = data[:, :-1], data[:, -1]
     bad = np.where(~np.isin(y, (0.0, 1.0)))[0]
     if bad.size:
-        raise IngestionError(f"{path}: label outside {{0,1}} at row {list(rows)[bad[0]]}")
+        raise IngestionError(f"{path}: label outside {{0,1}} at row {lines[bad[0]]}")
     return prepare_design(X, intercept, standardize), y
 
 
@@ -455,11 +461,8 @@ def simulate_sv_data(T, seed=0):
 
 
 def load_returns_csv(path):
-    """Read a single-column CSV of log-returns."""
-    try:
-        values = np.loadtxt(path, delimiter=",", ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise IngestionError(f"cannot read returns from {path}: {exc}") from exc
-    if values.ndim != 1:
+    """Read a single-column CSV of log-returns, as ``_read_csv`` does."""
+    values, _ = _read_csv(path)
+    if values.shape[1] != 1:
         raise IngestionError(f"{path}: expected a single column of returns")
-    return values
+    return values[:, 0]

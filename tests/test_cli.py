@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -206,9 +207,11 @@ def test_budget_mode_divides_by_l(tmp_path):
 
 
 def test_target_override_parsing(tmp_path):
-    cfg = parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path)},
-                       {"d": "7", "scale": "2.5"})
+    cfg = parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path), "h": "0.5",
+                              "L": "5"}, {"d": "7", "scale": "2.5"})
     assert cfg.target_params == {"d": 7, "scale": 2.5}
+    # a run setting given as text is read as its INI key is
+    assert (cfg.h, cfg.L) == (0.5, 5)
 
 
 def test_roundtrip_through_render(tmp_path):
@@ -221,6 +224,7 @@ def test_roundtrip_through_render(tmp_path):
     text = render_config(cfg)
     cfg2 = parse_config(write_config(tmp_path, text))
     assert cfg2 == cfg
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 # ------------------------------------------------------------------ presets
@@ -470,6 +474,48 @@ def test_main_validation_exit_code(tmp_path, capsys):
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {name}:")
         assert not out.exists()
+
+
+# a bad value of each type of setting, with the error it gives alike from
+# its flag and from its INI key
+BAD_SETTINGS = [
+    ("--h", "run", "h", "abc", "run.h: expected a number, got 'abc'"),
+    ("--chains", "run", "chains", "1.5", "run.chains: expected an integer, got '1.5'"),
+    ("--precond", "run", "precond", "cubic",
+     "precond: must be one of diagonal, dense, banded, got 'cubic'"),
+    ("--objective", "run", "objective", "foo",
+     "objective: must be one of gsm, esjd, l2hmc, none, got 'foo'"),
+    ("--rho-theta", "adapt", "rho_theta", "x", "adapt.rho_theta: expected a number, got 'x'"),
+    ("--sweep-L", "sweep", "l_values", "x", "sweep.l_values: expected an integer, got 'x'"),
+    ("--sweep-L", "sweep", "l_values", "0..2", "sweep.l_values: entries must be positive integers"),
+]
+
+
+@pytest.mark.parametrize("flag, section, key, value, message", BAD_SETTINGS,
+                         ids=[f"{flag}={value}" for flag, _, _, value, _ in BAD_SETTINGS])
+def test_bad_setting_exit_code_from_flag_and_file(tmp_path, capsys, flag, section, key, value,
+                                                  message):
+    code, out = run_main(tmp_path, [flag, value])
+    assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+    assert not out.exists()
+    blocks = {"run": f"target = gaussian_iso\nout = {out}\n"}
+    blocks[section] = blocks.get(section, "") + f"{key} = {value}\n"
+    path = write_config(tmp_path, "".join(f"[{s}]\n{b}\n" for s, b in blocks.items()))
+    assert main(["--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_main_usage_error_and_help_exit_codes(tmp_path, capsys):
+    # an unknown flag is a configuration error like an unknown key
+    code, out = run_main(tmp_path, ["--hh", "1"])
+    assert code == 1
+    assert "unrecognized arguments: --hh 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for choices in ("gsm | esjd | l2hmc | none", "diagonal | dense | banded"):
+        assert choices in text
 
 
 @pytest.mark.parametrize("target,params,name", [

@@ -313,7 +313,7 @@ def test_isotropic_adaptation_finds_scale():
                                objective="gsm", adapt_steps=1500,
                                sample_steps=0, chains=10, seed=11)
     report = run_experiment(settings)
-    c_entries = np.exp(report.extras["final_precond"].theta)
+    c_entries = np.exp(report.extras["adapt_state"].precond.theta)
     assert np.all(c_entries > 1.5)
     assert np.all(c_entries < 3.0)
     assert report.cond_number is not None
@@ -362,8 +362,8 @@ def test_determinism_bit_identical():
     assert np.array_equal(r1.draws, r2.draws)
     assert r1.acceptance_rate == r2.acceptance_rate
     assert r1.divergences == r2.divergences
-    assert np.array_equal(r1.extras["final_precond"].theta,
-                          r2.extras["final_precond"].theta)
+    assert np.array_equal(r1.extras["adapt_state"].precond.theta,
+                          r2.extras["adapt_state"].precond.theta)
     assert np.array_equal(r1.mu_trace, r2.mu_trace)
 
 
@@ -373,7 +373,7 @@ def test_adapt_zero_keeps_initial_kernel():
                                objective="gsm", adapt_steps=0,
                                sample_steps=50, chains=2, seed=6)
     report = run_experiment(settings)
-    assert np.array_equal(report.extras["final_precond"].theta, np.zeros(2))
+    assert np.array_equal(report.extras["adapt_state"].precond.theta, np.zeros(2))
     assert report.draws.shape == (2, 50, 2)
 
 

@@ -208,6 +208,10 @@ def test_load_logistic_csv(tmp_path):
     X2, _ = load_logistic_csv(path, intercept=False, standardize=False)
     assert X2.shape == (3, 2)
     assert np.allclose(X2[0], [1.0, 2.0])
+    # blank lines and # comments, whole-line or trailing, are skipped
+    path.write_text("# x1,x2,y\n1.0,2.0,1 # first\n\n3.0,4.0,0\n5.0,6.0,1\n")
+    X3, y3 = load_logistic_csv(path, intercept=True, standardize=True)
+    assert np.array_equal(X3, X) and np.array_equal(y3, y)
 
 
 def test_load_logistic_csv_errors(tmp_path):
@@ -361,8 +365,17 @@ def test_load_returns_csv(tmp_path):
     path.write_text("0.01\n-0.02\n0.005\n")
     r = load_returns_csv(path)
     assert np.allclose(r, [0.01, -0.02, 0.005])
+    # blank lines and # comments, whole-line or trailing, are skipped
+    path.write_text("# daily log-returns\n0.01 # first\n\n-0.02\n0.005\n")
+    assert np.array_equal(load_returns_csv(path), r)
     with pytest.raises(IngestionError):
         load_returns_csv(tmp_path / "nope.csv")
+    path.write_text("0.01\n0.02,0.03\n")
+    with pytest.raises(IngestionError, match="row 2 has 2 fields, expected 1"):
+        load_returns_csv(path)
+    path.write_text("0.01,0.02\n0.02,0.03\n")
+    with pytest.raises(IngestionError, match="expected a single column of returns"):
+        load_returns_csv(path)
 
 
 def test_default_hvp_zero_direction():
@@ -651,13 +664,30 @@ def test_minimum_two_sizes_name_their_argument(name, make):
     ("1.0,2.0,1\n1.0,2.0,nan\n", "non-finite", 2, 3),
     ("1.0,2.0,1\n1.0,-inf,0\n", "non-finite", 2, 2),
     ("1e999,2.0,1\n", "non-finite", 1, 1),
-], ids=["word", "empty", "hex", "nan-label", "minus-inf", "overflow"])
+    ("# x1,x2,y\n\n1.0,2.0,1 # first\n3.0,oops,0\n", "non-numeric", 4, 2),
+], ids=["word", "empty", "hex", "nan-label", "minus-inf", "overflow", "after-comments"])
 def test_load_logistic_csv_field_messages(tmp_path, text, kind, row, column):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     message = f"{path}: {kind} field at row {row}, column {column}"
     with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
         load_logistic_csv(path)
+
+
+@pytest.mark.parametrize("text, kind, row", [
+    ("# daily log-returns\n\n0.01\n-0.02\noops\n", "non-numeric", 5),
+    ("0.01 # first\n\n# gap\nnan\n", "non-finite", 4),
+    ("0.01\n-inf\n", "non-finite", 2),
+    ("0.01\n1e999\n", "non-finite", 2),
+], ids=["word-after-comments", "nan-after-comments", "minus-inf", "overflow"])
+def test_load_returns_csv_field_messages(tmp_path, text, kind, row):
+    # returns files are read like logistic ones: rows counted in file lines,
+    # NaN and infinite fields refused
+    path = tmp_path / "returns.csv"
+    path.write_text(text)
+    message = f"{path}: {kind} field at row {row}, column 1"
+    with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+        load_returns_csv(path)
 
 
 @pytest.mark.parametrize("fields, kind, column", [
