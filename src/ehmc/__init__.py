@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .precond import Preconditioner, make_preconditioner, n_params
 from .targets import TargetModel
-from .integrator import Trajectory, DivergenceError
+from .integrator import Trajectory
 from .sampler import run_experiment, SamplerSettings
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "n_params",
     "TargetModel",
     "Trajectory",
-    "DivergenceError",
     "run_experiment",
     "SamplerSettings",
     "__version__",

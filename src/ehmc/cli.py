@@ -6,10 +6,10 @@ Each preset is declared once, as an entry of PRESETS; parsing,
 
 Grammar: an INI file with sections [run], [target], [adapt], [sweep] and
 an optional [meta] block (written by config.echo, ignored on re-parse).
-Every key is validated against a closed list, so typos fail loudly.
-Each [run], [adapt] and [sweep] key has a flag (--sweep-L for l_values)
-that overrides the file and is read and checked exactly like the key; a
-bad flag value, like an unknown flag, is a configuration error (exit 1).
+Every key and flag is matched whole against a closed list, so typos fail
+loudly.  Each [run], [adapt] and [sweep] key has a flag (--sweep-L for
+l_values) that overrides the file and is read and checked exactly like
+the key; a bad flag value, like an unknown flag, is a config error (exit 1).
 """
 
 import argparse
@@ -222,16 +222,15 @@ def _validate(config):
     try:
         check_run_fields(config)
         _adapt_config(config)
+        for name in ("adapt_budget", "sample_budget"):
+            targets.check_size(name, getattr(config, name), 0)
+        for L in config.sweep_L:
+            targets.check_size("sweep.l_values", L)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if config.precond not in KINDS:
         raise ConfigError(f"precond: must be one of {', '.join(KINDS)}, "
                           f"got {config.precond!r}")
-    for fieldname in ("adapt_budget", "sample_budget"):
-        if getattr(config, fieldname) < 0:
-            raise ConfigError(f"{fieldname}: must be nonnegative")
-    if any(l < 1 for l in config.sweep_L):
-        raise ConfigError("sweep.l_values: entries must be positive integers")
     _check_writable(config.out)
 
 
@@ -388,7 +387,7 @@ def _add_flags(parser):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        prog="ehmc",
+        prog="ehmc", allow_abbrev=False,
         description="Adaptive HMC with entropy-guided mass-matrix learning",
     )
     _add_flags(parser)

@@ -16,28 +16,18 @@ gets the entrywise test, which finds the step and the rows it failed on.
 
 A trajectory runs one chain on (d,) arrays or k chains in lockstep on a
 (k, d) block, with a chain axis after the step axis: q and grads are then
-(L+1, k, d).  The block arithmetic gives every row the bits of its own
-one-chain trajectory, while the target is still called once per row on a
-(d,) array.  A block row whose gradient turns non-finite stops there: it
-makes no further target call, is marked in ``live`` and gets delta = +inf.
+(L+1, k, d).  Both run one leapfrog loop; the block arithmetic gives every
+row the bits of its own one-chain trajectory, and the target is still
+called once per row on a (d,) array.  One divergence rule holds for both:
+a chain whose gradient turns non-finite stops there with a zero gradient,
+makes no further target or potential call, is marked False in ``live``
+and gets delta = +inf; the loop ends once no chain is live.
 """
 
 import math
+from functools import partial
 
 import numpy as np
-
-
-class DivergenceError(RuntimeError):
-    """Non-finite potential or gradient encountered mid-trajectory.
-
-    ``step`` is the leapfrog index at which integration failed;
-    ``positions`` holds the positions computed before the failure.
-    """
-
-    def __init__(self, step, positions):
-        super().__init__(f"non-finite value at leapfrog step {step}")
-        self.step = step
-        self.positions = positions
 
 
 class Trajectory:
@@ -47,15 +37,15 @@ class Trajectory:
     potential gradient at q[i]; v is the starting velocity C^T p_0 and w
     the final velocity C^T p_L; delta is the energy error of the proposal
     (+inf when a potential evaluation was non-finite); u0 and u_end are
-    the potentials at q[0] and q[L] once evaluated.  A block has q and
-    grads of shape (L+1, k, d), v and w (k, d), delta (k,), u0 and u_end
-    lists of k entries, and ``live`` (k,), False for rows whose integration
-    failed; ``live`` is None for one chain.  A one-chain trajectory is
-    what a sampling transition makes; the adaptation objectives take
-    blocks only.
+    the potentials at q[0] and q[L] once evaluated; ``live`` is False for
+    a chain that a non-finite gradient stopped, whose q past that step and
+    w mean nothing.  A block has q and grads of shape (L+1, k, d), v and w
+    (k, d), delta and live (k,), u0 and u_end lists of k entries.  A
+    one-chain trajectory is what a sampling transition makes; the
+    adaptation objectives take blocks only.
     """
 
-    def __init__(self, q, grads, v, w, h, L, delta=np.nan, u0=None, u_end=None, live=None):
+    def __init__(self, q, grads, v, w, h, L, delta=np.nan, u0=None, u_end=None, live=True):
         self.q, self.grads, self.v, self.w, self.h, self.L = q, grads, v, w, h, L
         self.delta, self.u0, self.u_end, self.live = delta, u0, u_end, live
 
@@ -65,7 +55,7 @@ class Trajectory:
 
     @property
     def accept_prob(self):
-        if self.live is None:
+        if self.q.ndim == 2:
             return _accept_prob(self.delta)
         return np.array([_accept_prob(delta) for delta in self.delta])
 
@@ -73,7 +63,7 @@ class Trajectory:
         """Row i of a block as a one-chain trajectory (views, no copies)."""
         return Trajectory(q=self.q[:, i], grads=self.grads[:, i], v=self.v[i], w=self.w[i],
                           h=self.h, L=self.L, delta=float(self.delta[i]), u0=self.u0[i],
-                          u_end=self.u_end[i])
+                          u_end=self.u_end[i], live=bool(self.live[i]))
 
     def rows(self, index):
         """The block of the rows listed, in increasing order, in index (all
@@ -100,25 +90,41 @@ def row_dot(x, y):
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _row_grads(model, q, grads, step, live, given=None):
+def _chain_grad(model, q, grads, step, given=None):
+    # one chain: one model.grad call at step `step` (none if given); a
+    # non-finite gradient is zeroed; returns whether the chain is live
+    if given is None:
+        given = model.grad(q[step])
+        if step == 0 and np.shape(given) != q.shape[1:]:
+            raise ValueError(f"gradient has shape {np.shape(given)}, expected {q.shape[1:]}")
+    grads[step] = given
+    g = grads[step]
+    if math.isfinite(g.dot(g)) or np.isfinite(g).all():
+        return True
+    g[:] = 0.0
+    return False
+
+
+def _row_grads(model, q, grads, live, step, given=None):
     # a block: one model.grad call per live row of step `step` (none for
     # rows whose gradient is given); a row whose gradient is non-finite
     # leaves `live` and keeps a zero gradient, so the lockstep arithmetic
-    # on it stays finite; a gradient it evaluates at step 0 must be (d,)
+    # on it stays finite; returns whether any row is still live
     for i in range(live.size):
         if live[i]:
             g = None if given is None else given[i]
             if g is None:
                 g = model.grad(q[step, i])
                 if step == 0 and np.shape(g) != q.shape[2:]:
-                    raise ValueError(f"gradient has shape {np.shape(g)}, "
-                                     f"expected {q.shape[2:]}")
+                    raise ValueError(f"gradient has shape {np.shape(g)}, expected {q.shape[2:]}")
             grads[step, i] = g
     flat = grads[step].ravel()  # a view: grads is C-contiguous
-    if not math.isfinite(flat.dot(flat)):
-        bad = ~np.isfinite(grads[step]).all(axis=1)
-        live[bad] = False
-        grads[step, bad] = 0.0
+    if math.isfinite(flat.dot(flat)):
+        return True
+    bad = ~np.isfinite(grads[step]).all(axis=1)
+    live[bad] = False
+    grads[step, bad] = 0.0
+    return live.any()
 
 
 def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
@@ -131,47 +137,38 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     without re-running the model.  g0 and u0, when given, are the
     gradient and potential at q0, which are then not evaluated again.
 
-    q0 and v are (d,) for one chain, where a non-finite gradient raises
-    DivergenceError and a gradient at q0 not of shape (d,) ValueError, or
-    (k, d) for k chains in lockstep, where g0 and u0 are sequences of k
-    entries (None where not known), an evaluated gradient at q0 must be
-    (d,) too, and a non-finite gradient stops only its own row.
+    q0 and v are (d,) for one chain, or (k, d) for k chains in lockstep,
+    where g0 and u0 are sequences of k entries (None where not known).  A
+    gradient evaluated at q0 must be (d,), else ValueError (its row of
+    grads would take a scalar or a (1,) by broadcasting).  One divergence
+    rule holds for both: a non-finite gradient, given or evaluated, stops
+    its chain (see the module docstring).
     """
     if h <= 0 or L < 1:
         raise ValueError("need h > 0 and L >= 1")
     q0 = np.asarray(q0, dtype=float)
     v = np.asarray(v, dtype=float)
+    block = q0.ndim == 2
+    matvec, rmatvec = precond.bound_maps(block)
     q = np.empty((L + 1,) + q0.shape)
     q[0] = q0
-    if q0.ndim == 1:
-        matvec, rmatvec = precond.bound_maps()
-        grad, grads, live = model.grad, np.empty_like(q), None
-        if g0 is None:  # not (d,): its row would take a scalar or a (1,) by broadcasting
-            g0 = np.asarray(grad(q0), dtype=float)
-            if g0.shape != q0.shape:
-                raise ValueError(f"gradient has shape {g0.shape}, expected {q0.shape}")
-            if not np.isfinite(g0).all():
-                raise DivergenceError(0, q[:1].copy())
-        grads[0] = g0
-        u = v - 0.5 * h * rmatvec(grads[0])
-        for step in range(1, L + 1):
-            q[step] = q[step - 1] + h * matvec(u)
-            grads[step] = grad(q[step])
-            g = grads[step]
-            if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():
-                raise DivergenceError(step, q[: step + 1].copy())
-            u = u - (h if step < L else 0.5 * h) * rmatvec(g)
+    grads = np.zeros_like(q)
+    if block:
+        live = np.ones(len(q0), dtype=bool)
+        u0 = list(u0) if u0 is not None else [None] * live.size
+        step_grads = partial(_row_grads, model, q, grads, live)
     else:
-        matvec, rmatvec = precond.bound_maps(block=True)
-        live, grads = np.ones(len(q0), dtype=bool), np.zeros_like(q)
-        u0 = list(u0) if u0 is not None else [None] * len(live)
-        _row_grads(model, q, grads, 0, live, g0)
-        u = v - 0.5 * h * rmatvec(grads[0])
-        for step in range(1, L + 1):
-            q[step] = q[step - 1] + h * matvec(u)
-            _row_grads(model, q, grads, step, live)
-            u = u - (h if step < L else 0.5 * h) * rmatvec(grads[step])
-    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=u, h=h, L=L, u0=u0, live=live)
+        step_grads = partial(_chain_grad, model, q, grads)
+    alive = step_grads(0, g0)
+    u = v - 0.5 * h * rmatvec(grads[0])
+    for step in range(1, L + 1):
+        if not alive:
+            break
+        q[step] = q[step - 1] + h * matvec(u)
+        alive = step_grads(step)
+        u = u - (h if step < L else 0.5 * h) * rmatvec(grads[step])
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=u, h=h, L=L, u0=u0,
+                      live=live if block else alive)
     traj.delta = energy_error(traj, model)
     return traj
 
@@ -182,31 +179,29 @@ def energy_error(traj, model):
     The error is U(q_L) - U(q_0) + 0.5 ||w||^2 - 0.5 ||v||^2.  The end
     potentials the trajectory does not carry yet are evaluated and stored
     on it.  Returns +inf when any piece is non-finite; the sampler treats
-    that as a rejection.  For a block it returns one error per row, +inf
-    (with no potential evaluated) for rows that are not live.
+    that as a rejection.  A chain that is not live gets +inf with no
+    potential evaluated; a block gets one error per row.
     """
-    if traj.live is None:
-        if traj.u0 is None:
-            traj.u0 = model.potential(traj.q[0])
-        if traj.u_end is None:
-            traj.u_end = model.potential(traj.q[traj.L])
-        return _energy_delta(traj.u0, traj.u_end, float(traj.w.dot(traj.w)),
-                             float(traj.v.dot(traj.v)))
+    if traj.q.ndim == 2:
+        if not traj.live:
+            return np.inf
+        traj.u0, traj.u_end, delta = _chain_energy(model, traj.q[0], traj.q[traj.L], traj.u0,
+                                                   traj.u_end, traj.w.dot(traj.w),
+                                                   traj.v.dot(traj.v))
+        return delta
     ww, vv = row_dot(traj.w, traj.w), row_dot(traj.v, traj.v)
     delta = np.full(traj.live.size, np.inf)
-    if traj.u_end is None:
-        traj.u_end = [None] * traj.live.size
+    traj.u_end = traj.u_end or [None] * traj.live.size
     for i in np.flatnonzero(traj.live):
-        if traj.u0[i] is None:
-            traj.u0[i] = model.potential(traj.q[0, i])
-        if traj.u_end[i] is None:
-            traj.u_end[i] = model.potential(traj.q[traj.L, i])
-        delta[i] = _energy_delta(traj.u0[i], traj.u_end[i], ww[i], vv[i])
+        traj.u0[i], traj.u_end[i], delta[i] = _chain_energy(
+            model, traj.q[0, i], traj.q[traj.L, i], traj.u0[i], traj.u_end[i], ww[i], vv[i])
     return delta
 
 
-def _energy_delta(u0, u_end, ww, vv):
+def _chain_energy(model, q0, q_end, u0, u_end, ww, vv):
+    # (u0, u_end, energy error) of one live chain, evaluating the
+    # potentials not given; the error is +inf when non-finite
+    u0 = model.potential(q0) if u0 is None else u0
+    u_end = model.potential(q_end) if u_end is None else u_end
     delta = u_end - u0 + 0.5 * ww - 0.5 * vv
-    if not math.isfinite(delta):
-        return np.inf
-    return float(delta)
+    return u0, u_end, float(delta) if math.isfinite(delta) else np.inf

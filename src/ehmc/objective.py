@@ -33,6 +33,7 @@ from .entropy import (
     dl_coeff,
     penalty_h_grad,
 )
+from .targets import check_size
 
 BETA_BOUNDS = (1e-2, 1e2)
 GAMMA_BOUNDS = (1e3, 1e5)
@@ -75,8 +76,7 @@ class AdaptConfig:
         if not 0 < self.penalty_delta < np.inf:
             raise ValueError(f"penalty_delta: must be finite and positive, "
                              f"got {self.penalty_delta}")
-        if self.n_min < 1:
-            raise ValueError(f"n_min: must be at least 1, got {self.n_min}")
+        check_size("n_min", self.n_min)
         if not 0 < self.lambda_rate <= 1:
             raise ValueError(f"lambda_rate: must lie in (0, 1], got {self.lambda_rate}")
 

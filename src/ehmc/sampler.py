@@ -18,7 +18,8 @@ objective gradients are assembled on the block, with every row getting
 the bits of its one-chain computation.  Target calls stay one per chain
 on a (d,) array, and the roulette pass stays one per chain, so a target
 that memoises per position sees one midpoint at a time.  Sampling moves
-each chain on its own.
+each chain on its own.  One divergence rule settles a chain and a block
+alike (see hmc_transition).
 """
 
 import json
@@ -30,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .precond import Preconditioner, check_kind, make_preconditioner
-from .integrator import trajectory_reparam, DivergenceError
+from .integrator import trajectory_reparam
+from .targets import check_size
 from .entropy import MidpointOperator, roulette_pass, penalty_h
 from .objective import (
     RETIRED,
@@ -118,17 +120,15 @@ def _start_point(chain, model):
 
 
 def _settle(chain, model, traj, fresh_start):
-    # accept or reject one chain's trajectory (None when integration
-    # failed), update its counters and start point; returns the
-    # acceptance probability
-    if traj is not None and fresh_start:
+    # accept or reject one chain's trajectory, update its counters and its
+    # start point (kept when not live); returns the acceptance probability
+    if traj.live and fresh_start:
         chain.start = (chain.q, model, traj.grads[0].copy(), traj.u0)
-    delta = np.inf if traj is None else traj.delta
-    divergent = not math.isfinite(delta) or delta > DIVERGENCE_DELTA
+    divergent = not math.isfinite(traj.delta) or traj.delta > DIVERGENCE_DELTA
     a = 0.0 if divergent else traj.accept_prob
     u = chain.rng_accept.uniform()
     chain.transition_count += 1
-    chain.last_delta = delta
+    chain.last_delta = traj.delta
     if divergent:
         chain.divergence_count += 1
     elif u <= a:
@@ -142,35 +142,32 @@ def _settle(chain, model, traj, fresh_start):
 def hmc_transition(chain, precond, model, h, L):
     """One Metropolis-adjusted leapfrog proposal.
 
-    Divergent proposals (integration failure, non-finite energy error, or
-    an error above DIVERGENCE_DELTA) are rejected and counted; rejection
-    leaves the position array untouched.  Exactly one velocity draw and
-    one acceptance uniform are consumed per call regardless of outcome.
-    The gradient and potential at the start come from chain.start when it
+    One divergence rule for a chain and a block: a proposal whose
+    trajectory is not live or whose energy error is non-finite or above
+    DIVERGENCE_DELTA is rejected and counted, leaving the position array
+    and the start point untouched.  Exactly one velocity draw and one
+    acceptance uniform are consumed per call regardless of outcome.  The
+    gradient and potential at the start come from chain.start when it
     belongs to chain.q and model; an accept replaces them with the
-    endpoint's.  After the call chain.q is a read-only array: move a chain
-    by assigning a new array to chain.q, not by writing into it.
+    endpoint's.  After the call chain.q is a read-only array: move a
+    chain by assigning a new array to chain.q, not by writing into it.
 
-    Returns (chain, trajectory or None on integration failure, acceptance
-    probability).  Given a list of chains, moves them in lockstep as one
-    (k, d) block, with per-chain draws, target calls and outcomes equal to
-    k separate calls, and returns (chains, block trajectory, list of
-    acceptance probabilities).
+    Returns (chain, trajectory, acceptance probability).  Given a list of
+    chains, moves them in lockstep as one (k, d) block, with per-chain
+    draws, target calls and outcomes equal to k separate calls, and
+    returns (chains, block trajectory, list of acceptance probabilities).
     """
     if isinstance(chain, ChainState):
         v = chain.rng_velocity.standard_normal(model.dim)
         g0, u0 = _start_point(chain, model)
-        try:
-            traj = trajectory_reparam(chain.q, v, h, L, precond, model, g0, u0)
-        except DivergenceError:
-            traj = None
+        traj = trajectory_reparam(chain.q, v, h, L, precond, model, g0, u0)
         return chain, traj, _settle(chain, model, traj, g0 is None)
     chains = chain
     v = np.stack([c.rng_velocity.standard_normal(model.dim) for c in chains])
     starts = [_start_point(c, model) for c in chains]
     traj = trajectory_reparam(np.stack([c.q for c in chains]), v, h, L, precond, model,
                               [g0 for g0, _ in starts], [u0 for _, u0 in starts])
-    a_vals = [_settle(c, model, traj.row(i) if traj.live[i] else None, g0 is None)
+    a_vals = [_settle(c, model, traj.row(i), g0 is None)
               for i, (c, (g0, _)) in enumerate(zip(chains, starts))]
     return chains, traj, a_vals
 
@@ -269,25 +266,17 @@ class SamplerSettings:
 
 def check_run_fields(run):
     """Range checks of the run fields that SamplerSettings and the CLI's
-    RunConfig share (h, L, objective, step counts, chains, seed, thin,
-    init_scale); each ValueError message starts with the field it names."""
+    RunConfig share (h, init_scale, objective, and the integers L, step
+    counts, chains, seed, thin); each ValueError starts with its field."""
     if run.objective not in OBJECTIVES:
         raise ValueError(f"objective: must be one of {', '.join(OBJECTIVES)}, "
                          f"got {run.objective!r}")
     for name in ("h", "init_scale"):
         if not 0 < getattr(run, name) < np.inf:
             raise ValueError(f"{name}: must be finite and positive, got {getattr(run, name)}")
-    if run.L < 1:
-        raise ValueError(f"L: must be a positive integer, got {run.L}")
-    for name in ("adapt_steps", "sample_steps"):
-        if getattr(run, name) < 0:
-            raise ValueError(f"{name}: must be nonnegative")
-    if run.chains < 1:
-        raise ValueError(f"chains: must be at least 1, got {run.chains}")
-    if run.seed < 0:
-        raise ValueError(f"seed: must be nonnegative, got {run.seed}")
-    if run.thin < 1:
-        raise ValueError(f"thin: must be at least 1, got {run.thin}")
+    for name, minimum in (("L", 1), ("adapt_steps", 0), ("sample_steps", 0), ("chains", 1),
+                          ("seed", 0), ("thin", 1)):
+        check_size(name, getattr(run, name), minimum)
 
 
 def run_experiment(settings):

@@ -13,6 +13,7 @@ position stays equal.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -86,7 +87,9 @@ def _check_symmetric(a, name):
 
 
 def check_size(arg, value, minimum=1):
-    """Raise ValueError naming ``arg`` unless the size value is at least ``minimum``."""
+    """Raise ValueError naming ``arg`` unless ``value`` is an integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{arg}: must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{arg}: must be at least {minimum}, got {value}")
 

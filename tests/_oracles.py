@@ -15,7 +15,7 @@ import numpy as np
 
 from ehmc.entropy import (DELTA_PRIME, N_MIN, MidpointOperator, RouletteDraw, dl_coeff,
                           penalty_h)
-from ehmc.integrator import DivergenceError, Trajectory, energy_error, trajectory_reparam
+from ehmc.integrator import Trajectory, energy_error, trajectory_reparam
 from ehmc.objective import L2HMC_FLOOR
 from ehmc.precond import Preconditioner, n_params
 from ehmc.targets import TargetModel
@@ -268,31 +268,45 @@ def trajectory_one_chain(q0, v, h, L, precond, model, g0=None, u0=None):
     """The one-chain leapfrog with textbook factor maps with checked
     inputs, every gradient tested entrywise with ``np.isfinite``, and the
     last half-kick to the final velocity w made with the same maps.
-    The package's (d,) path must match it bit for bit, also in the step
-    and positions of a DivergenceError.  The energy error is the shared
-    ``integrator.energy_error``, which reads that w."""
+
+    A non-finite gradient at step s, given or evaluated, stops the chain
+    there: no further target call, grads zero from s on, q NaN past s,
+    w None, ``live`` False, and ``stopped_at`` = s (None for a live
+    chain).  The package's (d,) path and each row of its (k, d) blocks
+    must match it bit for bit, up to step s for a stopped chain.  The
+    energy error is the shared ``integrator.energy_error``, which reads
+    that w and evaluates no potential for a stopped chain."""
     maps = TextbookFactor(precond)
     q0 = np.asarray(q0, dtype=float)
     v = np.asarray(v, dtype=float)
-    q = np.empty((L + 1,) + q0.shape)
+    q = np.full((L + 1,) + q0.shape, np.nan)
     q[0] = q0
-    grads = np.empty_like(q)
+    grads = np.zeros_like(q)
 
-    def checked_grad(step):
-        g = model.grad(q[step])
-        if not np.isfinite(g).all():
-            raise DivergenceError(step, q[: step + 1].copy())
-        return g
+    def stops(step, g=None):
+        grads[step] = model.grad(q[step]) if g is None else g
+        if np.isfinite(grads[step]).all():
+            return False
+        grads[step] = 0.0
+        return True
 
-    grads[0] = checked_grad(0) if g0 is None else g0
-    u = v - 0.5 * h * maps.rmatvec(grads[0])
-    for step in range(1, L + 1):
-        q[step] = q[step - 1] + h * maps.matvec(u)
-        grads[step] = checked_grad(step)
-        if step < L:
-            u = u - h * maps.rmatvec(grads[step])
-    w = u - 0.5 * h * maps.rmatvec(grads[L])
-    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=w, h=h, L=L, u0=u0)
+    stopped_at, w = None, None
+    if stops(0, g0):
+        stopped_at = 0
+    else:
+        u = v - 0.5 * h * maps.rmatvec(grads[0])
+        for step in range(1, L + 1):
+            q[step] = q[step - 1] + h * maps.matvec(u)
+            if stops(step):
+                stopped_at = step
+                break
+            if step < L:
+                u = u - h * maps.rmatvec(grads[step])
+        else:
+            w = u - 0.5 * h * maps.rmatvec(grads[L])
+    traj = Trajectory(q=q, grads=grads, v=v.copy(), w=w, h=h, L=L, u0=u0,
+                      live=stopped_at is None)
+    traj.stopped_at = stopped_at
     traj.delta = energy_error(traj, model)
     return traj
 
@@ -543,7 +557,7 @@ def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=
     mean_a = float(np.mean(a_vals))
     stats = {"accept": mean_a, "divergences": step_divergences,
              "mu": np.nan, "pen": np.nan}
-    live = [(c, one_row_block(t)) for c, t in zip(chains, trajs) if t is not None]
+    live = [(c, one_row_block(t)) for c, t in zip(chains, trajs) if t.live]
     grads, pens, mus = [], [], []
     if objective == "gsm":
         for chain, block in live:

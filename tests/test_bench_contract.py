@@ -126,9 +126,9 @@ def test_sampling_transition_calls(kind, L, monkeypatch):
     maps, bindings, checked = [], [], []
     real_bound = Preconditioner.bound_maps
 
-    def bound(self):
+    def bound(self, block=False):
         bindings.append(1)
-        return tuple(lambda w, f=f: maps.append(1) or f(w) for f in real_bound(self))
+        return tuple(lambda w, f=f: maps.append(1) or f(w) for f in real_bound(self, block))
 
     monkeypatch.setattr(Preconditioner, "bound_maps", bound)
     for attr in ("matvec", "rmatvec"):

@@ -128,7 +128,7 @@ UNRUNNABLE = [
     ("h", float("nan")), ("h", float("inf")), ("init_scale", -1.0),
     ("init_scale", float("nan")), ("rho_theta", -1.0), ("rho_beta", float("nan")),
     ("rho_gamma", -1.0), ("alpha_star", 1.5), ("penalty_delta", float("nan")),
-    ("delta_prime", 1.5), ("n_min", 0), ("lambda_rate", 5.0), ("lambda_rate", 0.0),
+    ("delta_prime", 1.5), ("n_min", 0), ("n_min", 2.5), ("lambda_rate", 5.0), ("lambda_rate", 0.0),
 ]
 
 
@@ -143,6 +143,21 @@ def test_unrunnable_value_names_its_field(tmp_path, name, value):
             run_experiment(SamplerSettings(model=gaussian_target(precision=np.ones(2)),
                                            adapt_steps=1, sample_steps=0, chains=1,
                                            **{name: value}))
+
+
+# counts given as values, not text, that are not integers (a bool is none)
+NON_INTEGER = [
+    ("L", 2.5), ("L", True), ("adapt_steps", 10.0), ("sample_steps", 2.5), ("chains", 1.5),
+    ("seed", False), ("thin", 2.0), ("adapt_budget", 1.5), ("sample_budget", True),
+    ("sweep_L", (2, 2.5)),
+]
+
+
+@pytest.mark.parametrize("name,value", NON_INTEGER)
+def test_non_integer_count_names_its_field(tmp_path, name, value):
+    label, bad = ("sweep.l_values", value[-1]) if name == "sweep_L" else (name, value)
+    with pytest.raises(ConfigError, match=f"^{label}: must be an integer, got {bad!r}$"):
+        parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path), name: value})
 
 
 def test_every_adapt_setting_has_a_key_and_a_flag():
@@ -487,7 +502,7 @@ BAD_SETTINGS = [
      "objective: must be one of gsm, esjd, l2hmc, none, got 'foo'"),
     ("--rho-theta", "adapt", "rho_theta", "x", "adapt.rho_theta: expected a number, got 'x'"),
     ("--sweep-L", "sweep", "l_values", "x", "sweep.l_values: expected an integer, got 'x'"),
-    ("--sweep-L", "sweep", "l_values", "0..2", "sweep.l_values: entries must be positive integers"),
+    ("--sweep-L", "sweep", "l_values", "0..2", "sweep.l_values: must be at least 1, got 0"),
 ]
 
 
@@ -507,11 +522,14 @@ def test_bad_setting_exit_code_from_flag_and_file(tmp_path, capsys, flag, sectio
 
 
 def test_main_usage_error_and_help_exit_codes(tmp_path, capsys):
-    # an unknown flag is a configuration error like an unknown key
-    code, out = run_main(tmp_path, ["--hh", "1"])
-    assert code == 1
-    assert "unrecognized arguments: --hh 1" in capsys.readouterr().err
-    assert not out.exists()
+    # an unknown flag is a configuration error like an unknown key, and so
+    # is a prefix of a known flag, as a prefix of an INI key is
+    for flag, value in (("--hh", "1"), ("--init", "2"), ("--thi", "3"), ("--sweep", "1,2"),
+                        ("--lambda", "0.1")):
+        code, out = run_main(tmp_path, [flag, value])
+        assert code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
     assert main(["--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     for choices in ("gsm | esjd | l2hmc | none", "diagonal | dense | banded"):

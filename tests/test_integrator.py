@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ehmc.integrator import (
-    DivergenceError,
     energy_error,
     row_dot,
     trajectory_reparam,
@@ -115,7 +114,12 @@ def test_trajectory_caches():
     assert np.allclose(traj.midpoint, traj.q[3])
 
 
-def test_divergence_error_carries_step():
+def test_divergence_stops_at_step():
+    # one divergence rule for one chain and for a row of a block: a NaN
+    # gradient at step s stops the chain there, with no target call past
+    # s and no potential, live False, delta +inf and zero gradients from
+    # s on; its positions up to s are the leapfrog's.  In the block the
+    # other row finishes
     d = 2
 
     def bad_grad(q):
@@ -123,24 +127,38 @@ def test_divergence_error_carries_step():
             return np.full(d, np.nan)
         return q
 
-    m = TargetModel(dim=d, potential=lambda q: 0.5 * float(q @ q), grad=bad_grad,
-                    hvp=lambda q, w: w)
+    base = TargetModel(dim=d, potential=lambda q: 0.5 * float(q @ q), grad=bad_grad,
+                       hvp=lambda q, w: w)
     p = make_preconditioner("diagonal", 2)
-    q0, v, h = np.array([1.4, 0.0]), np.array([8.0, 0.0]), 0.5
-    with pytest.raises(DivergenceError) as err:
-        trajectory_reparam(q0, v, h, 5, p, m)
-    assert err.value.step >= 1
-    assert err.value.positions.shape[1] == 2
-    # the positions are exactly the computed prefix, as an array of its own
-    step, positions = err.value.step, err.value.positions
+    q0, v, h, L = np.array([1.4, 0.0]), np.array([8.0, 0.0]), 0.5, 5
     q = [q0]
-    g = bad_grad(q0)
-    u = v - 0.5 * h * p.rmatvec(g)
-    for _ in range(step):
+    u = v - 0.5 * h * p.rmatvec(bad_grad(q0))
+    while np.isfinite(bad_grad(q[-1])).all():
         q.append(q[-1] + h * p.matvec(u))
         u = u - h * p.rmatvec(bad_grad(q[-1]))
-    assert np.array_equal(positions, np.stack(q))
-    assert positions.base is None and positions.flags.owndata
+    s = len(q) - 1
+    assert 1 <= s < L
+    for form in ("chain", "block"):
+        model, log = logged_model(base)
+        if form == "chain":
+            traj = trajectory_reparam(q0, v, h, L, p, model)
+        else:
+            block = trajectory_reparam(np.stack([q0, [0.1, 0.2]]), np.stack([v, [0.3, -0.2]]),
+                                       h, L, p, model)
+            assert block.live.tolist() == [False, True]
+            assert np.isfinite(block.delta[1]) and block.u_end[1] is not None
+            traj = block.row(0)
+        assert traj.live is False and traj.delta == np.inf and traj.accept_prob == 0.0
+        assert traj.u0 is None and traj.u_end is None
+        assert np.array_equal(traj.q[: s + 1], np.stack(q))
+        assert np.array_equal(traj.grads[:s], [bad_grad(x) for x in q[:s]])
+        assert not traj.grads[s:].any()
+        calls = [x.tobytes() for x in q]
+        if form == "chain":
+            assert log["grad"] == calls and log["potential"] == []
+        else:
+            assert [c for c in log["grad"] if c in calls] == calls
+            assert len(log["grad"]) == len(calls) + L + 1 and len(log["potential"]) == 2
 
 
 def test_energy_error_nonfinite_potential():
@@ -298,7 +316,8 @@ def test_block_trajectory_equals_rows(kind, L):
 
 def test_block_divergent_row_stops():
     # a row whose gradient turns non-finite makes no further target call
-    # and no potential call; the other rows finish as they would alone
+    # and no potential call; the other rows finish as they would alone.
+    # Each row has the outcome of its one-chain run, stopped or not
     d = 2
 
     def cliff_grad(q):
@@ -313,22 +332,28 @@ def test_block_divergent_row_stops():
     block_model, block_log = logged_model(base)
     block = trajectory_reparam(Q0, V, h, L, p, block_model)
     assert block.live.tolist() == [True, False, True, False]
-    row_model, row_log = logged_model(base)
+    points = {"grad": [], "potential": []}
     failed_at = {}
     for i in range(4):
-        try:
-            traj = trajectory_reparam(Q0[i], V[i], h, L, p, row_model)
-        except DivergenceError as err:
-            failed_at[i] = err.step
-            assert not block.live[i] and block.delta[i] == np.inf
-            assert block.u0[i] is None and block.u_end[i] is None
+        row_model, row_log = logged_model(base)
+        traj = trajectory_reparam(Q0[i], V[i], h, L, p, row_model)
+        for name in points:
+            points[name] += row_log[name]
+        assert block.live[i] == traj.live
+        if traj.live:
+            assert_row_equals(block, i, traj)
             continue
-        assert_row_equals(block, i, traj)
+        # a stopped chain was called at each step up to its stop, no further
+        s = failed_at[i] = len(row_log["grad"]) - 1
+        assert block.delta[i] == traj.delta == np.inf and not row_log["potential"]
+        assert block.u0[i] is traj.u0 is None and block.u_end[i] is traj.u_end is None
+        assert np.array_equal(block.q[: s + 1, i], traj.q[: s + 1])
+        assert np.array_equal(block.grads[:, i], traj.grads) and not traj.grads[s:].any()
     # row 3 starts past the cliff, row 1 crosses it mid-trajectory
     assert failed_at[3] == 0 and 1 <= failed_at[1] < L
     # the same evaluation points, not only as many: nothing after a failure
     for name in ("grad", "potential"):
-        assert sorted(block_log[name]) == sorted(row_log[name])
+        assert sorted(block_log[name]) == sorted(points[name])
 
 
 @pytest.mark.parametrize("d", [3, 21, 51, 100])

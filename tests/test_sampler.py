@@ -182,6 +182,10 @@ def test_start_cache_follows_accepts_and_survives_rejects():
 
 
 def test_start_cache_survives_divergence():
+    # one divergence rule for a chain and for a block of chains: a
+    # trajectory stopped by a NaN gradient is rejected and counted, and
+    # leaves the position, the start point and the accept count as they
+    # were, so the next transition evaluates nothing at the start again
     d = 2
 
     def grad(q):
@@ -189,17 +193,28 @@ def test_start_cache_survives_divergence():
 
     base = TargetModel(dim=d, potential=lambda q: 0.5 * float(q @ q), grad=grad,
                        hvp=lambda q, w: w)
-    m, calls = counting_model(base)
     p = make_preconditioner("diagonal", d)
-    chain = make_chains(m, 1, seed=2, init=np.array([0.5, -0.5]))[0]
-    hmc_transition(chain, p, m, 0.1, 3)
-    start, q = chain.start, chain.q
-    hmc_transition(chain, p, m, 40.0, 3)
-    assert chain.divergence_count == 1
-    assert chain.start is start and chain.q is q
-    before = dict(calls)
-    hmc_transition(chain, p, m, 0.1, 3)
-    assert (calls["grad"] - before["grad"], calls["potential"] - before["potential"]) == (3, 1)
+    for form in ("chain", "block"):
+        m, calls = counting_model(base)
+        chain = make_chains(m, 1, seed=2, init=np.array([0.5, -0.5]))[0]
+        moved = chain if form == "chain" else [chain]
+        hmc_transition(moved, p, m, 0.1, 3)
+        start, q = chain.start, chain.q
+        accepts, transitions = chain.accept_count, chain.transition_count
+        _, traj, a = hmc_transition(moved, p, m, 40.0, 3)
+        assert not np.any(traj.live) and np.all(traj.delta == np.inf) and np.all(np.equal(a, 0.0))
+        assert chain.divergence_count == 1 and chain.last_delta == np.inf
+        assert (chain.accept_count, chain.transition_count) == (accepts, transitions + 1)
+        assert chain.start is start and chain.q is q
+        before = dict(calls)
+        hmc_transition(moved, p, m, 0.1, 3)
+        assert (calls["grad"] - before["grad"], calls["potential"] - before["potential"]) == (3, 1)
+        # nor is anything stored for a fresh start point: one past the
+        # cliff stops at step 0 with a zero gradient row
+        chain.q = np.array([6.0, 0.0])
+        _, traj, _ = hmc_transition(moved, p, m, 0.1, 3)
+        assert not np.any(traj.live) and chain.divergence_count == 2
+        assert chain.start[0] is chain.q and chain.start[2] is None and chain.start[3] is None
 
 
 def test_reassigned_position_is_evaluated_afresh():
@@ -391,11 +406,19 @@ def test_empty_sampling_phase():
 
 def test_settings_validation():
     # every bad field fails validate() and run_experiment, before any
-    # transition, with a message that starts with the field's name
+    # transition, with a message that starts with the field's name; the
+    # counts must be integers, and a float or a bool is none
     m = gaussian_target(precision=np.array([1.0]))
     for bad in (
         dict(h=0.0),
         dict(L=0),
+        dict(L=2.5),
+        dict(L=True),
+        dict(adapt_steps=10.0),
+        dict(sample_steps=1.5),
+        dict(chains=2.0),
+        dict(seed=False),
+        dict(thin=1.5),
         dict(objective="hamster"),
         dict(chains=0),
         dict(thin=0),
@@ -411,6 +434,8 @@ def test_settings_validation():
             settings.validate()
         with pytest.raises(ValueError, match=f"^{next(iter(bad))}:"):
             run_experiment(settings)
+    # numpy integers are integers
+    SamplerSettings(model=m, L=np.int64(2), chains=np.int32(3), seed=np.uint8(1)).validate()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

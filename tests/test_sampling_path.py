@@ -4,14 +4,15 @@
 maps and an entrywise finiteness test on every gradient.  The package's
 (d,) path skips both costs; these tests hold it to the oracle bit for
 bit, divergences included, and pin down what the factor maps accept.
-A (k, d) block, which tests each step with one dot too, holds each row
-to its one-chain outcome at the same finiteness edges.
+One divergence rule holds for a chain and a block: a (k, d) block, which
+tests each step with one dot too, is held to the same oracle row by row
+at the same finiteness edges.
 """
 
 import numpy as np
 import pytest
 
-from ehmc.integrator import DivergenceError, trajectory_reparam
+from ehmc.integrator import trajectory_reparam
 from ehmc.precond import KINDS, Preconditioner, n_params
 from ehmc.targets import TargetModel, gaussian_target
 
@@ -22,25 +23,31 @@ def random_precond(kind, d, rng, scale=0.3):
     return Preconditioner(kind, d, rng.normal(0.0, scale, n_params(kind, d)))
 
 
-def outcome(fn, *args):
-    """fn's trajectory, or the DivergenceError it raised."""
-    try:
-        return fn(*args)
-    except DivergenceError as err:
-        return err
+FORMS = ("chain", "block")
 
 
 def run_both(*args):
-    return [outcome(fn, *args) for fn in (trajectory_reparam, trajectory_one_chain)]
+    return [fn(*args) for fn in (trajectory_reparam, trajectory_one_chain)]
+
+
+def run_form(form, q0, v, *args):
+    """trajectory_reparam on one chain, or on the same start as a 1-row
+    block, read back as its row; args are h, L, precond, model and
+    optionally g0 and u0."""
+    if form == "chain":
+        return trajectory_reparam(q0, v, *args)
+    given = [[value] for value in args[4:]]
+    return trajectory_reparam(q0[None], v[None], *args[:4], *given).row(0)
 
 
 def assert_same(new, ref):
-    assert type(new) is type(ref)
-    if isinstance(ref, DivergenceError):
-        assert new.step == ref.step
-        assert np.array_equal(new.positions, ref.positions)
-        return
-    for name in ("q", "grads", "v", "w"):
+    """new is the oracle's ref bit for bit: all of it for a live chain; for
+    a stopped one the positions up to its stop, the gradients (zero from
+    the stop on), no potential evaluated and delta +inf."""
+    assert new.live == ref.live
+    upto = ref.L + 1 if ref.live else ref.stopped_at + 1
+    assert np.array_equal(new.q[:upto], ref.q[:upto], equal_nan=True)
+    for name in ("grads", "v") + (("w",) if ref.live else ()):
         assert np.array_equal(getattr(new, name), getattr(ref, name), equal_nan=True)
     assert new.delta == ref.delta and new.u0 == ref.u0 and new.u_end == ref.u_end
 
@@ -78,19 +85,31 @@ def test_one_chain_equals_oracle(kind, L, given):
 def test_hazard_divergence_equals_oracle(kind):
     # hazard_model's gradient is NaN past |q_i| = 2.2; faster starts
     # cross the cliff at earlier steps, so a sweep of speeds reaches
-    # step 0 (a start past the cliff), middle steps and the last step
+    # step 0 (a start past the cliff), middle steps and the last step.
+    # One chain per speed and all speeds as one block are held to the
+    # oracle alike, in the points they call the target at too: a stopped
+    # chain calls it at no step past its stop and for no potential
     rng = np.random.default_rng(KINDS.index(kind))
     m = hazard_model()
     p = random_precond(kind, 3, rng, scale=0.1)
     h, L = 0.3, 5
-    direction = np.array([0.2, 1.0, -0.1])
+    V = np.linspace(0.0, 8.0, 81)[:, None] * np.array([0.2, 1.0, -0.1])
     steps = set()
     for q0 in (np.array([0.0, 0.5, 0.0]), np.array([2.5, 0.0, 0.0])):
-        for speed in np.linspace(0.0, 8.0, 81):
-            new, ref = run_both(q0, speed * direction, h, L, p, m)
-            assert_same(new, ref)
-            if isinstance(ref, DivergenceError):
-                steps.add(ref.step)
+        oracle, oracle_log = logged_model(m)
+        refs = [trajectory_one_chain(q0, v, h, L, p, oracle) for v in V]
+        chain, chain_log = logged_model(m)
+        for v, ref in zip(V, refs):
+            assert_same(trajectory_reparam(q0, v, h, L, p, chain), ref)
+        block_model, block_log = logged_model(m)
+        block = trajectory_reparam(np.tile(q0, (len(V), 1)), V, h, L, p, block_model)
+        for i, ref in enumerate(refs):
+            assert_same(block.row(i), ref)
+        assert len(oracle_log["potential"]) == 2 * sum(ref.live for ref in refs)
+        for key in ("grad", "potential"):
+            assert chain_log[key] == oracle_log[key]
+            assert sorted(block_log[key]) == sorted(oracle_log[key])
+        steps.update(ref.stopped_at for ref in refs if not ref.live)
     assert steps == set(range(L + 1))
 
 
@@ -147,31 +166,43 @@ FINITENESS_CASES = {
 def test_finiteness_edges(kind, at):
     # the one-dot test reads g.g: finite entries whose squares overflow
     # (whether their sum overflows too or not) are no divergence, while one
-    # NaN or infinite entry raises at its own step, as the entrywise test
-    # does.  C = I keeps the huge gradients' maps finite
+    # NaN or infinite entry stops the chain at its own step, as the
+    # entrywise test does, with no further target call; one chain and a
+    # 1-row block alike.  C = I keeps the huge gradients' maps finite
     d, L = 4, 6
     rng = np.random.default_rng(at)
     p = Preconditioner(kind, d, np.zeros(n_params(kind, d)))
     q0, v = rng.standard_normal(d), rng.standard_normal(d)
     for name, g in FINITENESS_CASES.items():
-        new, ref = [outcome(fn, q0, v, 0.1, L, p, scripted_model(d, {at: g}))
-                    for fn in (trajectory_reparam, trajectory_one_chain)]
-        assert_same(new, ref)
-        if name == "overflow":
-            assert not np.isfinite(np.sum(HUGE))
-            assert np.array_equal(new.grads[at], HUGE)
-        elif name == "squares overflow":
-            g = np.array(SQUARES)
-            assert np.isfinite(g.sum()) and not np.isfinite(g.dot(g))
-            assert np.array_equal(new.grads[at], SQUARES)
-        else:
-            assert new.step == at
+        ref = trajectory_one_chain(q0, v, 0.1, L, p, scripted_model(d, {at: g}))
+        for form in FORMS:
+            model, log = logged_model(scripted_model(d, {at: g}))
+            new = run_form(form, q0, v, 0.1, L, p, model)
+            assert_same(new, ref)
+            if name == "overflow":
+                assert not np.isfinite(np.sum(HUGE))
+                assert np.array_equal(new.grads[at], HUGE)
+            elif name == "squares overflow":
+                g = np.array(SQUARES)
+                assert np.isfinite(g.sum()) and not np.isfinite(g.dot(g))
+                assert np.array_equal(new.grads[at], SQUARES)
+            else:
+                assert (ref.stopped_at, new.delta) == (at, np.inf)
+                assert (len(log["grad"]), log["potential"]) == (at + 1, [])
+            if at == 0:
+                # the same gradient given at q0 is tested alike
+                model, log = logged_model(scripted_model(d, {}))
+                given = trajectory_one_chain(q0, v, 0.1, L, p, scripted_model(d, {}),
+                                             np.array(g), None)
+                assert_same(run_form(form, q0, v, 0.1, L, p, model, np.array(g), None), given)
+                assert len(log["grad"]) == (L if given.live else given.stopped_at)
     if at == 0:
         # the gradient at q0 must be (d,): its row of grads would take a
         # scalar or a (1,) array by broadcasting
         for g in (0.5, [0.5], [0.5] * (d - 1)):
-            with pytest.raises(ValueError, match="gradient has shape"):
-                trajectory_reparam(q0, v, 0.1, L, p, scripted_model(d, {0: g}))
+            for form in FORMS:
+                with pytest.raises(ValueError, match="gradient has shape"):
+                    run_form(form, q0, v, 0.1, L, p, scripted_model(d, {0: g}))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -183,7 +214,7 @@ def test_block_finiteness_edges(kind, at):
     # its own one-chain outcome.  Overflowing rows stay live with their
     # exact entries; a NaN or infinite row leaves `live` at its own step,
     # keeps zero gradients from there and makes no further target call;
-    # the other rows are bit-identical to their one-chain runs
+    # every row matches its one-chain oracle, in target calls too
     d, L, k = 4, 6, 3
     rng = np.random.default_rng(at)
     p = Preconditioner(kind, d, np.zeros(n_params(kind, d)))
@@ -193,24 +224,17 @@ def test_block_finiteness_edges(kind, at):
         model, log = logged_model(scripted_model(d, {at * k + 1: g}))
         block = trajectory_reparam(q0, v, 0.1, L, p, model)
         points = {"grad": [], "potential": []}
+        refs = []
         for i in range(k):
             row_model, row_log = logged_model(scripted_model(d, {at: g} if i == 1 else {}))
-            ref = outcome(trajectory_reparam, q0[i], v[i], 0.1, L, p, row_model)
+            refs.append(trajectory_one_chain(q0[i], v[i], 0.1, L, p, row_model))
             for key in points:
                 points[key] += row_log[key]
-            if isinstance(ref, DivergenceError):
-                assert not block.live[i] and block.delta[i] == np.inf
-                assert np.array_equal(block.q[: ref.step + 1, i], ref.positions)
-                assert not block.grads[ref.step:, i].any()
-            else:
-                assert block.live[i]
-                assert_same(block.row(i), ref)
+            assert_same(block.row(i), refs[i])
         if name in ("overflow", "squares overflow"):
             assert block.live.all() and np.array_equal(block.grads[at, 1], g)
         else:
-            assert list(block.live) == [True, False, True]
-            assert outcome(trajectory_reparam, q0[1], v[1], 0.1, L, p,
-                           scripted_model(d, {at: g})).step == at
+            assert list(block.live) == [True, False, True] and refs[1].stopped_at == at
         for key in points:
             assert sorted(log[key]) == sorted(points[key]), (name, key)
 
