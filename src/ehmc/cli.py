@@ -22,8 +22,8 @@ from dataclasses import field, fields, make_dataclass, replace
 import numpy as np
 
 from . import __version__, targets
-from .objective import AdaptConfig, default_adapt_config
-from .precond import KINDS
+from .objective import AdaptConfig
+from .precond import KINDS, check_kind
 from .sampler import (OBJECTIVES, SamplerSettings, check_run_fields, run_experiment,
                       save_checkpoint)
 
@@ -53,9 +53,7 @@ RunConfig = make_dataclass("RunConfig", [
     ("out", str, field(default="results")),
     ("adapt_budget", int, field(default=0)),
     ("sample_budget", int, field(default=0)),
-    # rho_theta None means the per-kind default of default_adapt_config
-    *((f.name, f.type, field(default=None if f.name == "rho_theta" else f.default))
-      for f in fields(AdaptConfig)),
+    *((f.name, f.type, field(default=f.default)) for f in fields(AdaptConfig)),
     ("sweep_L", tuple, field(default=())),
 ], namespace={"__doc__": "Flat, fully-validated run description; round-trips through INI.",
               "__module__": __name__, "effective_steps": _effective_steps})
@@ -85,6 +83,25 @@ def _parse(typ, raw, name):
         return _BOOLS[raw.lower()] if typ is bool else typ(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"{name}: expected {_EXPECTED[typ]}, got {raw!r}") from None
+
+
+def _read(keys, label, raw):
+    # (name, value) of the setting INI-named label among keys: text is read
+    # as in a file; a typed value becomes its plain Python type (a path-like's
+    # text for a text setting, which refuses any other value; a tuple of L
+    # values; a numpy number's int or float) or goes as given to the range checks
+    if label not in keys:
+        raise ConfigError(f"unknown key {label}")
+    name, typ = keys[label]
+    if isinstance(raw, str):
+        return name, _parse(typ, raw, label)
+    if typ is str:
+        if not isinstance(raw, os.PathLike):
+            raise ConfigError(f"{label}: expected text, got {raw!r}")
+        return name, os.fspath(raw)
+    if typ is tuple:
+        return name, tuple(v.item() if isinstance(v, np.number) else v for v in raw)
+    return name, raw.item() if isinstance(raw, np.number) else raw
 
 
 # every setting: (section, INI key, RunConfig field, type); the INI parser,
@@ -167,12 +184,12 @@ _SECTIONS = ("run", "target", "adapt", "sweep", "meta")
 def parse_config(file=None, overrides=None, target_overrides=None):
     """Validate an INI file and/or flag overrides into a RunConfig.
 
-    Unknown sections or keys raise ConfigError naming the offender.  The
-    output directory is probed for writability here so a bad path fails
-    before any compute starts.
+    Every setting, [target] keys included, is read by its INI name; an
+    unknown section or key raises ConfigError naming it.  The output
+    directory is probed for writability so a bad path fails before any
+    compute starts.
     """
     given = []  # (INI name, text or value): the file's settings, then the overrides
-    target_params = {}
     if file is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -184,54 +201,38 @@ def parse_config(file=None, overrides=None, target_overrides=None):
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]")
-            if section == "target":
-                target_params = dict(parser.items(section))
-            elif section != "meta":
+            if section != "meta":
                 given += [(f"{section}.{key}", raw) for key, raw in parser.items(section)]
     given += [(_LABELS.get(name, name), raw) for name, raw in (overrides or {}).items()]
-    target_params.update(target_overrides or {})
-    values = {}
-    for label, raw in given:
-        if label not in _KEYS:
-            raise ConfigError(f"unknown key {label}")
-        name, typ = _KEYS[label]
-        # text is read as in a file; a value a library caller passes is taken as given
-        values[name] = _parse(typ, raw, label) if isinstance(raw, str) else raw
-    name = values.pop("target", None)
+    given += [(f"target.{key.lower()}", raw) for key, raw in (target_overrides or {}).items()]
+    # the preset, whose parameters are the [target] keys
+    _, name = _read(_KEYS, "run.target", dict(given).get("run.target", ""))
     if not name:
-        raise ConfigError("target: required field is missing")
+        raise ConfigError("run.target: required field is missing")
     if name not in PRESETS:
-        known = ", ".join(sorted(PRESETS))
-        raise ConfigError(f"target: unknown preset {name!r} (choose from {known})")
+        raise ConfigError(f"run.target: unknown preset {name!r} "
+                          f"(choose from {', '.join(sorted(PRESETS))})")
     schema = PRESETS[name].params
-    parsed_params = {key: default for key, (_, default) in schema.items()}
-    for key, raw in target_params.items():
-        key = key.lower()
-        if key not in schema:
-            raise ConfigError(f"unknown key target.{key} for preset {name!r}")
-        typ, _ = schema[key]
-        if isinstance(raw, str) or typ is str:
-            raw = _parse(typ, str(raw), f"target.{key}")
-        parsed_params[key] = raw
-    config = RunConfig(target=name, target_params=parsed_params, **values)
-    _validate(config)
-    return config
-
-
-def _validate(config):
+    keys = {**_KEYS, **{f"target.{key}": (key, typ) for key, (typ, _) in schema.items()}}
+    values, target_params = {}, {key: default for key, (_, default) in schema.items()}
+    for label, raw in given:
+        key, value = _read(keys, label, raw)
+        (target_params if label.startswith("target.") else values)[key] = value
+    config = RunConfig(target_params=target_params, **values)
+    # the range checks, each ValueError's leading field named by its INI name
     try:
         check_run_fields(config)
         _adapt_config(config)
-        for name in ("adapt_budget", "sample_budget"):
-            targets.check_size(name, getattr(config, name), 0)
+        for budget in ("adapt_budget", "sample_budget"):
+            targets.check_size(budget, getattr(config, budget), 0)
         for L in config.sweep_L:
-            targets.check_size("sweep.l_values", L)
+            targets.check_size("sweep_L", L)
+        check_kind(config.precond)
+        _check_writable(config.out)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if config.precond not in KINDS:
-        raise ConfigError(f"precond: must be one of {', '.join(KINDS)}, "
-                          f"got {config.precond!r}")
-    _check_writable(config.out)
+        name, sep, rest = str(exc).partition(": ")
+        raise ConfigError(_LABELS.get(_RENAMED.get(name, name), name) + sep + rest) from None
+    return config
 
 
 def _check_writable(path):
@@ -254,12 +255,10 @@ def build_model(config):
 
 
 def _adapt_config(config):
-    # the per-kind defaults, overridden by each [adapt] value the config
-    # sets; AdaptConfig range-checks the result
-    return replace(default_adapt_config(config.precond), **{
-        name: getattr(config, name) for section, _, name, _ in _FIELDS
-        if section == "adapt" and getattr(config, name) is not None
-    })
+    # the [adapt] values, range-checked by AdaptConfig; an AdaptState
+    # resolves rho_theta None to the factor kind's rate
+    return AdaptConfig(**{name: getattr(config, name) for section, _, name, _ in _FIELDS
+                          if section == "adapt"})
 
 
 def to_settings(config, model=None):
@@ -363,7 +362,7 @@ def render_config(config):
     blocks = {"run": {}, "target": dict(sorted(config.target_params.items())), "adapt": {},
               "sweep": {}, "meta": {"version": __version__}}
     for section, key, name, typ in _FIELDS:
-        # rho_theta None is the per-kind default, and an empty sweep is none
+        # rho_theta None is the factor kind's rate, and an empty sweep is none
         if getattr(config, name) is not None and (typ is not tuple or getattr(config, name)):
             blocks[section][key] = getattr(config, name)
     lines = []

@@ -1,6 +1,6 @@
 """Entropy surrogate machinery: the midpoint-Hessian operator, the
 Russian-roulette series with spectral normalization, and the eigenvalue
-penalty.
+penalty, whose value and slope ``penalty_h`` gives together.
 
 The operator D(w) = -h^2 (L^2 - 1)/6 * C^T H(q_mid) C w costs one
 Hessian-vector product per application.  One roulette pass per adaptation
@@ -160,28 +160,17 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
 
 
 def penalty_h(x, delta=PENALTY_DELTA):
-    """Hinge-like eigenvalue penalty: zero up to delta, quadratic on
-    (delta, delta2], linear beyond, with delta2 = 1 + delta.  Continuous
-    with continuous slope at delta (slope 0) and a slope match at delta2.
-    Once 1 + delta rounds to delta, both pieces vanish and it is 0."""
+    """Hinge-like eigenvalue penalty and its slope, as (value, slope): zero
+    up to delta, quadratic on (delta, delta2], linear beyond, with
+    delta2 = 1 + delta.  Continuous, with slope 0 at delta and matched at
+    delta2 (a kink takes the slope on its left).  Once 1 + delta rounds to
+    delta, both pieces vanish and both are 0."""
     if not 0 < delta < np.inf:
         raise ValueError(f"delta: must be finite and positive, got {delta}")
     delta2 = 1.0 + delta
     if x <= delta:
-        return 0.0
+        return 0.0, 0.0
     if x <= delta2:
-        return (x - delta) ** 2
+        return (x - delta) ** 2, 2.0 * (x - delta)
     w = delta2 - delta
-    return w * w + w * w * (x - delta2)
-
-
-def penalty_h_grad(x, delta=PENALTY_DELTA):
-    """Derivative of penalty_h away from the kink points."""
-    if not 0 < delta < np.inf:
-        raise ValueError(f"delta: must be finite and positive, got {delta}")
-    delta2 = 1.0 + delta
-    if x <= delta:
-        return 0.0
-    if x <= delta2:
-        return 2.0 * (x - delta)
-    return (delta2 - delta) ** 2
+    return w * w + w * w * (x - delta2), (delta2 - delta) ** 2

@@ -95,8 +95,8 @@ def _chain_grad(model, q, grads, step, given=None):
     # non-finite gradient is zeroed; returns whether the chain is live
     if given is None:
         given = model.grad(q[step])
-        if step == 0 and np.shape(given) != q.shape[1:]:
-            raise ValueError(f"gradient has shape {np.shape(given)}, expected {q.shape[1:]}")
+    if step == 0 and np.shape(given) != q.shape[1:]:
+        raise ValueError(f"gradient has shape {np.shape(given)}, expected {q.shape[1:]}")
     grads[step] = given
     g = grads[step]
     if math.isfinite(g.dot(g)) or np.isfinite(g).all():
@@ -115,8 +115,8 @@ def _row_grads(model, q, grads, live, step, given=None):
             g = None if given is None else given[i]
             if g is None:
                 g = model.grad(q[step, i])
-                if step == 0 and np.shape(g) != q.shape[2:]:
-                    raise ValueError(f"gradient has shape {np.shape(g)}, expected {q.shape[2:]}")
+            if step == 0 and np.shape(g) != q.shape[2:]:
+                raise ValueError(f"gradient has shape {np.shape(g)}, expected {q.shape[2:]}")
             grads[step, i] = g
     flat = grads[step].ravel()  # a view: grads is C-contiguous
     if math.isfinite(flat.dot(flat)):
@@ -139,10 +139,10 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
 
     q0 and v are (d,) for one chain, or (k, d) for k chains in lockstep,
     where g0 and u0 are sequences of k entries (None where not known).  A
-    gradient evaluated at q0 must be (d,), else ValueError (its row of
-    grads would take a scalar or a (1,) by broadcasting).  One divergence
-    rule holds for both: a non-finite gradient, given or evaluated, stops
-    its chain (see the module docstring).
+    gradient at q0, given or evaluated, must be (d,), else ValueError (a
+    row of grads would take a scalar or a (1,) by broadcasting).  One
+    divergence rule holds for both: a non-finite gradient, given or
+    evaluated, stops its chain (see the module docstring).
     """
     if h <= 0 or L < 1:
         raise ValueError("need h > 0 and L >= 1")

@@ -20,7 +20,7 @@ the frozen pieces, live in the test suite, whose finite differences of
 them are the independent check.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ from .entropy import (
     N_MIN,
     PENALTY_DELTA,
     dl_coeff,
-    penalty_h_grad,
+    penalty_h,
 )
 from .targets import check_size
 
@@ -42,6 +42,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 L2HMC_FLOOR = 1e-8
+# each factor kind's Adam rate: dense and banded need a smaller step than diagonal
+RHO_THETA = {"diagonal": 1e-2, "dense": 1e-3, "banded": 1e-3}
 # former AdaptConfig fields, now the constants above, as older checkpoints
 # store them; each with the only value such a checkpoint may hold
 RETIRED = {"beta_bounds": BETA_BOUNDS, "gamma_bounds": GAMMA_BOUNDS,
@@ -52,10 +54,11 @@ RETIRED = {"beta_bounds": BETA_BOUNDS, "gamma_bounds": GAMMA_BOUNDS,
 @dataclass
 class AdaptConfig:
     """Learning rates and controller constants for one adaptation run: the
-    [adapt] settings, range-checked on construction; each ValueError
-    message starts with the field it names."""
+    [adapt] settings, range-checked on construction, then held as plain
+    Python numbers; each ValueError message starts with the field it names.
+    rho_theta None is the factor kind's rate (RHO_THETA), left to AdaptState."""
 
-    rho_theta: float = 1e-2
+    rho_theta: float = None
     rho_beta: float = 0.02
     rho_gamma: float = 1e2
     alpha_star: float = ALPHA_STAR
@@ -67,7 +70,8 @@ class AdaptConfig:
     def __post_init__(self):
         # rates of 0 freeze their part of the adaptation
         for name in ("rho_theta", "rho_beta", "rho_gamma"):
-            if not 0 <= getattr(self, name) < np.inf:
+            if not (name == "rho_theta" and self.rho_theta is None
+                    or 0 <= getattr(self, name) < np.inf):
                 raise ValueError(f"{name}: must be finite and nonnegative, "
                                  f"got {getattr(self, name)}")
         for name in ("alpha_star", "delta_prime"):
@@ -79,20 +83,18 @@ class AdaptConfig:
         check_size("n_min", self.n_min)
         if not 0 < self.lambda_rate <= 1:
             raise ValueError(f"lambda_rate: must lie in (0, 1], got {self.lambda_rate}")
-
-
-def default_adapt_config(kind):
-    """Per-kind learning-rate defaults: the dense and banded parameterizations
-    need a smaller step than the diagonal one."""
-    return AdaptConfig() if kind == "diagonal" else AdaptConfig(rho_theta=1e-3)
+        for name, value in vars(self).items():
+            if value is not None:
+                setattr(self, name, int(value) if name == "n_min" else float(value))
 
 
 @dataclass
 class AdaptState:
-    """Mutable optimizer state shared by all chains between barriers."""
+    """Mutable optimizer state shared by all chains between barriers; a
+    config's rho_theta None becomes the factor kind's rate."""
 
     precond: object
-    config: AdaptConfig
+    config: AdaptConfig = field(default_factory=AdaptConfig)
     beta: float = 1.0
     gamma: float = GAMMA_BOUNDS[0]
     adam_m: np.ndarray = None
@@ -102,23 +104,17 @@ class AdaptState:
     skip_count: int = 0
 
     def __post_init__(self):
+        if self.config.rho_theta is None:
+            self.config = replace(self.config, rho_theta=RHO_THETA[self.precond.kind])
         n = self.precond.theta.size
         if self.adam_m is None:
             self.adam_m = np.zeros(n)
         if self.adam_v is None:
             self.adam_v = np.zeros(n)
-        lo, hi = BETA_BOUNDS
-        if not lo <= self.beta <= hi:
-            raise ValueError("beta outside its projection interval")
-        lo, hi = GAMMA_BOUNDS
-        if not lo <= self.gamma <= hi:
-            raise ValueError("gamma outside its projection interval")
-
-
-def make_adapt_state(precond, config=None):
-    if config is None:
-        config = default_adapt_config(precond.kind)
-    return AdaptState(precond=precond, config=config)
+        for name, (lo, hi) in (("beta", BETA_BOUNDS), ("gamma", GAMMA_BOUNDS)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name}: outside its projection interval [{lo}, {hi}], "
+                                 f"got {getattr(self, name)}")
 
 
 # -- frozen endpoint pieces ----------------------------------------------
@@ -198,7 +194,7 @@ def gsm_gradient(traj, draws, state, precond):
         hvp_b = np.stack([np.zeros_like(dr.b) if dr.hvp_b is None else dr.hvp_b
                           for dr in draws])
         delta = state.config.penalty_delta
-        coeff = [state.beta * state.gamma * penalty_h_grad(abs(dr.mu), delta) * np.sign(dr.mu)
+        coeff = [state.beta * state.gamma * penalty_h(abs(dr.mu), delta)[1] * np.sign(dr.mu)
                  * c * 2.0 for dr in draws]
         terms += [([dr.hvp_eps for dr in draws], [dr.y for dr in draws], -state.beta * c),
                   ([dr.hvp_y for dr in draws], [dr.epsilon for dr in draws], -state.beta * c),

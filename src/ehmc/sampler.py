@@ -43,7 +43,6 @@ from .objective import (
     gsm_gradient,
     jump_value,
     l2hmc_gradient,
-    make_adapt_state,
     update_beta,
     update_gamma,
     update_lambda,
@@ -226,7 +225,7 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
         if draws:
             mus = [abs(draw.mu) for draw in draws]
             stats["mu"] = float(np.mean(mus))
-            stats["pen"] = float(np.mean([penalty_h(mu, cfg.penalty_delta) for mu in mus]))
+            stats["pen"] = float(np.mean([penalty_h(mu, cfg.penalty_delta)[0] for mu in mus]))
             update_gamma(state, stats["pen"])
     elif objective == "l2hmc" and live.size and not fresh_lambda:
         update_lambda(state, float(np.mean(jumps)))
@@ -295,7 +294,7 @@ def run_experiment(settings):
     t_start = time.perf_counter()
     model = settings.model
     precond = make_preconditioner(settings.kind, model.dim)
-    state = make_adapt_state(precond, settings.adapt_config)
+    state = AdaptState(precond, settings.adapt_config or AdaptConfig())
     chains = make_chains(model, settings.chains, settings.seed,
                          settings.init, settings.init_scale)
     mu_trace = []
@@ -370,8 +369,8 @@ def _generator(state_json):
 
 def load_checkpoint(path):
     """Rebuild (chains, state, h, meta) from a checkpoint file.  An unknown
-    setting, an array of the wrong shape or dtype, or a non-finite position,
-    theta or Adam moment is refused with a ValueError naming it first."""
+    setting, a wrong shape or dtype, a non-finite position, theta or Adam
+    moment, or a bad scalar is refused with a ValueError naming it first."""
     with np.load(path, allow_pickle=False) as data:
         ck = {key: data[key] for key in data.files}
     config_d = json.loads(str(ck["config_json"]))
@@ -399,6 +398,13 @@ def load_checkpoint(path):
         if not np.isfinite(ck[name]).all():
             raise ValueError(f"{name}: has a non-finite entry")
     beta, gamma, step, lam, skips, h = ck["scalars"]
+    if not 0 < h < np.inf:
+        raise ValueError(f"h: must be finite and positive, got {h}")
+    for name, count in (("step", step), ("skip_count", skips)):
+        if not (count >= 0 and float(count).is_integer()):
+            raise ValueError(f"{name}: must be a nonnegative integer, got {count}")
+    if not (np.isnan(lam) or 0 < lam < np.inf):
+        raise ValueError(f"lambda_ma: must be unset (NaN) or finite and positive, got {lam}")
     state = AdaptState(precond=precond, config=AdaptConfig(**config_d), beta=float(beta),
                        gamma=float(gamma), adam_m=ck["adam_m"], adam_v=ck["adam_v"],
                        step=int(step), lambda_ma=None if np.isnan(lam) else float(lam),

@@ -253,6 +253,30 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
                          hvp_eps=hvp_eps, hvp_b=hvp_b, hvp_y=hvp_y, eta_bar=eta)
 
 
+def penalty_value_reference(x, delta):
+    """The eigenvalue penalty's value, written apart from its slope: the
+    reference that ``penalty_h(x, delta)[0]`` is bit-checked against."""
+    delta2 = 1.0 + delta
+    if x <= delta:
+        return 0.0
+    if x <= delta2:
+        return (x - delta) ** 2
+    w = delta2 - delta
+    return w * w + w * w * (x - delta2)
+
+
+def penalty_slope_reference(x, delta):
+    """The eigenvalue penalty's slope (at a kink, the slope on its left),
+    written apart from its value: the reference that
+    ``penalty_h(x, delta)[1]`` is bit-checked against."""
+    delta2 = 1.0 + delta
+    if x <= delta:
+        return 0.0
+    if x <= delta2:
+        return 2.0 * (x - delta)
+    return (delta2 - delta) ** 2
+
+
 def roulette_logdet_estimate(draw):
     """Unbiased log det(I + D) estimate from one pass.
 
@@ -470,7 +494,7 @@ def gsm_surrogate_loss(traj, draw, state, precond, model):
     log_det = d * np.log(traj.h) + logdet(precond)
     ent = _entropy_bilinear(traj, precond, model, draw.y, draw.epsilon)
     mu = _entropy_bilinear(traj, precond, model, draw.b, draw.b)
-    pen = penalty_h(abs(mu), state.config.penalty_delta)
+    pen = penalty_h(abs(mu), state.config.penalty_delta)[0]
     loss = energy - state.beta * (log_det + ent - state.gamma * pen)
     parts = {
         "delta": delta,
@@ -569,7 +593,7 @@ def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=
                 state.skip_count += 1
                 continue
             grads.append(sampler.gsm_gradient(block, [draw], state, precond)[0])
-            pens.append(sampler.penalty_h(abs(draw.mu), cfg.penalty_delta))
+            pens.append(sampler.penalty_h(abs(draw.mu), cfg.penalty_delta)[0])
             mus.append(abs(draw.mu))
     elif objective == "esjd":
         grads = [sampler.esjd_gradient(block, precond)[0] for _, block in live]

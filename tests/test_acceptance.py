@@ -13,11 +13,11 @@ from ehmc.diagnostics import ess, split_rhat
 from ehmc.entropy import dl_coeff, MidpointOperator, roulette_pass
 from ehmc.integrator import trajectory_reparam
 from ehmc.objective import (
+    AdaptState,
     esjd_gradient,
     gsm_gradient,
     jump_value,
     l2hmc_gradient,
-    make_adapt_state,
 )
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import SamplerSettings, hmc_transition, make_chains, run_experiment
@@ -161,7 +161,7 @@ def test_criterion_06_gradient_engine():
         d = 5 if kind == "diagonal" else 6
         model = random_gaussian(rng, d)
         p = random_precond(rng, kind, d)
-        state = make_adapt_state(p)
+        state = AdaptState(p)
         state.beta = 0.8
         state.gamma = 2e3
         state.lambda_ma = 1.1

@@ -14,8 +14,8 @@ import pytest
 from ehmc import objective as objective_module, sampler
 from ehmc.entropy import MidpointOperator, roulette_pass
 from ehmc.integrator import trajectory_reparam
-from ehmc.objective import (esjd_gradient, gsm_gradient, jump_value, l2hmc_gradient,
-                            make_adapt_state)
+from ehmc.objective import (AdaptState, esjd_gradient, gsm_gradient, jump_value,
+                            l2hmc_gradient)
 from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import ChainState, SamplerSettings, make_chains, run_experiment
 from ehmc.targets import gaussian_target
@@ -98,7 +98,7 @@ def test_target_calls_are_per_chain_vectors(objective, monkeypatch):
     sides = []
     for step_fn in (sampler.adaptive_step, adaptive_step_per_chain):
         model, log = logged_model(hazard_model())
-        state = make_adapt_state(make_preconditioner("diagonal", 3))
+        state = AdaptState(make_preconditioner("diagonal", 3))
         chains = make_chains(model, 4, seed=5)
         counts = []
         for _ in range(14):
@@ -190,7 +190,7 @@ def test_adaptation_trajectory_map_calls(kind, objective, monkeypatch):
 
         monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
     model = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))
-    state = make_adapt_state(make_preconditioner(kind, 3))
+    state = AdaptState(make_preconditioner(kind, 3))
     chains = make_chains(model, CHAINS, seed=6)
     for _ in range(3):
         del maps[:], bindings[:], checked[:]
@@ -216,7 +216,7 @@ def test_one_parameter_gradient_call_per_adaptation_step(objective, monkeypatch)
 
         monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
     model = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))
-    state = make_adapt_state(make_preconditioner("dense", 3))
+    state = AdaptState(make_preconditioner("dense", 3))
     chains = make_chains(model, CHAINS, seed=6)
     for _ in range(6):
         before = dict(calls)
@@ -242,7 +242,7 @@ def test_objective_gradient_map_calls(kind, monkeypatch):
                               h, L, precond, model)
     draws = [roulette_pass(MidpointOperator(traj.midpoint[i], precond, model, h, L), d, rng)
              for i in range(4)]
-    state = make_adapt_state(precond)
+    state = AdaptState(precond)
     state.lambda_ma = 1.3
     calls = {"matvec": 0, "rmatvec": 0}
     for attr in calls:

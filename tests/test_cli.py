@@ -33,7 +33,7 @@ from ehmc.cli import (
 from ehmc.diagnostics import RunReport
 from ehmc.objective import AdaptConfig
 from ehmc.precond import KINDS, make_preconditioner
-from ehmc.sampler import SamplerSettings, run_experiment
+from ehmc.sampler import SamplerSettings, load_checkpoint, run_experiment
 from ehmc.targets import gaussian_target
 
 from _oracles import cholesky_inverse
@@ -79,7 +79,7 @@ def test_missing_target_errors():
 
 def test_zero_l_names_field(tmp_path):
     path = write_config(tmp_path, f"[run]\ntarget = gaussian_iso\nl = 0\nout = {tmp_path}\n")
-    with pytest.raises(ConfigError, match="L"):
+    with pytest.raises(ConfigError, match="^run.l: must be at least 1, got 0$"):
         parse_config(path)
 
 
@@ -134,10 +134,12 @@ UNRUNNABLE = [
 
 @pytest.mark.parametrize("name,value", UNRUNNABLE)
 def test_unrunnable_value_names_its_field(tmp_path, name, value):
-    with pytest.raises(ConfigError, match=f"^{name}:"):
+    # parse_config names the setting by its INI name, the library by its field
+    adapt = name in {f.name for f in fields(AdaptConfig)}
+    with pytest.raises(ConfigError, match=f"^{'adapt' if adapt else 'run'}.{name.lower()}:"):
         parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path), name: value})
     with pytest.raises(ValueError, match=f"^{name}:"):
-        if name in {f.name for f in fields(AdaptConfig)}:
+        if adapt:
             AdaptConfig(**{name: value})
         else:
             run_experiment(SamplerSettings(model=gaussian_target(precision=np.ones(2)),
@@ -155,7 +157,8 @@ NON_INTEGER = [
 
 @pytest.mark.parametrize("name,value", NON_INTEGER)
 def test_non_integer_count_names_its_field(tmp_path, name, value):
-    label, bad = ("sweep.l_values", value[-1]) if name == "sweep_L" else (name, value)
+    label = "sweep.l_values" if name == "sweep_L" else f"run.{name.lower()}"
+    bad = value[-1] if name == "sweep_L" else value
     with pytest.raises(ConfigError, match=f"^{label}: must be an integer, got {bad!r}$"):
         parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path), name: value})
 
@@ -240,6 +243,37 @@ def test_roundtrip_through_render(tmp_path):
     cfg2 = parse_config(write_config(tmp_path, text))
     assert cfg2 == cfg
     assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
+# values a library caller passes typed (out: the run's directory as a Path):
+# each becomes its setting's plain Python type, which the report's
+# config.echo and the checkpoint's JSON can hold
+TYPED = [("out", None), ("sweep_L", [1, 2]), ("seed", np.int64(3)),
+         ("rho_beta", np.float32(0.02))]
+
+
+@pytest.mark.parametrize("name, value", TYPED,
+                         ids=["out-path", "sweep_L-list", "seed-int64", "rho_beta-float32"])
+def test_typed_value_runs_and_writes_every_output(tmp_path, name, value):
+    out = tmp_path / "out"
+    cfg = parse_config(None, {"target": "gaussian_iso", "L": 2, "adapt_steps": 2,
+                              "sample_steps": 8, "chains": 2, "out": str(out),
+                              name: out if name == "out" else value}, {"d": "2"})
+    assert type(getattr(cfg, name)) is {"out": str, "sweep_L": tuple, "seed": int,
+                                         "rho_beta": float}[name]
+    paths = emit_report(run_experiment(to_settings(cfg)), cfg.out, cfg)
+    assert [os.path.basename(p) for p in paths] == ["summary.csv", "per_dim.csv",
+                                                   "mu_trace.csv", "config.echo",
+                                                   "checkpoint.npz"]
+    assert parse_config(str(out / "config.echo")) == cfg
+    assert load_checkpoint(str(out / "checkpoint.npz"))[1].config.rho_beta == cfg.rho_beta
+
+
+def test_typed_text_setting_must_be_a_path():
+    with pytest.raises(ConfigError, match="^run.out: expected text, got 5$"):
+        parse_config(None, {"target": "gaussian_iso", "out": 5})
+    with pytest.raises(ConfigError, match="^target.csv: expected text, got 5$"):
+        parse_config(None, {"target": "logistic"}, {"csv": 5})
 
 
 # ------------------------------------------------------------------ presets
@@ -484,7 +518,7 @@ def test_main_huge_penalty_delta_runs(tmp_path):
 
 def test_main_validation_exit_code(tmp_path, capsys):
     # a bad setting exits with 1, writes nothing and names its field
-    for flag, value, name in (("--L", "0", "L"), ("--seed", "-1", "seed")):
+    for flag, value, name in (("--L", "0", "run.l"), ("--seed", "-1", "run.seed")):
         code, out = run_main(tmp_path, [flag, value], sub=name)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {name}:")
@@ -496,10 +530,15 @@ def test_main_validation_exit_code(tmp_path, capsys):
 BAD_SETTINGS = [
     ("--h", "run", "h", "abc", "run.h: expected a number, got 'abc'"),
     ("--chains", "run", "chains", "1.5", "run.chains: expected an integer, got '1.5'"),
+    ("--h", "run", "h", "-1", "run.h: must be finite and positive, got -1.0"),
+    ("--L", "run", "l", "0", "run.l: must be at least 1, got 0"),
+    ("--adapt-budget", "run", "adapt_budget", "-1",
+     "run.adapt_budget: must be at least 0, got -1"),
     ("--precond", "run", "precond", "cubic",
-     "precond: must be one of diagonal, dense, banded, got 'cubic'"),
+     "run.precond: must be one of diagonal, dense, banded, got 'cubic'"),
     ("--objective", "run", "objective", "foo",
-     "objective: must be one of gsm, esjd, l2hmc, none, got 'foo'"),
+     "run.objective: must be one of gsm, esjd, l2hmc, none, got 'foo'"),
+    ("--n-min", "adapt", "n_min", "0", "adapt.n_min: must be at least 1, got 0"),
     ("--rho-theta", "adapt", "rho_theta", "x", "adapt.rho_theta: expected a number, got 'x'"),
     ("--sweep-L", "sweep", "l_values", "x", "sweep.l_values: expected an integer, got 'x'"),
     ("--sweep-L", "sweep", "l_values", "0..2", "sweep.l_values: must be at least 1, got 0"),

@@ -11,15 +11,14 @@ from ehmc.entropy import (
     MidpointOperator,
     RouletteDraw,
     penalty_h,
-    penalty_h_grad,
     roulette_pass,
     sample_truncation,
 )
 from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.targets import TargetModel, gaussian_target, logistic_target, simulate_logistic_data
 
-from _oracles import (EntrywiseMidpointOperator, hazard_model, roulette_logdet_estimate,
-                      roulette_pass_reference)
+from _oracles import (EntrywiseMidpointOperator, hazard_model, penalty_slope_reference,
+                      penalty_value_reference, roulette_logdet_estimate, roulette_pass_reference)
 
 
 # ---------------------------------------------------------------- operator
@@ -408,9 +407,11 @@ def test_clamp_inactive_for_contractive():
 
 
 def test_penalty_examples():
-    assert penalty_h(0.5, 0.75) == 0.0
-    assert np.isclose(penalty_h(1.0, 0.75), 0.0625)
-    assert np.isclose(penalty_h(2.0, 0.75), 1.25)
+    assert penalty_h(0.5, 0.75) == (0.0, 0.0)
+    value, slope = penalty_h(1.0, 0.75)
+    assert np.isclose(value, 0.0625) and np.isclose(slope, 0.5)
+    value, slope = penalty_h(2.0, 0.75)
+    assert np.isclose(value, 1.25) and slope == 1.0
     # delta defaults to PENALTY_DELTA = 0.75
     assert penalty_h(2.0) == penalty_h(2.0, 0.75)
 
@@ -419,33 +420,42 @@ def test_penalty_invalid_thresholds():
     for delta in (0.0, -0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="delta"):
             penalty_h(1.0, delta)
-        with pytest.raises(ValueError, match="delta"):
-            penalty_h_grad(1.0, delta)
 
 
 def test_penalty_vanishes_when_one_plus_delta_rounds_to_delta():
     for delta in (2.0**53, 1e17, 1e300):
         assert 1.0 + delta == delta
         for x in (0.0, 1.0, delta, 2.0 * delta):
-            assert penalty_h(x, delta) == 0.0
-            assert penalty_h_grad(x, delta) == 0.0
+            assert penalty_h(x, delta) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("delta", [0.75, 0.3, 2.5, 1e-3])
+def test_penalty_value_and_slope_match_the_reference_bits(delta):
+    # a grid through the zero, quadratic and linear pieces, with both kinks
+    # and the floats either side of them
+    delta2 = 1.0 + delta
+    kinks = [np.nextafter(k, side) for k in (delta, delta2) for side in (-np.inf, np.inf)]
+    for x in [*np.linspace(0.0, 3.0 * delta2, 301), delta, delta2, *kinks]:
+        value, slope = penalty_h(x, delta)
+        assert value == penalty_value_reference(x, delta), x
+        assert slope == penalty_slope_reference(x, delta), x
 
 
 def test_penalty_continuity_at_kinks():
     for kink in (0.75, 1.75):
-        lo = penalty_h(kink - 1e-9, 0.75)
-        hi = penalty_h(kink + 1e-9, 0.75)
+        lo = penalty_h(kink - 1e-9, 0.75)[0]
+        hi = penalty_h(kink + 1e-9, 0.75)[0]
         assert abs(hi - lo) < 1e-8
 
 
 def test_penalty_monotone():
     xs = np.linspace(0, 3, 301)
-    vals = [penalty_h(x, 0.75) for x in xs]
+    vals = [penalty_h(x, 0.75)[0] for x in xs]
     assert np.all(np.diff(vals) >= 0)
 
 
 def test_penalty_grad_matches_fd():
     eps = 1e-7
     for x in (0.3, 0.9, 1.4, 2.2, 5.0):
-        fd = (penalty_h(x + eps, 0.75) - penalty_h(x - eps, 0.75)) / (2 * eps)
-        assert abs(penalty_h_grad(x, 0.75) - fd) < 1e-6
+        fd = (penalty_h(x + eps, 0.75)[0] - penalty_h(x - eps, 0.75)[0]) / (2 * eps)
+        assert abs(penalty_h(x, 0.75)[1] - fd) < 1e-6

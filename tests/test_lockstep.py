@@ -8,7 +8,7 @@ import pytest
 
 from ehmc import sampler
 from ehmc.integrator import trajectory_reparam
-from ehmc.objective import make_adapt_state
+from ehmc.objective import AdaptState
 from ehmc.precond import make_preconditioner
 from ehmc.sampler import OBJECTIVES, adaptive_step, make_chains
 from ehmc.targets import (
@@ -71,7 +71,7 @@ def snapshot(chains, state, model, record):
 def run_side(step_fn, base, kind, objective, h_varies, h, L, steps, n_chains):
     """Snapshots and target-evaluation logs after every adaptive step."""
     model, log = logged_model(base)
-    state = make_adapt_state(make_preconditioner(kind, base.dim))
+    state = AdaptState(make_preconditioner(kind, base.dim))
     chains = make_chains(model, n_chains, seed=5)
     out = []
     for t in range(steps):
@@ -176,15 +176,21 @@ def test_lockstep_matches_through_non_finite_gradients(kind, objective, monkeypa
 
 @pytest.mark.parametrize("g", [0.5, [0.5], [0.5, 0.5]], ids=["scalar", "one entry", "d-1"])
 def test_block_refuses_wrong_shape_gradient(g):
-    # a gradient the block evaluates at its start rows must be (d,): its row
-    # of grads would take a scalar or a (1,) by broadcasting and integrate on
+    # a start gradient, evaluated or given, must be (d,) for a block and for
+    # one chain: its row of grads would take a scalar or a (1,) by
+    # broadcasting and integrate on
     base = gaussian_target(covariance=np.ones(3))
     model = TargetModel(dim=3, potential=base.potential, grad=lambda q: g, hvp=base.hvp)
     message = re.escape(f"gradient has shape {np.shape(g)}, expected (3,)")
     rng = np.random.default_rng(0)
+    q0, v = rng.standard_normal((2, 2, 3))
+    pc = make_preconditioner("diagonal", 3)
     with pytest.raises(ValueError, match=message):
-        trajectory_reparam(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), 0.1, 2,
-                           make_preconditioner("diagonal", 3), model)
-    state = make_adapt_state(make_preconditioner("diagonal", 3))
+        trajectory_reparam(q0, v, 0.1, 2, pc, model)
+    with pytest.raises(ValueError, match=message):
+        trajectory_reparam(q0[0], v[0], 0.1, 2, pc, base, g0=g, u0=0.0)
+    with pytest.raises(ValueError, match=message):
+        trajectory_reparam(q0, v, 0.1, 2, pc, base, [base.grad(q0[0]), g], [None, None])
+    state = AdaptState(make_preconditioner("diagonal", 3))
     with pytest.raises(ValueError, match=message):
         adaptive_step(make_chains(model, 2, seed=0), state, model, 0.1, 2)

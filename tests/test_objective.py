@@ -10,12 +10,10 @@ from ehmc.objective import (
     AdaptState,
     _endpoint_pieces,
     adam_update,
-    default_adapt_config,
     esjd_gradient,
     gsm_gradient,
     jump_value,
     l2hmc_gradient,
-    make_adapt_state,
     update_beta,
     update_gamma,
     update_lambda,
@@ -79,7 +77,7 @@ def test_gsm_loss_flat_case():
     rng = np.random.default_rng(0)
     traj = trajectory_reparam(rng.standard_normal(d), rng.standard_normal(d), h, L, p, m)
     draw = roulette_pass(MidpointOperator(traj.midpoint, p, m, h, L), d, rng)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     state.beta = 1.7
     loss, parts = gsm_surrogate_loss(traj, draw, state, p, m)
     assert np.isclose(loss, -1.7 * d * np.log(h), atol=1e-12)
@@ -91,7 +89,7 @@ def test_gsm_loss_flat_case():
 
 def test_gsm_loss_beta_linearity():
     m, p, traj, draw = make_case("dense", 4, 5, 0.25, seed=3)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     state.beta = 0.8
     l1, parts = gsm_surrogate_loss(traj.row(0), draw, state, p, m)
     state.beta = 1.6
@@ -106,7 +104,7 @@ def test_gsm_entropy_loss_term_closed_form():
     rng = np.random.default_rng(4)
     traj = trajectory_reparam(np.array([0.3]), np.array([0.2]), 0.5, 3, p, m)
     draw = roulette_pass(MidpointOperator(traj.midpoint, p, m, 0.5, 3), 1, rng)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     _, parts = gsm_surrogate_loss(traj, draw, state, p, m)
     c = -1.0 / 3.0
     k = np.arange(1, draw.n_terms + 1)
@@ -144,7 +142,7 @@ def test_gsm_gradient_degenerate_draw():
     assert draw.degenerate and draw.hvp_eps is not None and draw.hvp_b is None
     assert np.array_equal(draw.hvp_y, np.zeros(3))
     assert traj.delta[0] <= 0.0
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     state.gamma = 2e3
     calls.clear()
     out = gsm_gradient(traj, [draw], state, p)[0]
@@ -159,7 +157,7 @@ def test_gsm_gradient_degenerate_draw():
 def test_gsm_gradient_matches_fd(kind, d, sign):
     L = 3 if kind == "diagonal" else 4
     m, p, traj, draw = make_case(kind, d, L, 0.3, seed=stable_seed(kind, sign), sign=sign)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     state.beta = 0.9
     state.gamma = 2e3
     grad = gsm_gradient(traj, [draw], state, p)[0]
@@ -173,7 +171,7 @@ def test_gsm_gradient_matches_fd(kind, d, sign):
 def test_gsm_gradient_with_active_penalty():
     # large h drives |mu| past the threshold so the penalty branch engages
     m, p, traj, draw = make_case("diagonal", 5, 5, 1.1, seed=42, cov_spread=0.8)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     state.gamma = 5e3
     _, parts = gsm_surrogate_loss(traj.row(0), draw, state, p, m)
     assert parts["penalty"] > 0.0
@@ -214,7 +212,7 @@ def test_l2hmc_hand_example():
     # a = 1, squared jump 4, moving average 2 -> -(2 - 1/2)
     t = manual_traj([0.0], [2.0], delta=0.0)
     p = make_preconditioner("diagonal", 1)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     state.lambda_ma = 2.0
     assert np.isclose(l2hmc_loss(t, state), -1.5)
 
@@ -222,7 +220,7 @@ def test_l2hmc_hand_example():
 def test_l2hmc_floor_guards_zero_jump():
     t = manual_traj([1.0], [1.0], delta=-0.1)
     p = make_preconditioner("diagonal", 1)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     state.lambda_ma = 2.0
     val = l2hmc_loss(t, state)
     assert np.isfinite(val)
@@ -242,7 +240,7 @@ def test_esjd_gradient_matches_fd(kind, d):
 @pytest.mark.parametrize("kind,d", [("diagonal", 5), ("dense", 6), ("banded", 6)])
 def test_l2hmc_gradient_matches_fd(kind, d):
     m, p, traj, _ = make_case(kind, d, 4, 0.3, seed=stable_seed(kind, 'l2hmc'), sign="+")
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     state.lambda_ma = 1.3
     grad = l2hmc_gradient(traj, jump_value(traj), state, p)[0]
     fd = fd_theta_gradient(
@@ -315,7 +313,7 @@ def test_multi_chain_gradient_linearity():
     for kind, d in [("diagonal", 4), ("dense", 5), ("banded", 5)]:
         m, p, traj, draws = block_case(kind, d, 0.3, 3)
         assert traj.live.all() and list(traj.delta > 0) == [True, True, False, False]
-        state = make_adapt_state(p)
+        state = AdaptState(p)
         state.lambda_ma = 1.3
         blocks = (
             (gsm_gradient(traj, draws, state, p),
@@ -341,7 +339,7 @@ def test_branch_off_rows_ignore_non_finite_pieces():
     # while the other rows keep their bits
     for kind, d in [("diagonal", 4), ("dense", 5), ("banded", 5)]:
         m, p, traj, draws = block_case(kind, d, 0.3, 3)
-        state = make_adapt_state(p)
+        state = AdaptState(p)
         gsm, esjd = gsm_gradient(traj, draws, state, p), esjd_gradient(traj, p)
         traj.delta = traj.delta.copy()
         traj.delta[3] = np.inf
@@ -357,7 +355,7 @@ def test_branch_off_rows_ignore_non_finite_pieces():
 
 def test_adam_zero_gradient_noop():
     p = make_preconditioner("dense", 3)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     theta0 = p.theta.copy()
     for _ in range(5):
         adam_update(state, np.zeros_like(theta0))
@@ -366,7 +364,7 @@ def test_adam_zero_gradient_noop():
 
 def test_adam_first_step_magnitude():
     p = Preconditioner("diagonal", 4, np.zeros(4))
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     g = np.array([3.0, -0.5, 1e-3, -7.0])
     adam_update(state, g)
     step = state.precond.theta
@@ -376,7 +374,7 @@ def test_adam_first_step_magnitude():
 
 def test_adam_nonfinite_skip():
     p = make_preconditioner("diagonal", 2)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     theta0 = p.theta.copy()
     adam_update(state, np.array([np.nan, 1.0]))
     assert np.array_equal(state.precond.theta, theta0)
@@ -384,10 +382,23 @@ def test_adam_nonfinite_skip():
     assert state.step == 0
 
 
-def test_default_learning_rates():
-    assert default_adapt_config("diagonal").rho_theta == 1e-2
-    assert default_adapt_config("dense").rho_theta == 1e-3
-    assert default_adapt_config("banded").rho_theta == 1e-3
+def test_default_learning_rates(tmp_path):
+    # a config that leaves rho_theta to the factor kind gets the kind's rate
+    # alike from the library and from the command line, and is not changed
+    from ehmc.cli import parse_config, to_settings
+
+    for kind, rate in (("diagonal", 1e-2), ("dense", 1e-3), ("banded", 1e-3)):
+        config = AdaptConfig(rho_beta=0.05)
+        assert AdaptState(make_preconditioner(kind, 3), config).config.rho_theta == rate
+        assert config.rho_theta is None
+        cli = parse_config(None, {"target": "gaussian_iso", "precond": kind, "rho_beta": 0.05,
+                                  "out": str(tmp_path)}, {"d": "3"})
+        settings = to_settings(cli)
+        state = AdaptState(make_preconditioner(kind, 3), settings.adapt_config)
+        assert (state.config.rho_theta, state.config.rho_beta) == (rate, 0.05)
+    # a rate the config sets is kept
+    state = AdaptState(make_preconditioner("dense", 3), AdaptConfig(rho_theta=0.5))
+    assert state.config.rho_theta == 0.5
 
 
 # -------------------------------------------------------------- controllers
@@ -395,7 +406,7 @@ def test_default_learning_rates():
 
 def test_beta_update_examples():
     p = make_preconditioner("diagonal", 1)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     state.beta = 1.0
     update_beta(state, state.config.alpha_star)
     assert state.beta == 1.0
@@ -411,7 +422,7 @@ def test_beta_update_examples():
 
 def test_beta_monotone_growth_above_target():
     p = make_preconditioner("diagonal", 1)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     trace = []
     for _ in range(1000):
         update_beta(state, 1.0)
@@ -422,7 +433,7 @@ def test_beta_monotone_growth_above_target():
 
 def test_gamma_update():
     p = make_preconditioner("diagonal", 1)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     assert state.gamma == 1e3
     update_gamma(state, 1.0)
     assert np.isclose(state.gamma, 1100.0)
@@ -435,7 +446,7 @@ def test_gamma_update():
 
 def test_lambda_moving_average():
     p = make_preconditioner("diagonal", 1)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     assert state.lambda_ma is None
     update_lambda(state, 3.0)
     assert state.lambda_ma == 3.0
@@ -450,7 +461,7 @@ def test_lambda_moving_average():
 
 def test_state_validation():
     p = make_preconditioner("diagonal", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^beta: "):
         AdaptState(precond=p, config=AdaptConfig(), beta=1e3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^gamma: "):
         AdaptState(precond=p, config=AdaptConfig(), gamma=1.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from ehmc.objective import adam_update, make_adapt_state
+from ehmc.objective import AdaptState, adam_update
 from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import load_checkpoint, make_chains, save_checkpoint
 from ehmc.targets import gaussian_target
@@ -253,7 +253,7 @@ def test_factor_follows_theta_writes(kind, tmp_path):
     rng = np.random.default_rng(41)
     dim = 5
     p = make_preconditioner(kind, dim)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     before = p.matvec(np.ones(dim))
     adam_update(state, rng.standard_normal(p.theta.size))
     assert not np.array_equal(p.matvec(np.ones(dim)), before)

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from ehmc import sampler
-from ehmc.objective import AdaptConfig, make_adapt_state
+from ehmc.objective import AdaptConfig, AdaptState
 from ehmc.precond import Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import (
     DIVERGENCE_DELTA,
@@ -258,7 +258,7 @@ def test_zero_rates_match_plain_transitions():
     p1 = make_preconditioner("diagonal", 2)
     p2 = make_preconditioner("diagonal", 2)
     cfg = AdaptConfig(rho_theta=0.0, rho_beta=0.0, rho_gamma=0.0)
-    state = make_adapt_state(p1, cfg)
+    state = AdaptState(p1, cfg)
     a_chains = make_chains(m, 3, seed=21)
     b_chains = make_chains(m, 3, seed=21)
     for _ in range(40):
@@ -276,7 +276,7 @@ def test_esjd_performs_no_hvp_calls():
     base = gaussian_target(covariance=np.array([1.0, 2.0]))
     m, calls = counting_model(base)
     p = make_preconditioner("diagonal", 2)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     chains = make_chains(m, 3, seed=2)
     for _ in range(10):
         adaptive_step(chains, state, m, 0.4, 4, objective="esjd")
@@ -300,7 +300,7 @@ def test_gsm_step_hvp_count(monkeypatch):
         return draws[-1]
 
     monkeypatch.setattr(sampler, "roulette_pass", recording_pass)
-    state = make_adapt_state(make_preconditioner("dense", 3))
+    state = AdaptState(make_preconditioner("dense", 3))
     chains = make_chains(m, 4, seed=12)
     for _ in range(10):
         draws.clear()
@@ -313,7 +313,7 @@ def test_gsm_step_hvp_count(monkeypatch):
 def test_unknown_objective_rejected():
     m = gaussian_target(precision=np.array([1.0]))
     p = make_preconditioner("diagonal", 1)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     chains = make_chains(m, 1, seed=1)
     with pytest.raises(ValueError):
         adaptive_step(chains, state, m, 0.5, 2, objective="nuts")
@@ -506,7 +506,7 @@ def test_finite_but_huge_delta_is_divergence():
 def test_checkpoint_roundtrip_resumes_identically(tmp_path):
     m = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))
     p = make_preconditioner("dense", 3)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     chains = make_chains(m, 3, seed=17)
     for _ in range(30):
         adaptive_step(chains, state, m, 0.3, 4, objective="gsm")
@@ -534,7 +534,7 @@ def test_checkpoint_roundtrip_resumes_identically(tmp_path):
 def test_checkpoint_preserves_lambda(tmp_path):
     m = gaussian_target(precision=np.eye(2))
     p = make_preconditioner("diagonal", 2)
-    state = make_adapt_state(p)
+    state = AdaptState(p)
     chains = make_chains(m, 2, seed=19)
     for _ in range(5):
         adaptive_step(chains, state, m, 0.5, 3, objective="l2hmc")
@@ -555,7 +555,7 @@ RETIRED_ENTRIES = {"beta_bounds": [0.01, 100.0], "gamma_bounds": [1000.0, 100000
 def checkpoint_with_entries(tmp_path, entries):
     # a fresh checkpoint whose config_json also holds the given entries
     m = gaussian_target(precision=np.eye(2))
-    state = make_adapt_state(make_preconditioner("diagonal", 2))
+    state = AdaptState(make_preconditioner("diagonal", 2))
     chains = make_chains(m, 2, seed=29)
     adaptive_step(chains, state, m, 0.5, 3, objective="gsm")
     path = tmp_path / "ckpt.npz"
@@ -587,7 +587,7 @@ def test_checkpoint_with_other_retired_value_names_it(tmp_path, key, value):
 
 def test_checkpoint_loads_without_pickle(tmp_path):
     m = gaussian_target(precision=np.eye(2))
-    state = make_adapt_state(make_preconditioner("banded", 2))
+    state = AdaptState(make_preconditioner("banded", 2))
     chains = make_chains(m, 2, seed=23)
     for _ in range(3):
         adaptive_step(chains, state, m, 0.5, 3, objective="gsm")
@@ -611,7 +611,7 @@ def test_checkpoint_resave_writes_equal_arrays(tmp_path, kind, objective):
     # array names, dtypes, shapes and values, RNG state bytes, counters,
     # last_delta and the NaN slot of an unset lambda included
     m = gaussian_target(covariance=np.array([1.0, 2.0, 0.5]))
-    state = make_adapt_state(make_preconditioner(kind, 3))
+    state = AdaptState(make_preconditioner(kind, 3))
     chains = make_chains(m, 3, seed=31)
     for _ in range(6):
         adaptive_step(chains, state, m, 0.4, 3, objective=objective)
@@ -636,7 +636,7 @@ def checkpoint_with_arrays(tmp_path, **arrays):
     # a dense d = 3 checkpoint of 2 chains in which each named array is
     # replaced by its given function of the saved arrays
     m = gaussian_target(precision=np.eye(3))
-    state = make_adapt_state(make_preconditioner("dense", 3))
+    state = AdaptState(make_preconditioner("dense", 3))
     chains = make_chains(m, 2, seed=37)
     adaptive_step(chains, state, m, 0.5, 3, objective="gsm")
     path = tmp_path / "ckpt.npz"
@@ -695,6 +695,43 @@ def test_checkpoint_with_wrong_dtype_or_nonfinite_state_is_refused(tmp_path, nam
     path = checkpoint_with_arrays(tmp_path, **{name: bad})
     with pytest.raises(ValueError, match=f"^{name}: "):
         load_checkpoint(path)
+
+
+# a scalar out of its range, by its slot in scalars (beta, gamma, step,
+# lambda, skip count, h) and the name its refusal starts with
+BAD_SCALARS = [(5, np.nan, "h"), (5, -1.0, "h"), (4, -3.0, "skip_count"),
+               (3, np.inf, "lambda_ma"), (2, 2.5, "step"), (2, np.nan, "step"),
+               (0, np.nan, "beta")]
+
+
+@pytest.mark.parametrize("slot, value, name", BAD_SCALARS,
+                         ids=[f"{name}={value}" for _, value, name in BAD_SCALARS])
+def test_checkpoint_with_bad_scalar_is_refused(tmp_path, slot, value, name):
+    def bad(ck):
+        scalars = ck["scalars"].copy()
+        scalars[slot] = value
+        return scalars
+
+    path = checkpoint_with_arrays(tmp_path, scalars=bad)
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("setting", [{"n_min": np.int64(3)}, {"rho_beta": np.float32(0.02)}],
+                         ids=["n_min-int64", "rho_beta-float32"])
+def test_checkpoint_of_numpy_valued_config_round_trips(tmp_path, setting):
+    # the checks accept numpy numbers; the config then holds plain ones,
+    # which the checkpoint's JSON can store
+    (name, value), = setting.items()
+    config = AdaptConfig(**setting)
+    assert type(getattr(config, name)) is type(value.item())
+    assert getattr(config, name) == value.item()
+    m = gaussian_target(precision=np.eye(2))
+    state = AdaptState(make_preconditioner("dense", 2), config)
+    chains = make_chains(m, 2, seed=41)
+    adaptive_step(chains, state, m, 0.5, 3, objective="gsm")
+    save_checkpoint(tmp_path / "ckpt.npz", chains, state, 0.5)
+    assert load_checkpoint(tmp_path / "ckpt.npz")[1].config == state.config
 
 
 def test_checkpoint_keeps_infinite_last_delta_and_unset_lambda(tmp_path):
