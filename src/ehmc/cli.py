@@ -87,12 +87,15 @@ def _parse(typ, raw, name):
 
 def _read(keys, label, raw):
     # (name, value) of the setting INI-named label among keys: text is read
-    # as in a file; a typed value becomes its plain Python type (a path-like's
-    # text for a text setting, which refuses any other value; a tuple of L
-    # values; a numpy number's int or float) or goes as given to the range checks
+    # as in a file, and a typed value becomes its setting's plain Python type
+    # or a ValueError naming label: a text setting takes a path-like's text; a
+    # number, through check_size or check_real, an int or a float of any sign
+    # (the range checks follow); the L values, a sequence of ints
     if label not in keys:
         raise ConfigError(f"unknown key {label}")
     name, typ = keys[label]
+    if raw is None and name == "rho_theta":  # its default: the factor kind's rate
+        return name, raw
     if isinstance(raw, str):
         return name, _parse(typ, raw, label)
     if typ is str:
@@ -100,8 +103,12 @@ def _read(keys, label, raw):
             raise ConfigError(f"{label}: expected text, got {raw!r}")
         return name, os.fspath(raw)
     if typ is tuple:
-        return name, tuple(v.item() if isinstance(v, np.number) else v for v in raw)
-    return name, raw.item() if isinstance(raw, np.number) else raw
+        if np.ndim(raw) != 1:
+            raise ConfigError(f"{label}: expected a sequence of L values, got {raw!r}")
+        return name, tuple(targets.check_size(label, v, -np.inf) for v in raw)
+    if typ is int:
+        return name, targets.check_size(label, raw, -np.inf)
+    return name, targets.check_real(label, raw) if typ is float else raw
 
 
 # every setting: (section, INI key, RunConfig field, type); the INI parser,
@@ -215,12 +222,12 @@ def parse_config(file=None, overrides=None, target_overrides=None):
     schema = PRESETS[name].params
     keys = {**_KEYS, **{f"target.{key}": (key, typ) for key, (typ, _) in schema.items()}}
     values, target_params = {}, {key: default for key, (_, default) in schema.items()}
-    for label, raw in given:
-        key, value = _read(keys, label, raw)
-        (target_params if label.startswith("target.") else values)[key] = value
-    config = RunConfig(target_params=target_params, **values)
-    # the range checks, each ValueError's leading field named by its INI name
+    # every ValueError, its leading field named by its INI name, is a ConfigError
     try:
+        for label, raw in given:
+            key, value = _read(keys, label, raw)
+            (target_params if label.startswith("target.") else values)[key] = value
+        config = RunConfig(target_params=target_params, **values)
         check_run_fields(config)
         _adapt_config(config)
         for budget in ("adapt_budget", "sample_budget"):

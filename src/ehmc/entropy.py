@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .targets import check_real
+
 N_MIN = 3
 DELTA_PRIME = 0.99
 PENALTY_DELTA = 0.75
@@ -165,8 +167,7 @@ def penalty_h(x, delta=PENALTY_DELTA):
     delta2 = 1 + delta.  Continuous, with slope 0 at delta and matched at
     delta2 (a kink takes the slope on its left).  Once 1 + delta rounds to
     delta, both pieces vanish and both are 0."""
-    if not 0 < delta < np.inf:
-        raise ValueError(f"delta: must be finite and positive, got {delta}")
+    check_real("delta", delta, 0, math.inf, "()")
     delta2 = 1.0 + delta
     if x <= delta:
         return 0.0, 0.0

@@ -144,7 +144,7 @@ def trajectory_reparam(q0, v, h, L, precond, model, g0=None, u0=None):
     divergence rule holds for both: a non-finite gradient, given or
     evaluated, stops its chain (see the module docstring).
     """
-    if h <= 0 or L < 1:
+    if not 0 < h < math.inf or L < 1:
         raise ValueError("need h > 0 and L >= 1")
     q0 = np.asarray(q0, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -18,6 +18,9 @@ it does not hold for, even where their vectors are not finite.
 The matching surrogate losses, re-evaluatable at any parameter point from
 the frozen pieces, live in the test suite, whose finite differences of
 them are the independent check.
+``AdaptConfig`` checks each real setting against its interval in ``_INTERVALS``
+and ``AdaptState`` beta and gamma against their projection intervals, both
+through ``targets.check_real``.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,7 +36,7 @@ from .entropy import (
     dl_coeff,
     penalty_h,
 )
-from .targets import check_size
+from .targets import check_real, check_size
 
 BETA_BOUNDS = (1e-2, 1e2)
 GAMMA_BOUNDS = (1e3, 1e5)
@@ -49,6 +52,14 @@ RHO_THETA = {"diagonal": 1e-2, "dense": 1e-3, "banded": 1e-3}
 RETIRED = {"beta_bounds": BETA_BOUNDS, "gamma_bounds": GAMMA_BOUNDS,
            "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
            "penalty_delta2": None, "l2hmc_floor": L2HMC_FLOOR}
+
+
+# each real [adapt] setting's interval, as check_real reads it; a rate of 0
+# freezes its part of the adaptation
+_INTERVALS = {"rho_theta": (0, np.inf, "[)"), "rho_beta": (0, np.inf, "[)"),
+              "rho_gamma": (0, np.inf, "[)"), "alpha_star": (0, 1, "()"),
+              "penalty_delta": (0, np.inf, "()"), "delta_prime": (0, 1, "()"),
+              "lambda_rate": (0, 1, "(]")}
 
 
 @dataclass
@@ -68,24 +79,10 @@ class AdaptConfig:
     lambda_rate: float = 0.05
 
     def __post_init__(self):
-        # rates of 0 freeze their part of the adaptation
-        for name in ("rho_theta", "rho_beta", "rho_gamma"):
-            if not (name == "rho_theta" and self.rho_theta is None
-                    or 0 <= getattr(self, name) < np.inf):
-                raise ValueError(f"{name}: must be finite and nonnegative, "
-                                 f"got {getattr(self, name)}")
-        for name in ("alpha_star", "delta_prime"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name}: must lie in (0, 1), got {getattr(self, name)}")
-        if not 0 < self.penalty_delta < np.inf:
-            raise ValueError(f"penalty_delta: must be finite and positive, "
-                             f"got {self.penalty_delta}")
-        check_size("n_min", self.n_min)
-        if not 0 < self.lambda_rate <= 1:
-            raise ValueError(f"lambda_rate: must lie in (0, 1], got {self.lambda_rate}")
-        for name, value in vars(self).items():
-            if value is not None:
-                setattr(self, name, int(value) if name == "n_min" else float(value))
+        for name, interval in _INTERVALS.items():
+            if name != "rho_theta" or self.rho_theta is not None:
+                setattr(self, name, check_real(name, getattr(self, name), *interval))
+        self.n_min = check_size("n_min", self.n_min)
 
 
 @dataclass
@@ -112,9 +109,8 @@ class AdaptState:
         if self.adam_v is None:
             self.adam_v = np.zeros(n)
         for name, (lo, hi) in (("beta", BETA_BOUNDS), ("gamma", GAMMA_BOUNDS)):
-            if not lo <= getattr(self, name) <= hi:
-                raise ValueError(f"{name}: outside its projection interval [{lo}, {hi}], "
-                                 f"got {getattr(self, name)}")
+            setattr(self, name, check_real(name, getattr(self, name), lo, hi, "[]",
+                                           f"outside its projection interval [{lo}, {hi}]"))
 
 
 # -- frozen endpoint pieces ----------------------------------------------

@@ -40,6 +40,8 @@ from functools import partial
 
 import numpy as np
 
+from .targets import check_size
+
 KINDS = ("diagonal", "dense", "banded")
 
 
@@ -50,8 +52,9 @@ def check_kind(kind):
 
 
 def n_params(kind, dim):
-    """Length of the parameter vector for a factor kind."""
+    """Length of the parameter vector for a factor kind; checks kind and dim."""
     check_kind(kind)
+    dim = check_size("dim", dim)
     if kind == "diagonal":
         return dim
     if kind == "dense":
@@ -79,11 +82,9 @@ class Preconditioner:
     """Learnable factor C exposing C w, C^T w and their inverses."""
 
     def __init__(self, kind, dim, theta):
-        check_kind(kind)
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
+        self._n = n_params(kind, dim)  # checks kind and dim before any use
         self.kind = kind
-        self.dim = dim
+        self.dim = int(dim)
         if kind == "dense":
             # the packed parameters' places in the flattened C: the
             # diagonal, then the strict lower triangle row by row
@@ -103,11 +104,9 @@ class Preconditioner:
     @theta.setter
     def theta(self, value):
         theta = np.array(value, dtype=float)
-        if theta.shape != (n_params(self.kind, self.dim),):
-            raise ValueError(
-                f"theta has length {theta.size}, expected "
-                f"{n_params(self.kind, self.dim)} for kind {self.kind!r}"
-            )
+        if theta.shape != (self._n,):
+            raise ValueError(f"theta has length {theta.size}, expected {self._n} "
+                             f"for kind {self.kind!r}")
         theta.flags.writeable = False
         self._theta = theta
         d = self.dim
@@ -232,6 +231,4 @@ class Preconditioner:
 
 def make_preconditioner(kind, dim):
     """Create factor parameters with C = I (theta = 0 for every kind)."""
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError("dim must be a positive integer")
-    return Preconditioner(kind, int(dim), np.zeros(n_params(kind, dim)))
+    return Preconditioner(kind, dim, np.zeros(n_params(kind, dim)))

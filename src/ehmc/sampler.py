@@ -32,7 +32,7 @@ import numpy as np
 
 from .precond import Preconditioner, check_kind, make_preconditioner
 from .integrator import trajectory_reparam
-from .targets import check_size
+from .targets import check_real, check_size
 from .entropy import MidpointOperator, roulette_pass, penalty_h
 from .objective import (
     RETIRED,
@@ -271,8 +271,7 @@ def check_run_fields(run):
         raise ValueError(f"objective: must be one of {', '.join(OBJECTIVES)}, "
                          f"got {run.objective!r}")
     for name in ("h", "init_scale"):
-        if not 0 < getattr(run, name) < np.inf:
-            raise ValueError(f"{name}: must be finite and positive, got {getattr(run, name)}")
+        check_real(name, getattr(run, name), 0, math.inf, "()")
     for name, minimum in (("L", 1), ("adapt_steps", 0), ("sample_steps", 0), ("chains", 1),
                           ("seed", 0), ("thin", 1)):
         check_size(name, getattr(run, name), minimum)
@@ -398,20 +397,18 @@ def load_checkpoint(path):
         if not np.isfinite(ck[name]).all():
             raise ValueError(f"{name}: has a non-finite entry")
     beta, gamma, step, lam, skips, h = ck["scalars"]
-    if not 0 < h < np.inf:
-        raise ValueError(f"h: must be finite and positive, got {h}")
+    h = check_real("h", h, 0, math.inf, "()")
     for name, count in (("step", step), ("skip_count", skips)):
         if not (count >= 0 and float(count).is_integer()):
             raise ValueError(f"{name}: must be a nonnegative integer, got {count}")
-    if not (np.isnan(lam) or 0 < lam < np.inf):
-        raise ValueError(f"lambda_ma: must be unset (NaN) or finite and positive, got {lam}")
-    state = AdaptState(precond=precond, config=AdaptConfig(**config_d), beta=float(beta),
-                       gamma=float(gamma), adam_m=ck["adam_m"], adam_v=ck["adam_v"],
-                       step=int(step), lambda_ma=None if np.isnan(lam) else float(lam),
+    lam = None if np.isnan(lam) else check_real("lambda_ma", lam, 0, math.inf, "()",
+                                                "must be unset (NaN) or finite and positive")
+    state = AdaptState(precond=precond, config=AdaptConfig(**config_d), beta=beta, gamma=gamma,
+                       adam_m=ck["adam_m"], adam_v=ck["adam_v"], step=int(step), lambda_ma=lam,
                        skip_count=int(skips))
     chains = [ChainState(q=q.copy(), last_delta=float(delta),
                          **{name: _generator(st) for name, st in zip(STREAMS, states)},
                          **{name: int(n) for name, n in zip(COUNTERS, counts)})
               for q, delta, counts, states in zip(ck["positions"], ck["last_delta"],
                                                   ck["counters"], ck["rng_states"])]
-    return chains, state, float(h), json.loads(str(ck["meta_json"]))
+    return chains, state, h, json.loads(str(ck["meta_json"]))

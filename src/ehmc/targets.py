@@ -9,7 +9,8 @@ Cholesky factor; the module needs numpy alone.  The logistic design is
 column-major, so X q and X^T r run over contiguous memory.  The one
 mutable state is the logistic ``hvp``'s one-entry memo: the curvature
 weights s (1 - s) at the last position it was given, reused while the
-position stays equal.
+position stays equal.  ``check_size`` and ``check_real`` are every
+module's one rule for an integer and for a real setting (a bool is neither).
 """
 
 import math
@@ -87,11 +88,33 @@ def _check_symmetric(a, name):
 
 
 def check_size(arg, value, minimum=1):
-    """Raise ValueError naming ``arg`` unless ``value`` is an integer >= ``minimum``."""
+    """int(value) if ``value`` is an integer >= ``minimum``, not a bool;
+    else ValueError starting with ``arg``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{arg}: must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{arg}: must be at least {minimum}, got {value}")
+    return int(value)
+
+
+# the rule an interval states where its default "must lie in (low, high]" reads worse
+_RULES = {(0, math.inf, "()"): "must be finite and positive",
+          (0, math.inf, "[)"): "must be finite and nonnegative",
+          (-math.inf, math.inf, "[]"): "must be a number"}
+
+
+def check_real(arg, value, low=-math.inf, high=math.inf, ends="[]", rule=None):
+    """float(value) if ``value`` is a real number, not a bool, in the interval
+    from ``low`` to ``high`` with the ends ``ends`` ("[]", "[)", "(]" or "()"),
+    none of which holds NaN; else ValueError "arg: rule, got value", by
+    default with the interval's rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{arg}: must be a number, got {value!r}")
+    x = float(value)
+    if (low <= x if ends[0] == "[" else low < x) and (x <= high if ends[1] == "]" else x < high):
+        return x
+    rule = rule or _RULES.get((low, high, ends), f"must lie in {ends[0]}{low}, {high}{ends[1]}")
+    raise ValueError(f"{arg}: {rule}, got {value}")
 
 
 def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian"):
@@ -195,9 +218,7 @@ def logistic_target(X, y, prior_cov=1.0):
         raise ValueError("y length does not match X")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be 0 or 1")
-    if not 0 < prior_cov < np.inf:
-        raise ValueError(f"prior_cov: must be finite and positive, got {prior_cov}")
-    P0 = np.eye(d) / float(prior_cov)
+    P0 = np.eye(d) / check_real("prior_cov", prior_cov, 0, math.inf, "()")
     P0.flags.writeable = False
     XT = X.T
 

@@ -31,10 +31,11 @@ from ehmc.cli import (
     to_settings,
 )
 from ehmc.diagnostics import RunReport
-from ehmc.objective import AdaptConfig
-from ehmc.precond import KINDS, make_preconditioner
+from ehmc.entropy import penalty_h
+from ehmc.objective import AdaptConfig, AdaptState
+from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import SamplerSettings, load_checkpoint, run_experiment
-from ehmc.targets import gaussian_target
+from ehmc.targets import gaussian_target, logistic_target
 
 from _oracles import cholesky_inverse
 
@@ -161,6 +162,65 @@ def test_non_integer_count_names_its_field(tmp_path, name, value):
     bad = value[-1] if name == "sweep_L" else value
     with pytest.raises(ConfigError, match=f"^{label}: must be an integer, got {bad!r}$"):
         parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path), name: value})
+
+
+@pytest.mark.parametrize("value", [5, None])
+def test_sweep_values_must_be_a_sequence(tmp_path, value):
+    with pytest.raises(ConfigError, match="^sweep.l_values: expected a sequence of L values"):
+        parse_config(None, {"target": "gaussian_iso", "out": str(tmp_path), "sweep_L": value})
+
+
+def _parsed(target, label):
+    # a parse_config call for the preset target that gives the setting
+    # INI-named label the value v
+    section, key = label.split(".")
+    if section == "target":
+        return lambda v: parse_config(None, {"target": target}, {key: v})
+    return lambda v: parse_config(None, {"target": target, key: v})
+
+
+_MODEL = gaussian_target(precision=np.ones(2))
+_REAL_ADAPT = [f.name for f in fields(AdaptConfig) if f.type is float]
+# each real-valued setting at each entry point that takes one: the name its
+# error starts with, the entry point, and a call that passes it the value v
+REAL_SETTINGS = [
+    ("h", "settings", lambda v: SamplerSettings(model=_MODEL, h=v).validate()),
+    ("init_scale", "settings", lambda v: SamplerSettings(model=_MODEL, init_scale=v).validate()),
+    *((name, "AdaptConfig", lambda v, name=name: AdaptConfig(**{name: v}))
+      for name in _REAL_ADAPT),
+    ("beta", "AdaptState", lambda v: AdaptState(make_preconditioner("diagonal", 2), beta=v)),
+    ("gamma", "AdaptState", lambda v: AdaptState(make_preconditioner("diagonal", 2), gamma=v)),
+    ("delta", "penalty_h", lambda v: penalty_h(0.5, v)),
+    ("prior_cov", "logistic_target",
+     lambda v: logistic_target(np.ones((2, 1)), np.array([0.0, 1.0]), prior_cov=v)),
+]
+# the same through parse_config by INI name, [target] keys included; text is
+# read there as in a file, so a list stands for the typed non-number
+REAL_KEYS = [(label, "parse_config", _parsed("gaussian_iso", label))
+             for label in ["run.h", "run.init_scale", "target.scale",
+                           *(f"adapt.{name}" for name in _REAL_ADAPT)]]
+REAL_KEYS.append(("target.c", "parse_config", _parsed("anisotropic", "target.c")))
+# integer settings: the factor's dimension and a preset's sizes and seeds
+SIZE_SETTINGS = [
+    ("dim", "Preconditioner", lambda v: Preconditioner("diagonal", v, np.zeros(1))),
+    ("dim", "make_preconditioner", lambda v: make_preconditioner("dense", v)),
+    ("dim", "n_params", lambda v: n_params("banded", v)),
+    ("target.d", "parse_config", _parsed("gaussian_iso", "target.d")),
+    ("target.data_seed", "parse_config", _parsed("cox", "target.data_seed")),
+]
+TYPED_NUMBERS = [pytest.param(name, call, value, id=f"{where}-{name}-{value!r}")
+                 for cases, values in ((REAL_SETTINGS, (True, "0.1", np.nan)),
+                                       (REAL_KEYS, (True, [0.1], np.nan)),
+                                       (SIZE_SETTINGS, (True, 2.0)))
+                 for name, where, call in cases for value in values]
+
+
+@pytest.mark.parametrize("name, call, value", TYPED_NUMBERS)
+def test_typed_number_is_refused_by_name(name, call, value):
+    # a bool, a non-number or NaN for a real setting, and a bool or a float
+    # for an integer one, is refused at every entry point, named first
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
+        call(value)
 
 
 def test_every_adapt_setting_has_a_key_and_a_flag():

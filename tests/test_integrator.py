@@ -278,6 +278,17 @@ def test_invalid_step_arguments():
         trajectory_reparam(np.zeros(1), np.zeros(1), 0.1, 0, p, m)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_nonfinite_step_is_refused(h):
+    # refused before the first step, not run as a trajectory of NaNs
+    m = gaussian_target(precision=np.array([1.0, 2.0]))
+    p = make_preconditioner("diagonal", 2)
+    for q0 in (np.zeros(2), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="^need h > 0"):
+            trajectory_reparam(q0, np.ones_like(q0), h, 3, p, m)
+
+
 # ------------------------------------------------------- lockstep blocks
 
 
