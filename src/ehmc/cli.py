@@ -87,19 +87,19 @@ def _parse(typ, raw, name):
 
 def _read(keys, label, raw):
     # (name, value) of the setting INI-named label among keys: text is read
-    # as in a file, and a typed value becomes its setting's plain Python type
-    # or a ValueError naming label: a text setting takes a path-like's text; a
-    # number, through check_size or check_real, an int or a float of any sign
-    # (the range checks follow); the L values, a sequence of ints
+    # as in a file, then it or a typed value becomes the setting's plain type
+    # or a ValueError naming label: a text setting takes a path-like's text;
+    # a number, through check_size or check_real, an int or a float of any
+    # sign (the range checks follow); the L values, a sequence of ints
     if label not in keys:
         raise ConfigError(f"unknown key {label}")
     name, typ = keys[label]
     if raw is None and name == "rho_theta":  # its default: the factor kind's rate
         return name, raw
     if isinstance(raw, str):
-        return name, _parse(typ, raw, label)
+        raw = _parse(typ, raw, label)
     if typ is str:
-        if not isinstance(raw, os.PathLike):
+        if not isinstance(raw, (str, os.PathLike)):
             raise ConfigError(f"{label}: expected text, got {raw!r}")
         return name, os.fspath(raw)
     if typ is tuple:

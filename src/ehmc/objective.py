@@ -18,9 +18,9 @@ it does not hold for, even where their vectors are not finite.
 The matching surrogate losses, re-evaluatable at any parameter point from
 the frozen pieces, live in the test suite, whose finite differences of
 them are the independent check.
-``AdaptConfig`` checks each real setting against its interval in ``_INTERVALS``
-and ``AdaptState`` beta and gamma against their projection intervals, both
-through ``targets.check_real``.
+Each adaptation-state rule lives where that state is built: ``AdaptConfig``
+checks the real settings (``_INTERVALS``), ``AdaptState`` the Adam moments,
+counts, lambda, beta and gamma, and ``Preconditioner`` a finite theta.
 """
 
 from dataclasses import dataclass, field, replace
@@ -47,11 +47,6 @@ ADAM_EPS = 1e-8
 L2HMC_FLOOR = 1e-8
 # each factor kind's Adam rate: dense and banded need a smaller step than diagonal
 RHO_THETA = {"diagonal": 1e-2, "dense": 1e-3, "banded": 1e-3}
-# former AdaptConfig fields, now the constants above, as older checkpoints
-# store them; each with the only value such a checkpoint may hold
-RETIRED = {"beta_bounds": BETA_BOUNDS, "gamma_bounds": GAMMA_BOUNDS,
-           "adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
-           "penalty_delta2": None, "l2hmc_floor": L2HMC_FLOOR}
 
 
 # each real [adapt] setting's interval, as check_real reads it; a rate of 0
@@ -87,8 +82,9 @@ class AdaptConfig:
 
 @dataclass
 class AdaptState:
-    """Mutable optimizer state shared by all chains between barriers; a
-    config's rho_theta None becomes the factor kind's rate."""
+    """Mutable optimizer state shared by all chains between barriers, each
+    field checked on construction (a ValueError starts with its name); a
+    config's rho_theta None becomes the kind's rate, an Adam moment None zeros."""
 
     precond: object
     config: AdaptConfig = field(default_factory=AdaptConfig)
@@ -104,10 +100,17 @@ class AdaptState:
         if self.config.rho_theta is None:
             self.config = replace(self.config, rho_theta=RHO_THETA[self.precond.kind])
         n = self.precond.theta.size
-        if self.adam_m is None:
-            self.adam_m = np.zeros(n)
-        if self.adam_v is None:
-            self.adam_v = np.zeros(n)
+        for name, value in (("adam_m", self.adam_m), ("adam_v", self.adam_v)):
+            moment = np.zeros(n) if value is None else np.asarray(value)
+            if moment.shape != (n,) or moment.dtype.kind != "f" or not np.isfinite(moment).all():
+                raise ValueError(f"{name}: must be a finite float array of shape ({n},)")
+            setattr(self, name, moment)
+        if (self.adam_v < 0).any():
+            raise ValueError("adam_v: must be nonnegative")
+        self.step = check_size("step", self.step, 0)
+        self.skip_count = check_size("skip_count", self.skip_count, 0)
+        if self.lambda_ma is not None:
+            self.lambda_ma = check_real("lambda_ma", self.lambda_ma, 0, np.inf, "()")
         for name, (lo, hi) in (("beta", BETA_BOUNDS), ("gamma", GAMMA_BOUNDS)):
             setattr(self, name, check_real(name, getattr(self, name), lo, hi, "[]",
                                            f"outside its projection interval [{lo}, {hi}]"))

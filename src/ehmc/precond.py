@@ -96,6 +96,8 @@ class Preconditioner:
 
             self._tbtrs = dtbtrs
         self.theta = theta
+        if not np.isfinite(self._theta).all():
+            raise ValueError("theta: has a non-finite entry")
 
     @property
     def theta(self):
@@ -105,7 +107,7 @@ class Preconditioner:
     def theta(self, value):
         theta = np.array(value, dtype=float)
         if theta.shape != (self._n,):
-            raise ValueError(f"theta has length {theta.size}, expected {self._n} "
+            raise ValueError(f"theta: has length {theta.size}, expected {self._n} "
                              f"for kind {self.kind!r}")
         theta.flags.writeable = False
         self._theta = theta

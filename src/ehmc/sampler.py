@@ -35,7 +35,6 @@ from .integrator import trajectory_reparam
 from .targets import check_real, check_size
 from .entropy import MidpointOperator, roulette_pass, penalty_h
 from .objective import (
-    RETIRED,
     AdaptConfig,
     AdaptState,
     adam_update,
@@ -79,25 +78,31 @@ class ChainState:
     start: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
+def check_points(arg, q, shape):
+    """q as a new float array if it has the given shape and finite entries,
+    else a ValueError starting with arg (a chain's init, checkpoint positions)."""
+    q = np.array(q, dtype=float)
+    if q.shape != shape:
+        raise ValueError(f"{arg}: must have shape {shape}, got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError(f"{arg}: has a non-finite entry")
+    return q
+
+
 def make_chains(model, n_chains, seed, init=None, init_scale=1.0):
     """Spawn chains with disjoint substreams from one master seed.
 
     Initial positions come from the velocity stream: init_scale-spread
-    standard normals, or copies of an explicit init vector.
+    standard normals, or copies of an explicit init vector (see check_points).
     """
-    if n_chains < 1:
-        raise ValueError("need at least one chain")
+    check_size("chains", n_chains)
     master = np.random.SeedSequence(seed)
     chains = []
     for child in master.spawn(n_chains):
         rngs = {name: np.random.Generator(np.random.PCG64(ss))
                 for name, ss in zip(STREAMS, child.spawn(len(STREAMS)))}
-        if init is None:
-            q0 = init_scale * rngs["rng_velocity"].standard_normal(model.dim)
-        else:
-            q0 = np.array(init, dtype=float).copy()
-            if q0.shape != (model.dim,):
-                raise ValueError(f"init: must have length {model.dim}, got {q0.shape}")
+        q0 = (init_scale * rngs["rng_velocity"].standard_normal(model.dim) if init is None
+              else check_points("init", init, (model.dim,)))
         chains.append(ChainState(q=q0, **rngs))
     return chains
 
@@ -253,14 +258,13 @@ class SamplerSettings:
     adapt_config: Optional[AdaptConfig] = None
 
     def validate(self):
-        """Range checks of the run fields, then the factor kind and the
-        shape of init; each ValueError message starts with the field it
-        names."""
+        """Range checks of the run fields, then the factor kind and init
+        (see check_points); each ValueError message starts with the field
+        it names."""
         check_run_fields(self)
         check_kind(self.kind)
-        if self.init is not None and np.shape(self.init) != (self.model.dim,):
-            raise ValueError(f"init: must have length {self.model.dim}, "
-                             f"got {np.shape(self.init)}")
+        if self.init is not None:
+            check_points("init", self.init, (self.model.dim,))
 
 
 def check_run_fields(run):
@@ -367,16 +371,13 @@ def _generator(state_json):
 
 
 def load_checkpoint(path):
-    """Rebuild (chains, state, h, meta) from a checkpoint file.  An unknown
-    setting, a wrong shape or dtype, a non-finite position, theta or Adam
-    moment, or a bad scalar is refused with a ValueError naming it first."""
+    """Rebuild (chains, state, h, meta) from a checkpoint file, checking its
+    own rules (config_json holds [adapt] settings only; array shapes and
+    dtypes; finite positions; h) and leaving those of the adaptation state to
+    where it is built (see objective).  A ValueError names its field first."""
     with np.load(path, allow_pickle=False) as data:
         ck = {key: data[key] for key in data.files}
     config_d = json.loads(str(ck["config_json"]))
-    for key, value in RETIRED.items():
-        old = config_d.pop(key, value)
-        if (tuple(old) if isinstance(old, list) else old) != value:
-            raise ValueError(f"{key}: checkpoint holds {old!r}, now fixed at {value!r}")
     unknown = sorted(config_d.keys() - {f.name for f in fields(AdaptConfig)})
     if unknown:
         raise ValueError(f"{unknown[0]}: not an adaptation setting")
@@ -385,30 +386,23 @@ def load_checkpoint(path):
     k = ck["positions"].shape[0] if ck["positions"].ndim else 0
     expected = {"positions": ((k, precond.dim), np.floating), "last_delta": ((k,), np.floating),
                 "counters": ((k, len(COUNTERS)), np.integer),
-                "rng_states": ((k, len(STREAMS)), np.bytes_),
-                "adam_m": (precond.theta.shape, np.floating),
-                "adam_v": (precond.theta.shape, np.floating), "scalars": ((6,), np.floating)}
+                "rng_states": ((k, len(STREAMS)), np.bytes_), "scalars": ((6,), np.floating)}
     for name, (shape, dtype) in expected.items():
         if ck[name].shape != shape:
             raise ValueError(f"{name}: has shape {ck[name].shape}, expected {shape}")
         if not np.issubdtype(ck[name].dtype, dtype):
             raise ValueError(f"{name}: has dtype {ck[name].dtype}, expected {dtype.__name__}")
-    for name in ("theta", "adam_m", "adam_v", "positions"):
-        if not np.isfinite(ck[name]).all():
-            raise ValueError(f"{name}: has a non-finite entry")
-    beta, gamma, step, lam, skips, h = ck["scalars"]
+    positions = check_points("positions", ck["positions"], (k, precond.dim))
+    beta, gamma, step, lam, skips, h = map(float, ck["scalars"])
     h = check_real("h", h, 0, math.inf, "()")
-    for name, count in (("step", step), ("skip_count", skips)):
-        if not (count >= 0 and float(count).is_integer()):
-            raise ValueError(f"{name}: must be a nonnegative integer, got {count}")
-    lam = None if np.isnan(lam) else check_real("lambda_ma", lam, 0, math.inf, "()",
-                                                "must be unset (NaN) or finite and positive")
+    # the counts are stored as floats: AdaptState refuses a non-integer one
+    step, skips = (int(c) if c.is_integer() else c for c in (step, skips))
     state = AdaptState(precond=precond, config=AdaptConfig(**config_d), beta=beta, gamma=gamma,
-                       adam_m=ck["adam_m"], adam_v=ck["adam_v"], step=int(step), lambda_ma=lam,
-                       skip_count=int(skips))
+                       adam_m=ck["adam_m"], adam_v=ck["adam_v"], step=step,
+                       lambda_ma=None if math.isnan(lam) else lam, skip_count=skips)
     chains = [ChainState(q=q.copy(), last_delta=float(delta),
                          **{name: _generator(st) for name, st in zip(STREAMS, states)},
                          **{name: int(n) for name, n in zip(COUNTERS, counts)})
-              for q, delta, counts, states in zip(ck["positions"], ck["last_delta"],
+              for q, delta, counts, states in zip(positions, ck["last_delta"],
                                                   ck["counters"], ck["rng_states"])]
     return chains, state, h, json.loads(str(ck["meta_json"]))

@@ -591,6 +591,7 @@ BAD_SETTINGS = [
     ("--h", "run", "h", "abc", "run.h: expected a number, got 'abc'"),
     ("--chains", "run", "chains", "1.5", "run.chains: expected an integer, got '1.5'"),
     ("--h", "run", "h", "-1", "run.h: must be finite and positive, got -1.0"),
+    ("--h", "run", "h", "nan", "run.h: must be a number, got nan"),
     ("--L", "run", "l", "0", "run.l: must be at least 1, got 0"),
     ("--adapt-budget", "run", "adapt_budget", "-1",
      "run.adapt_budget: must be at least 0, got -1"),
@@ -600,6 +601,7 @@ BAD_SETTINGS = [
      "run.objective: must be one of gsm, esjd, l2hmc, none, got 'foo'"),
     ("--n-min", "adapt", "n_min", "0", "adapt.n_min: must be at least 1, got 0"),
     ("--rho-theta", "adapt", "rho_theta", "x", "adapt.rho_theta: expected a number, got 'x'"),
+    ("--rho-beta", "adapt", "rho_beta", "nan", "adapt.rho_beta: must be a number, got nan"),
     ("--sweep-L", "sweep", "l_values", "x", "sweep.l_values: expected an integer, got 'x'"),
     ("--sweep-L", "sweep", "l_values", "0..2", "sweep.l_values: must be at least 1, got 0"),
 ]
@@ -670,7 +672,7 @@ def test_main_preset_size_names_its_parameter(tmp_path, capsys, target, param, m
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("target, param, message", [
     ("gaussian_iso", "scale=1e200", "scale: its square overflows, got 1e+200"),
-    ("gaussian_iso", "scale=nan", "diagonal covariance entries must be finite and positive"),
+    ("gaussian_iso", "scale=nan", "target.scale: must be a number, got nan"),
     ("anisotropic", "c=400", "diagonal covariance entries must be finite and positive"),
 ])
 def test_main_nonfinite_preset_value_exit_code(tmp_path, monkeypatch, capsys, target, param,

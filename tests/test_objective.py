@@ -465,3 +465,30 @@ def test_state_validation():
         AdaptState(precond=p, config=AdaptConfig(), beta=1e3)
     with pytest.raises(ValueError, match="^gamma: "):
         AdaptState(precond=p, config=AdaptConfig(), gamma=1.0)
+
+
+def _state(**given):
+    return lambda: AdaptState(make_preconditioner("diagonal", 2), **given)
+
+
+# adaptation state that would make theta non-finite on the first Adam step,
+# or fail there unnamed, and non-finite factor parameters, each with the
+# field its refusal names
+BAD_STATE = [
+    pytest.param("adam_m", _state(adam_m=np.zeros(3)), id="adam_m-long"),
+    pytest.param("adam_m", _state(adam_m=np.array([np.nan, 0.0])), id="adam_m-nan"),
+    pytest.param("adam_v", _state(adam_v=np.full(2, -1.0)), id="adam_v-negative"),
+    pytest.param("step", _state(step=-1), id="step-negative"),
+    pytest.param("step", _state(step=2.5), id="step-fractional"),
+    pytest.param("skip_count", _state(skip_count=-3), id="skip_count-negative"),
+    pytest.param("lambda_ma", _state(lambda_ma=-1.0), id="lambda_ma-negative"),
+    pytest.param("lambda_ma", _state(lambda_ma=np.nan), id="lambda_ma-nan"),
+    pytest.param("theta", lambda: Preconditioner("diagonal", 2, [np.nan, 0.0]), id="theta-nan"),
+    pytest.param("theta", lambda: Preconditioner("dense", 2, [0.0, np.inf, 0.0]), id="theta-inf"),
+]
+
+
+@pytest.mark.parametrize("name, build", BAD_STATE)
+def test_bad_adaptation_state_is_refused_by_name(name, build):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        build()
