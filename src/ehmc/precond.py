@@ -105,7 +105,10 @@ class Preconditioner:
 
     @theta.setter
     def theta(self, value):
-        theta = np.array(value, dtype=float)
+        try:
+            theta = np.array(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"theta: {exc}") from None
         if theta.shape != (self._n,):
             raise ValueError(f"theta: has length {theta.size}, expected {self._n} "
                              f"for kind {self.kind!r}")

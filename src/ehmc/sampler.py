@@ -81,7 +81,10 @@ class ChainState:
 def check_points(arg, q, shape):
     """q as a new float array if it has the given shape and finite entries,
     else a ValueError starting with arg (a chain's init, checkpoint positions)."""
-    q = np.array(q, dtype=float)
+    try:
+        q = np.array(q, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{arg}: {exc}") from None
     if q.shape != shape:
         raise ValueError(f"{arg}: must have shape {shape}, got {q.shape}")
     if not np.isfinite(q).all():
@@ -372,11 +375,15 @@ def _generator(state_json):
 
 def load_checkpoint(path):
     """Rebuild (chains, state, h, meta) from a checkpoint file, checking its
-    own rules (config_json holds [adapt] settings only; array shapes and
-    dtypes; finite positions; h) and leaving those of the adaptation state to
-    where it is built (see objective).  A ValueError names its field first."""
+    own rules (all its arrays; config_json holds [adapt] settings only; array
+    shapes and dtypes; finite positions; h) and leaving those of the adaptation
+    state to where it is built (see objective).  A ValueError names its field first."""
     with np.load(path, allow_pickle=False) as data:
         ck = {key: data[key] for key in data.files}
+    for name in ("positions", "last_delta", "counters", "rng_states", "theta", "precond_kind",
+                 "precond_dim", "adam_m", "adam_v", "scalars", "config_json", "meta_json"):
+        if name not in ck:
+            raise ValueError(f"{name}: missing from the checkpoint")
     config_d = json.loads(str(ck["config_json"]))
     unknown = sorted(config_d.keys() - {f.name for f in fields(AdaptConfig)})
     if unknown:

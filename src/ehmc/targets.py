@@ -3,7 +3,8 @@
 Every model's target is fixed at construction and safe to evaluate from
 multiple chains.  Its inputs must be finite; it keeps private copies of
 its data, and those and the matrices it builds (Gaussian ``precision``,
-``extras`` priors) are read-only.  Dense prior precisions (correlated
+``extras`` priors) are read-only and start on a 64-byte cache line, where
+OpenBLAS's gemv runs fastest (same bits).  Dense prior precisions (correlated
 Gaussian, Cox) are inverted once at construction through numpy's
 Cholesky factor; the module needs numpy alone.  The logistic design is
 column-major, so X q and X^T r run over contiguous memory.  The one
@@ -53,11 +54,14 @@ def default_hvp(model, q, w):
     return (model.grad(q + eps * w) - model.grad(q - eps * w)) / (2.0 * eps)
 
 
-def _frozen(a, order="K"):
-    """Private read-only float copy of a data array."""
-    a = np.array(a, dtype=float, order=order)
-    a.flags.writeable = False
-    return a
+def _frozen(a, order="C"):
+    """Private read-only float copy of a data array, in ``order``, starting a 64-byte line."""
+    a = np.asarray(a, dtype=float)
+    buf = np.empty(a.size + 8)  # one of any 8 consecutive floats starts a line
+    out = buf[-buf.ctypes.data % 64 // 8:][:a.size].reshape(a.shape, order=order)
+    out[...] = a
+    out.flags.writeable = False
+    return out
 
 
 def _cholesky_upper(a):
@@ -133,7 +137,7 @@ def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian")
     if a.ndim == 1:
         if not np.all((a > 0) & (a < np.inf)):
             raise ValueError(f"diagonal {arg} entries must be finite and positive")
-        P = np.diag(1.0 / a if arg == "covariance" else a)
+        P = _frozen(np.diag(1.0 / a if arg == "covariance" else a))
     elif a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{arg} must be a vector or a square matrix")
     else:
@@ -142,8 +146,7 @@ def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian")
             U = _cholesky_upper(a)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"{arg} is not positive definite") from exc
-        P = _spd_inverse(U) if arg == "covariance" else a.copy()
-    P.flags.writeable = False
+        P = _frozen(_spd_inverse(U) if arg == "covariance" else a)
     d = P.shape[0]
     mu = _frozen(np.zeros(d) if mean is None else mean)
     if mu.shape != (d,) or not np.all(np.isfinite(mu)):
@@ -190,8 +193,7 @@ def correlated_gaussian(grid_points=51):
         model = gaussian_target(covariance=K, name=f"correlated(d={grid_points})")
     except ValueError as exc:
         raise RuntimeError("kernel matrix factorization failed") from exc
-    K.flags.writeable = False
-    model.extras["covariance"] = K
+    model.extras["covariance"] = _frozen(K)
     return model
 
 
@@ -218,8 +220,7 @@ def logistic_target(X, y, prior_cov=1.0):
         raise ValueError("y length does not match X")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be 0 or 1")
-    P0 = np.eye(d) / check_real("prior_cov", prior_cov, 0, math.inf, "()")
-    P0.flags.writeable = False
+    P0 = _frozen(np.eye(d) / check_real("prior_cov", prior_cov, 0, math.inf, "()"))
     XT = X.T
 
     def potential(q):
@@ -356,13 +357,12 @@ def cox_target(n, y):
     if np.any(y < 0) or np.any(y != np.round(y)):
         raise ValueError("counts must be nonnegative integers")
     m = 1.0 / d
-    cov = _cox_prior_cov(n)
+    cov = _frozen(_cox_prior_cov(n))
     try:
-        P = _spd_inverse(_cholesky_upper(cov))
+        P = _frozen(_spd_inverse(_cholesky_upper(cov)))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("Cox prior covariance is not positive definite") from exc
-    P.flags.writeable = cov.flags.writeable = False
-    mu_vec = np.full(d, COX_MU)
+    mu_vec = _frozen(np.full(d, COX_MU))
 
     def potential(x):
         r = x - mu_vec

@@ -485,6 +485,7 @@ BAD_STATE = [
     pytest.param("lambda_ma", _state(lambda_ma=np.nan), id="lambda_ma-nan"),
     pytest.param("theta", lambda: Preconditioner("diagonal", 2, [np.nan, 0.0]), id="theta-nan"),
     pytest.param("theta", lambda: Preconditioner("dense", 2, [0.0, np.inf, 0.0]), id="theta-inf"),
+    pytest.param("theta", lambda: Preconditioner("diagonal", 2, ["a", "b"]), id="theta-text"),
 ]
 
 

@@ -429,6 +429,8 @@ def test_settings_validation():
         dict(kind="cubic"),
         dict(init=np.zeros(3)),
         dict(init=np.array([np.nan])),
+        dict(init=["a"]),
+        dict(init="a"),
     ):
         settings = SamplerSettings(model=m, **bad)
         with pytest.raises(ValueError, match=f"^{next(iter(bad))}:"):
@@ -648,6 +650,16 @@ def checkpoint_with_arrays(tmp_path, **arrays):
 def test_checkpoint_with_inconsistent_arrays_is_refused(tmp_path, name, bad):
     path = checkpoint_with_arrays(tmp_path, **{name: bad})
     with pytest.raises(ValueError, match=f"^{name}:"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", CHECKPOINT_ARRAYS)
+def test_checkpoint_missing_an_array_is_refused_by_name(tmp_path, name):
+    path = checkpoint_with_arrays(tmp_path)
+    with np.load(path, allow_pickle=False) as data:
+        kept = {key: data[key] for key in data.files if key != name}
+    np.savez(path, **kept)
+    with pytest.raises(ValueError, match=f"^{name}: missing from the checkpoint$"):
         load_checkpoint(path)
 
 

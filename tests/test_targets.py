@@ -625,25 +625,100 @@ def test_gaussian_mean_must_be_finite_of_its_length(mean):
         gaussian_target(covariance=[1.0, 2.0], mean=mean)
 
 
+# (id, a model's builder, the name of an array the model exposes)
+EXPOSED = [
+    ("gaussian-precision", lambda: gaussian_target(covariance=[1.0, 2.0, 3.0]), "precision"),
+    ("correlated-precision", lambda: correlated_gaussian(9), "precision"),
+    ("correlated-covariance", lambda: correlated_gaussian(9), "covariance"),
+    ("logistic-prior_precision",
+     lambda: logistic_target(*simulate_logistic_data(50, 3, seed=1)), "prior_precision"),
+    ("cox-prior_precision", lambda: cox_target(3, simulate_cox_data(3, seed=1)[1]),
+     "prior_precision"),
+    ("cox-prior_cov", lambda: cox_target(3, simulate_cox_data(3, seed=1)[1]), "prior_cov"),
+]
+
+
+def _exposed(m, name):
+    return m.precision if name == "precision" else m.extras[name]
+
+
 def test_model_arrays_are_read_only():
     # the arrays a model exposes are the ones its closures read: a write
     # fails and leaves the model as it was
-    X, y = simulate_logistic_data(50, 3, seed=1)
-    _, counts = simulate_cox_data(3, seed=1)
-    cases = [(gaussian_target(covariance=[1.0, 2.0, 3.0]), "precision"),
-             (correlated_gaussian(9), "precision"),
-             (correlated_gaussian(9), "covariance"),
-             (logistic_target(X, y), "prior_precision"),
-             (cox_target(3, counts), "prior_precision"),
-             (cox_target(3, counts), "prior_cov")]
     rng = np.random.default_rng(12)
-    for m, name in cases:
-        a = m.precision if name == "precision" else m.extras[name]
+    for _, build, name in EXPOSED:
+        m = build()
+        a = _exposed(m, name)
         q = rng.standard_normal(m.dim)
         before = m.grad(q)
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 100.0
         assert np.array_equal(m.grad(q), before)
+
+
+@pytest.mark.parametrize("shape, order", [((0,), "C"), ((1,), "C"), ((7,), "C"),
+                                          ((51, 51), "C"), ((5000, 21), "F")],
+                         ids=["empty", "one", "seven", "51x51-C", "5000x21-F"])
+def test_frozen_copy_starts_a_cache_line(shape, order):
+    a = np.random.default_rng(4).standard_normal(shape)
+    before = a.copy()
+    out = targets._frozen(a, order=order)
+    assert out.ctypes.data % 64 == 0
+    assert np.array_equal(out, before)
+    a += 1.0
+    assert np.array_equal(out, before)
+    assert not out.flags.writeable
+    assert out.flags.c_contiguous if order == "C" else out.flags.f_contiguous
+
+
+@pytest.mark.parametrize("build, name", [case[1:] for case in EXPOSED] + [
+    (lambda: logistic_target(*simulate_logistic_data(50, 3, seed=1)), "design")],
+    ids=[case[0] for case in EXPOSED] + ["logistic-design"])
+def test_model_arrays_start_on_a_cache_line(monkeypatch, build, name):
+    # the design is found among the arrays _frozen makes; it stays column-major
+    made = []
+    frozen = targets._frozen
+
+    def recording(a, order="C"):
+        made.append(frozen(a, order=order))
+        return made[-1]
+
+    monkeypatch.setattr(targets, "_frozen", recording)
+    m = build()
+    if name == "design":
+        a, = [a for a in made if a.shape == (50, 3)]
+        assert a.flags.f_contiguous
+    else:
+        a = _exposed(m, name)
+    assert a.ctypes.data % 64 == 0
+
+
+def _at_offset(a, offset):
+    # a column-major copy of a whose first entry sits offset bytes past a
+    # 64-byte line
+    buf = np.empty(a.size + 8)
+    start = (offset - buf.ctypes.data) % 64 // 8
+    out = buf[start:start + a.size].reshape(a.shape, order="F")
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+@pytest.mark.parametrize("offset", [8, 16, 48])
+def test_logistic_bits_do_not_depend_on_design_alignment(offset):
+    # the aligned design changes the speed of X q and X^T r, never their bits
+    X, y = simulate_logistic_data(5000, 21, seed=6)
+    m = logistic_target(X, y)
+    Xo, P0 = _at_offset(X, offset), m.extras["prior_precision"]
+    rng = np.random.default_rng(offset)
+    for _ in range(5):
+        q, w = 0.3 * rng.standard_normal(21), rng.standard_normal(21)
+        t = Xo.dot(q)
+        s = targets._sigmoid(t)
+        assert m.potential(q) == float((targets._log1pexp(t) - y * t).sum()
+                                       + (0.5 * q).dot(P0.dot(q)))
+        assert np.array_equal(m.grad(q), Xo.T.dot(s - y) + P0.dot(q))
+        assert np.array_equal(m.hvp(q, w), Xo.T.dot(s * (1.0 - s) * Xo.dot(w)) + P0.dot(w))
 
 
 @pytest.mark.parametrize("name, make", [
