@@ -34,7 +34,6 @@ from .entropy import (
     N_MIN,
     PENALTY_DELTA,
     dl_coeff,
-    penalty_h,
 )
 from .targets import check_real, check_size
 
@@ -165,7 +164,7 @@ def _contract(precond, terms, out):
 # -- penalised generalized-speed-measure objective -----------------------
 
 
-def gsm_gradient(traj, draws, state, precond):
+def gsm_gradient(traj, draws, slopes, state, precond):
     """Analytic gradient of the penalised loss under frozen-value semantics,
     one row per chain of the block traj.
 
@@ -178,6 +177,9 @@ def gsm_gradient(traj, draws, state, precond):
     over a MidpointOperator, which keeps H C eps, H C b and H C y, and
     whose mu is the b^T D b the caller's penalty reads; so no hvp call is
     made here, and a GSM chain-step costs the pass's N + 1 products.
+    slopes holds, per draw, the slope of ``penalty_h`` at |mu| under the
+    state's penalty_delta: the caller evaluates the penalty once per draw
+    and keeps its value for the gamma update.
     """
     out = np.zeros((len(draws), precond.theta.size))
     # log-det part: d log h is theta-free
@@ -192,9 +194,8 @@ def gsm_gradient(traj, draws, state, precond):
         b = np.stack([dr.b for dr in draws])
         hvp_b = np.stack([np.zeros_like(dr.b) if dr.hvp_b is None else dr.hvp_b
                           for dr in draws])
-        delta = state.config.penalty_delta
-        coeff = [state.beta * state.gamma * penalty_h(abs(dr.mu), delta)[1] * np.sign(dr.mu)
-                 * c * 2.0 for dr in draws]
+        coeff = [state.beta * state.gamma * slope * np.sign(dr.mu) * c * 2.0
+                 for dr, slope in zip(draws, slopes)]
         terms += [([dr.hvp_eps for dr in draws], [dr.y for dr in draws], -state.beta * c),
                   ([dr.hvp_y for dr in draws], [dr.epsilon for dr in draws], -state.beta * c),
                   (hvp_b, b, coeff)]

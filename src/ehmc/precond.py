@@ -10,8 +10,11 @@ Three kinds are supported:
   2d-1 parameters (log of B's diagonal, then its superdiagonal).
   B is kept in one Fortran-ordered (2, d) band, which LAPACK reads in
   place; C w and C^T w are triangular solves with B and B^T, no
-  factorization, and all maps run in O(d).  These solves (scipy's
+  factorization, and all maps run in O(d).  These solves (LAPACK's
   ``dtbtrs``) are the one use of scipy; the other kinds run on numpy alone.
+  The first banded factor imports ``scipy`` and loads only its compiled
+  LAPACK module, ``scipy.linalg._flapack``, not the ``scipy.linalg``
+  package, whose import would add about 0.2 s to a run's set-up.
 
 Diagonal entries of C (or of B) are stored as unconstrained reals and
 mapped through exp, which keeps C C^T positive definite for every theta.
@@ -36,6 +39,10 @@ LAPACK solves with kT right-hand sides and two sums over T (banded), or
 one sum over T (diagonal).
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from functools import partial
 
 import numpy as np
@@ -60,6 +67,25 @@ def n_params(kind, dim):
     if kind == "dense":
         return dim * (dim + 1) // 2
     return 2 * dim - 1
+
+
+def _flapack():
+    """scipy's compiled LAPACK module, registered in ``sys.modules`` under
+    its own name, so that a later ``import scipy.linalg`` reuses it and a
+    second banded factor loads nothing."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy  # its own platform and library set-up
+
+        path = os.path.join(scipy.__path__[0], "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [path])
+        if spec is None:
+            raise ImportError(f"{name}: not found in {path}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
 
 
 def _band_solve(tbtrs, ab, trans, w):
@@ -91,10 +117,8 @@ class Preconditioner:
             rows, cols = np.tril_indices(dim, k=-1)
             self._packed = np.concatenate([np.arange(dim) * (dim + 1), rows * dim + cols])
         elif kind == "banded":
-            # imported here so that the other kinds never load scipy
-            from scipy.linalg.lapack import dtbtrs
-
-            self._tbtrs = dtbtrs
+            # loaded here so that the other kinds never load scipy
+            self._tbtrs = _flapack().dtbtrs
         self.theta = theta
         if not np.isfinite(self._theta).all():
             raise ValueError("theta: has a non-finite entry")

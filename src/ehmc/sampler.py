@@ -215,7 +215,10 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
             kept.append(j)
             draws.append(draw)
         if kept:
-            grads = gsm_gradient(traj.rows(kept), draws, state, precond)
+            # the penalty's value feeds gamma, its slope the gradient
+            pens = [penalty_h(abs(draw.mu), cfg.penalty_delta) for draw in draws]
+            grads = gsm_gradient(traj.rows(kept), draws, [slope for _, slope in pens],
+                                 state, precond)
     elif objective == "esjd" and live.size:
         grads = esjd_gradient(traj, precond)
     elif objective == "l2hmc" and live.size:
@@ -231,9 +234,8 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
     if objective == "gsm":
         update_beta(state, mean_a)
         if draws:
-            mus = [abs(draw.mu) for draw in draws]
-            stats["mu"] = float(np.mean(mus))
-            stats["pen"] = float(np.mean([penalty_h(mu, cfg.penalty_delta)[0] for mu in mus]))
+            stats["mu"] = float(np.mean([abs(draw.mu) for draw in draws]))
+            stats["pen"] = float(np.mean([value for value, _ in pens]))
             update_gamma(state, stats["pen"])
     elif objective == "l2hmc" and live.size and not fresh_lambda:
         update_lambda(state, float(np.mean(jumps)))

@@ -481,6 +481,12 @@ def _entropy_bilinear(traj, precond, model, u, w):
     return dl_coeff(traj.h, traj.L) * float(precond.matvec(u) @ hw)
 
 
+def penalty_slopes(draws, state):
+    """The slope of ``penalty_h`` at each draw's |mu|: the slopes that
+    ``adaptive_step`` hands ``gsm_gradient``."""
+    return [penalty_h(abs(draw.mu), state.config.penalty_delta)[1] for draw in draws]
+
+
 def gsm_surrogate_loss(traj, draw, state, precond, model):
     """Penalised loss at an arbitrary parameter point, frozen pieces fixed.
 
@@ -592,8 +598,9 @@ def adaptive_step_per_chain(chains, state, model, h, L, objective="gsm", record=
             except FloatingPointError:
                 state.skip_count += 1
                 continue
-            grads.append(sampler.gsm_gradient(block, [draw], state, precond)[0])
-            pens.append(sampler.penalty_h(abs(draw.mu), cfg.penalty_delta)[0])
+            pen, slope = sampler.penalty_h(abs(draw.mu), cfg.penalty_delta)
+            grads.append(sampler.gsm_gradient(block, [draw], [slope], state, precond)[0])
+            pens.append(pen)
             mus.append(abs(draw.mu))
     elif objective == "esjd":
         grads = [sampler.esjd_gradient(block, precond)[0] for _, block in live]

@@ -37,6 +37,7 @@ from _oracles import (
     leapfrog_direct,
     logdet,
     mala_log_accept,
+    penalty_slopes,
     relative_error,
     residual_jacobian_fd,
     roulette_logdet_estimate,
@@ -173,7 +174,7 @@ def test_criterion_06_gradient_engine():
             draw = roulette_pass(MidpointOperator(traj.midpoint, p, model, 0.35, 4), d,
                                  chain.rng_roulette)
             checks = (
-                (gsm_gradient(block, [draw], state, p)[0],
+                (gsm_gradient(block, [draw], penalty_slopes([draw], state), state, p)[0],
                  lambda th: gsm_surrogate_loss(traj, draw, state, with_theta(p, th), model)[0]),
                 (esjd_gradient(block, p)[0],
                  lambda th: esjd_surrogate_loss(traj, with_theta(p, th), model)),

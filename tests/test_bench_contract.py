@@ -20,7 +20,8 @@ from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import ChainState, SamplerSettings, make_chains, run_experiment
 from ehmc.targets import gaussian_target
 
-from _oracles import adaptive_step_per_chain, hazard_model, logged_model, scaled_identity
+from _oracles import (adaptive_step_per_chain, hazard_model, logged_model, penalty_slopes,
+                      scaled_identity)
 
 ADAPT, SAMPLE, CHAINS = 5, 7, 3
 
@@ -255,7 +256,7 @@ def test_objective_gradient_map_calls(kind, monkeypatch):
         monkeypatch.setattr(Preconditioner, attr, functools.wraps(real)(counted))
     banded = kind == "banded"
     for gradient, rmatvec in (
-            (lambda: gsm_gradient(traj, draws, state, precond), 2),
+            (lambda: gsm_gradient(traj, draws, penalty_slopes(draws, state), state, precond), 2),
             (lambda: esjd_gradient(traj, precond), 3),
             (lambda: l2hmc_gradient(traj, jump_value(traj), state, precond), 3)):
         calls.update(matvec=0, rmatvec=0)

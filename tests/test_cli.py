@@ -557,9 +557,12 @@ def test_run_loads_scipy_only_for_banded_factor(tmp_path, target, params, precon
             "--adapt-steps", "3", "--sample-steps", "8", "--out", str(tmp_path)]
     for param in params:
         argv += ["--param", param]
+    # and loads at most scipy's compiled LAPACK module, never scipy.linalg
     script = ("import sys\nfrom ehmc import cli\nassert cli.main(sys.argv[1:]) == 0\n"
-              f"assert ('scipy' in sys.modules) is {loads_scipy}, "
-              "[m for m in sys.modules if 'scipy' in m]\n")
+              "loaded = [m for m in sys.modules if 'scipy' in m]\n"
+              f"assert ('scipy' in sys.modules) is {loads_scipy}, loaded\n"
+              f"assert ('scipy.linalg._flapack' in sys.modules) is {loads_scipy}, loaded\n"
+              "assert 'scipy.linalg' not in sys.modules, loaded\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script] + argv, env=env,

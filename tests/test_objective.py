@@ -29,6 +29,7 @@ from _oracles import (
     gsm_surrogate_loss,
     l2hmc_loss,
     l2hmc_surrogate_loss,
+    penalty_slopes,
     relative_error,
     roulette_logdet_estimate,
     with_theta,
@@ -145,7 +146,7 @@ def test_gsm_gradient_degenerate_draw():
     state = AdaptState(p)
     state.gamma = 2e3
     calls.clear()
-    out = gsm_gradient(traj, [draw], state, p)[0]
+    out = gsm_gradient(traj, [draw], penalty_slopes([draw], state), state, p)[0]
     assert not calls
     expected = np.zeros_like(p.theta)
     p.accumulate_logdet_grad(expected, -state.beta)
@@ -160,7 +161,7 @@ def test_gsm_gradient_matches_fd(kind, d, sign):
     state = AdaptState(p)
     state.beta = 0.9
     state.gamma = 2e3
-    grad = gsm_gradient(traj, [draw], state, p)[0]
+    grad = gsm_gradient(traj, [draw], penalty_slopes([draw], state), state, p)[0]
     fd = fd_theta_gradient(
         lambda th: gsm_surrogate_loss(traj.row(0), draw, state, with_theta(p, th), m)[0],
         p.theta,
@@ -175,7 +176,7 @@ def test_gsm_gradient_with_active_penalty():
     state.gamma = 5e3
     _, parts = gsm_surrogate_loss(traj.row(0), draw, state, p, m)
     assert parts["penalty"] > 0.0
-    grad = gsm_gradient(traj, [draw], state, p)[0]
+    grad = gsm_gradient(traj, [draw], penalty_slopes([draw], state), state, p)[0]
     fd = fd_theta_gradient(
         lambda th: gsm_surrogate_loss(traj.row(0), draw, state, with_theta(p, th), m)[0],
         p.theta,
@@ -187,7 +188,7 @@ def test_gsm_gradient_zero_when_beta_zero_and_no_energy():
     m, p, traj, draw = make_case("diagonal", 4, 3, 0.2, seed=8, sign="-")
     state = AdaptState(precond=p, config=AdaptConfig())
     state.beta = 0.0
-    grad = gsm_gradient(traj, [draw], state, p)[0]
+    grad = gsm_gradient(traj, [draw], penalty_slopes([draw], state), state, p)[0]
     assert np.array_equal(grad, np.zeros_like(p.theta))
 
 
@@ -316,7 +317,7 @@ def test_multi_chain_gradient_linearity():
         state = AdaptState(p)
         state.lambda_ma = 1.3
         blocks = (
-            (gsm_gradient(traj, draws, state, p),
+            (gsm_gradient(traj, draws, penalty_slopes(draws, state), state, p),
              lambda i, q: gsm_surrogate_loss(traj.row(i), draws[i], state, q, m)[0]),
             (esjd_gradient(traj, p), lambda i, q: esjd_surrogate_loss(traj.row(i), q, m)),
             (l2hmc_gradient(traj, jump_value(traj), state, p),
@@ -340,12 +341,13 @@ def test_branch_off_rows_ignore_non_finite_pieces():
     for kind, d in [("diagonal", 4), ("dense", 5), ("banded", 5)]:
         m, p, traj, draws = block_case(kind, d, 0.3, 3)
         state = AdaptState(p)
-        gsm, esjd = gsm_gradient(traj, draws, state, p), esjd_gradient(traj, p)
+        slopes = penalty_slopes(draws, state)
+        gsm, esjd = gsm_gradient(traj, draws, slopes, state, p), esjd_gradient(traj, p)
         traj.delta = traj.delta.copy()
         traj.delta[3] = np.inf
         traj.w = traj.w.copy()
         traj.w[3] = np.inf
-        got_gsm, got_esjd = gsm_gradient(traj, draws, state, p), esjd_gradient(traj, p)
+        got_gsm, got_esjd = gsm_gradient(traj, draws, slopes, state, p), esjd_gradient(traj, p)
         assert np.array_equal(got_gsm, gsm)
         assert np.array_equal(got_esjd[:3], esjd[:3]) and not got_esjd[3].any()
 

@@ -290,10 +290,20 @@ def test_block_maps_equal_rows(kind, dim):
         assert np.array_equal(got, want)
 
 
+def run_fresh(script, *argv):
+    # run script in a new interpreter that imports ehmc from src/, where
+    # nothing this test process imported is loaded yet
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_dense_inverse_maps_leave_scipy_unloaded():
     # C^{-1} w and C^{-T} w of a dense factor, on a vector and on a block,
     # run on numpy alone
-    script = ("import sys\nimport numpy as np\n"
+    run_fresh("import sys\nimport numpy as np\n"
               "from ehmc.precond import Preconditioner, n_params\n"
               "p = Preconditioner('dense', 4, np.linspace(-0.3, 0.3, n_params('dense', 4)))\n"
               "w = np.arange(8.0).reshape(2, 4)\n"
@@ -301,11 +311,91 @@ def test_dense_inverse_maps_leave_scipy_unloaded():
               "    assert np.allclose(p.matvec(p.solve(x)), x)\n"
               "    assert np.allclose(p.rmatvec(p.solve_t(x)), x)\n"
               "assert 'scipy' not in sys.modules, [m for m in sys.modules if 'scipy' in m]\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
+
+
+# the banded factor binds LAPACK's tbtrs from scipy's compiled module,
+# loaded without the scipy.linalg package; this process has imported
+# scipy.linalg already, so the load itself runs in a fresh interpreter
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64])
+def test_loaded_tbtrs_equals_scipy_lapack(dim, tmp_path):
+    # C w solves B x = w ("N"), C^T w solves B^T x = w ("T"): in a process
+    # that never imports scipy.linalg, the bound routine gives, for (d,)
+    # and (k, d) inputs, the bits of scipy.linalg.lapack.dtbtrs
+    from scipy.linalg.lapack import dtbtrs
+
+    rng = np.random.default_rng(500 + dim)
+    theta = rng.normal(0.0, 0.5, (5, n_params("banded", dim)))
+    W = rng.standard_normal((5, 8, dim)) * 10.0 ** rng.uniform(-3, 3, (5, 8, 1))
+    np.savez(tmp_path / "in.npz", theta=theta, W=W)
+    run_fresh("import sys\nimport numpy as np\n"
+              "from ehmc.precond import Preconditioner\n"
+              "f = np.load(sys.argv[1])\n"
+              "out = {}\n"
+              "for i, (theta, W) in enumerate(zip(f['theta'], f['W'])):\n"
+              f"    p = Preconditioner('banded', {dim}, theta)\n"
+              "    for name, w in (('vec', W[0]), ('block', W)):\n"
+              "        out[f'N-{name}-{i}'], out[f'T-{name}-{i}'] = p.matvec(w), p.rmatvec(w)\n"
+              "assert 'scipy.linalg' not in sys.modules\n"
+              "assert 'scipy.linalg._flapack' in sys.modules\n"
+              "np.savez(sys.argv[2], **out)\n",
+              str(tmp_path / "in.npz"), str(tmp_path / "out.npz"))
+    with np.load(tmp_path / "out.npz") as got:
+        for i, (th, W) in enumerate(zip(theta, W)):
+            ab = np.zeros((2, dim), order="F")
+            ab[0, 1:] = th[dim:]
+            ab[1] = np.exp(th[:dim])
+            for trans in ("N", "T"):
+                x, info = dtbtrs(ab, W[0], "U", trans)
+                assert info == 0 and np.array_equal(got[f"{trans}-vec-{i}"], x)
+                X, info = dtbtrs(ab, W.T, "U", trans)
+                assert info == 0 and np.array_equal(got[f"{trans}-block-{i}"], X.T)
+
+
+def test_banded_factor_then_scipy_linalg():
+    # scipy.linalg imported after a banded factor reuses the LAPACK module
+    # the factor loaded, and a second factor loads nothing
+    run_fresh("import sys\nimport numpy as np\n"
+              "from ehmc.precond import Preconditioner\n"
+              "theta = np.linspace(-0.4, 0.4, 9)\n"
+              "p = Preconditioner('banded', 5, theta)\n"
+              "flapack = sys.modules['scipy.linalg._flapack']\n"
+              "assert 'scipy.linalg' not in sys.modules\n"
+              "assert Preconditioner('banded', 5, -theta)._tbtrs is p._tbtrs\n"
+              "import scipy.linalg\n"
+              "from scipy.linalg import lapack, solve_banded\n"
+              "assert sys.modules['scipy.linalg._flapack'] is flapack\n"
+              "assert lapack.dtbtrs is p._tbtrs\n"
+              "ab = np.zeros((2, 5))\n"
+              "ab[0, 1:], ab[1] = theta[5:], np.exp(theta[:5])\n"
+              "w = np.arange(1.0, 6.0)\n"
+              "assert np.array_equal(solve_banded((0, 1), ab, w), p.matvec(w))\n")
+
+
+def test_scipy_linalg_then_banded_factor():
+    # with scipy.linalg imported first, the factor binds its dtbtrs and
+    # loads no second copy of the module
+    run_fresh("import sys\nimport numpy as np\n"
+              "import scipy.linalg\n"
+              "from scipy.linalg import lapack\n"
+              "flapack = sys.modules['scipy.linalg._flapack']\n"
+              "from ehmc.precond import Preconditioner\n"
+              "p = Preconditioner('banded', 5, np.linspace(-0.4, 0.4, 9))\n"
+              "assert sys.modules['scipy.linalg._flapack'] is flapack\n"
+              "assert p._tbtrs is lapack.dtbtrs\n")
+
+
+def test_banded_underflowed_diagonal_is_singular():
+    # a finite theta_i <= -746 underflows B's diagonal entry exp(theta_i)
+    # to 0: the solves with B and B^T refuse it, on a vector and a block
+    theta = np.zeros(n_params("banded", 4))
+    theta[2] = -746.0
+    p = Preconditioner("banded", 4, theta)
+    assert p.theta[2] == -746.0 and np.exp(p.theta[2]) == 0.0
+    for w in (np.ones(4), np.ones((3, 4))):
+        for apply in (p.matvec, p.rmatvec):
+            with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+                apply(w)
 
 
 @pytest.mark.parametrize("kind", KINDS)
