@@ -35,7 +35,7 @@ from .entropy import (
     PENALTY_DELTA,
     dl_coeff,
 )
-from .targets import check_real, check_size
+from .targets import check_array, check_real, check_size
 
 BETA_BOUNDS = (1e-2, 1e2)
 GAMMA_BOUNDS = (1e3, 1e5)
@@ -100,10 +100,7 @@ class AdaptState:
             self.config = replace(self.config, rho_theta=RHO_THETA[self.precond.kind])
         n = self.precond.theta.size
         for name, value in (("adam_m", self.adam_m), ("adam_v", self.adam_v)):
-            moment = np.zeros(n) if value is None else np.asarray(value)
-            if moment.shape != (n,) or moment.dtype.kind != "f" or not np.isfinite(moment).all():
-                raise ValueError(f"{name}: must be a finite float array of shape ({n},)")
-            setattr(self, name, moment)
+            setattr(self, name, np.zeros(n) if value is None else check_array(name, value, (n,)))
         if (self.adam_v < 0).any():
             raise ValueError("adam_v: must be nonnegative")
         self.step = check_size("step", self.step, 0)

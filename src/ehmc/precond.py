@@ -19,14 +19,15 @@ Three kinds are supported:
 Diagonal entries of C (or of B) are stored as unconstrained reals and
 mapped through exp, which keeps C C^T positive definite for every theta.
 The factor is built once per write of ``theta`` (the constructor and
-``adam_update`` are the writers), and ``theta`` is stored as a read-only
-copy, so the built factor cannot go stale; the maps only apply it.  The
-write also binds the kind's C w and C^T w for one (d,) vector (one gemv,
-``C.dot`` or ``C.T.dot``, for the dense kind) and for a (k, d) block,
-which ``bound_maps`` hands out and ``matvec`` and ``rmatvec`` pick by the
-input's shape.  The leapfrog and the roulette pass's operator bind them
-once per call, skipping the method call and input check of ``matvec`` and
-``rmatvec``.  The gradient helpers accumulate into caller-owned arrays.
+``adam_update`` are the writers), which refuses a wrong length or a
+non-finite entry and stores a read-only copy, so the built factor cannot
+go stale; the maps only apply it.  The write also binds the kind's C w
+and C^T w for one (d,) vector (one gemv, ``C.dot`` or ``C.T.dot``, for
+the dense kind) and for a (k, d) block, which ``bound_maps`` hands out
+and ``matvec`` and ``rmatvec`` pick by the input's shape.  The leapfrog
+and the roulette pass's operator bind them once per call, skipping the
+method call and input check of ``matvec`` and ``rmatvec``.  The gradient
+helpers accumulate into caller-owned arrays.
 
 Every map also takes a (k, d) block, and ``accumulate_bilinear_grad``
 a (k, T, d) stack of T terms per row; each row gets the bits it gets
@@ -47,7 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from .targets import check_size
+from .targets import check_array, check_size
 
 KINDS = ("diagonal", "dense", "banded")
 
@@ -120,8 +121,6 @@ class Preconditioner:
             # loaded here so that the other kinds never load scipy
             self._tbtrs = _flapack().dtbtrs
         self.theta = theta
-        if not np.isfinite(self._theta).all():
-            raise ValueError("theta: has a non-finite entry")
 
     @property
     def theta(self):
@@ -129,13 +128,7 @@ class Preconditioner:
 
     @theta.setter
     def theta(self, value):
-        try:
-            theta = np.array(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"theta: {exc}") from None
-        if theta.shape != (self._n,):
-            raise ValueError(f"theta: has length {theta.size}, expected {self._n} "
-                             f"for kind {self.kind!r}")
+        theta = check_array("theta", value, (self._n,))
         theta.flags.writeable = False
         self._theta = theta
         d = self.dim

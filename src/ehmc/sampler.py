@@ -32,7 +32,7 @@ import numpy as np
 
 from .precond import Preconditioner, check_kind, make_preconditioner
 from .integrator import trajectory_reparam
-from .targets import check_real, check_size
+from .targets import check_array, check_real, check_size
 from .entropy import MidpointOperator, roulette_pass, penalty_h
 from .objective import (
     AdaptConfig,
@@ -78,34 +78,21 @@ class ChainState:
     start: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
-def check_points(arg, q, shape):
-    """q as a new float array if it has the given shape and finite entries,
-    else a ValueError starting with arg (a chain's init, checkpoint positions)."""
-    try:
-        q = np.array(q, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{arg}: {exc}") from None
-    if q.shape != shape:
-        raise ValueError(f"{arg}: must have shape {shape}, got {q.shape}")
-    if not np.isfinite(q).all():
-        raise ValueError(f"{arg}: has a non-finite entry")
-    return q
-
-
 def make_chains(model, n_chains, seed, init=None, init_scale=1.0):
     """Spawn chains with disjoint substreams from one master seed.
 
     Initial positions come from the velocity stream: init_scale-spread
-    standard normals, or copies of an explicit init vector (see check_points).
+    standard normals, or copies of init; a ValueError names a bad argument.
     """
-    check_size("chains", n_chains)
-    master = np.random.SeedSequence(seed)
+    master = np.random.SeedSequence(check_size("seed", seed, 0))
+    init_scale = check_real("init_scale", init_scale, 0, math.inf, "()")
+    init = None if init is None else check_array("init", init, (model.dim,))
     chains = []
-    for child in master.spawn(n_chains):
+    for child in master.spawn(check_size("chains", n_chains)):
         rngs = {name: np.random.Generator(np.random.PCG64(ss))
                 for name, ss in zip(STREAMS, child.spawn(len(STREAMS)))}
         q0 = (init_scale * rngs["rng_velocity"].standard_normal(model.dim) if init is None
-              else check_points("init", init, (model.dim,)))
+              else init.copy())
         chains.append(ChainState(q=q0, **rngs))
     return chains
 
@@ -264,12 +251,12 @@ class SamplerSettings:
 
     def validate(self):
         """Range checks of the run fields, then the factor kind and init
-        (see check_points); each ValueError message starts with the field
-        it names."""
+        (see targets.check_array); each ValueError message starts with the
+        field it names."""
         check_run_fields(self)
         check_kind(self.kind)
         if self.init is not None:
-            check_points("init", self.init, (self.model.dim,))
+            check_array("init", self.init, (self.model.dim,))
 
 
 def check_run_fields(run):
@@ -368,40 +355,52 @@ def save_checkpoint(path, chains, state, h, meta=None):
     )
 
 
+def _json_object(arg, text):
+    # the dict that the JSON text of the checkpoint field arg encodes
+    try:
+        value = json.loads(text)
+        if not isinstance(value, dict):
+            raise ValueError(f"must hold a JSON object, got {text!r}")
+    except ValueError as exc:
+        raise ValueError(f"{arg}: {exc}") from None
+    return value
+
+
 def _generator(state_json):
     # a Generator resumed at a JSON-encoded PCG64 state
     bg = np.random.PCG64()
-    bg.state = json.loads(state_json)
+    bg.state = _json_object("rng_states", state_json)
     return np.random.Generator(bg)
 
 
 def load_checkpoint(path):
-    """Rebuild (chains, state, h, meta) from a checkpoint file, checking its
-    own rules (all its arrays; config_json holds [adapt] settings only; array
-    shapes and dtypes; finite positions; h) and leaving those of the adaptation
-    state to where it is built (see objective).  A ValueError names its field first."""
+    """Rebuild (chains, state, h, meta) from a checkpoint file, checking its own
+    rules (all its arrays; JSON objects, config_json of [adapt] settings only;
+    array shapes and dtypes; finite positions; integer precond_dim, counters
+    >= 0, h > 0), leaving the adaptation state's to where it is built (see
+    objective).  A ValueError names its field first."""
     with np.load(path, allow_pickle=False) as data:
         ck = {key: data[key] for key in data.files}
     for name in ("positions", "last_delta", "counters", "rng_states", "theta", "precond_kind",
                  "precond_dim", "adam_m", "adam_v", "scalars", "config_json", "meta_json"):
         if name not in ck:
             raise ValueError(f"{name}: missing from the checkpoint")
-    config_d = json.loads(str(ck["config_json"]))
+    config_d = _json_object("config_json", str(ck["config_json"]))
     unknown = sorted(config_d.keys() - {f.name for f in fields(AdaptConfig)})
     if unknown:
         raise ValueError(f"{unknown[0]}: not an adaptation setting")
-    precond = Preconditioner(kind=str(ck["precond_kind"]), dim=int(ck["precond_dim"]),
+    precond = Preconditioner(kind=str(ck["precond_kind"]),
+                             dim=check_size("precond_dim", ck["precond_dim"][()]),
                              theta=ck["theta"])
     k = ck["positions"].shape[0] if ck["positions"].ndim else 0
-    expected = {"positions": ((k, precond.dim), np.floating), "last_delta": ((k,), np.floating),
-                "counters": ((k, len(COUNTERS)), np.integer),
+    positions = check_array("positions", ck["positions"], (k, precond.dim))
+    expected = {"last_delta": ((k,), np.floating), "counters": ((k, len(COUNTERS)), np.integer),
                 "rng_states": ((k, len(STREAMS)), np.bytes_), "scalars": ((6,), np.floating)}
     for name, (shape, dtype) in expected.items():
         if ck[name].shape != shape:
             raise ValueError(f"{name}: has shape {ck[name].shape}, expected {shape}")
         if not np.issubdtype(ck[name].dtype, dtype):
             raise ValueError(f"{name}: has dtype {ck[name].dtype}, expected {dtype.__name__}")
-    positions = check_points("positions", ck["positions"], (k, precond.dim))
     beta, gamma, step, lam, skips, h = map(float, ck["scalars"])
     h = check_real("h", h, 0, math.inf, "()")
     # the counts are stored as floats: AdaptState refuses a non-integer one
@@ -411,7 +410,8 @@ def load_checkpoint(path):
                        lambda_ma=None if math.isnan(lam) else lam, skip_count=skips)
     chains = [ChainState(q=q.copy(), last_delta=float(delta),
                          **{name: _generator(st) for name, st in zip(STREAMS, states)},
-                         **{name: int(n) for name, n in zip(COUNTERS, counts)})
+                         **{name: check_size("counters", n, 0)
+                            for name, n in zip(COUNTERS, counts)})
               for q, delta, counts, states in zip(positions, ck["last_delta"],
                                                   ck["counters"], ck["rng_states"])]
-    return chains, state, h, json.loads(str(ck["meta_json"]))
+    return chains, state, h, _json_object("meta_json", str(ck["meta_json"]))

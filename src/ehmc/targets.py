@@ -10,8 +10,9 @@ Cholesky factor; the module needs numpy alone.  The logistic design is
 column-major, so X q and X^T r run over contiguous memory.  The one
 mutable state is the logistic ``hvp``'s one-entry memo: the curvature
 weights s (1 - s) at the last position it was given, reused while the
-position stays equal.  ``check_size`` and ``check_real`` are every
-module's one rule for an integer and for a real setting (a bool is neither).
+position stays equal.  ``check_size``, ``check_real`` and ``check_array``
+are every module's one rule for an integer, for a real setting (a bool is
+neither) and for an array a caller hands in.
 """
 
 import math
@@ -55,8 +56,7 @@ def default_hvp(model, q, w):
 
 
 def _frozen(a, order="C"):
-    """Private read-only float copy of a data array, in ``order``, starting a 64-byte line."""
-    a = np.asarray(a, dtype=float)
+    """Private read-only float copy of an array, in ``order``, starting a 64-byte line."""
     buf = np.empty(a.size + 8)  # one of any 8 consecutive floats starts a line
     out = buf[-buf.ctypes.data % 64 // 8:][:a.size].reshape(a.shape, order=order)
     out[...] = a
@@ -121,6 +121,25 @@ def check_real(arg, value, low=-math.inf, high=math.inf, ends="[]", rule=None):
     raise ValueError(f"{arg}: {rule}, got {value}")
 
 
+def check_array(arg, value, shape=None):
+    """``value`` as a new float array if it holds finite numbers, not text, of
+    ``shape`` when given (None allows any length); else ValueError "arg: ..."."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind in "SU":  # numpy would read "1.5" as a number
+            raise ValueError("must hold numbers, got text")
+        a = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{arg}: {exc}") from None
+    if shape is not None and not (a.ndim == len(shape) and all(
+            n in (None, m) for n, m in zip(shape, a.shape))):
+        raise ValueError(f"{arg}: must have shape {shape}, got {a.shape}")
+    flat = a.ravel(order="K")  # a view; a finite dot means finite entries
+    if not (math.isfinite(flat.dot(flat)) or np.isfinite(flat).all()):
+        raise ValueError(f"{arg}: has a non-finite entry")
+    return a
+
+
 def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian"):
     """Gaussian with U(q) = 0.5 (q - mean)^T P (q - mean).
 
@@ -148,9 +167,7 @@ def gaussian_target(precision=None, covariance=None, mean=None, name="gaussian")
             raise ValueError(f"{arg} is not positive definite") from exc
         P = _frozen(_spd_inverse(U) if arg == "covariance" else a)
     d = P.shape[0]
-    mu = _frozen(np.zeros(d) if mean is None else mean)
-    if mu.shape != (d,) or not np.all(np.isfinite(mu)):
-        raise ValueError(f"mean: must be a finite vector of length {d}")
+    mu = _frozen(np.zeros(d) if mean is None else check_array("mean", mean, (d,)))
 
     def potential(q):
         r = q - mu
@@ -209,15 +226,11 @@ def logistic_target(X, y, prior_cov=1.0):
     U(q) = sum_i [ -y_i x_i^T q + log(1 + e^{x_i^T q}) ] + 0.5 q^T P0 q
     with P0 = I / prior_cov, for a scalar prior variance prior_cov.
     """
-    X = _frozen(X, order="F")
-    y = _frozen(y)
-    if X.ndim != 2 or X.size == 0:
-        raise ValueError(f"X: must be a nonempty 2-d design matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X contains non-finite entries")
+    X = _frozen(check_array("X", X, (None, None)), order="F")
+    if X.size == 0:
+        raise ValueError(f"X: must not be empty, got shape {X.shape}")
     n, d = X.shape
-    if y.shape != (n,):
-        raise ValueError("y length does not match X")
+    y = _frozen(check_array("y", y, (n,)))
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be 0 or 1")
     P0 = _frozen(np.eye(d) / check_real("prior_cov", prior_cov, 0, math.inf, "()"))
@@ -351,9 +364,7 @@ def cox_target(n, y):
     """
     check_size("n", n)
     d = n * n
-    y = _frozen(np.ravel(y))
-    if y.shape != (d,):
-        raise ValueError(f"y must have n^2 = {d} entries")
+    y = _frozen(check_array("y", np.ravel(y), (d,)))
     if np.any(y < 0) or np.any(y != np.round(y)):
         raise ValueError("counts must be nonnegative integers")
     m = 1.0 / d
@@ -406,11 +417,8 @@ def sv_target(returns):
     the log-Jacobians of both transforms.  The Hessian-vector product uses
     the central-difference fallback.
     """
-    y = _frozen(returns)
-    T = y.size
-    check_size("returns", T, 2)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("returns contain non-finite values")
+    y = _frozen(check_array("returns", returns, (None,)))
+    T = check_size("returns", y.size, 2)
     d = T + 3
 
     def transforms(q):

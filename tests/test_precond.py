@@ -233,6 +233,20 @@ def test_theta_is_read_only(kind):
         p.theta = np.zeros(n_params(kind, 4) + 1)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_theta_write_refuses_a_non_finite_entry(kind):
+    # the refused write leaves theta and the factor it built as they were
+    p = make_preconditioner(kind, 4)
+    w = np.random.default_rng(0).standard_normal(4)
+    before = p.matvec(w)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.zeros(n_params(kind, 4))
+        bad[-1] = value
+        with pytest.raises(ValueError, match="^theta: has a non-finite entry$"):
+            p.theta = bad
+        assert not p.theta.any() and np.array_equal(p.matvec(w), before)
+
+
 def assert_maps_equal_fresh(p, rng):
     fresh = with_theta(p, p.theta)
     for _ in range(3):

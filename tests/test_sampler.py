@@ -54,6 +54,19 @@ def test_make_chains_validation():
     assert all(c.q[0] == 2.5 for c in chains)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("seed", 1.5), ("seed", "3"), ("seed", True), ("seed", -1),
+    ("init_scale", np.nan), ("init_scale", 0.0), ("init_scale", np.inf), ("init_scale", True),
+], ids=["seed-fractional", "seed-text", "seed-bool", "seed-negative", "init_scale-nan",
+        "init_scale-zero", "init_scale-inf", "init_scale-bool"])
+def test_make_chains_refuses_seed_and_init_scale_by_name(name, bad):
+    # checked as SamplerSettings checks them: a NaN scale would start every
+    # chain at NaN, and True would seed as 1
+    m = gaussian_target(precision=np.ones(2))
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        make_chains(m, 2, **{"seed": 1, name: bad})
+
+
 def test_chain_streams_disjoint():
     m = gaussian_target(precision=np.eye(2))
     chains = make_chains(m, 4, seed=9)
@@ -687,8 +700,16 @@ def _with_nan(name):
     ("adam_m", _with_nan("adam_m")),
     ("adam_v", _with_nan("adam_v")),
     ("positions", _with_nan("positions")),
+    ("counters", lambda ck: -1 - ck["counters"]),
+    ("precond_dim", lambda ck: np.array(2.5)),
+    ("config_json", lambda ck: np.array("[1]")),
+    ("config_json", lambda ck: np.array("{")),
+    ("meta_json", lambda ck: np.array("[1]")),
+    ("rng_states", lambda ck: np.full_like(ck["rng_states"], b"{")),
 ], ids=["counters-fractional", "counters-float", "rng_states-str", "theta-nan",
-        "adam_m-nan", "adam_v-nan", "positions-nan"])
+        "adam_m-nan", "adam_v-nan", "positions-nan", "counters-negative",
+        "precond_dim-fractional", "config_json-list", "config_json-undecodable",
+        "meta_json-list", "rng_states-undecodable"])
 def test_checkpoint_with_wrong_dtype_or_nonfinite_state_is_refused(tmp_path, name, bad):
     path = checkpoint_with_arrays(tmp_path, **{name: bad})
     with pytest.raises(ValueError, match=f"^{name}: "):

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from ehmc import targets
+from ehmc.objective import AdaptState
+from ehmc.precond import Preconditioner, make_preconditioner
+from ehmc.sampler import SamplerSettings, make_chains
 from ehmc.targets import (
     IngestionError,
     anisotropic_gaussian,
@@ -618,10 +621,13 @@ def test_gaussian_neither_vector_nor_square_matrix(arg, shape):
         gaussian_target(**{arg: np.ones(shape)})
 
 
-@pytest.mark.parametrize("mean", [[0.0, np.nan], [np.inf, 0.0], [0.0, 1.0, 2.0]],
-                         ids=["nan", "inf", "long"])
-def test_gaussian_mean_must_be_finite_of_its_length(mean):
-    with pytest.raises(ValueError, match="^mean: must be a finite vector of length 2$"):
+@pytest.mark.parametrize("mean, message", [
+    ([0.0, np.nan], "has a non-finite entry"),
+    ([np.inf, 0.0], "has a non-finite entry"),
+    ([0.0, 1.0, 2.0], "must have shape (2,), got (3,)"),
+], ids=["nan", "inf", "long"])
+def test_gaussian_mean_must_be_finite_of_its_length(mean, message):
+    with pytest.raises(ValueError, match=f"^mean: {re.escape(message)}$"):
         gaussian_target(covariance=[1.0, 2.0], mean=mean)
 
 
@@ -776,3 +782,75 @@ def test_load_logistic_csv_names_first_bad_field(tmp_path, fields, kind, column)
     path.write_text(f"1.0,2.0,1\n{fields}\n")
     with pytest.raises(IngestionError, match=f"{kind} field at row 2, column {column}$"):
         load_logistic_csv(path)
+
+
+# -- every array a caller hands in -----------------------------------------
+
+
+def _write_theta(value):
+    make_preconditioner("diagonal", 2).theta = value
+
+
+def _settings_init(value):
+    SamplerSettings(model=gaussian_target(covariance=[1.0, 2.0]), init=value).validate()
+
+
+# (id, the name a refusal starts with, a call taking the array, an array it
+# accepts, an array of a wrong shape)
+ARRAY_SITES = [
+    ("gaussian-mean", "mean", lambda a: gaussian_target(covariance=[1.0, 2.0], mean=a),
+     [0.5, 1.0], [[0.5, 1.0]]),
+    ("logistic-X", "X", lambda a: logistic_target(a, [0.0, 1.0, 1.0]), np.ones((3, 2)),
+     np.ones(3)),
+    ("logistic-y", "y", lambda a: logistic_target(np.ones((3, 2)), a), [0.0, 1.0, 1.0],
+     np.ones((3, 1))),
+    ("cox-counts", "y", lambda a: cox_target(2, a), [0.0, 0.0, 1.0, 2.0], np.ones(5)),
+    ("sv-returns", "returns", sv_target, [0.1, -0.2, 0.3], np.ones((3, 2))),
+    ("make_chains-init", "init",
+     lambda a: make_chains(gaussian_target(covariance=[1.0, 2.0]), 2, seed=0, init=a),
+     [0.5, 1.0], np.ones(3)),
+    ("settings-init", "init", _settings_init, [0.5, 1.0], np.ones((2, 1))),
+    ("theta", "theta", lambda a: Preconditioner("diagonal", 2, a), [0.1, 0.2], np.ones((1, 2))),
+    ("theta-write", "theta", _write_theta, [0.1, 0.2], np.ones((1, 2))),
+    ("adam_m", "adam_m", lambda a: AdaptState(make_preconditioner("diagonal", 2), adam_m=a),
+     [0.1, 0.2], np.ones(3)),
+    ("adam_v", "adam_v", lambda a: AdaptState(make_preconditioner("diagonal", 2), adam_v=a),
+     [0.1, 0.2], np.ones((1, 2))),
+]
+
+
+def _with_first(good, value):
+    a = np.array(good, dtype=float)
+    a.flat[0] = value
+    return a
+
+
+@pytest.mark.parametrize("bad", ["text", "shape", "nan", "+inf", "-inf"])
+@pytest.mark.parametrize("arg, call, good, wrong", [site[1:] for site in ARRAY_SITES],
+                         ids=[site[0] for site in ARRAY_SITES])
+def test_every_array_input_is_refused_by_name(arg, call, good, wrong, bad):
+    # one rule for each: numbers, not text, of its shape, with finite entries;
+    # text that numpy would read as numbers is text all the same
+    call(good)
+    value, message = {
+        "text": (np.asarray(good).astype(str), "must hold numbers, got text$"),
+        "shape": (wrong, "must have shape "),
+        "nan": (_with_first(good, np.nan), "has a non-finite entry$"),
+        "+inf": (_with_first(good, np.inf), "has a non-finite entry$"),
+        "-inf": (_with_first(good, -np.inf), "has a non-finite entry$"),
+    }[bad]
+    with pytest.raises(ValueError, match=f"^{arg}: {message}"):
+        call(value)
+
+
+def test_check_array_returns_a_new_float_array_of_its_shape():
+    # a None entry of the shape allows any length there
+    given = np.arange(6).reshape(3, 2)
+    for shape in (None, (3, 2), (None, 2), (None, None)):
+        out = targets.check_array("a", given, shape)
+        assert out.dtype == float and np.array_equal(out, given)
+    floats = given.astype(float)
+    assert not np.shares_memory(targets.check_array("a", floats), floats)
+    for shape in ((None,), (2, None), (None, 3), (3, 2, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"a: must have shape {shape}, got (3, 2)")):
+            targets.check_array("a", given, shape)
