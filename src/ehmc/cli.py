@@ -16,6 +16,7 @@ import argparse
 import configparser
 import os
 import sys
+import warnings
 from collections import namedtuple
 from dataclasses import field, fields, make_dataclass, replace
 
@@ -143,14 +144,25 @@ def _gaussian_iso(p):
     return targets.gaussian_target(covariance=variance, name=f"gaussian_iso(d={p['d']})")
 
 
+def _read_csv(path, shape):
+    """The numbers of the CSV file at path, "#" comments and blank lines
+    skipped, as a 2-d array of shape; else ValueError "target.csv: ..."."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy's for a file with no data
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
+        raise ValueError(f"target.csv: {exc}") from None
+    return targets.check_array("target.csv", data, shape)
+
+
 def _logistic(p):
-    if p["csv"]:
-        X, y = targets.load_logistic_csv(p["csv"], intercept=p["intercept"],
-                                         standardize=p["standardize"])
+    if p["csv"]:  # checked before standardising, which maps a NaN column to zeros
+        data = _read_csv(p["csv"], (None, None))
+        X, y = data[:, :-1], data[:, -1]
     else:
         X, y = targets.simulate_logistic_data(p["n"], p["d"], seed=p["data_seed"])
-        X = targets.prepare_design(X, p["intercept"], p["standardize"])
-    return targets.logistic_target(X, y)
+    return targets.logistic_target(targets.prepare_design(X, p["intercept"], p["standardize"]), y)
 
 
 def _cox(p):
@@ -160,7 +172,7 @@ def _cox(p):
 
 def _sv(p):
     if p["csv"]:
-        return targets.sv_target(targets.load_returns_csv(p["csv"]))
+        return targets.sv_target(_read_csv(p["csv"], (None, 1))[:, 0])
     targets.check_size("t", p["t"], 2)
     return targets.sv_target(targets.simulate_sv_data(p["t"], seed=p["data_seed"]))
 
@@ -416,7 +428,7 @@ def main(argv=None):
             target_overrides[key.strip().lower()] = val.strip()
         config = parse_config(args.config, overrides, target_overrides)
         model = build_model(config)
-    except ValueError as exc:  # ConfigError, targets.IngestionError, bad model input
+    except ValueError as exc:  # ConfigError, a bad data file, bad model input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -23,10 +23,6 @@ from typing import Callable, Optional
 import numpy as np
 
 
-class IngestionError(ValueError):
-    """Raised when a data file cannot be turned into a design matrix."""
-
-
 @dataclass
 class TargetModel:
     """Bundle of dimension, potential U, gradient and Hessian-vector product.
@@ -232,7 +228,7 @@ def logistic_target(X, y, prior_cov=1.0):
     n, d = X.shape
     y = _frozen(check_array("y", y, (n,)))
     if not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValueError("labels must be 0 or 1")
+        raise ValueError("y: labels must be 0 or 1")
     P0 = _frozen(np.eye(d) / check_real("prior_cov", prior_cov, 0, math.inf, "()"))
     XT = X.T
 
@@ -269,54 +265,10 @@ def _sigmoid(t):
     return np.maximum(e, t >= 0) / (1.0 + e)
 
 
-def _read_csv(path):
-    """The rows of a numeric CSV as a (rows, fields) array, and each row's
-    line in the file.  Blank lines and ``#`` comments, whole-line or
-    trailing, are skipped.  Errors name the offending row (its line in the
-    file) and column; a NaN or infinite field is one."""
-    rows = {}  # file line number -> fields
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
-    for i, line in enumerate(lines):
-        line = line.partition("#")[0]
-        if not line.strip():
-            continue
-        row = []
-        for j, f in enumerate(line.split(",")):
-            try:
-                row.append(float(f))
-                bad = None if math.isfinite(row[-1]) else "non-finite"
-            except ValueError:
-                bad = "non-numeric"
-            if bad:
-                raise IngestionError(f"{path}: {bad} field at row {i + 1}, column {j + 1}")
-        rows[i + 1] = row
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
-    width = len(next(iter(rows.values())))
-    for n, r in rows.items():
-        if len(r) != width:
-            raise IngestionError(f"{path}: row {n} has {len(r)} fields, expected {width}")
-    return np.asarray(list(rows.values()), dtype=float), list(rows)
-
-
-def load_logistic_csv(path, intercept=True, standardize=True):
-    """Read a numeric CSV with the binary label in the last column, as
-    ``_read_csv`` does; the covariates go through ``prepare_design``."""
-    data, lines = _read_csv(path)
-    X, y = data[:, :-1], data[:, -1]
-    bad = np.where(~np.isin(y, (0.0, 1.0)))[0]
-    if bad.size:
-        raise IngestionError(f"{path}: label outside {{0,1}} at row {lines[bad[0]]}")
-    return prepare_design(X, intercept, standardize), y
-
-
 def prepare_design(X, intercept=True, standardize=True):
-    """Optionally z-score the covariate columns (a constant column maps to
-    all zeros), then optionally append a constant-1 intercept column."""
+    """Optionally z-score the columns of the finite design X (a constant
+    column maps to all zeros), then optionally append a constant-1
+    intercept column."""
     if standardize:
         std = X.std(axis=0)
         X = np.where(std > 0, (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0), 0.0)
@@ -356,15 +308,15 @@ def _cox_prior_cov(n):
 def cox_target(n, y):
     """Log-Gaussian Cox process posterior on an n-by-n grid (d = n^2).
 
-    Counts are Poisson with intensity per cell m exp(x_ij), m = n^{-2};
-    the latent field has mean COX_MU and exponential-decay covariance
-    COX_SIGMA2 * exp(-dist / (n COX_BETA)).  The prior precision is
-    factored once; the likelihood Hessian is diagonal with entries
-    m exp(x_ij).
+    The counts y, a vector of n^2 in row-major grid order, are Poisson
+    with intensity per cell m exp(x_ij), m = n^{-2}; the latent field has
+    mean COX_MU and exponential-decay covariance COX_SIGMA2 *
+    exp(-dist / (n COX_BETA)).  The prior precision is factored once; the
+    likelihood Hessian is diagonal with entries m exp(x_ij).
     """
     check_size("n", n)
     d = n * n
-    y = _frozen(check_array("y", np.ravel(y), (d,)))
+    y = _frozen(check_array("y", y, (d,)))
     if np.any(y < 0) or np.any(y != np.round(y)):
         raise ValueError("counts must be nonnegative integers")
     m = 1.0 / d
@@ -491,10 +443,3 @@ def simulate_sv_data(T, seed=0):
     y = rng.normal(0.0, np.exp(0.5 * (mu + h)))
     return y
 
-
-def load_returns_csv(path):
-    """Read a single-column CSV of log-returns, as ``_read_csv`` does."""
-    values, _ = _read_csv(path)
-    if values.shape[1] != 1:
-        raise IngestionError(f"{path}: expected a single column of returns")
-    return values[:, 0]

@@ -35,7 +35,7 @@ from ehmc.entropy import penalty_h
 from ehmc.objective import AdaptConfig, AdaptState
 from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import SamplerSettings, load_checkpoint, run_experiment
-from ehmc.targets import gaussian_target, logistic_target
+from ehmc.targets import gaussian_target, logistic_target, prepare_design
 
 from _oracles import cholesky_inverse
 
@@ -399,6 +399,130 @@ def test_cox_runs_start_at_prior_mean(tmp_path):
     assert settings.init.shape == (9,)
 
 
+# ----------------------------------------------------------------- csv data
+
+
+def _csv_model(tmp_path, target, text, **params):
+    # the model a preset builds from a data file holding text
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    params = {"csv": str(path), **{key: str(value) for key, value in params.items()}}
+    return build_model(parse_config(None, {"target": target, "out": str(tmp_path)}, params))
+
+
+def _same_model(a, b):
+    q = np.random.default_rng(0).standard_normal(a.dim)
+    return a.dim == b.dim and a.potential(q) == b.potential(q) and np.array_equal(
+        a.grad(q), b.grad(q))
+
+
+def test_logistic_csv_preset(tmp_path):
+    # the label is the last column; the covariates are prepared as
+    # synthetic ones are: standardized, then an intercept column appended
+    X, y = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), np.array([1.0, 0.0, 1.0])
+    text = "1.0,2.0,1\n3.0,4.0,0\n5.0,6.0,1\n"
+    model = _csv_model(tmp_path, "logistic", text)
+    assert _same_model(model, logistic_target(prepare_design(X), y))
+    assert model.dim == 3
+    plain = _csv_model(tmp_path, "logistic", text, intercept="false", standardize="false")
+    assert _same_model(plain, logistic_target(X, y))
+    # blank lines and # comments, whole-line or trailing, are skipped
+    text = "# x1,x2,y\n1.0,2.0,1 # first\n\n3.0,4.0,0\n5.0,6.0,1\n"
+    assert _same_model(_csv_model(tmp_path, "logistic", text), model)
+
+
+def test_logistic_csv_preset_errors(tmp_path):
+    def refused(text, message, **params):
+        with pytest.raises(ValueError, match=message):
+            _csv_model(tmp_path, "logistic", text, **params)
+
+    # rows are counted over data rows: a blank line is not one (the table
+    # below has the other refusals, through main)
+    refused("1,2,1\n\n1,2\n", "^target.csv: the number of columns changed from 3 to 2 "
+            "at row 2;")
+    refused("1,2,1\n\n1,2,3\n", "^y: labels must be 0 or 1$")
+    # a NaN or infinite covariate is refused, not standardized into a zero
+    # column; no row is named
+    refused("0.1,2.0,1\n\n0.3,inf,0\nnan,-inf,1\n0.4,1.0,0\n",
+            "^target.csv: has a non-finite entry$")
+    for field in ("nan", "NaN", "inf", "-Infinity"):
+        refused(f"0.1,2.0,1\n{field},1.0,0\n", "^target.csv: has a non-finite entry$",
+                standardize="false")
+
+
+def test_sv_csv_preset(tmp_path):
+    model = _csv_model(tmp_path, "sv", "0.01\n-0.02\n0.005\n")
+    assert np.array_equal(model.extras["returns"], [0.01, -0.02, 0.005])
+    # blank lines and # comments, whole-line or trailing, are skipped
+    text = "# daily log-returns\n0.01 # first\n\n-0.02\n0.005\n"
+    assert _same_model(_csv_model(tmp_path, "sv", text), model)
+    with pytest.raises(ValueError, match="^target.csv: .*nope.csv not found"):
+        build_model(parse_config(None, {"target": "sv", "out": str(tmp_path)},
+                                 {"csv": str(tmp_path / "nope.csv")}))
+    with pytest.raises(ValueError, match="^target.csv: the number of columns changed from 1 "
+                       "to 2 at row 2;"):
+        _csv_model(tmp_path, "sv", "0.01\n0.02,0.03\n")
+
+
+def _main_on_csv(tmp_path, capsys, target, text):
+    # main's exit code and stderr for a data file holding text (None: no
+    # file), whose path stands for {path} in the stderr; a refused file
+    # leaves no output directory
+    path = tmp_path / "data.csv"
+    if text is not None:
+        path.write_text(text)
+    code = main(["--target", target, "--param", f"csv={path}", "--adapt-steps", "2",
+                 "--sample-steps", "2", "--chains", "1", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    return code, capsys.readouterr().err.replace(str(path), "{path}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0,oops,1\n", "target.csv: could not convert string 'oops' to float64 at row 0, column 2."),
+    ("1.0,2.0,1\n\n3.0,,0\n",
+     "target.csv: could not convert string '' to float64 at row 1, column 2."),
+    ("1.0,2.0,1\n0x1p3,2.0,0\n",
+     "target.csv: could not convert string '0x1p3' to float64 at row 1, column 1."),
+    ("1.0,2.0,1\n1.0,2.0,nan\n", "target.csv: has a non-finite entry"),
+    ("1.0,2.0,1\n1.0,-inf,0\n", "target.csv: has a non-finite entry"),
+    ("1e999,2.0,1\n", "target.csv: has a non-finite entry"),
+    ("# x1,x2,y\n\n1.0,2.0,1 # first\n3.0,oops,0\n",
+     "target.csv: could not convert string 'oops' to float64 at row 1, column 2."),
+    # a non-numeric field is named even after a non-finite one in its row
+    ("1.0,2.0,1\nnan,oops,1\n",
+     "target.csv: could not convert string 'oops' to float64 at row 1, column 2."),
+    ("1.0,2.0,1\noops,inf,1\n",
+     "target.csv: could not convert string 'oops' to float64 at row 1, column 1."),
+    ("1.0,2.0,1\n0.5,inf,oops\n",
+     "target.csv: could not convert string 'oops' to float64 at row 1, column 3."),
+    ("1.0,2.0,1\n1.0,2.0\n", "target.csv: the number of columns changed from 3 to 2 at row 2; "
+     "use `usecols` to select a subset and avoid this error"),
+    ("", 'target.csv: loadtxt: input contained no data: "{path}"'),
+    ("# x1,x2,y\n\n", 'target.csv: loadtxt: input contained no data: "{path}"'),
+    (None, "target.csv: {path} not found."),
+    ("1.0,2.0,1\n1.0,2.0,2\n", "y: labels must be 0 or 1"),
+], ids=["word", "empty", "hex", "nan-label", "minus-inf", "overflow", "after-comments",
+        "nan-then-word", "word-then-inf", "inf-then-word", "ragged", "no-data",
+        "comments-only", "missing", "label-2"])
+def test_logistic_csv_field_messages(tmp_path, capsys, text, message):
+    assert _main_on_csv(tmp_path, capsys, "logistic", text) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# daily log-returns\n\n0.01\n-0.02\noops\n",
+     "could not convert string 'oops' to float64 at row 2, column 1."),
+    ("0.01 # first\n\n# gap\nnan\n", "has a non-finite entry"),
+    ("0.01\n-inf\n", "has a non-finite entry"),
+    ("0.01\n1e999\n", "has a non-finite entry"),
+    ("0.01,0.02\n0.02,0.03\n", "must have shape (None, 1), got (2, 2)"),
+    ("0.01,0.02\n", "must have shape (None, 1), got (1, 2)"),
+], ids=["word-after-comments", "nan-after-comments", "minus-inf", "overflow", "two-columns",
+        "one-row"])
+def test_sv_csv_field_messages(tmp_path, capsys, text, message):
+    # returns files are read like logistic ones
+    assert _main_on_csv(tmp_path, capsys, "sv", text) == (1, f"error: target.csv: {message}\n")
+
+
 # ----------------------------------------------------------------- emission
 
 
@@ -700,14 +824,14 @@ def test_main_bad_param_syntax(tmp_path, capsys):
 
 
 def test_main_nonfinite_csv_exit_code(tmp_path, capsys):
-    # a NaN or infinite covariate is a data error (exit 1) naming its row
-    # and column, not a zero column in the standardized design
+    # a NaN or infinite covariate is a data error (exit 1), not a zero column
+    # in the standardized design
     data = tmp_path / "data.csv"
     data.write_text("0.5,nan,inf,1\n-0.2,1.0,2.0,0\n0.1,0.3,-1.0,1\n1.5,0.2,0.7,0\n")
     code = main(["--target", "logistic", "--param", f"csv={data}", "--adapt-steps", "2",
                  "--sample-steps", "2", "--chains", "1", "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "non-finite field at row 1, column 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: target.csv: has a non-finite entry\n"
     assert not (tmp_path / "out").exists()
 
 

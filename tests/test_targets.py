@@ -10,13 +10,10 @@ from ehmc.objective import AdaptState
 from ehmc.precond import Preconditioner, make_preconditioner
 from ehmc.sampler import SamplerSettings, make_chains
 from ehmc.targets import (
-    IngestionError,
     anisotropic_gaussian,
     correlated_gaussian,
     cox_target,
     gaussian_target,
-    load_logistic_csv,
-    load_returns_csv,
     logistic_target,
     prepare_design,
     simulate_cox_data,
@@ -200,62 +197,10 @@ def test_logistic_stability_large_inputs():
     assert np.all(np.isfinite(m.grad(q)))
 
 
-def test_load_logistic_csv(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("1.0,2.0,1\n3.0,4.0,0\n5.0,6.0,1\n")
-    X, y = load_logistic_csv(path, intercept=True, standardize=True)
-    assert X.shape == (3, 3)
-    assert np.allclose(X[:, -1], 1.0)
-    assert np.allclose(X[:, 0].mean(), 0.0)
-    assert np.allclose(y, [1.0, 0.0, 1.0])
-    X2, _ = load_logistic_csv(path, intercept=False, standardize=False)
-    assert X2.shape == (3, 2)
-    assert np.allclose(X2[0], [1.0, 2.0])
-    # blank lines and # comments, whole-line or trailing, are skipped
-    path.write_text("# x1,x2,y\n1.0,2.0,1 # first\n\n3.0,4.0,0\n5.0,6.0,1\n")
-    X3, y3 = load_logistic_csv(path, intercept=True, standardize=True)
-    assert np.array_equal(X3, X) and np.array_equal(y3, y)
-
-
-def test_load_logistic_csv_errors(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1.0,oops,1\n")
-    with pytest.raises(IngestionError, match="row 1, column 2"):
-        load_logistic_csv(bad)
-    bad.write_text("1.0,2.0,1\n1.0,2.0\n")
-    with pytest.raises(IngestionError, match="row 2"):
-        load_logistic_csv(bad)
-    bad.write_text("1.0,2.0,3.0\n")
-    with pytest.raises(IngestionError, match="label"):
-        load_logistic_csv(bad)
-    # rows are counted in file lines, blank lines included
-    bad.write_text("1,2,1\n\n1,2\n")
-    with pytest.raises(IngestionError, match="row 3 has 2 fields, expected 3"):
-        load_logistic_csv(bad)
-    bad.write_text("1,2,1\n\n1,2,3\n")
-    with pytest.raises(IngestionError, match="label outside .* at row 3$"):
-        load_logistic_csv(bad)
-    bad.write_text("")
-    with pytest.raises(IngestionError, match="no data"):
-        load_logistic_csv(bad)
-    # a NaN or infinite covariate is named, not standardized into a zero
-    # column; the first one in reading order counts
-    bad.write_text("0.1,2.0,1\n\n0.3,inf,0\nnan,-inf,1\n0.4,1.0,0\n")
-    with pytest.raises(IngestionError, match="non-finite field at row 3, column 2"):
-        load_logistic_csv(bad)
-    for field in ("nan", "NaN", "inf", "-Infinity"):
-        bad.write_text(f"0.1,2.0,1\n{field},1.0,0\n")
-        with pytest.raises(IngestionError, match="non-finite field at row 2, column 1"):
-            load_logistic_csv(bad, standardize=False)
-    with pytest.raises(IngestionError):
-        load_logistic_csv(tmp_path / "missing.csv")
-
-
-def test_constant_column_standardizes_to_zero(tmp_path):
-    path = tmp_path / "const.csv"
-    path.write_text("5.0,1.0,1\n5.0,2.0,0\n5.0,3.0,1\n")
-    X, _ = load_logistic_csv(path, intercept=False, standardize=True)
-    assert np.allclose(X[:, 0], 0.0)
+def test_constant_column_standardizes_to_zero():
+    X = prepare_design(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), intercept=False)
+    assert np.array_equal(X[:, 0], np.zeros(3))
+    assert np.allclose(X[:, 1], [-1.5**0.5, 0.0, 1.5**0.5])
 
 
 def test_cox_model(monkeypatch):
@@ -361,24 +306,6 @@ def test_sv_determinism_and_validation():
         sv_target(np.array([1.0, np.nan, 2.0]))
     with pytest.raises(ValueError):
         simulate_sv_data(1)
-
-
-def test_load_returns_csv(tmp_path):
-    path = tmp_path / "returns.csv"
-    path.write_text("0.01\n-0.02\n0.005\n")
-    r = load_returns_csv(path)
-    assert np.allclose(r, [0.01, -0.02, 0.005])
-    # blank lines and # comments, whole-line or trailing, are skipped
-    path.write_text("# daily log-returns\n0.01 # first\n\n-0.02\n0.005\n")
-    assert np.array_equal(load_returns_csv(path), r)
-    with pytest.raises(IngestionError):
-        load_returns_csv(tmp_path / "nope.csv")
-    path.write_text("0.01\n0.02,0.03\n")
-    with pytest.raises(IngestionError, match="row 2 has 2 fields, expected 1"):
-        load_returns_csv(path)
-    path.write_text("0.01,0.02\n0.02,0.03\n")
-    with pytest.raises(IngestionError, match="expected a single column of returns"):
-        load_returns_csv(path)
 
 
 def test_default_hvp_zero_direction():
@@ -738,52 +665,6 @@ def test_minimum_two_sizes_name_their_argument(name, make):
         make()
 
 
-@pytest.mark.parametrize("text, kind, row, column", [
-    ("1.0,oops,1\n", "non-numeric", 1, 2),
-    ("1.0,2.0,1\n\n3.0,,0\n", "non-numeric", 3, 2),
-    ("1.0,2.0,1\n0x1p3,2.0,0\n", "non-numeric", 2, 1),
-    ("1.0,2.0,1\n1.0,2.0,nan\n", "non-finite", 2, 3),
-    ("1.0,2.0,1\n1.0,-inf,0\n", "non-finite", 2, 2),
-    ("1e999,2.0,1\n", "non-finite", 1, 1),
-    ("# x1,x2,y\n\n1.0,2.0,1 # first\n3.0,oops,0\n", "non-numeric", 4, 2),
-], ids=["word", "empty", "hex", "nan-label", "minus-inf", "overflow", "after-comments"])
-def test_load_logistic_csv_field_messages(tmp_path, text, kind, row, column):
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    message = f"{path}: {kind} field at row {row}, column {column}"
-    with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
-        load_logistic_csv(path)
-
-
-@pytest.mark.parametrize("text, kind, row", [
-    ("# daily log-returns\n\n0.01\n-0.02\noops\n", "non-numeric", 5),
-    ("0.01 # first\n\n# gap\nnan\n", "non-finite", 4),
-    ("0.01\n-inf\n", "non-finite", 2),
-    ("0.01\n1e999\n", "non-finite", 2),
-], ids=["word-after-comments", "nan-after-comments", "minus-inf", "overflow"])
-def test_load_returns_csv_field_messages(tmp_path, text, kind, row):
-    # returns files are read like logistic ones: rows counted in file lines,
-    # NaN and infinite fields refused
-    path = tmp_path / "returns.csv"
-    path.write_text(text)
-    message = f"{path}: {kind} field at row {row}, column 1"
-    with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
-        load_returns_csv(path)
-
-
-@pytest.mark.parametrize("fields, kind, column", [
-    ("nan,oops,1", "non-finite", 1),
-    ("oops,inf,1", "non-numeric", 1),
-    ("0.5,inf,oops", "non-finite", 2),
-])
-def test_load_logistic_csv_names_first_bad_field(tmp_path, fields, kind, column):
-    # a row with several bad fields names the first one in column order
-    path = tmp_path / "bad.csv"
-    path.write_text(f"1.0,2.0,1\n{fields}\n")
-    with pytest.raises(IngestionError, match=f"{kind} field at row 2, column {column}$"):
-        load_logistic_csv(path)
-
-
 # -- every array a caller hands in -----------------------------------------
 
 
@@ -804,7 +685,8 @@ ARRAY_SITES = [
      np.ones(3)),
     ("logistic-y", "y", lambda a: logistic_target(np.ones((3, 2)), a), [0.0, 1.0, 1.0],
      np.ones((3, 1))),
-    ("cox-counts", "y", lambda a: cox_target(2, a), [0.0, 0.0, 1.0, 2.0], np.ones(5)),
+    # an n x n grid of counts is a wrong shape, not flattened
+    ("cox-counts", "y", lambda a: cox_target(2, a), [0.0, 0.0, 1.0, 2.0], np.ones((2, 2))),
     ("sv-returns", "returns", sv_target, [0.1, -0.2, 0.3], np.ones((3, 2))),
     ("make_chains-init", "init",
      lambda a: make_chains(gaussian_target(covariance=[1.0, 2.0]), 2, seed=0, init=a),
@@ -825,16 +707,18 @@ def _with_first(good, value):
     return a
 
 
-@pytest.mark.parametrize("bad", ["text", "shape", "nan", "+inf", "-inf"])
+@pytest.mark.parametrize("bad", ["text", "shape", "ragged", "nan", "+inf", "-inf"])
 @pytest.mark.parametrize("arg, call, good, wrong", [site[1:] for site in ARRAY_SITES],
                          ids=[site[0] for site in ARRAY_SITES])
 def test_every_array_input_is_refused_by_name(arg, call, good, wrong, bad):
     # one rule for each: numbers, not text, of its shape, with finite entries;
-    # text that numpy would read as numbers is text all the same
+    # text that numpy would read as numbers is text all the same, and rows
+    # of unequal lengths are refused in numpy's words
     call(good)
     value, message = {
         "text": (np.asarray(good).astype(str), "must hold numbers, got text$"),
         "shape": (wrong, "must have shape "),
+        "ragged": ([[1.0, 2.0], [3.0]], "setting an array element with a sequence"),
         "nan": (_with_first(good, np.nan), "has a non-finite entry$"),
         "+inf": (_with_first(good, np.inf), "has a non-finite entry$"),
         "-inf": (_with_first(good, -np.inf), "has a non-finite entry$"),
