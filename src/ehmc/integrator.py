@@ -36,7 +36,9 @@ class Trajectory:
     q has shape (L+1, d) with q[0] the starting position; grads[i] is the
     potential gradient at q[i]; v is the starting velocity C^T p_0 and w
     the final velocity C^T p_L; delta is the energy error of the proposal
-    (+inf when a potential evaluation was non-finite); u0 and u_end are
+    (+inf when a potential evaluation was non-finite, and until it is
+    evaluated), and accept_prob min(1, exp(-delta)), so 0 for a proposal
+    that diverged or is not evaluated yet; u0 and u_end are
     the potentials at q[0] and q[L] once evaluated; ``live`` is False for
     a chain that a non-finite gradient stopped, whose q past that step and
     w mean nothing.  A block has q and grads of shape (L+1, k, d), v and w
@@ -45,7 +47,7 @@ class Trajectory:
     adaptation objectives take blocks only.
     """
 
-    def __init__(self, q, grads, v, w, h, L, delta=np.nan, u0=None, u_end=None, live=True):
+    def __init__(self, q, grads, v, w, h, L, delta=np.inf, u0=None, u_end=None, live=True):
         self.q, self.grads, self.v, self.w, self.h, self.L = q, grads, v, w, h, L
         self.delta, self.u0, self.u_end, self.live = delta, u0, u_end, live
 
@@ -55,9 +57,7 @@ class Trajectory:
 
     @property
     def accept_prob(self):
-        if self.q.ndim == 2:
-            return _accept_prob(self.delta)
-        return np.array([_accept_prob(delta) for delta in self.delta])
+        return np.exp(-np.maximum(self.delta, 0.0))
 
     def row(self, i):
         """Row i of a block as a one-chain trajectory (views, no copies)."""
@@ -75,12 +75,6 @@ class Trajectory:
                           w=self.w[index], h=self.h, L=self.L, delta=self.delta[index],
                           u0=[self.u0[i] for i in index], u_end=[self.u_end[i] for i in index],
                           live=self.live[index])
-
-
-def _accept_prob(delta):
-    if not math.isfinite(delta):
-        return 0.0
-    return min(1.0, float(np.exp(-max(delta, -700.0))))
 
 
 def row_dot(x, y):

@@ -217,7 +217,7 @@ def _jump_gradient(traj, precond, scale):
     a = traj.accept_prob
     jump = traj.q[traj.L] - traj.q[0]
     r = row_dot(jump, jump)
-    binds = np.isfinite(traj.delta) & (traj.delta > 0.0) & (a > 0.0)
+    binds = (traj.delta > 0.0) & (a > 0.0)
     ends = _endpoint_pieces(traj, precond)
     out = np.zeros((a.size, precond.theta.size))
     _contract(precond, _endpoint_terms(traj, precond, ends, jump, scale * a * 2.0)

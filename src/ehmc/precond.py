@@ -33,11 +33,12 @@ Every map also takes a (k, d) block, and ``accumulate_bilinear_grad``
 a (k, T, d) stack of T terms per row; each row gets the bits it gets
 alone.  The dense block maps are stacked ``np.matmul`` (one gemv per row;
 a plain gemm rounds differently), the banded maps one LAPACK solve with k
-right-hand sides, and the dense inverse maps one ``np.linalg.solve`` per
-row (several right-hand sides round differently).  A term stack costs
-one stacked (d, T) by (T, d) ``np.matmul`` and one gather (dense), two
-LAPACK solves with kT right-hand sides and two sums over T (banded), or
-one sum over T (diagonal).
+right-hand sides, and the inverse maps one LAPACK solve per row with the
+materialised factor (several right-hand sides round differently).  No
+run calls the inverse maps; they stay for the benchmark's tracer.  A
+term stack costs one stacked (d, T) by (T, d) ``np.matmul`` and one
+gather (dense), two LAPACK solves with kT right-hand sides and two sums
+over T (banded), or one sum over T (diagonal).
 """
 
 import importlib.machinery
@@ -140,15 +141,13 @@ class Preconditioner:
             self._exp = np.exp(theta[:d])
             C = np.zeros((d, d))
             C.flat[self._packed] = np.concatenate([self._exp, theta[d:]])
-            self._C = C
             self._maps = ((C.dot, C.T.dot),
                           (partial(_rows_matvec, C), partial(_rows_matvec, C.T)))
         else:
             # B's superdiagonal (row 0, from column 1) and diagonal (row 1)
             self._exp = np.exp(theta[:d])
-            self._sup = theta[d:]
             ab = np.zeros((2, d), order="F")
-            ab[0, 1:] = self._sup
+            ab[0, 1:] = theta[d:]
             ab[1] = self._exp
             maps = (partial(_band_solve, self._tbtrs, ab, "N"),
                     partial(_band_solve, self._tbtrs, ab, "T"))
@@ -181,29 +180,15 @@ class Preconditioner:
 
     def solve(self, w):
         """C^{-1} w."""
-        return self._inverse(w, transpose=False)
+        return self._solve(self.dense(), w)
 
     def solve_t(self, w):
         """C^{-T} w."""
-        return self._inverse(w, transpose=True)
+        return self._solve(self.dense().T, w)
 
-    def _inverse(self, w, transpose):
-        # from the factor itself: divide by its diagonal, solve with C or C^T
-        # one row at a time (dense), or multiply by B or B^T (C^{-1} = B)
-        w = self._check_vec(w)
-        if self.kind == "diagonal":
-            return w / self._exp
-        if self.kind == "dense":
-            C = self._C.T if transpose else self._C
-            if w.ndim == 1:
-                return np.linalg.solve(C, w)
-            return np.stack([np.linalg.solve(C, row) for row in w])
-        out = self._exp * w
-        if transpose:
-            out[..., 1:] += self._sup * w[..., :-1]
-        else:
-            out[..., :-1] += self._sup * w[..., 1:]
-        return out
+    def _solve(self, A, w):
+        # one LAPACK solve with the materialised factor per (d,) row of w
+        return np.linalg.solve(A, self._check_vec(w)[..., None])[..., 0]
 
     def dense(self):
         """Materialize C as a dense matrix (small d only): row j of the

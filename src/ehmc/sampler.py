@@ -119,7 +119,7 @@ def _settle(chain, model, traj, fresh_start):
     if traj.live and fresh_start:
         chain.start = (chain.q, model, traj.grads[0].copy(), traj.u0)
     divergent = not math.isfinite(traj.delta) or traj.delta > DIVERGENCE_DELTA
-    a = 0.0 if divergent else traj.accept_prob
+    a = traj.accept_prob  # 0 for a divergent delta, which exceeds 745
     u = chain.rng_accept.uniform()
     chain.transition_count += 1
     chain.last_delta = traj.delta
@@ -368,8 +368,12 @@ def _json_object(arg, text):
 
 def _generator(state_json):
     # a Generator resumed at a JSON-encoded PCG64 state
+    state = _json_object("rng_states", state_json)
     bg = np.random.PCG64()
-    bg.state = _json_object("rng_states", state_json)
+    try:
+        bg.state = state
+    except (KeyError, TypeError, OverflowError, ValueError) as exc:
+        raise ValueError(f"rng_states: not a PCG64 state ({exc!r})") from None
     return np.random.Generator(bg)
 
 

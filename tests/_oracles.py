@@ -139,6 +139,29 @@ def dense_lower_factor(precond):
     return C
 
 
+def factor_inverse(precond, w, transpose=False):
+    """C^{-1} w, or C^{-T} w if transpose, for a (d,) or (k, d) w, by each
+    kind's own formula from theta: w / exp(theta) (diagonal), a triangular
+    solve with C or C^T (dense), and B w or B^T w from the band (banded,
+    whose C^{-1} is B)."""
+    from scipy.linalg import solve_triangular
+
+    w = np.asarray(w, dtype=float)
+    d = precond.dim
+    if precond.kind == "diagonal":
+        return w / np.exp(precond.theta)
+    if precond.kind == "dense":
+        trans = "T" if transpose else "N"
+        return solve_triangular(dense_lower_factor(precond), w.T, trans=trans, lower=True).T
+    sup = precond.theta[d:]
+    out = np.exp(precond.theta[:d]) * w
+    if transpose:
+        out[..., 1:] += sup * w[..., :-1]
+    else:
+        out[..., :-1] += sup * w[..., 1:]
+    return out
+
+
 class TextbookFactor:
     """C w and C^T w on (d,) vectors, built from a preconditioner's theta
     alone: exp of the diagonal, the dense C filled row by row, scipy's
@@ -518,12 +541,18 @@ def _l2hmc(j, state):
     return -(j / lam - lam / max(j, L2HMC_FLOOR))
 
 
+def accept_prob(delta):
+    """min(1, exp(-delta)) for one energy error, 0 for a non-finite one,
+    with exp's argument clamped at 700."""
+    if not np.isfinite(delta):
+        return 0.0
+    return min(1.0, float(np.exp(-max(delta, -700.0))))
+
+
 def _jump(delta, q0, qL):
-    # J = a ||q_L - q_0||^2 with a = min(1, exp(-delta)), 0 for a
-    # non-finite delta
-    a = min(1.0, float(np.exp(-max(delta, -700.0)))) if np.isfinite(delta) else 0.0
+    # J = a ||q_L - q_0||^2 with a the acceptance probability
     jump = qL - q0
-    return a * float(jump @ jump)
+    return accept_prob(delta) * float(jump @ jump)
 
 
 def _surrogate_jump(traj, precond, model):

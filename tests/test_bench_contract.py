@@ -7,11 +7,14 @@ not as a wrong figure in the benchmark.
 """
 
 import functools
+import importlib.util
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ehmc import objective as objective_module, sampler
+from ehmc import cli, diagnostics, objective as objective_module, precond, sampler
 from ehmc.entropy import MidpointOperator, roulette_pass
 from ehmc.integrator import trajectory_reparam
 from ehmc.objective import (AdaptState, esjd_gradient, gsm_gradient, jump_value,
@@ -24,6 +27,8 @@ from _oracles import (adaptive_step_per_chain, hazard_model, logged_model, penal
                       scaled_identity)
 
 ADAPT, SAMPLE, CHAINS = 5, 7, 3
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def settings(model, objective="gsm"):
@@ -60,6 +65,31 @@ def test_transition_calls(monkeypatch):
     assert len(sample) == SAMPLE * CHAINS
     assert all(isinstance(c, ChainState) for c in sample)
     assert sample == chains * SAMPLE
+
+
+def test_tracer_wraps_names_that_exist(monkeypatch):
+    # the traced benchmark run wraps its layer boundaries by name; here it
+    # wraps copies of the modules and a subclass of Preconditioner, so a
+    # deleted or renamed boundary raises AttributeError without a run and
+    # the package itself is left unpatched
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    class Traced(Preconditioner):
+        pass
+
+    modules = {name: types.SimpleNamespace(**vars(module)) for name, module in
+               [("cli", cli), ("sampler", sampler), ("precond", precond),
+                ("diagnostics", diagnostics)]}
+    modules["precond"].Preconditioner = Traced
+    package = [cli, sampler, precond, diagnostics, Preconditioner]
+    before = [dict(vars(owner)) for owner in package]
+    tracing.install_tracer(tracing.Tracer(), modules, tracing.RouletteStats())
+    assert [dict(vars(owner)) for owner in package] == before
+    for owner in [modules["cli"], modules["sampler"], modules["diagnostics"], Traced]:
+        assert any(hasattr(value, "__wrapped__") for value in vars(owner).values())
 
 
 def test_first_transition_precedes_every_target_call(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ehmc.integrator import (
+    Trajectory,
     energy_error,
     row_dot,
     trajectory_reparam,
@@ -12,6 +13,7 @@ from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.targets import TargetModel, gaussian_target, logistic_target, simulate_logistic_data
 
 from _oracles import (
+    accept_prob,
     ds_recursion,
     flat_model,
     leapfrog_direct,
@@ -172,6 +174,34 @@ def test_energy_error_nonfinite_potential():
     traj = trajectory_reparam(np.array([0.0]), np.array([30.0]), 0.2, 1, p, m)
     assert traj.delta == np.inf
     assert traj.accept_prob == 0.0
+
+
+EDGE_DELTAS = [-1e308, -700.0, -0.0, 0.0, 708.0, 745.0, 745.2, 746.0, 1000.0, np.inf]
+
+
+def unit_trajectory(k=None, **delta):
+    # a one-step trajectory in one dimension (a block of k rows if k is
+    # given) with the energy error delta, if given
+    shape = (2, 1) if k is None else (2, k, 1)
+    return Trajectory(q=np.zeros(shape), grads=np.zeros(shape), v=np.zeros(shape[1:]),
+                      w=np.zeros(shape[1:]), h=0.1, L=1, **delta)
+
+
+def test_accept_prob_matches_reference():
+    # one expression for a chain and a block gives every delta the
+    # bits of min(1, exp(-delta)) clamped at -700 and 0 when non-finite
+    rng = np.random.default_rng(31)
+    random = rng.standard_normal(200) * 10.0 ** rng.uniform(-3, 3, 200)
+    deltas = np.concatenate([EDGE_DELTAS, random])
+    for delta in deltas:
+        assert np.array_equal(unit_trajectory(delta=float(delta)).accept_prob,
+                              accept_prob(delta))
+    for k in range(1, 18):
+        block = rng.choice(deltas, k)
+        assert np.array_equal(unit_trajectory(k, delta=block).accept_prob,
+                              [accept_prob(delta) for delta in block])
+    # a proposal not evaluated yet is never accepted
+    assert unit_trajectory().accept_prob == 0.0
 
 
 def test_energy_error_order_h2():

@@ -17,6 +17,7 @@ from ehmc.targets import gaussian_target
 from _oracles import (
     banded_upper_bidiagonal,
     dense_lower_factor,
+    factor_inverse,
     fd_theta_gradient,
     forward_substitution,
     logdet,
@@ -87,6 +88,20 @@ def test_round_trip(kind, dim):
     assert np.max(np.abs(p.solve(p.matvec(w)) - w)) < 1e-10
     assert np.max(np.abs(p.solve_t(p.rmatvec(w)) - w)) < 1e-10
     assert np.max(np.abs(p.matvec(p.solve(w)) - w)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_inverse_maps_match_per_kind_formulas(kind, dim):
+    # the solves with the materialised factor agree with each kind's own
+    # inverse: division (diagonal), a triangular solve (dense), B w (banded)
+    rng = np.random.default_rng(150 + dim)
+    p = random_precond(kind, dim, rng)
+    for w in (rng.standard_normal(dim), rng.standard_normal((5, dim))):
+        for name, transpose in (("solve", False), ("solve_t", True)):
+            got, want = getattr(p, name)(w), factor_inverse(p, w, transpose)
+            assert got.shape == w.shape
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind", KINDS)

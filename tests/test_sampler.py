@@ -2,6 +2,7 @@
 
 import copy
 import json
+import types
 
 import numpy as np
 import pytest
@@ -516,6 +517,20 @@ def test_finite_but_huge_delta_is_divergence():
         assert chain.q[0] == 80.0
 
 
+def test_divergent_proposal_is_rejected_at_zero_uniform():
+    # delta = 2e3 is divergent and its acceptance probability is exactly
+    # 0, so even a uniform of 0.0 (u <= a) must not accept it
+    m = TargetModel(dim=1, potential=lambda q: 0.0 if q[0] == 0.0 else 2e3,
+                    grad=lambda q: np.zeros(1), hvp=lambda q, w: np.zeros(1))
+    p = make_preconditioner("diagonal", 1)
+    for form in ("chain", "block"):
+        chain = make_chains(m, 1, seed=3, init=np.zeros(1))[0]
+        chain.rng_accept = types.SimpleNamespace(uniform=lambda: 0.0)
+        _, traj, a = hmc_transition(chain if form == "chain" else [chain], p, m, 0.5, 2)
+        assert np.all(traj.delta == 2e3) and np.all(np.equal(a, 0.0))
+        assert (chain.divergence_count, chain.accept_count, chain.q[0]) == (1, 0, 0.0)
+
+
 # -------------------------------------------------------------- checkpoints
 
 
@@ -706,10 +721,17 @@ def _with_nan(name):
     ("config_json", lambda ck: np.array("{")),
     ("meta_json", lambda ck: np.array("[1]")),
     ("rng_states", lambda ck: np.full_like(ck["rng_states"], b"{")),
+    ("rng_states", lambda ck: np.full_like(ck["rng_states"], b'{"a": 1}')),
+    ("rng_states", lambda ck: np.full_like(ck["rng_states"], b'{"bit_generator": "PCG64"}')),
+    ("rng_states", lambda ck: np.full_like(ck["rng_states"],
+                                           b'{"bit_generator": "PCG64", "state": "x"}')),
+    ("rng_states", lambda ck: np.full_like(
+        ck["rng_states"], b'{"bit_generator": "PCG64", "state": {"state": -1, "inc": 1}}')),
 ], ids=["counters-fractional", "counters-float", "rng_states-str", "theta-nan",
         "adam_m-nan", "adam_v-nan", "positions-nan", "counters-negative",
         "precond_dim-fractional", "config_json-list", "config_json-undecodable",
-        "meta_json-list", "rng_states-undecodable"])
+        "meta_json-list", "rng_states-undecodable", "rng_states-not-pcg64",
+        "rng_states-no-state", "rng_states-str-state", "rng_states-negative-state"])
 def test_checkpoint_with_wrong_dtype_or_nonfinite_state_is_refused(tmp_path, name, bad):
     path = checkpoint_with_arrays(tmp_path, **{name: bad})
     with pytest.raises(ValueError, match=f"^{name}: "):
