@@ -89,9 +89,9 @@ def _parse(typ, raw, name):
 def _read(keys, label, raw):
     # (name, value) of the setting INI-named label among keys: text is read
     # as in a file, then it or a typed value becomes the setting's plain type
-    # or a ValueError naming label: a text setting takes a path-like's text;
-    # a number, through check_size or check_real, an int or a float of any
-    # sign (the range checks follow); the L values, a sequence of ints
+    # or a ValueError naming label: text takes a path-like's text; a number,
+    # through check_size or check_real, an int or a float of any sign (the
+    # range checks follow); the L values, ints; a boolean, a (numpy) bool
     if label not in keys:
         raise ConfigError(f"unknown key {label}")
     name, typ = keys[label]
@@ -109,7 +109,11 @@ def _read(keys, label, raw):
         return name, tuple(targets.check_size(label, v, -np.inf) for v in raw)
     if typ is int:
         return name, targets.check_size(label, raw, -np.inf)
-    return name, targets.check_real(label, raw) if typ is float else raw
+    if typ is float:
+        return name, targets.check_real(label, raw)
+    if not isinstance(raw, (bool, np.bool_)):
+        raise ConfigError(f"{label}: expected {_EXPECTED[bool]}, got {raw!r}")
+    return name, bool(raw)
 
 
 # every setting: (section, INI key, RunConfig field, type); the INI parser,

@@ -33,17 +33,15 @@ class RouletteDraw:
     n_terms: truncation level N (>= n_min)
     survival: p_k = P(N >= k) for k = 1..N, nonincreasing, positive
     y: alternating-series accumulator sum_k ((-1)^k / p_k) eta_k
-    b: unit eigenvector estimate (zero vector when degenerate)
+    b: unit eigenvector estimate, zero when an iterate hit exactly zero
     mu: b^T D b, the dominant-eigenvalue estimate
     eps_eta: epsilon^T eta_k for k = 1..N (for the log-det estimate)
     clamp_count: how many iterations the spectral clamp fired
-    degenerate: an iterate hit exactly zero, so b and mu are zeroed
     hvp_eps: the raw product H C epsilon of the first term
-    hvp_b: the raw product H C b of the mu probe
+    hvp_b: H C b, the raw product of the mu probe (zero when b is)
     hvp_y: H C y = sum_k ((-1)^k / p_k) H C eta_k, summed from the
         products of the following applications, the last one's from hvp_b
-    (the last three are kept only from a MidpointOperator, and hvp_b not
-    for a degenerate draw; they are None otherwise)
+    (the last three are kept only from a MidpointOperator, else None)
     """
 
     epsilon: np.ndarray
@@ -54,7 +52,6 @@ class RouletteDraw:
     mu: float
     eps_eta: np.ndarray
     clamp_count: int
-    degenerate: bool
     hvp_eps: Optional[np.ndarray] = None
     hvp_b: Optional[np.ndarray] = None
     hvp_y: Optional[np.ndarray] = None
@@ -117,8 +114,9 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     products of the first term and of the mu probe are kept on the draw,
     and so is H C y: application k + 1 adds ((-1)^k / p_k) H C eta_k, and
     the mu probe adds ((-1)^N / p_N) ||eta_N|| H C b.  A degenerate pass
-    stops at its last nonzero term.  A norm is sqrt(x.dot(x)), the bits of
-    ``np.linalg.norm``, and ||eta|| is carried over unless the clamp fired.
+    stops at its last nonzero term, with no mu probe: b, mu and H C b are
+    zero.  A norm is sqrt(x.dot(x)), the bits of ``np.linalg.norm``, and
+    ||eta|| is carried over unless the clamp fired.
     """
     epsilon = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
     n, survival = sample_truncation(rng, n_min)
@@ -149,7 +147,8 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         y += weight * eta
         eps_eta[k - 1] = epsilon.dot(eta)
     if degenerate or en == 0.0:
-        b, mu, degenerate = np.zeros(dim), 0.0, True
+        b, mu = np.zeros(dim), 0.0
+        hvp_b = None if hvp_y is None else np.zeros(dim)
     else:
         b = eta / en
         mu = float(b.dot(dl(b)))
@@ -157,8 +156,8 @@ def roulette_pass(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         if hvp_y is not None:
             hvp_y += (weight * en) * hvp_b
     return RouletteDraw(epsilon=epsilon, n_terms=n, survival=survival, y=y, b=b, mu=mu,
-                        eps_eta=eps_eta, clamp_count=clamps, degenerate=degenerate,
-                        hvp_eps=hvp_eps, hvp_b=hvp_b, hvp_y=hvp_y)
+                        eps_eta=eps_eta, clamp_count=clamps, hvp_eps=hvp_eps,
+                        hvp_b=hvp_b, hvp_y=hvp_y)
 
 
 def penalty_h(x, delta=PENALTY_DELTA):

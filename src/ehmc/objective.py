@@ -170,10 +170,10 @@ def gsm_gradient(traj, draws, slopes, state, precond):
     energy part enters only for rows whose energy error is positive; the
     entropy part back-propagates through both C factors of the surrogate
     operator; the penalty differentiates through the operator only, with
-    b frozen.  draws holds one draw per row, each from a roulette pass
-    over a MidpointOperator, which keeps H C eps, H C b and H C y, and
-    whose mu is the b^T D b the caller's penalty reads; so no hvp call is
-    made here, and a GSM chain-step costs the pass's N + 1 products.
+    b frozen.  draws holds one draw per row from a roulette pass over a
+    MidpointOperator: it keeps H C eps, H C b (zero when b is) and H C y,
+    and its mu is the b^T D b the caller's penalty reads, so no hvp call
+    is made here and a GSM chain-step costs the pass's N + 1 products.
     slopes holds, per draw, the slope of ``penalty_h`` at |mu| under the
     state's penalty_delta: the caller evaluates the penalty once per draw
     and keeps its value for the gamma update.
@@ -186,16 +186,11 @@ def gsm_gradient(traj, draws, slopes, state, precond):
     terms = _delta_terms(traj, precond, ends, positive.astype(float))
     if traj.L > 1:
         c = dl_coeff(traj.h, traj.L)
-        # a degenerate draw keeps no H C b: there b = 0, so mu = 0 and the
-        # penalty is inactive
-        b = np.stack([dr.b for dr in draws])
-        hvp_b = np.stack([np.zeros_like(dr.b) if dr.hvp_b is None else dr.hvp_b
-                          for dr in draws])
         coeff = [state.beta * state.gamma * slope * np.sign(dr.mu) * c * 2.0
                  for dr, slope in zip(draws, slopes)]
         terms += [([dr.hvp_eps for dr in draws], [dr.y for dr in draws], -state.beta * c),
                   ([dr.hvp_y for dr in draws], [dr.epsilon for dr in draws], -state.beta * c),
-                  (hvp_b, b, coeff)]
+                  ([dr.hvp_b for dr in draws], [dr.b for dr in draws], coeff)]
     _contract(precond, terms, out)
     return out
 

@@ -54,10 +54,11 @@ from .targets import check_array, check_size
 KINDS = ("diagonal", "dense", "banded")
 
 
-def check_kind(kind):
-    """Raise ValueError unless ``kind`` is one of KINDS."""
+def check_kind(kind, arg="kind"):
+    """``kind`` if it is one of KINDS; else ValueError starting with ``arg``."""
     if kind not in KINDS:
-        raise ValueError(f"kind: must be one of {', '.join(KINDS)}, got {kind!r}")
+        raise ValueError(f"{arg}: must be one of {', '.join(KINDS)}, got {kind!r}")
+    return kind
 
 
 def n_params(kind, dim):

@@ -192,7 +192,7 @@ def adaptive_step(chains, state, model, h, L, objective="gsm", record=None):
     if objective == "gsm":
         kept, draws = [], []
         for j, i in enumerate(live):
-            dl = MidpointOperator(traj.midpoint[j], precond, model, h, L)
+            dl = MidpointOperator(traj.midpoint[j], precond, model, traj.h, traj.L)
             try:
                 draw = roulette_pass(dl, model.dim, chains[i].rng_roulette,
                                      cfg.delta_prime, cfg.n_min)
@@ -393,7 +393,7 @@ def load_checkpoint(path):
     unknown = sorted(config_d.keys() - {f.name for f in fields(AdaptConfig)})
     if unknown:
         raise ValueError(f"{unknown[0]}: not an adaptation setting")
-    precond = Preconditioner(kind=str(ck["precond_kind"]),
+    precond = Preconditioner(kind=check_kind(str(ck["precond_kind"]), "precond_kind"),
                              dim=check_size("precond_dim", ck["precond_dim"][()]),
                              theta=ck["theta"])
     k = ck["positions"].shape[0] if ck["positions"].ndim else 0

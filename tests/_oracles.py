@@ -261,9 +261,10 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         y += ((-1.0) ** k / survival[k - 1]) * eta
         eps_eta[k - 1] = float(epsilon @ eta)
     if degenerate or float(np.linalg.norm(eta)) == 0.0:
+        # H C b for b = 0, from an operator that keeps its products
         b = np.zeros(dim)
         mu = 0.0
-        degenerate = True
+        hvp_b = None if hvp_y is None else np.zeros(dim)
     else:
         norm = float(np.linalg.norm(eta))
         b = eta / norm
@@ -272,8 +273,8 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         if hvp_y is not None:
             hvp_y += ((-1.0) ** n / survival[n - 1] * norm) * hvp_b
     return ReferenceDraw(epsilon=epsilon, n_terms=n, survival=survival, y=y, b=b, mu=mu,
-                         eps_eta=eps_eta, clamp_count=clamps, degenerate=degenerate,
-                         hvp_eps=hvp_eps, hvp_b=hvp_b, hvp_y=hvp_y, eta_bar=eta)
+                         eps_eta=eps_eta, clamp_count=clamps, hvp_eps=hvp_eps,
+                         hvp_b=hvp_b, hvp_y=hvp_y, eta_bar=eta)
 
 
 def penalty_value_reference(x, delta):

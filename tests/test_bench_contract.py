@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from ehmc import cli, diagnostics, objective as objective_module, precond, sampler
-from ehmc.entropy import MidpointOperator, roulette_pass
+from ehmc.entropy import MidpointOperator, dl_coeff, roulette_pass
 from ehmc.integrator import trajectory_reparam
 from ehmc.objective import (AdaptState, esjd_gradient, gsm_gradient, jump_value,
                             l2hmc_gradient)
 from ehmc.precond import KINDS, Preconditioner, make_preconditioner, n_params
 from ehmc.sampler import ChainState, SamplerSettings, make_chains, run_experiment
-from ehmc.targets import gaussian_target
+from ehmc.targets import TargetModel, gaussian_target
 
 from _oracles import (adaptive_step_per_chain, hazard_model, logged_model, penalty_slopes,
                       scaled_identity)
@@ -67,15 +67,21 @@ def test_transition_calls(monkeypatch):
     assert sample == chains * SAMPLE
 
 
+def load_tracing(monkeypatch):
+    # benchmarks/tracing.py as a fresh module, read and never written
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_tracer_wraps_names_that_exist(monkeypatch):
     # the traced benchmark run wraps its layer boundaries by name; here it
     # wraps copies of the modules and a subclass of Preconditioner, so a
     # deleted or renamed boundary raises AttributeError without a run and
     # the package itself is left unpatched
-    monkeypatch.syspath_prepend(str(BENCH))
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing(monkeypatch)
 
     class Traced(Preconditioner):
         pass
@@ -90,6 +96,31 @@ def test_tracer_wraps_names_that_exist(monkeypatch):
     assert [dict(vars(owner)) for owner in package] == before
     for owner in [modules["cli"], modules["sampler"], modules["diagnostics"], Traced]:
         assert any(hasattr(value, "__wrapped__") for value in vars(owner).values())
+
+
+def test_roulette_stats_read_the_draw_fields(monkeypatch):
+    # the traced run totals each pass's truncation level and clamp count
+    # from the draw: on a clamped, an unclamped and a degenerate midpoint
+    # pass (D = c H with C = I, for H a multiple of I or nilpotent), the
+    # totals are the sums of the draws' n_terms and clamp_count
+    d, h, L = 3, 0.5, 3
+    c = dl_coeff(h, L)
+    draws = []
+    for A in (3.0 / c * np.eye(d), 0.3 / c * np.eye(d), np.eye(d, k=1)):
+        model = TargetModel(dim=d, potential=lambda q: 0.0, grad=lambda q: np.zeros(d),
+                            hvp=lambda q, w, A=A: A @ w)
+        op = MidpointOperator(np.zeros(d), make_preconditioner("diagonal", d), model, h, L)
+        draws.append(roulette_pass(op, d, np.random.default_rng(len(draws))))
+    clamped, unclamped, degenerate = draws
+    assert clamped.clamp_count == clamped.n_terms and clamped.b.any()
+    assert unclamped.clamp_count == 0 and unclamped.b.any()
+    assert not degenerate.b.any() and degenerate.n_terms >= d
+    stats = load_tracing(monkeypatch).RouletteStats()
+    for draw in draws:
+        stats(draw)
+    assert stats.passes == len(draws)
+    assert stats.terms == sum(draw.n_terms for draw in draws)
+    assert stats.clamps == sum(draw.clamp_count for draw in draws)
 
 
 def test_first_transition_precedes_every_target_call(monkeypatch):

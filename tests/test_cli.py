@@ -223,6 +223,24 @@ def test_typed_number_is_refused_by_name(name, call, value):
         call(value)
 
 
+@pytest.mark.parametrize("label", ["target.intercept", "target.standardize"])
+@pytest.mark.parametrize("value", [2, None, [1], 1.5], ids=repr)
+def test_typed_non_boolean_is_refused_by_name(label, value):
+    # a typed boolean setting takes only a bool; anything else would run and
+    # then fail in emit_report or write a config.echo that does not parse back
+    with pytest.raises(ConfigError, match=f"^{re.escape(label)}: expected a boolean, "
+                                          f"got {re.escape(repr(value))}$"):
+        _parsed("logistic", label)(value)
+
+
+def test_numpy_bool_reads_as_bool_and_round_trips(tmp_path):
+    cfg = parse_config(None, {"target": "logistic", "out": str(tmp_path)},
+                       {"intercept": np.True_, "standardize": np.False_})
+    assert [type(cfg.target_params[k]) for k in ("intercept", "standardize")] == [bool, bool]
+    assert (cfg.target_params["intercept"], cfg.target_params["standardize"]) == (True, False)
+    assert parse_config(write_config(tmp_path, render_config(cfg), "config.echo")) == cfg
+
+
 def test_every_adapt_setting_has_a_key_and_a_flag():
     # an AdaptConfig field that no INI key or flag can set fails here
     adapt = [(key, name) for section, key, name, _ in _FIELDS if section == "adapt"]

@@ -147,8 +147,7 @@ def test_truncation_survival_structure():
 def test_roulette_zero_operator():
     rng = np.random.default_rng(9)
     draw = roulette_pass(lambda w: np.zeros_like(w), 3, rng)
-    assert draw.degenerate
-    assert np.array_equal(draw.b, np.zeros(3))
+    assert np.array_equal(draw.b, np.zeros(3)) and draw.hvp_b is None
     assert draw.mu == 0.0
     assert roulette_logdet_estimate(draw) == 0.0
 
@@ -247,16 +246,16 @@ def test_roulette_pass_equals_reference():
                 assert new_rng.bit_generator.state == ref_rng.bit_generator.state
     assert sum(map(len, seen.values())) >= 500
     draws = {name: [dr for dr in got if dr is not None] for name, got in seen.items()}
-    assert all(dr.degenerate for dr in draws["zero"])
-    assert all(dr.clamp_count == 0 and not dr.degenerate for dr in draws["never clamps"])
+    assert all(not dr.b.any() for dr in draws["zero"])
+    assert all(dr.clamp_count == 0 and dr.b.any() for dr in draws["never clamps"])
     assert all(dr.clamp_count == dr.n_terms for dr in draws["clamps every term"])
     assert len({dr.n_terms for dr in draws["clamps every term"]}) > 3
     assert all(dr.hvp_eps is not None and dr.hvp_b is not None for dr in draws["midpoint"])
-    assert any(dr.degenerate for dr in draws["nilpotent"])
-    assert any(not dr.degenerate for dr in draws["nilpotent"])
+    assert any(not dr.b.any() for dr in draws["nilpotent"])
+    assert any(dr.b.any() for dr in draws["nilpotent"])
     assert len({dr.clamp_count for dr in draws["midpoint"]}) > 1
     assert 0 < len(draws["non-finite hvp"]) < len(seen["non-finite hvp"])
-    assert all(dr.degenerate for dr in draws["overflowing sum"])
+    assert all(not dr.b.any() for dr in draws["overflowing sum"])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -287,9 +286,10 @@ def test_midpoint_operator_follows_theta_writes(kind):
 
 def test_hvp_y_equals_a_fresh_product():
     # H C y summed from the pass's own products against one more hvp call
-    # on y, on clamped, unclamped and degenerate passes; None from a plain
-    # callable and at L = 1.  The overflowing model is left out: its hvp
-    # is a constant, not linear in w.
+    # on y, and the kept H C b against one on b (zero for a zero b), on
+    # clamped, unclamped and degenerate passes; None from a plain callable
+    # and at L = 1.  The overflowing model is left out: its hvp is a
+    # constant, not linear in w.
     rng = np.random.default_rng(32)
     compared, nones = set(), set()
     for name, op, _ in roulette_operators(5, rng):
@@ -304,13 +304,14 @@ def test_hvp_y_equals_a_fresh_product():
                 except FloatingPointError:
                     continue
                 if not isinstance(op, MidpointOperator) or op.L == 1:
-                    assert draw.hvp_y is None, name
+                    assert draw.hvp_y is None and draw.hvp_b is None, name
                     nones.add(name)
                     continue
-                fresh = op.model.hvp(op.q_mid, op.precond.matvec(draw.y))
-                err = np.linalg.norm(draw.hvp_y - fresh)
-                assert err <= 1e-12 * np.linalg.norm(fresh), name
-                compared.add((name, draw.degenerate))
+                for kept, v in ((draw.hvp_y, draw.y), (draw.hvp_b, draw.b)):
+                    fresh = op.model.hvp(op.q_mid, op.precond.matvec(v))
+                    err = np.linalg.norm(kept - fresh)
+                    assert err <= 1e-12 * np.linalg.norm(fresh), name
+                compared.add((name, not draw.b.any()))
     assert nones == {"zero", "never clamps", "clamps every term"}
     assert compared >= {("never clamps", False), ("clamps every term", False),
                         ("midpoint", False), ("nilpotent", False), ("nilpotent", True),
@@ -378,7 +379,7 @@ def test_mu_bounded_by_spectral_norm():
         A = rng.standard_normal((d, d))
         D = 0.4 * (A + A.T) / 2
         draw = roulette_pass(lambda w: D @ w, d, rng)
-        if not draw.degenerate:
+        if draw.b.any():
             assert abs(draw.mu) <= np.linalg.norm(D, 2) + 1e-12
 
 

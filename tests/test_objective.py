@@ -129,8 +129,8 @@ def test_gsm_entropy_reported_value_large_n():
 
 def test_gsm_gradient_degenerate_draw():
     # a zero Hessian zeroes the first series term: the draw keeps H C eps
-    # and a zero H C y but has no mu probe, so the gradient makes no hvp
-    # call and only the log-det part is left
+    # and a zero H C y and H C b but has no mu probe, so the gradient makes
+    # no hvp call and only the log-det part is left
     calls = []
     base = flat_model(3)
     m = TargetModel(dim=3, potential=base.potential, grad=base.grad,
@@ -140,7 +140,8 @@ def test_gsm_gradient_degenerate_draw():
                               0.4, 3, p, m)
     draw = roulette_pass(MidpointOperator(traj.midpoint[0], p, m, 0.4, 3), 3,
                          np.random.default_rng(6))
-    assert draw.degenerate and draw.hvp_eps is not None and draw.hvp_b is None
+    assert not draw.b.any() and draw.hvp_eps is not None
+    assert np.array_equal(draw.hvp_b, np.zeros(3))
     assert np.array_equal(draw.hvp_y, np.zeros(3))
     assert traj.delta[0] <= 0.0
     state = AdaptState(p)

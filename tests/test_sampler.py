@@ -320,7 +320,7 @@ def test_gsm_step_hvp_count(monkeypatch):
         draws.clear()
         before = calls["hvp"]
         adaptive_step(chains, state, m, 0.3, 5, objective="gsm")
-        assert len(draws) == 4 and not any(d.degenerate for d in draws)
+        assert len(draws) == 4 and all(d.b.any() for d in draws)
         assert calls["hvp"] - before == sum(d.n_terms + 1 for d in draws)
 
 
@@ -717,6 +717,7 @@ def _with_nan(name):
     ("positions", _with_nan("positions")),
     ("counters", lambda ck: -1 - ck["counters"]),
     ("precond_dim", lambda ck: np.array(2.5)),
+    ("precond_kind", lambda ck: np.array("foo")),
     ("config_json", lambda ck: np.array("[1]")),
     ("config_json", lambda ck: np.array("{")),
     ("meta_json", lambda ck: np.array("[1]")),
@@ -729,8 +730,8 @@ def _with_nan(name):
         ck["rng_states"], b'{"bit_generator": "PCG64", "state": {"state": -1, "inc": 1}}')),
 ], ids=["counters-fractional", "counters-float", "rng_states-str", "theta-nan",
         "adam_m-nan", "adam_v-nan", "positions-nan", "counters-negative",
-        "precond_dim-fractional", "config_json-list", "config_json-undecodable",
-        "meta_json-list", "rng_states-undecodable", "rng_states-not-pcg64",
+        "precond_dim-fractional", "precond_kind-unknown", "config_json-list",
+        "config_json-undecodable", "meta_json-list", "rng_states-undecodable", "rng_states-not-pcg64",
         "rng_states-no-state", "rng_states-str-state", "rng_states-negative-state"])
 def test_checkpoint_with_wrong_dtype_or_nonfinite_state_is_refused(tmp_path, name, bad):
     path = checkpoint_with_arrays(tmp_path, **{name: bad})
