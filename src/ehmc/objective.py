@@ -29,12 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .integrator import row_dot
-from .entropy import (
-    DELTA_PRIME,
-    N_MIN,
-    PENALTY_DELTA,
-    dl_coeff,
-)
+from .entropy import DELTA_PRIME, N_MIN, PENALTY_DELTA, dl_coeff
 from .targets import check_array, check_real, check_size
 
 BETA_BOUNDS = (1e-2, 1e2)
@@ -174,23 +169,24 @@ def gsm_gradient(traj, draws, slopes, state, precond):
     MidpointOperator: it keeps H C eps, H C b (zero when b is) and H C y,
     and its mu is the b^T D b the caller's penalty reads, so no hvp call
     is made here and a GSM chain-step costs the pass's N + 1 products.
-    slopes holds, per draw, the slope of ``penalty_h`` at |mu| under the
-    state's penalty_delta: the caller evaluates the penalty once per draw
-    and keeps its value for the gamma update.
+    At L = 1 the entropy and penalty scales carry dl_coeff(h, 1) = 0, so
+    those terms add nothing.  slopes holds, per draw, the slope of
+    ``penalty_h`` at |mu| under the state's penalty_delta: the caller
+    evaluates the penalty once per draw and keeps its value for the gamma
+    update.
     """
     out = np.zeros((len(draws), precond.theta.size))
     # log-det part: d log h is theta-free
     precond.accumulate_logdet_grad(out, -state.beta)
     positive = np.isfinite(traj.delta) & (traj.delta > 0.0)
     ends = _endpoint_pieces(traj, precond)
-    terms = _delta_terms(traj, precond, ends, positive.astype(float))
-    if traj.L > 1:
-        c = dl_coeff(traj.h, traj.L)
-        coeff = [state.beta * state.gamma * slope * np.sign(dr.mu) * c * 2.0
-                 for dr, slope in zip(draws, slopes)]
-        terms += [([dr.hvp_eps for dr in draws], [dr.y for dr in draws], -state.beta * c),
-                  ([dr.hvp_y for dr in draws], [dr.epsilon for dr in draws], -state.beta * c),
-                  ([dr.hvp_b for dr in draws], [dr.b for dr in draws], coeff)]
+    c = dl_coeff(traj.h, traj.L)
+    coeff = [state.beta * state.gamma * slope * np.sign(dr.mu) * c * 2.0
+             for dr, slope in zip(draws, slopes)]
+    terms = _delta_terms(traj, precond, ends, positive.astype(float)) + [
+        ([dr.hvp_eps for dr in draws], [dr.y for dr in draws], -state.beta * c),
+        ([dr.hvp_y for dr in draws], [dr.epsilon for dr in draws], -state.beta * c),
+        ([dr.hvp_b for dr in draws], [dr.b for dr in draws], coeff)]
     _contract(precond, terms, out)
     return out
 

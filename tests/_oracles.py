@@ -9,14 +9,13 @@ package's analytic gradients.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ehmc.entropy import (DELTA_PRIME, N_MIN, MidpointOperator, RouletteDraw, dl_coeff,
                           penalty_h)
 from ehmc.integrator import Trajectory, energy_error, trajectory_reparam
-from ehmc.objective import L2HMC_FLOOR
+from ehmc.objective import L2HMC_FLOOR, _contract, _delta_terms, _endpoint_pieces
 from ehmc.precond import Preconditioner, n_params
 from ehmc.targets import TargetModel
 
@@ -201,35 +200,53 @@ class TextbookFactor:
         return self._rmatvec(self._check(w))
 
 
-class EntrywiseMidpointOperator(MidpointOperator):
+class ReferenceMidpointOperator(MidpointOperator):
     """MidpointOperator through the checked maps ``precond.matvec`` and
-    ``rmatvec`` of the factor's current theta, with the entrywise
-    finiteness test on every output."""
+    ``rmatvec`` of the factor's current theta: the pair (D w, H C w), two
+    zero vectors at L = 1."""
 
     def __call__(self, w):
         if self.L == 1:
-            return np.zeros_like(np.asarray(w, dtype=float))
-        self.last_hvp = self.model.hvp(self.q_mid, self.precond.matvec(w))
-        out = self.coeff * self.precond.rmatvec(self.last_hvp)
-        if not np.isfinite(out).all():
-            raise FloatingPointError("non-finite Hessian-vector product")
-        return out
+            w = np.asarray(w, dtype=float)
+            return np.zeros_like(w), np.zeros_like(w)
+        hcw = self.model.hvp(self.q_mid, self.precond.matvec(w))
+        return self.coeff * self.precond.rmatvec(hcw), hcw
+
+
+def pair_operator(apply):
+    """The map w -> D w as the pair callable a roulette pass takes: with
+    C = I and coefficient 1, H C w is D w itself."""
+
+    def op(w):
+        z = apply(w)
+        return z, z.copy()
+
+    return op
 
 
 @dataclass
 class ReferenceDraw(RouletteDraw):
     """A roulette draw that also keeps eta_bar, the final iterate."""
 
-    eta_bar: Optional[np.ndarray] = None
+    eta_bar: np.ndarray
+
+
+def _checked(z):
+    # the rule the package's pass keeps: an operator output with a
+    # non-finite entry raises
+    if not np.isfinite(z).all():
+        raise FloatingPointError("non-finite Hessian-vector product")
+    return z
 
 
 def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     """The roulette pass with survival probabilities from a mask over
-    1..N and both norms recomputed by ``np.linalg.norm`` on every term:
-    the reference the package's pass must match bit for bit, in every
-    RouletteDraw field, hvp_y summed term by term as H C eta_k arrives
-    (from the next application, or as ||eta_N|| H C b from the mu probe).
-    It also returns the final iterate eta_bar."""
+    1..N, both norms recomputed by ``np.linalg.norm`` on every term and
+    every operator output tested entrywise for finiteness: the reference
+    the package's pass must match bit for bit, in every RouletteDraw field,
+    hvp_y summed term by term as H C eta_k arrives (from the next
+    application, or as ||eta_N|| H C b from the mu probe).  It also returns
+    the final iterate eta_bar."""
     epsilon = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
     n = n_min + int(rng.geometric(0.5)) - 1
     k = np.arange(1, n + 1)
@@ -239,15 +256,15 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
     eps_eta = np.zeros(n)
     clamps = 0
     degenerate = False
-    hvp_eps = hvp_b = hvp_y = None
+    hvp_y = np.zeros(dim)
     for k in range(1, n + 1):
-        z = dl(eta)
+        z, hcw = dl(eta)
+        _checked(z)
         if k == 1:
-            hvp_eps = getattr(dl, "last_hvp", None)
-            hvp_y = None if hvp_eps is None else np.zeros(dim)
-        elif hvp_y is not None:
+            hvp_eps = hcw
+        else:
             # dl(eta_{k-1}) made H C eta_{k-1}
-            hvp_y += ((-1.0) ** (k - 1) / survival[k - 2]) * dl.last_hvp
+            hvp_y += ((-1.0) ** (k - 1) / survival[k - 2]) * hcw
         zn = float(np.linalg.norm(z))
         en = float(np.linalg.norm(eta))
         if zn == 0.0:
@@ -261,17 +278,15 @@ def roulette_pass_reference(dl, dim, rng, delta_prime=DELTA_PRIME, n_min=N_MIN):
         y += ((-1.0) ** k / survival[k - 1]) * eta
         eps_eta[k - 1] = float(epsilon @ eta)
     if degenerate or float(np.linalg.norm(eta)) == 0.0:
-        # H C b for b = 0, from an operator that keeps its products
         b = np.zeros(dim)
         mu = 0.0
-        hvp_b = None if hvp_y is None else np.zeros(dim)
+        hvp_b = np.zeros(dim)
     else:
         norm = float(np.linalg.norm(eta))
         b = eta / norm
-        mu = float(b @ dl(b))
-        hvp_b = getattr(dl, "last_hvp", None)
-        if hvp_y is not None:
-            hvp_y += ((-1.0) ** n / survival[n - 1] * norm) * hvp_b
+        z, hvp_b = dl(b)
+        mu = float(b @ _checked(z))
+        hvp_y += ((-1.0) ** n / survival[n - 1] * norm) * hvp_b
     return ReferenceDraw(epsilon=epsilon, n_terms=n, survival=survival, y=y, b=b, mu=mu,
                          eps_eta=eps_eta, clamp_count=clamps, hvp_eps=hvp_eps,
                          hvp_b=hvp_b, hvp_y=hvp_y, eta_bar=eta)
@@ -509,6 +524,19 @@ def penalty_slopes(draws, state):
     """The slope of ``penalty_h`` at each draw's |mu|: the slopes that
     ``adaptive_step`` hands ``gsm_gradient``."""
     return [penalty_h(abs(draw.mu), state.config.penalty_delta)[1] for draw in draws]
+
+
+def gsm_gradient_without_entropy(traj, state, precond):
+    """``gsm_gradient`` of the block traj with its entropy and penalty terms
+    left out: the log-det part, and the energy part on the rows whose
+    energy error is positive.  At L = 1, where D is zero, the package's
+    gradient must equal it bit for bit."""
+    out = np.zeros((len(traj.delta), precond.theta.size))
+    precond.accumulate_logdet_grad(out, -state.beta)
+    positive = np.isfinite(traj.delta) & (traj.delta > 0.0)
+    ends = _endpoint_pieces(traj, precond)
+    _contract(precond, _delta_terms(traj, precond, ends, positive.astype(float)), out)
+    return out
 
 
 def gsm_surrogate_loss(traj, draw, state, precond, model):

@@ -26,6 +26,7 @@ from _oracles import (
     esjd_surrogate_loss,
     fd_theta_gradient,
     flat_model,
+    gsm_gradient_without_entropy,
     gsm_surrogate_loss,
     l2hmc_loss,
     l2hmc_surrogate_loss,
@@ -128,8 +129,8 @@ def test_gsm_entropy_reported_value_large_n():
 
 
 def test_gsm_gradient_degenerate_draw():
-    # a zero Hessian zeroes the first series term: the draw keeps H C eps
-    # and a zero H C y and H C b but has no mu probe, so the gradient makes
+    # a zero Hessian zeroes the first series term: the draw keeps a zero
+    # H C eps, H C y and H C b and has no mu probe, so the gradient makes
     # no hvp call and only the log-det part is left
     calls = []
     base = flat_model(3)
@@ -140,9 +141,9 @@ def test_gsm_gradient_degenerate_draw():
                               0.4, 3, p, m)
     draw = roulette_pass(MidpointOperator(traj.midpoint[0], p, m, 0.4, 3), 3,
                          np.random.default_rng(6))
-    assert not draw.b.any() and draw.hvp_eps is not None
-    assert np.array_equal(draw.hvp_b, np.zeros(3))
-    assert np.array_equal(draw.hvp_y, np.zeros(3))
+    assert not draw.b.any() and draw.n_terms >= 3
+    for product in (draw.hvp_eps, draw.hvp_b, draw.hvp_y):
+        assert np.array_equal(product, np.zeros(3))
     assert traj.delta[0] <= 0.0
     state = AdaptState(p)
     state.gamma = 2e3
@@ -152,6 +153,30 @@ def test_gsm_gradient_degenerate_draw():
     expected = np.zeros_like(p.theta)
     p.accumulate_logdet_grad(expected, -state.beta)
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "banded"])
+def test_gsm_gradient_at_l1_has_no_entropy_or_penalty(kind):
+    # at L = 1 the operator alone knows D is zero: its draws carry zero
+    # products and b, and the gradient's entropy and penalty scales carry
+    # dl_coeff(h, 1) = 0, so the gradient is its form without those terms,
+    # for every row of a block with both energy-error signs and a penalty
+    # state that would be active
+    rng = np.random.default_rng(stable_seed(kind, "L1"))
+    d, h = 5, 0.6
+    m = gaussian_target(covariance=np.exp(rng.normal(0, 0.5, d)))
+    p = Preconditioner(kind, d, rng.normal(0, 0.2, n_params(kind, d)))
+    traj = trajectory_reparam(rng.standard_normal((6, d)), rng.standard_normal((6, d)), h, 1,
+                              p, m)
+    assert (traj.delta > 0).any() and (traj.delta < 0).any()
+    draws = [roulette_pass(MidpointOperator(traj.midpoint[i], p, m, h, 1), d, rng)
+             for i in range(6)]
+    assert all(not (dr.hvp_eps.any() or dr.hvp_y.any() or dr.hvp_b.any() or dr.b.any())
+               for dr in draws)
+    state = AdaptState(p)
+    state.beta, state.gamma = 1.3, 2e3
+    got = gsm_gradient(traj, draws, [0.7] * 6, state, p)
+    assert np.array_equal(got, gsm_gradient_without_entropy(traj, state, p))
 
 
 @pytest.mark.parametrize("kind,d", [("diagonal", 5), ("dense", 6), ("banded", 6)])
